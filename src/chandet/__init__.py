@@ -12,8 +12,6 @@ from .channels import (
     ChannelFlags,
     ChoiMatrix,
     ValidationError,
-    apply_channel,
-    choi_of,
     classify,
     cnot_channel,
     compose,
@@ -24,7 +22,6 @@ from .channels import (
     make_named_channel,
     random_unitary_channel,
     sru_channel,
-    superoperator_of,
     superoperator_to_choi,
     transpose_superoperator,
     unitary_channel,

@@ -97,17 +97,6 @@ def choi_to_superoperator(c: ChoiMatrix) -> np.ndarray:
     return c.matrix.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) * d
 
 
-def superoperator_from_map(fn, dim: int) -> np.ndarray:
-    """Matrix of an arbitrary linear map on operators, column by basis column."""
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    basis = np.zeros(dim * dim, dtype=complex)
-    for col in range(dim * dim):
-        basis[col] = 1.0
-        s[:, col] = vec(fn(unvec(basis)))
-        basis[col] = 0.0
-    return s
-
-
 class Channel:
     """Completely positive map on ``prod(dims)`` dimensions, stored in Kraus form.
 
@@ -128,11 +117,13 @@ class Channel:
                 raise ValueError(
                     f"kraus[{i}] has shape {a.shape}, expected {(self.dim, self.dim)} for dims {self.dims}"
                 )
+            if not np.isfinite(a).all():
+                raise ValueError(f"kraus[{i}] has a non-finite entry")
         self.kraus = tuple(_frozen(a) for a in ops)
         self.require_tp = bool(require_tp)
         if self.require_tp:
             deficit = float(np.max(np.abs(self.tp_deficit())))
-            if deficit > TP_ATOL:
+            if not deficit <= TP_ATOL:
                 raise ValidationError(
                     f"Kraus operators are not trace preserving: max|sum A^dag A - I| = {deficit:.6g}"
                 )
@@ -142,6 +133,8 @@ class Channel:
             self.dims + self.dims,
             self.dims,
         )
+        if not np.isfinite(self.choi.matrix).all():
+            raise ValidationError("Kraus entries overflow: the Choi matrix is not finite")
 
     def tp_deficit(self) -> np.ndarray:
         return sum(dag(a) @ a for a in self.kraus) - np.eye(self.dim)
@@ -157,23 +150,13 @@ class Channel:
         return f"Channel(dims={self.dims}, kraus_count={len(self.kraus)}, require_tp={self.require_tp})"
 
 
-def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    return ch(rho)
-
-
-def choi_of(ch: Channel) -> ChoiMatrix:
-    return ch.choi
-
-
-def superoperator_of(ch: Channel) -> np.ndarray:
-    return ch.superoperator
-
-
 def transpose_superoperator(dims, subsystems=0) -> np.ndarray:
-    """Superoperator of partial transposition. Linear but not CP."""
+    """Superoperator of partial transposition: a permutation matrix. Linear but not CP."""
     dims = _as_dims(dims)
     d = math.prod(dims)
-    return superoperator_from_map(lambda r: partial_transpose(r, dims, subsystems), d)
+    index = np.arange(d * d).reshape(d, d, order="F")
+    source = vec(partial_transpose(index, dims, subsystems)).real.astype(int)
+    return np.eye(d * d, dtype=complex)[source]
 
 
 def _as_superoperator(x) -> np.ndarray:
@@ -378,10 +361,9 @@ def make_named_channel(name: str, params: dict | None = None, dims=None) -> Chan
         if "p" not in params:
             raise ValueError("depolarizing channel needs params.p")
         d = int(params.get("d", dims[0] if dims else 2))
-        ch = depolarizing_channel(params["p"], d)
-        if dims is not None and _as_dims(dims) != ch.dims:
+        if dims is not None and _as_dims(dims) != (d,):
             raise ValueError(f"dims {dims} do not match depolarizing dimension {d}")
-        return ch
+        return depolarizing_channel(params["p"], d)
     if name == "fully_depolarizing":
         return fully_depolarizing_channel(dims if dims is not None else (2,), params.get("sigma"))
     if name == "unitary":

@@ -12,20 +12,18 @@ Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import (
     Channel,
+    ChoiMatrix,
     ValidationError,
-    classify,
-    compose,
-    kraus_from_choi,
     make_named_channel,
-    superoperator_to_choi,
     _check_unitary,
 )
 from .detect import (
@@ -40,7 +38,7 @@ from .detect import (
     stabilizer_witness,
 )
 from .measure import estimate_witness, group_settings, pauli_decompose
-from .pptdetect import detect_npt, ppt_witness, spa_transpose
+from .pptdetect import detect_npt
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -77,6 +75,25 @@ class Report:
 # channel-spec parsing
 
 
+def _number(obj, where: str) -> float:
+    """A finite JSON number; booleans and numeric strings are rejected."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise SpecError(f"{where} must be a number")
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecError(f"{where} must be a finite number")
+    return value
+
+
+def _number_list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise SpecError(f"{where} must be a list of numbers")
+    return [_number(x, f"{where}[{i}]") for i, x in enumerate(obj)]
+
+
 def _complex_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SpecError(f"{where} must be a non-empty nested list of [re, im] pairs")
@@ -86,30 +103,35 @@ def _complex_matrix(obj, where: str) -> np.ndarray:
             raise SpecError(f"{where}[{i}] must be a non-empty list")
         entries = []
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-            ):
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise SpecError(f"{where}[{i}][{j}] must be an [re, im] pair of numbers")
-            entries.append(complex(pair[0], pair[1]))
+            entries.append(complex(*(_number(x, f"{where}[{i}][{j}]") for x in pair)))
         rows.append(entries)
     if any(len(r) != len(rows[0]) for r in rows):
         raise SpecError(f"{where} rows have unequal lengths")
     return np.array(rows, dtype=complex)
 
 
+def _matrix_list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise SpecError(f"{where} must be a list of matrices")
+    return [_complex_matrix(m, f"{where}[{i}]") for i, m in enumerate(obj)]
+
+
 def matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-_MATRIX_PARAMS = {
-    "unitary": ("matrix",),
-    "fully_depolarizing": ("sigma",),
-}
-_MATRIX_LIST_PARAMS = {
-    "random_unitary": ("unitaries",),
-    "sru": ("a_unitaries", "b_unitaries"),
+# Parser of each named-channel parameter, by parameter name; other keys are ignored.
+_PARAM_PARSERS = {
+    "p": _number,
+    "d": _number,
+    "probs": _number_list,
+    "matrix": _complex_matrix,
+    "sigma": _complex_matrix,
+    "unitaries": _matrix_list,
+    "a_unitaries": _matrix_list,
+    "b_unitaries": _matrix_list,
 }
 
 
@@ -136,17 +158,10 @@ def parse_channel_spec(spec: dict, require_tp: bool = True) -> Channel:
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise SpecError("params must be an object")
-        params = dict(params)
-        for key in _MATRIX_PARAMS.get(name, ()):
-            if key in params:
-                params[key] = _complex_matrix(params[key], f"params.{key}")
-        for key in _MATRIX_LIST_PARAMS.get(name, ()):
-            if key in params:
-                if not isinstance(params[key], list):
-                    raise SpecError(f"params.{key} must be a list of matrices")
-                params[key] = [
-                    _complex_matrix(m, f"params.{key}[{i}]") for i, m in enumerate(params[key])
-                ]
+        params = {
+            key: _PARAM_PARSERS[key](val, f"params.{key}") if key in _PARAM_PARSERS else val
+            for key, val in params.items()
+        }
         try:
             channel = make_named_channel(name, params, dims)
         except ValidationError:
@@ -169,18 +184,19 @@ def parse_channel_spec(spec: dict, require_tp: bool = True) -> Channel:
     return channel
 
 
-def load_channel_spec(path: str, require_tp: bool = True) -> Channel:
-    return parse_channel_spec(_read_spec_file(path), require_tp=require_tp)
-
-
 def _read_spec_file(path: str) -> dict:
+    def reject_constant(token):
+        raise SpecError(f"invalid JSON in {path}: non-finite number {token}")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject_constant)
     except FileNotFoundError as exc:
         raise SpecError(f"channel spec file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise SpecError(f"cannot read channel spec {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +259,10 @@ def _target_gate(channel: Channel, opts: PipelineOptions, command: str):
     return _single_unitary(target, f"{command} target"), target, name
 
 
-def _estimate_payload(ch: Channel, w: Witness, opts: PipelineOptions) -> dict | None:
+def _estimate_payload(state: ChoiMatrix, w: Witness, opts: PipelineOptions) -> dict | None:
     if not opts.shots:
         return None
-    est = estimate_witness(ch, w, opts.shots, opts.seed)
+    est = estimate_witness(state, w, opts.shots, opts.seed)
     return {
         "value": est.value,
         "std_error": est.std_error,
@@ -342,7 +358,7 @@ def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> dict:
             "mu_c_lb": bounds.mu_c_lb,
         },
     }
-    est = _estimate_payload(channel, w, opts)
+    est = _estimate_payload(channel.choi, w, opts)
     if est is not None:
         results["estimate"] = est
     return results
@@ -375,7 +391,7 @@ def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool 
     if opts.shots:
         if channel.dims != (2, 2):
             raise SpecError("shot simulation is available only for qubit systems")
-        results["estimate"] = _estimate_payload(channel, w, opts)
+        results["estimate"] = _estimate_payload(channel.choi, w, opts)
     return results
 
 
@@ -399,40 +415,31 @@ def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> dict:
     if opts.shots:
         if channel.dims != (2, 2):
             raise SpecError("shot simulation is available only for qubit systems")
-        w, _ = ppt_witness(channel)
-        comp_choi = superoperator_to_choi(
-            compose(channel, spa_transpose(channel.dims[0]).superoperator), channel.dims
-        )
-        composite = kraus_from_choi(comp_choi, require_tp=True)
-        results["estimate"] = _estimate_payload(composite, w, opts)
+        # a PPT channel has no witness, hence nothing to estimate
+        w = report.witness
+        results["estimate"] = None if w is None else _estimate_payload(report.composite, w, opts)
     return results
 
 
 def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
-    shots = opts.shots if opts.shots else 100_000
-    sim_opts = PipelineOptions(
-        seed=opts.seed,
-        shots=shots,
-        starts=opts.starts,
-        witness=opts.witness,
-        target_spec=opts.target_spec,
-        channel_name=opts.channel_name,
-    )
+    sim_opts = replace(opts, shots=opts.shots or 100_000)
     kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
     if kind == "ppt":
         _require_dims(channel, [(2, 2)], "simulate --witness ppt")
-        w, _ = ppt_witness(channel)
-        comp_choi = superoperator_to_choi(
-            compose(channel, spa_transpose(channel.dims[0]).superoperator), channel.dims
-        )
-        measured = kraus_from_choi(comp_choi, require_tp=True)
+        report = detect_npt(channel)
+        if report.witness is None:
+            raise SpecError(
+                f"the ppt witness needs an NPT channel; this one has lambda_minus = "
+                f"{report.lambda_minus:.6g}, so no witness exists"
+            )
+        w, measured = report.witness, report.composite
         payload = {"witness": "ppt"}
     else:
         w, payload = _build_witness(channel, kind, sim_opts)
-        measured = channel
+        measured = channel.choi
         if any(d != 2 for d in channel.dims):
             raise SpecError("shot simulation is available only for qubit systems")
-    exact = float(np.real(np.trace(w.operator @ measured.choi.matrix)))
+    exact = float(np.real(np.trace(w.operator @ measured.matrix)))
     settings = group_settings(pauli_decompose(w.operator))
     payload.update(
         {
@@ -497,8 +504,12 @@ def report_payload(report: Report) -> dict:
 
 
 def render_report(report: Report, fmt: str = "json") -> str:
+    """Render a report; a non-finite number in a JSON report is a numerical failure."""
     if fmt == "json":
-        return json.dumps(report_payload(report), indent=2) + "\n"
+        try:
+            return json.dumps(report_payload(report), indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ValidationError(f"report holds a non-finite number: {exc}") from exc
     if fmt != "text":
         raise SpecError(f"unknown format {fmt!r}")
 
@@ -580,13 +591,14 @@ def main(argv=None) -> int:
         options = _options_from_args(args, spec)
         report = run_pipeline(args.command, channel, options)
         report.channel_spec = spec
+        text = render_report(report, args.format)
     except SpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    sys.stdout.write(render_report(report, args.format))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -189,7 +189,8 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
         val, ua, ub = _alternating_ascent(u, da, db, ub0)
         if val > best_val:
             best_val, best_ua, best_ub = val, ua, ub
-    return best_val, best_ua, best_ub
+    # an overlap of unit vectors is at most 1; product gates reach it up to rounding
+    return min(best_val, 1.0), best_ua, best_ub
 
 
 def choi_vector(u: np.ndarray, dims) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Separable random unitary mixtures are PPT by construction (conjugating the
 product Kraus operators by a partial transpose only conjugates the A-side
-unitaries), so :func:`random_ppt_channel` draws from them.
+unitaries), so :func:`random_sru_channel` draws PPT channels.
 """
 
 import math
@@ -40,23 +40,15 @@ def random_channel(dims, seed, kraus_count: int | None = None) -> Channel:
     return Channel([g @ inv_sqrt for g in gs], dims)
 
 
-def _dirichlet_uniform(n: int, rng) -> np.ndarray:
-    return rng.dirichlet(np.ones(n))
-
-
 def random_sru_channel(dims=(2, 2), seed=0, max_terms: int = 8) -> Channel:
     """Mixture of up to ``max_terms`` Haar product unitaries with uniform-simplex weights."""
     dims = _as_dims(dims)
     rng = as_rng(seed)
     n = int(rng.integers(1, max_terms + 1))
-    probs = _dirichlet_uniform(n, rng)
+    probs = rng.dirichlet(np.ones(n))
     va = [haar_unitary(dims[0], rng) for _ in range(n)]
     wb = [haar_unitary(dims[1], rng) for _ in range(n)]
     return sru_channel(probs, va, wb, dims)
-
-
-def random_ppt_channel(dims=(2, 2), seed=0, max_terms: int = 8) -> Channel:
-    return random_sru_channel(dims, seed, max_terms)
 
 
 def random_separable_state(dims=(2, 2), seed=0, max_terms: int = 8) -> np.ndarray:
@@ -64,7 +56,7 @@ def random_separable_state(dims=(2, 2), seed=0, max_terms: int = 8) -> np.ndarra
     dims = _as_dims(dims)
     rng = as_rng(seed)
     n = int(rng.integers(1, max_terms + 1))
-    probs = _dirichlet_uniform(n, rng)
+    probs = rng.dirichlet(np.ones(n))
     rho = np.zeros((math.prod(dims), math.prod(dims)), dtype=complex)
     for p in probs:
         ket = kron(

@@ -3,7 +3,7 @@
 A qubit witness is expanded in the Pauli basis, the non-identity strings are
 grouped into product measurement settings (strings sharing a setting are
 estimated from the same shots), and outcomes are sampled from the exact Born
-distribution of the channel's Choi state.
+distribution of the Choi state being measured.
 """
 
 import itertools
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel
-from .detect import Witness, evaluate_witness
+from .channels import ChoiMatrix, ValidationError
+from .detect import Witness
 from .qmath import kron, pauli_string
 
 COEFF_CUTOFF = 1e-12
@@ -139,10 +139,11 @@ def _check_state(state: np.ndarray, n: int) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape != (2**n, 2**n):
         raise ValueError(f"state shape {state.shape} does not match {n} qubits")
-    if abs(complex(np.trace(state)).real - 1.0) > 1e-9 or np.max(np.abs(state - state.conj().T)) > 1e-9:
-        raise ValueError("state must be Hermitian with unit trace")
+    trace_dev = abs(complex(np.trace(state)).real - 1.0)
+    if not (trace_dev <= 1e-9 and np.max(np.abs(state - state.conj().T)) <= 1e-9):
+        raise ValidationError("state must be Hermitian with unit trace")
     if float(np.linalg.eigvalsh((state + state.conj().T) / 2)[0]) < -1e-9:
-        raise ValueError("state has a negative eigenvalue")
+        raise ValidationError("state has a negative eigenvalue")
     return state
 
 
@@ -156,14 +157,17 @@ def simulate_counts(state: np.ndarray, setting, shots: int, seed) -> dict[tuple[
     bases = setting.bases if isinstance(setting, MeasurementSetting) else str(setting)
     if not bases or any(ch not in "XYZ" for ch in bases):
         raise ValueError(f"invalid measurement bases {bases!r}")
-    n = len(bases)
-    state = _check_state(state, n)
     shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    probs = _setting_probabilities(state, bases)
-    counts = rng.multinomial(shots, probs)
+    return _sample_counts(_check_state(state, len(bases)), bases, shots, rng)
+
+
+def _sample_counts(state: np.ndarray, bases: str, shots: int, rng) -> dict[tuple[int, ...], int]:
+    """Outcome histogram of an already validated state; see :func:`simulate_counts`."""
+    n = len(bases)
+    counts = rng.multinomial(shots, _setting_probabilities(state, bases))
     hist = {}
     for idx, cnt in enumerate(counts):
         if cnt == 0:
@@ -181,37 +185,40 @@ def _term_sign(outcome: tuple[int, ...], string: str) -> int:
     return sign
 
 
-def estimate_witness(ch: Channel, w: Witness, shots_per_setting: int, seed: int = 0) -> ShotEstimate:
-    """Estimate Tr[W * Choi(ch)] from simulated local measurements on the Choi state.
+def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed: int = 0) -> ShotEstimate:
+    """Estimate Tr[W * choi] from simulated local measurements on the Choi state.
 
-    ``shots_per_setting == 0`` selects exact evaluation (a degenerate estimate
-    with zero standard error). Terms sharing a setting are evaluated from the
-    same shots, and their covariance enters the standard error through the
-    per-shot sample variance of the combined value.
+    The state is validated (Hermitian, unit trace, positive semidefinite) once,
+    before any setting is sampled. ``shots_per_setting == 0`` selects exact
+    evaluation (a degenerate estimate with zero standard error). Terms sharing
+    a setting are evaluated from the same shots, and their covariance enters
+    the standard error through the per-shot sample variance of the combined
+    value.
     """
-    if any(d != 2 for d in ch.choi.dims):
-        raise ValueError(f"shot simulation needs qubit subsystems, got dims {ch.choi.dims}")
-    if w.dims != ch.choi.dims:
-        raise ValueError(f"witness dims {w.dims} do not match Choi dims {ch.choi.dims}")
+    if any(d != 2 for d in choi.dims):
+        raise ValueError(f"shot simulation needs qubit subsystems, got dims {choi.dims}")
+    if w.dims != choi.dims:
+        raise ValueError(f"witness dims {w.dims} do not match Choi dims {choi.dims}")
     shots = int(shots_per_setting)
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if shots < 0:
+        raise ValueError("shots_per_setting must be non-negative")
+    n = len(choi.dims)
+    state = _check_state(choi.matrix, n)
     if shots == 0:
-        return ShotEstimate(
-            value=evaluate_witness(w, ch), std_error=0.0, shots_per_setting=0, seed=seed
-        )
+        exact = float(np.real(np.trace(w.operator @ state)))
+        return ShotEstimate(value=exact, std_error=0.0, shots_per_setting=0, seed=seed)
 
     terms = pauli_decompose(w.operator)
     settings = group_settings(terms)
-    state = ch.choi.matrix
-    n = len(ch.choi.dims)
     identity = "I" * n
     value = sum(t.coefficient for t in terms if t.string == identity)
     variance = 0.0
     for k, setting in enumerate(settings):
         rng = np.random.default_rng([seed, k])
-        hist = simulate_counts(state, setting, shots, rng)
+        hist = _sample_counts(state, setting.bases, shots, rng)
         mean_acc = 0.0
         sq_acc = 0.0
         for outcome, cnt in hist.items():

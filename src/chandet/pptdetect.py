@@ -4,8 +4,10 @@ A CP map M on two qudits is PPT when the transpose-conjugated composite
 T_A o M o T_A is still CP, i.e. when its Choi matrix stays positive. The
 witness here is the partial transpose of the projector onto the most negative
 eigenvector of that Choi matrix, measured on the Choi state of the physically
-implementable composite M o spa_transpose (partial transpose plus the minimal
-depolarizing noise that makes it CP).
+implementable composite M o SPA(T_A). SPA(T_A) is the structural physical
+approximation of the partial transpose (Horodecki & Ekert, PRL 89, 127902
+(2002)): the partial transpose plus the minimal depolarizing noise that makes
+it CP.
 """
 
 from dataclasses import dataclass
@@ -19,14 +21,13 @@ from .channels import (
     classify,
     compose,
     kraus_from_choi,
-    superoperator_from_map,
     superoperator_to_choi,
     transpose_superoperator,
     unvec,
     vec,
 )
 from .detect import Witness
-from .qmath import partial_transpose, _as_dims
+from .qmath import partial_transpose
 
 NEGATIVITY_ATOL = 1e-10
 DEGENERACY_ATOL = 1e-10
@@ -47,7 +48,9 @@ class NptReport:
 
     ``threshold`` is p/d^4 when the channel is unital (the noise floor of the
     physical transpose approximation) and 0 otherwise; ``expectation`` is None
-    when no witness could be built and none was supplied.
+    when no witness could be built and none was supplied. ``witness`` and
+    ``composite`` (the Choi state of ch o SPA(T_A) it was measured on) are
+    None in the same case.
     """
 
     lambda_minus: float
@@ -61,6 +64,8 @@ class NptReport:
     term_noise_m: float | None = None
     degenerate: bool = False
     note: str | None = None
+    witness: Witness | None = None
+    composite: ChoiMatrix | None = None
 
 
 def _require_square_pair(ch: Channel) -> int:
@@ -84,12 +89,14 @@ def spa_noise_weight(d: int) -> float:
 
 
 def spa_superoperator(d: int, noise: float) -> np.ndarray:
-    """Superoperator of (1-noise) * T_A + noise * (depolarize to Id/d^2) on dims [d, d]."""
+    """Superoperator of (1-noise) * T_A + noise * (depolarize to Id/d^2) on dims [d, d].
+
+    The depolarizing part rho -> Tr[rho] Id/D is vec(Id/D) vec(Id)^T.
+    """
     d = int(d)
-    dim = d * d
+    eye = np.eye(d * d)
     s_ta = transpose_superoperator((d, d), 0)
-    s_dep = superoperator_from_map(lambda r: np.trace(r) * np.eye(dim) / dim, dim)
-    return (1.0 - noise) * s_ta + noise * s_dep
+    return (1.0 - noise) * s_ta + noise * np.outer(vec(eye / (d * d)), vec(eye))
 
 
 def spa_transpose(d: int) -> Channel:
@@ -110,40 +117,34 @@ def _negative_eigenpair(choi: ChoiMatrix):
 
 
 def ppt_witness(ch: Channel):
-    """Witness |lambda_-><lambda_-|^{T_A} from the most negative Choi eigenvector.
+    """Witness |lambda_-><lambda_-|^{T_A} that :func:`detect_npt` derives for ``ch``.
 
-    The partial transpose acts on the first output qudit of the four-partite
-    Choi space; with a degenerate most-negative eigenvalue the eigensolver's
-    first eigenvector is used. Returns ``(witness, lambda_minus)``.
+    Returns ``(witness, lambda_minus)``; raises :class:`PptUndetectableError`
+    when the channel is PPT and no such witness exists.
     """
-    _, choi_mt = ppt_conjugate(ch)
-    lam, vector, _ = _negative_eigenpair(choi_mt)
-    if lam >= -NEGATIVITY_ATOL:
-        raise PptUndetectableError(
-            f"transpose-conjugated Choi matrix is positive (min eigenvalue {lam:.6g}); "
-            "no witness of this form exists"
-        )
-    proj = np.outer(vector, vector.conj())
-    op = partial_transpose(proj, choi_mt.dims, 0)
-    op = (op + op.conj().T) / 2
-    return Witness(operator=op, kind="ppt", dims=choi_mt.dims), lam
+    report = detect_npt(ch)
+    if report.witness is None:
+        raise PptUndetectableError(report.note)
+    return report.witness, report.lambda_minus
 
 
 def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     """Run the full NPT detection pipeline on a CP channel acting on dims [d, d].
 
-    Builds the physically realizable composite ch o spa_transpose, measures the
-    witness on its Choi state, and cross-checks the result against the two-term
-    split (1-p) * transpose-part + p * noise-part. When ``witness`` is None it
-    is derived from ``ch`` itself; channels whose transpose conjugate is already
-    positive then come back ``not_detected`` with a diagnostic note.
+    Builds the Choi state of the physically realizable composite ch o SPA(T_A)
+    once, from the closed-form SPA superoperator, measures the witness on it,
+    and cross-checks the result against the two-term split
+    (1-p) * transpose-part + p * noise-part. When ``witness`` is None it is
+    derived from the same transpose conjugate that gives lambda_-; channels
+    whose transpose conjugate is already positive then come back
+    ``not_detected`` with a diagnostic note.
     """
     d = _require_square_pair(ch)
     flags = classify(ch)
     p = spa_noise_weight(d)
     threshold = p / d**4 if flags.unital else 0.0
     s_mt, choi_mt = ppt_conjugate(ch)
-    lam, _, degenerate = _negative_eigenpair(choi_mt)
+    lam, vector, degenerate = _negative_eigenpair(choi_mt)
 
     note = None
     if witness is None:
@@ -161,15 +162,16 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
                     "witness unavailable"
                 ),
             )
-        witness, _ = ppt_witness(ch)
+        # the partial transpose acts on the first output qudit of the Choi space
+        op = partial_transpose(np.outer(vector, vector.conj()), choi_mt.dims, 0)
+        witness = Witness(operator=(op + op.conj().T) / 2, kind="ppt", dims=choi_mt.dims)
         if degenerate:
             note = "most negative eigenvalue is degenerate; witness uses the first eigenvector"
     elif witness.dims != choi_mt.dims:
         raise ValueError(f"witness dims {witness.dims} do not match Choi dims {choi_mt.dims}")
 
     dim = ch.dim
-    composite = compose(ch, spa_transpose(d).superoperator)
-    choi_comp = superoperator_to_choi(composite, ch.dims)
+    choi_comp = superoperator_to_choi(compose(ch, spa_superoperator(d, p)), ch.dims)
     expectation = float(np.real(np.trace(witness.operator @ choi_comp.matrix)))
 
     # Two-term split: the witness is proj^{T_A}, so traces against partially
@@ -182,7 +184,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     term_noise_mt = float(np.real(np.trace(proj @ np.kron(mt_of_id, eye_anc))))
     term_noise_m = float(np.real(np.trace(proj @ np.kron(m_of_id, eye_anc))))
     split = (1.0 - p) * term_transpose + p * term_noise_mt
-    if abs(expectation - split) > CROSS_CHECK_ATOL:
+    if not abs(expectation - split) <= CROSS_CHECK_ATOL:
         raise ValidationError(
             f"two-term split {split!r} disagrees with direct expectation {expectation!r}"
         )
@@ -200,4 +202,6 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
         term_noise_m=term_noise_m,
         degenerate=degenerate,
         note=note,
+        witness=witness,
+        composite=choi_comp,
     )

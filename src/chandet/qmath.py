@@ -10,7 +10,6 @@ from functools import reduce
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
 EIG_RECON_ATOL = 1e-10
 
 PAULI = {
@@ -53,10 +52,6 @@ def _check_square(m: np.ndarray, dims: tuple[int, ...]) -> None:
     side = math.prod(dims)
     if m.shape != (side, side):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims} (side {side})")
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.max(np.abs(m - dag(m))) <= atol)
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:

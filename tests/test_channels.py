@@ -4,8 +4,6 @@ import pytest
 from chandet.channels import (
     Channel,
     ValidationError,
-    apply_channel,
-    choi_of,
     choi_to_superoperator,
     classify,
     cnot_channel,
@@ -17,7 +15,6 @@ from chandet.channels import (
     make_named_channel,
     random_unitary_channel,
     sru_channel,
-    superoperator_of,
     superoperator_to_choi,
     transpose_superoperator,
     unitary_channel,
@@ -83,24 +80,24 @@ class TestNamedChannels:
         sigma = random_density_matrix(2, rng)
         ch = fully_depolarizing_channel([2], sigma)
         rho = random_density_matrix(2, rng)
-        np.testing.assert_allclose(apply_channel(ch, rho), sigma, atol=1e-12)
+        np.testing.assert_allclose(ch(rho), sigma, atol=1e-12)
         assert classify(ch).tp
 
 
 class TestChoi:
     def test_identity_choi_is_bell_projector(self):
-        choi = choi_of(identity_channel([2]))
+        choi = identity_channel([2]).choi
         np.testing.assert_allclose(choi.matrix, bell_projector(), atol=1e-14)
         assert np.linalg.matrix_rank(choi.matrix, tol=1e-10) == 1
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_depolarizing_choi_is_werner(self, p):
-        choi = choi_of(depolarizing_channel(p))
+        choi = depolarizing_channel(p).choi
         werner = (1 - 4 * p / 3) * bell_projector() + (p / 3) * np.eye(4)
         np.testing.assert_allclose(choi.matrix, werner, atol=1e-12)
 
     def test_fully_mixing_point(self):
-        np.testing.assert_allclose(choi_of(depolarizing_channel(0.75)).matrix, np.eye(4) / 4, atol=1e-12)
+        np.testing.assert_allclose(depolarizing_channel(0.75).choi.matrix, np.eye(4) / 4, atol=1e-12)
 
     def test_cnot_choi_schmidt_form(self):
         # |CNOT> = (|00>_AC |phi+>_BD + |11>_AC |psi+>_BD)/sqrt(2), reordered to (A,B,C,D)
@@ -113,7 +110,7 @@ class TestChoi:
         acbd = (np.kron(ket00, phi) + np.kron(ket11, psi)) / np.sqrt(2)
         proj_acbd = np.outer(acbd, acbd.conj())
         expected = permute_subsystems(proj_acbd, [2, 2, 2, 2], [0, 2, 1, 3])
-        np.testing.assert_allclose(choi_of(cnot_channel()).matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(cnot_channel().choi.matrix, expected, atol=1e-12)
 
     def test_tp_choi_properties(self):
         for ch in (depolarizing_channel(0.3), cnot_channel(), z3_channel(), random_channel([2, 2], 5)):
@@ -127,18 +124,18 @@ class TestChoi:
 
 class TestSuperoperator:
     def test_identity(self):
-        np.testing.assert_array_equal(superoperator_of(identity_channel([2, 2])), np.eye(16))
+        np.testing.assert_array_equal(identity_channel([2, 2]).superoperator, np.eye(16))
 
     def test_unitary_channel(self):
         u = haar_unitary(3, 0)
-        np.testing.assert_allclose(superoperator_of(unitary_channel(u)), np.kron(u.conj(), u), atol=1e-14)
+        np.testing.assert_allclose(unitary_channel(u).superoperator, np.kron(u.conj(), u), atol=1e-14)
 
     def test_superoperator_action(self):
         rng = np.random.default_rng(1)
         ch = random_channel([3], rng, kraus_count=4)
         rho = random_density_matrix(3, rng)
         out = unvec(ch.superoperator @ vec(rho))
-        np.testing.assert_allclose(out, apply_channel(ch, rho), atol=1e-12)
+        np.testing.assert_allclose(out, ch(rho), atol=1e-12)
 
     def test_conversion_cycle(self):
         # superoperator -> Choi (reshuffle) -> Kraus -> superoperator
@@ -185,7 +182,7 @@ class TestCompose:
     def test_compose_with_identity(self):
         ch = depolarizing_channel(0.3)
         np.testing.assert_allclose(
-            compose(ch, identity_channel([2])), superoperator_of(ch), atol=1e-14
+            compose(ch, identity_channel([2])), ch.superoperator, atol=1e-14
         )
 
     def test_transpose_conjugated_cnot_spectrum(self):
@@ -222,7 +219,7 @@ class TestKrausFromChoi:
         for _ in range(10):
             rho = random_density_matrix(2, rng)
             np.testing.assert_allclose(
-                apply_channel(rebuilt, rho), apply_channel(ch, rho), atol=1e-10
+                rebuilt(rho), ch(rho), atol=1e-10
             )
 
     def test_pure_choi_single_kraus(self):
@@ -242,7 +239,7 @@ class TestKrausFromChoi:
         rng = np.random.default_rng(7)
         for _ in range(5):
             rho = random_density_matrix(2, rng)
-            np.testing.assert_allclose(apply_channel(ch, rho), I2 / 2, atol=1e-10)
+            np.testing.assert_allclose(ch(rho), I2 / 2, atol=1e-10)
 
     def test_choi_of_kraus_from_choi_round_trip(self):
         rng = np.random.default_rng(8)
@@ -280,6 +277,18 @@ class TestClassify:
             Channel([np.sqrt(0.9) * I2], [2])
         ch = Channel([np.sqrt(0.9) * I2], [2], require_tp=False)
         assert not classify(ch).tp
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kraus_rejected(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 0] = bad
+        for require_tp in (True, False):
+            with pytest.raises(ValueError, match="non-finite"):
+                Channel([k], [2], require_tp=require_tp)
+
+    def test_overflowing_choi_rejected(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            Channel([1e200 * I2], [2], require_tp=False)
 
 
 class TestSruChoiStructure:

@@ -77,6 +77,9 @@ class TestSpecParsing:
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 1.5}},
             {"dims": [2], "kind": "kraus", "kraus": []},
             {"dims": [2], "kind": "kraus", "kraus": [[[1, 0], [0, 1]]]},
+            {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": "0.3"}},
+            {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": True}},
+            {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.1, "d": 0}},
         ],
     )
     def test_schema_violations(self, spec):
@@ -105,6 +108,13 @@ class TestExitCodes:
         path.write_text("{not json")
         code, _, err = run(capsys, "detect-eb", "--channel", str(path))
         assert code == EXIT_INPUT_ERROR and "invalid JSON" in err
+
+    @pytest.mark.parametrize("make", [lambda p: p.write_bytes(b"\xff\xfe{"), lambda p: p.mkdir()])
+    def test_unreadable_spec_is_input_error(self, tmp_path, capsys, make):
+        path = tmp_path / "spec.json"
+        make(path)
+        code, out, _ = run(capsys, "detect-eb", "--channel", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
 
     def test_wrong_dims_for_command(self, tmp_path, capsys):
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
@@ -137,6 +147,28 @@ class TestExitCodes:
         path = write_spec(tmp_path, "nonunitary.json", spec)
         code, _, err = run(capsys, "detect-sep", "--channel", path)
         assert code == EXIT_NUMERICAL_ERROR and "unitary" in err
+
+    def test_nan_kraus_entry_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims":[2],"kind":"kraus","kraus":[[[[NaN,0],[0,0]],[[0,0],[1,0]]]]}')
+        code, out, err = run(capsys, "detect-eb", "--channel", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "NaN" in err
+
+    def test_nan_kraus_entry_detect_npt(self, tmp_path, capsys):
+        identity = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        spec = {"dims": [2, 2], "kind": "kraus", "kraus": [identity]}
+        spec["kraus"][0][1][1] = [float("nan"), 0.0]
+        path = write_spec(tmp_path, "nan22.json", spec)  # json writes the bare token NaN
+        code, out, _ = run(capsys, "detect-npt", "--channel", path)
+        assert code == EXIT_INPUT_ERROR and out == ""
+
+    def test_overflowing_number_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"  # json reads 1e400 as inf without calling parse_constant
+        path.write_text('{"dims":[2],"kind":"kraus","kraus":[[[[1e400,0],[0,0]],[[0,0],[1,0]]]]}')
+        code, out, err = run(capsys, "detect-eb", "--channel", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "finite" in err
 
     def test_verdicts_are_not_exit_codes(self, tmp_path, capsys):
         path = write_spec(tmp_path, "dep.json", dep_spec(1.0))  # EB channel, undetected
@@ -258,6 +290,19 @@ class TestPipelines:
         assert abs(est["value"] - res["exact"]) <= 5 * max(est["std_error"], 1e-3)
 
 
+    def test_detect_npt_shots_on_ppt_channel(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "id.json", {"dims": [2, 2], "kind": "named", "name": "identity"})
+        res = run_json(capsys, "detect-npt", "--channel", path, "--shots", "1000")["results"]
+        assert res["verdict"] == "not_detected"
+        assert res["expectation"] is None and res["estimate"] is None
+
+    def test_simulate_ppt_witness_on_ppt_channel(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "id.json", {"dims": [2, 2], "kind": "named", "name": "identity"})
+        code, out, err = run(capsys, "simulate", "--channel", path, "--witness", "ppt")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "lambda_minus" in err
+
+
 class TestRendering:
     def test_byte_identical_reports(self, tmp_path, capsys):
         path = write_spec(tmp_path, "z3.json", Z3_SPEC)
@@ -288,6 +333,14 @@ class TestRendering:
         assert code == EXIT_OK
         for needle in ("lambda_minus:", "noise_p:", "threshold:", "verdict: npt_detected"):
             assert needle in out
+
+    def test_non_finite_result_is_numerical_failure(self):
+        from chandet.channels import ValidationError
+        from chandet.cli import Report, render_report
+
+        report = Report("detect-eb", {}, {}, {"expectation": float("nan")})
+        with pytest.raises(ValidationError, match="non-finite"):
+            render_report(report)
 
     def test_elapsed_not_in_json(self, tmp_path, capsys):
         path = write_spec(tmp_path, "dep.json", dep_spec())

@@ -110,9 +110,10 @@ class TestAlphaSruOptimize:
         assert product_overlap(CNOT, s_gate, v) >= 1 / np.sqrt(2) - 1e-10
 
     def test_product_unitary_scores_one(self):
-        u = kron(haar_unitary(2, 5), haar_unitary(2, 6))
-        val, _, _ = alpha_sru_optimize(u, (2, 2), starts=5, seed=0)
-        assert val >= 1 - 1e-9
+        for u in (kron(haar_unitary(2, 5), haar_unitary(2, 6)), np.eye(4)):
+            val, _, _ = alpha_sru_optimize(u, (2, 2), starts=5, seed=0)
+            assert 1 - 1e-9 <= val <= 1.0
+            build_sru_witness(u, (2, 2), val**2)  # needs alpha_sq in (0, 1]
 
     def test_z3_value(self):
         val, _, _ = alpha_sru_optimize(Z3, (3, 3), starts=50, seed=0)

@@ -4,7 +4,6 @@ from chandet.channels import classify
 from chandet.ensembles import (
     random_channel,
     random_density_matrix,
-    random_ppt_channel,
     random_separable_state,
     random_sru_channel,
 )
@@ -35,7 +34,7 @@ def test_random_sru_channel_term_count():
 
 def test_random_ppt_channel_transpose_conjugate_is_positive():
     for seed in range(10):
-        ch = random_ppt_channel((2, 2), seed=seed)
+        ch = random_sru_channel((2, 2), seed=seed)
         _, choi = ppt_conjugate(ch)
         assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
 

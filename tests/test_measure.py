@@ -162,7 +162,7 @@ class TestEstimateWitness:
     def test_exact_mode(self):
         ch = depolarizing_channel(0.25)
         w = eb_witness()
-        est = estimate_witness(ch, w, 0, seed=3)
+        est = estimate_witness(ch.choi, w, 0, seed=3)
         assert est.value == evaluate_witness(w, ch)
         assert est.std_error == 0.0 and est.shots_per_setting == 0
 
@@ -170,7 +170,7 @@ class TestEstimateWitness:
         ch = cnot_channel()
         w = build_sru_witness(CNOT, (2, 2), 0.5)
         for seed in range(5):
-            est = estimate_witness(ch, w, 10_000, seed=seed)
+            est = estimate_witness(ch.choi, w, 10_000, seed=seed)
             # stabilizer-state parities are deterministic: exact value, zero error
             assert est.value == pytest.approx(-0.5, abs=1e-12)
             assert est.std_error == 0.0
@@ -179,14 +179,14 @@ class TestEstimateWitness:
         ch = depolarizing_channel(0.0)
         w = eb_witness()
         for seed in range(5):
-            est = estimate_witness(ch, w, 100_000, seed=seed)
+            est = estimate_witness(ch.choi, w, 100_000, seed=seed)
             assert abs(est.value + 0.5) <= 5 * max(est.std_error, 1e-12)
 
     def test_unbiased_over_seeds(self):
         ch = depolarizing_channel(0.25)
         w = eb_witness()
         exact = evaluate_witness(w, ch)
-        ests = [estimate_witness(ch, w, 10_000, seed=s) for s in range(50)]
+        ests = [estimate_witness(ch.choi, w, 10_000, seed=s) for s in range(50)]
         mean = np.mean([e.value for e in ests])
         typical_se = np.mean([e.std_error for e in ests])
         assert abs(mean - exact) < 3 * typical_se / np.sqrt(50)
@@ -196,8 +196,8 @@ class TestEstimateWitness:
         w = eb_witness()
         ratios = []
         for seed in range(20):
-            e1 = estimate_witness(ch, w, 4_000, seed=seed)
-            e4 = estimate_witness(ch, w, 16_000, seed=seed)
+            e1 = estimate_witness(ch.choi, w, 4_000, seed=seed)
+            e4 = estimate_witness(ch.choi, w, 16_000, seed=seed)
             ratios.append(e4.std_error / e1.std_error)
         assert 0.4 <= np.mean(ratios) <= 0.6
 
@@ -210,8 +210,8 @@ class TestEstimateWitness:
         exact = evaluate_witness(w, ch)
         ratios = []
         for seed in range(10):
-            e1 = estimate_witness(ch, w, 2_000, seed=seed)
-            e4 = estimate_witness(ch, w, 8_000, seed=seed)
+            e1 = estimate_witness(ch.choi, w, 2_000, seed=seed)
+            e4 = estimate_witness(ch.choi, w, 8_000, seed=seed)
             assert abs(e1.value - exact) <= 5 * e1.std_error
             ratios.append(e4.std_error / e1.std_error)
         assert 0.35 <= np.mean(ratios) <= 0.65
@@ -219,8 +219,8 @@ class TestEstimateWitness:
     def test_seed_reproducible(self):
         ch = depolarizing_channel(0.25)
         w = eb_witness()
-        e1 = estimate_witness(ch, w, 5_000, seed=9)
-        e2 = estimate_witness(ch, w, 5_000, seed=9)
+        e1 = estimate_witness(ch.choi, w, 5_000, seed=9)
+        e2 = estimate_witness(ch.choi, w, 5_000, seed=9)
         assert e1 == e2
 
     def test_rejects_qutrits(self):
@@ -230,4 +230,15 @@ class TestEstimateWitness:
         z3 = z3_channel()
         w = build_sru_witness(z3.kraus[0], (3, 3), 0.6)
         with pytest.raises(ValueError, match="qubit"):
-            estimate_witness(z3, w, 100, seed=0)
+            estimate_witness(z3.choi, w, 100, seed=0)
+
+    def test_rejects_non_positive_state(self):
+        from chandet.channels import ValidationError
+        from chandet.pptdetect import ppt_conjugate
+
+        # the transpose conjugate of the CNOT has unit trace but a negative eigenvalue
+        _, choi_mt = ppt_conjugate(cnot_channel())
+        w = build_sru_witness(CNOT, (2, 2), 0.5)
+        for shots in (0, 100):
+            with pytest.raises(ValidationError, match="negative eigenvalue"):
+                estimate_witness(choi_mt, w, shots, seed=0)

@@ -12,7 +12,7 @@ from chandet.channels import (
     kraus_from_choi,
     superoperator_to_choi,
 )
-from chandet.ensembles import random_channel, random_ppt_channel
+from chandet.ensembles import random_channel, random_sru_channel
 from chandet.pptdetect import (
     NOT_DETECTED,
     NPT_DETECTED,
@@ -162,7 +162,7 @@ class TestDetectNpt:
     def test_soundness_on_ppt_channels(self):
         w, _ = ppt_witness(cnot_channel())
         for seed in range(20):
-            ch = random_ppt_channel((2, 2), seed=seed)
+            ch = random_sru_channel((2, 2), seed=seed)
             rep = detect_npt(ch, witness=w)
             assert rep.expectation >= -1e-10
 
