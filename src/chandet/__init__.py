@@ -64,7 +64,6 @@ from .pptdetect import (
 from .qmath import (
     PAULI,
     haar_unitary,
-    hermitian_eig,
     kron,
     max_entangled,
     partial_trace,

@@ -121,18 +121,21 @@ class Channel:
                 raise ValueError(f"kraus[{i}] has a non-finite entry")
         self.kraus = tuple(_frozen(a) for a in ops)
         self.require_tp = bool(require_tp)
-        if self.require_tp:
-            deficit = float(np.max(np.abs(self.tp_deficit())))
-            if not deficit <= TP_ATOL:
-                raise ValidationError(
-                    f"Kraus operators are not trace preserving: max|sum A^dag A - I| = {deficit:.6g}"
-                )
-        self.superoperator = _frozen(kraus_to_superoperator(self.kraus))
-        self.choi = ChoiMatrix(
-            _frozen(kraus_to_choi_matrix(self.kraus, self.dim)),
-            self.dims + self.dims,
-            self.dims,
-        )
+        # huge finite entries overflow to inf/nan here; the TP and finiteness
+        # checks turn that into a ValidationError, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.require_tp:
+                deficit = float(np.max(np.abs(self.tp_deficit())))
+                if not deficit <= TP_ATOL:
+                    raise ValidationError(
+                        f"Kraus operators are not trace preserving: max|sum A^dag A - I| = {deficit:.6g}"
+                    )
+            self.superoperator = _frozen(kraus_to_superoperator(self.kraus))
+            self.choi = ChoiMatrix(
+                _frozen(kraus_to_choi_matrix(self.kraus, self.dim)),
+                self.dims + self.dims,
+                self.dims,
+            )
         if not np.isfinite(self.choi.matrix).all():
             raise ValidationError("Kraus entries overflow: the Choi matrix is not finite")
 

@@ -15,11 +15,13 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import (
+    UNITARY_ATOL,
     Channel,
     ChoiMatrix,
     ValidationError,
@@ -30,6 +32,7 @@ from .detect import (
     Witness,
     alpha_sru_optimize,
     build_sru_witness,
+    choi_vector,
     classify_violation,
     eb_witness,
     evaluate_witness,
@@ -44,16 +47,9 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
-COMMANDS = (
-    "choi",
-    "schmidt",
-    "decompose-witness",
-    "detect-eb",
-    "detect-sru",
-    "detect-sep",
-    "detect-npt",
-    "simulate",
-)
+# Largest prod(dims) a spec may declare. Each channel holds D^4-entry complex
+# arrays (superoperator, Choi matrix), 27 MB apiece at D = 36.
+MAX_CHANNEL_DIM = 36
 
 CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
 
@@ -150,6 +146,10 @@ def parse_channel_spec(spec: dict, require_tp: bool = True) -> Channel:
         or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
     ):
         raise SpecError("dims must be a non-empty list of positive integers")
+    if math.prod(dims) > MAX_CHANNEL_DIM:
+        raise SpecError(
+            f"dims {dims} span dimension {math.prod(dims)}, above the limit {MAX_CHANNEL_DIM}"
+        )
     kind = spec.get("kind")
     if kind == "named":
         name = spec.get("name")
@@ -210,7 +210,6 @@ class PipelineOptions:
     starts: int = 50
     witness: str | None = None
     target_spec: dict | None = None
-    channel_name: str | None = None
 
     def echo(self) -> dict:
         return {
@@ -238,25 +237,54 @@ def _require_dims(ch: Channel, allowed, command: str) -> None:
         raise SpecError(f"{command} needs channel dims {opts}, got {list(ch.dims)}")
 
 
-def _resolve_alpha_sq(u: np.ndarray, dims, name: str | None, opts: PipelineOptions):
-    """Squared product-unitary overlap: exact for the named cnot gate, optimizer otherwise."""
-    if name == "cnot":
-        return 0.5, "exact-cnot"
+def _resolve_alpha_sq(u: np.ndarray, dims, opts: PipelineOptions):
+    """Squared product-unitary overlap alpha_SRU^2 of the gate ``u``.
+
+    For two qubits the KAK form makes the leading Schmidt term a product
+    unitary, so alpha_SRU = sigma_1 exactly; other dims run the optimizer.
+    """
+    if dims == (2, 2):
+        # rounding can put sigma_1 of a product gate a few ulp above 1
+        return min(float(operator_schmidt(u, 2, 2).sigmas[0] ** 2), 1.0), "sigma_1"
     val, _, _ = alpha_sru_optimize(u, dims, starts=opts.starts, seed=opts.seed)
     return float(val) ** 2, "optimizer"
 
 
-def _target_gate(channel: Channel, opts: PipelineOptions, command: str):
+def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.ndarray:
     """Reference unitary for witness construction, defaulting to the channel itself."""
     if opts.target_spec is None:
-        return _single_unitary(channel, command), channel, opts.channel_name
+        return _single_unitary(channel, command)
     target = parse_channel_spec(opts.target_spec, require_tp=False)
     if target.dims != channel.dims:
         raise SpecError(
             f"target dims {list(target.dims)} do not match channel dims {list(channel.dims)}"
         )
-    name = opts.target_spec.get("name") if opts.target_spec.get("kind") == "named" else None
-    return _single_unitary(target, f"{command} target"), target, name
+    return _single_unitary(target, f"{command} target")
+
+
+def _sru_witness(channel: Channel, opts: PipelineOptions, command: str):
+    """SRU witness of the reference gate; returns ``(witness, gate, alpha_source)``."""
+    u = _target_gate(channel, opts, command)
+    alpha_sq, source = _resolve_alpha_sq(u, channel.dims, opts)
+    return build_sru_witness(u, channel.dims, alpha_sq), u, source
+
+
+def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
+    """CNOT stabilizer witness, if its minimum -1 is reached on the reference gate's Choi state.
+
+    That happens exactly when the generators stabilize the state, i.e. when the
+    gate is a CNOT up to a global phase.
+    """
+    u = _target_gate(channel, opts, "the stabilizer witness")
+    w = stabilizer_witness(CNOT_STABILIZER_GENERATORS)
+    ket = choi_vector(u, channel.dims)
+    value = float(np.real(ket.conj() @ w.operator @ ket))
+    if not abs(value + 1.0) <= UNITARY_ATOL:
+        raise SpecError(
+            "the stabilizer witness needs a CNOT reference gate: its expectation on the "
+            f"gate's Choi state is {value:.6g}, not -1"
+        )
+    return w
 
 
 def _estimate_payload(state: ChoiMatrix, w: Witness, opts: PipelineOptions) -> dict | None:
@@ -317,9 +345,7 @@ def _build_witness(channel: Channel, kind: str, opts: PipelineOptions):
         return eb_witness(), {"witness": "eb"}
     if kind == "sru":
         _require_dims(channel, [(2, 2)], "witness decomposition")
-        u, _, name = _target_gate(channel, opts, "witness construction")
-        alpha_sq, source = _resolve_alpha_sq(u, channel.dims, name, opts)
-        w = build_sru_witness(u, channel.dims, alpha_sq)
+        w, _, source = _sru_witness(channel, opts, "witness construction")
         return w, {
             "witness": "sru",
             "alpha_sru_sq": w.alpha_sru_sq,
@@ -328,9 +354,7 @@ def _build_witness(channel: Channel, kind: str, opts: PipelineOptions):
         }
     if kind == "stabilizer":
         _require_dims(channel, [(2, 2)], "the stabilizer witness")
-        if opts.channel_name != "cnot":
-            raise SpecError("the stabilizer witness is defined only for the named cnot gate")
-        w = stabilizer_witness(CNOT_STABILIZER_GENERATORS)
+        w = _stabilizer_witness(channel, opts)
         return w, {"witness": "stabilizer", "generators": list(CNOT_STABILIZER_GENERATORS)}
     raise SpecError(f"unknown witness kind {kind!r}")
 
@@ -366,9 +390,7 @@ def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> dict:
 
 def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool = False) -> dict:
     _require_dims(channel, [(2, 2), (3, 3)], "detect-sru")
-    u, _, name = _target_gate(channel, opts, "detect-sru")
-    alpha_sq, source = _resolve_alpha_sq(u, channel.dims, name, opts)
-    w = build_sru_witness(u, channel.dims, alpha_sq)
+    w, u, source = _sru_witness(channel, opts, "detect-sru")
     value = evaluate_witness(w, channel)
     verdict = classify_violation(value, w)
     results = {
@@ -451,34 +473,45 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
     return payload
 
 
-_PIPELINES = {
-    "choi": _run_choi,
-    "schmidt": _run_schmidt,
-    "decompose-witness": _run_decompose_witness,
-    "detect-eb": _run_detect_eb,
-    "detect-sru": _run_detect_sru,
-    "detect-sep": lambda ch, opts: _run_detect_sru(ch, opts, with_schmidt=True),
-    "detect-npt": _run_detect_npt,
-    "simulate": _run_simulate,
+@dataclass(frozen=True)
+class _Command:
+    """How one subcommand parses its channel, which options it takes and what it runs."""
+
+    run: Callable[[Channel, PipelineOptions], dict]
+    require_tp: bool
+    witnesses: tuple[str, ...] = ()
+    takes_target: bool = False
+
+
+_WITNESSES = ("eb", "sru", "stabilizer")
+
+_COMMANDS = {
+    "choi": _Command(_run_choi, require_tp=False),
+    "schmidt": _Command(_run_schmidt, require_tp=False),
+    "decompose-witness": _Command(
+        _run_decompose_witness, require_tp=False, witnesses=_WITNESSES, takes_target=True
+    ),
+    "detect-eb": _Command(_run_detect_eb, require_tp=True),
+    "detect-sru": _Command(_run_detect_sru, require_tp=True, takes_target=True),
+    "detect-sep": _Command(
+        lambda ch, opts: _run_detect_sru(ch, opts, with_schmidt=True),
+        require_tp=False,
+        takes_target=True,
+    ),
+    "detect-npt": _Command(_run_detect_npt, require_tp=True),
+    "simulate": _Command(
+        _run_simulate, require_tp=True, witnesses=_WITNESSES + ("ppt",), takes_target=True
+    ),
 }
 
-_REQUIRE_TP = {
-    "choi": False,
-    "schmidt": False,
-    "decompose-witness": False,
-    "detect-eb": True,
-    "detect-sru": True,
-    "detect-sep": False,
-    "detect-npt": True,
-    "simulate": True,
-}
+COMMANDS = tuple(_COMMANDS)
 
 
 def run_pipeline(command: str, channel: Channel, options: PipelineOptions) -> Report:
-    if command not in _PIPELINES:
+    if command not in _COMMANDS:
         raise SpecError(f"unknown command {command!r}")
     start = time.perf_counter()
-    results = _PIPELINES[command](channel, options)
+    results = _COMMANDS[command].run(channel, options)
     elapsed = time.perf_counter() - start
     return Report(
         pipeline=command,
@@ -543,25 +576,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect properties of quantum channels via Choi-state witnesses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--channel", required=True, help="path to a channel-spec JSON file")
         p.add_argument("--shots", type=int, default=None, help="shots per measurement setting")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--starts", type=int, default=50, help="multistart count for the overlap optimizer")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if name in ("detect-sru", "detect-sep", "decompose-witness", "simulate"):
+        if cmd.takes_target:
             p.add_argument("--target", default=None, help="spec file of the reference unitary gate")
-        if name in ("decompose-witness", "simulate"):
-            p.add_argument(
-                "--witness",
-                choices=("eb", "sru", "stabilizer", "ppt") if name == "simulate" else ("eb", "sru", "stabilizer"),
-                default=None,
-            )
+        if cmd.witnesses:
+            p.add_argument("--witness", choices=cmd.witnesses, default=None)
     return parser
 
 
-def _options_from_args(args, spec: dict) -> PipelineOptions:
+def _options_from_args(args) -> PipelineOptions:
     if args.shots is not None and args.shots < 0:
         raise SpecError("--shots must be non-negative")
     if args.seed < 0:
@@ -571,14 +600,12 @@ def _options_from_args(args, spec: dict) -> PipelineOptions:
     target_spec = None
     if getattr(args, "target", None):
         target_spec = _read_spec_file(args.target)
-    name = spec.get("name") if isinstance(spec, dict) and spec.get("kind") == "named" else None
     return PipelineOptions(
         seed=args.seed,
         shots=args.shots,
         starts=args.starts,
         witness=getattr(args, "witness", None),
         target_spec=target_spec,
-        channel_name=name,
     )
 
 
@@ -587,8 +614,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _read_spec_file(args.channel)
-        channel = parse_channel_spec(spec, require_tp=_REQUIRE_TP[args.command])
-        options = _options_from_args(args, spec)
+        channel = parse_channel_spec(spec, require_tp=_COMMANDS[args.command].require_tp)
+        options = _options_from_args(args)
         report = run_pipeline(args.command, channel, options)
         report.channel_spec = spec
         text = render_report(report, args.format)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    UNITAL_ATOL,
     Channel,
     ChoiMatrix,
     ValidationError,
-    classify,
     compose,
     kraus_from_choi,
     superoperator_to_choi,
@@ -140,9 +140,9 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     ``not_detected`` with a diagnostic note.
     """
     d = _require_square_pair(ch)
-    flags = classify(ch)
+    unital = float(np.max(np.abs(ch.unital_deficit()))) <= UNITAL_ATOL
     p = spa_noise_weight(d)
-    threshold = p / d**4 if flags.unital else 0.0
+    threshold = p / d**4 if unital else 0.0
     s_mt, choi_mt = ppt_conjugate(ch)
     lam, vector, degenerate = _negative_eigenpair(choi_mt)
 
@@ -154,7 +154,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
                 expectation=None,
                 noise_p=p,
                 threshold=threshold,
-                unital=flags.unital,
+                unital=unital,
                 verdict=NOT_DETECTED,
                 degenerate=degenerate,
                 note=(
@@ -195,7 +195,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
         expectation=expectation,
         noise_p=p,
         threshold=threshold,
-        unital=flags.unital,
+        unital=unital,
         verdict=verdict,
         term_transpose=term_transpose,
         term_noise_mt=term_noise_mt,

@@ -10,8 +10,6 @@ from functools import reduce
 
 import numpy as np
 
-EIG_RECON_ATOL = 1e-10
-
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -115,21 +113,6 @@ def max_entangled(d: int) -> np.ndarray:
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return v
-
-
-def hermitian_eig(m: np.ndarray, atol: float = EIG_RECON_ATOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as orthonormal columns. Rejects inputs whose deviation from
-    Hermiticity exceeds ``atol``.
-    """
-    m = np.asarray(m, dtype=complex)
-    dev = float(np.max(np.abs(m - dag(m))))
-    if dev > atol:
-        raise ValueError(f"matrix is not Hermitian within {atol} (deviation {dev:.3e})")
-    w, v = np.linalg.eigh((m + dag(m)) / 2)
-    return w, v
 
 
 def as_rng(seed) -> np.random.Generator:

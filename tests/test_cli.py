@@ -9,6 +9,7 @@ from chandet.cli import (
     EXIT_OK,
     SpecError,
     main,
+    matrix_to_pairs,
     parse_channel_spec,
 )
 
@@ -25,6 +26,20 @@ def dep_spec(p=0.25):
 
 CNOT_SPEC = {"dims": [2, 2], "kind": "named", "name": "cnot"}
 Z3_SPEC = {"dims": [3, 3], "kind": "named", "name": "z3"}
+IDENTITY22_SPEC = {"dims": [2, 2], "kind": "named", "name": "identity"}
+
+
+def unitary_spec(u):
+    return {"dims": [2, 2], "kind": "named", "name": "unitary", "params": {"matrix": matrix_to_pairs(u)}}
+
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+# the same gate written as a unitary matrix and as a single Kraus matrix
+CNOT_SPELLINGS = [
+    CNOT_SPEC,
+    unitary_spec(CNOT),
+    {"dims": [2, 2], "kind": "kraus", "kraus": [matrix_to_pairs(CNOT)]},
+]
 
 
 def run(capsys, *argv):
@@ -85,6 +100,17 @@ class TestSpecParsing:
     def test_schema_violations(self, spec):
         with pytest.raises(SpecError):
             parse_channel_spec(spec)
+
+    def test_size_bound_precedes_parsing(self, tmp_path, capsys):
+        big = {"dims": [37], "kind": "kraus", "kraus": "never read"}
+        with pytest.raises(SpecError, match="above the limit 36"):
+            parse_channel_spec(big)
+        chan = write_spec(tmp_path, "id.json", IDENTITY22_SPEC)
+        target = write_spec(tmp_path, "big.json", {"dims": [37], "kind": "named", "name": "identity"})
+        for spec in (target, chan):
+            code, out, err = run(capsys, "detect-sru", "--channel", spec, "--target", target)
+            assert code == EXIT_INPUT_ERROR and out == ""
+            assert "above the limit 36" in err
 
     def test_tp_deficit_reported(self):
         from chandet.channels import ValidationError
@@ -170,6 +196,22 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["choi", "detect-eb"])
+    def test_overflowing_kraus_entries_warn_nothing(self, tmp_path, command):
+        import subprocess
+        import sys
+
+        spec = {"dims": [2], "kind": "kraus", "kraus": [[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]]}
+        path = write_spec(tmp_path, "huge.json", spec)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chandet.cli", command, "--channel", path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_NUMERICAL_ERROR and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error:")
+
     def test_verdicts_are_not_exit_codes(self, tmp_path, capsys):
         path = write_spec(tmp_path, "dep.json", dep_spec(1.0))  # EB channel, undetected
         code, out, _ = run(capsys, "detect-eb", "--channel", path)
@@ -208,8 +250,10 @@ class TestPipelines:
     def test_detect_sru_cnot_uses_exact_alpha(self, tmp_path, capsys):
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         res = run_json(capsys, "detect-sru", "--channel", path)["results"]
-        assert res["alpha_source"] == "exact-cnot"
-        assert res["alpha_sru_sq"] == 0.5
+        assert res["alpha_source"] == "sigma_1"
+        assert res["alpha_sru_sq"] == res["alpha_s_sq"]
+        assert res["thresholds"]["not_separable"] == 0.0
+        assert res["alpha_sru_sq"] == pytest.approx(0.5, abs=1e-15)
         assert res["expectation"] == pytest.approx(-0.5, abs=1e-10)
         assert res["verdict"] == "not_separable"  # both thresholds coincide for qubits
 
@@ -230,7 +274,7 @@ class TestPipelines:
         chan = write_spec(tmp_path, "id.json", {"dims": [2, 2], "kind": "named", "name": "identity"})
         target = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         res = run_json(capsys, "detect-sru", "--channel", chan, "--target", target)["results"]
-        assert res["alpha_source"] == "exact-cnot"
+        assert res["alpha_source"] == "sigma_1"
         assert res["expectation"] == pytest.approx(0.25, abs=1e-12)
         assert res["verdict"] == "undetected"
 
@@ -250,6 +294,69 @@ class TestPipelines:
         ]
         assert res["setting_count"] == 2
         assert {s["bases"] for s in res["settings"]} == {"XXXX", "ZZZZ"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect-sru"],
+            ["detect-sep"],
+            ["decompose-witness", "--witness", "sru"],
+            ["decompose-witness", "--witness", "stabilizer"],
+            ["simulate", "--witness", "stabilizer", "--shots", "500", "--seed", "2"],
+        ],
+    )
+    def test_cnot_results_do_not_depend_on_spelling(self, tmp_path, capsys, argv):
+        results = []
+        for i, spec in enumerate(CNOT_SPELLINGS):
+            path = write_spec(tmp_path, f"cnot{i}.json", spec)
+            results.append(run_json(capsys, *argv, "--channel", path)["results"])
+        assert results[0] == results[1] == results[2]
+
+    def test_two_qubit_alpha_is_sigma_1(self, tmp_path, capsys, monkeypatch):
+        from chandet import cli
+        from chandet.qmath import haar_unitary
+
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("two-qubit gates must not run the optimizer")
+
+        monkeypatch.setattr(cli, "alpha_sru_optimize", no_optimizer)
+        path = write_spec(tmp_path, "haar.json", unitary_spec(haar_unitary(4, 7)))
+        res = run_json(capsys, "detect-sep", "--channel", path)["results"]
+        assert res["alpha_source"] == "sigma_1"
+        assert res["alpha_sru_sq"] == res["alpha_s_sq"]
+        assert res["alpha_sru"] == res["sigmas"][0]
+
+    def test_product_gate_alpha_is_clipped_at_one(self, tmp_path, capsys):
+        from chandet.detect import operator_schmidt
+        from chandet.qmath import haar_unitary
+
+        u = np.kron(haar_unitary(2, 56), haar_unitary(2, 57))
+        assert operator_schmidt(u, 2, 2).sigmas[0] ** 2 > 1.0  # rounding
+        path = write_spec(tmp_path, "prod.json", unitary_spec(u))
+        res = run_json(capsys, "detect-sru", "--channel", path)
+        assert res["results"]["alpha_sru_sq"] == 1.0
+
+    @pytest.mark.parametrize("command", ["decompose-witness", "simulate"])
+    def test_stabilizer_witness_for_noisy_cnot_target(self, tmp_path, capsys, command):
+        kraus = [np.sqrt(0.9) * CNOT, np.sqrt(0.1) * np.kron(np.eye(2), [[0, 1], [1, 0]]) @ CNOT]
+        spec = {"dims": [2, 2], "kind": "kraus", "kraus": [matrix_to_pairs(k) for k in kraus]}
+        chan = write_spec(tmp_path, "noisy.json", spec)
+        target = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        argv = [command, "--channel", chan, "--target", target, "--witness", "stabilizer"]
+        res = run_json(capsys, *argv, "--shots", "200")["results"]
+        assert res["witness"] == "stabilizer" and res["setting_count"] == 2
+
+    @pytest.mark.parametrize(
+        "channel, target", [(IDENTITY22_SPEC, None), (CNOT_SPEC, IDENTITY22_SPEC)]
+    )
+    def test_stabilizer_witness_rejects_other_gates(self, tmp_path, capsys, channel, target):
+        argv = ["decompose-witness", "--witness", "stabilizer"]
+        argv += ["--channel", write_spec(tmp_path, "chan.json", channel)]
+        if target is not None:
+            argv += ["--target", write_spec(tmp_path, "target.json", target)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "CNOT reference gate" in err
 
     def test_decompose_witness_eb(self, tmp_path, capsys):
         path = write_spec(tmp_path, "dep.json", dep_spec())
