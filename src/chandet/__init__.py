@@ -14,7 +14,6 @@ from .channels import (
     ValidationError,
     classify,
     cnot_channel,
-    compose,
     depolarizing_channel,
     fully_depolarizing_channel,
     identity_channel,
@@ -23,7 +22,6 @@ from .channels import (
     random_unitary_channel,
     sru_channel,
     superoperator_to_choi,
-    transpose_superoperator,
     unitary_channel,
     z3_channel,
 )

@@ -1,9 +1,10 @@
-"""Quantum channels in Kraus form with cached Choi and superoperator representations.
+"""Quantum channels in Kraus form with a cached Choi matrix.
 
 Conventions used throughout:
 
-* vectorization is column-stacking, so ``vec(A rho B) = (B^T kron A) vec(rho)``
-  and a Kraus operator ``A`` contributes ``conj(A) kron A`` to the superoperator;
+* the superoperator, reshuffled from the Choi matrix on demand, acts on
+  column-stacked matrices, so ``vec(A rho B) = (B^T kron A) vec(rho)`` and a
+  Kraus operator ``A`` contributes ``conj(A) kron A`` to it;
 * Choi matrices follow the trace-normalized state convention
   ``C = (M kron Id)[|alpha><alpha|]`` with subsystem order (outputs..., ancillas...),
   so a trace-preserving channel has ``Tr[C] = 1`` and the partial trace of C over
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import dag, kron, partial_transpose, _as_dims
+from .qmath import dag, kron, _as_dims
 
 TP_ATOL = 1e-10
 UNITAL_ATOL = 1e-10
@@ -37,10 +38,6 @@ class ChoiMatrix:
     dims: tuple[int, ...]
     source_dims: tuple[int, ...]
 
-    @property
-    def side(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class ChannelFlags:
@@ -53,24 +50,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
     return a
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    v = np.asarray(v)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape(d, d, order="F")
-
-
-def kraus_to_superoperator(kraus) -> np.ndarray:
-    return sum(np.kron(a.conj(), a) for a in kraus)
 
 
 def kraus_to_choi_matrix(kraus, dim: int) -> np.ndarray:
@@ -100,10 +79,10 @@ def choi_to_superoperator(c: ChoiMatrix) -> np.ndarray:
 class Channel:
     """Completely positive map on ``prod(dims)`` dimensions, stored in Kraus form.
 
-    The superoperator and Choi representations are computed eagerly at
-    construction and frozen, so instances are safe to share across threads.
-    Set ``require_tp=False`` for maps that are intentionally not trace
-    preserving (separable-map analysis allows them).
+    The Choi matrix is computed eagerly at construction and frozen, so
+    instances are safe to share across threads; ``superoperator`` is derived
+    from it on each access. Set ``require_tp=False`` for maps that are
+    intentionally not trace preserving (separable-map analysis allows them).
     """
 
     def __init__(self, kraus, dims, require_tp: bool = True):
@@ -130,7 +109,6 @@ class Channel:
                     raise ValidationError(
                         f"Kraus operators are not trace preserving: max|sum A^dag A - I| = {deficit:.6g}"
                     )
-            self.superoperator = _frozen(kraus_to_superoperator(self.kraus))
             self.choi = ChoiMatrix(
                 _frozen(kraus_to_choi_matrix(self.kraus, self.dim)),
                 self.dims + self.dims,
@@ -138,6 +116,10 @@ class Channel:
             )
         if not np.isfinite(self.choi.matrix).all():
             raise ValidationError("Kraus entries overflow: the Choi matrix is not finite")
+
+    @property
+    def superoperator(self) -> np.ndarray:
+        return choi_to_superoperator(self.choi)
 
     def tp_deficit(self) -> np.ndarray:
         return sum(dag(a) @ a for a in self.kraus) - np.eye(self.dim)
@@ -151,32 +133,6 @@ class Channel:
 
     def __repr__(self):
         return f"Channel(dims={self.dims}, kraus_count={len(self.kraus)}, require_tp={self.require_tp})"
-
-
-def transpose_superoperator(dims, subsystems=0) -> np.ndarray:
-    """Superoperator of partial transposition: a permutation matrix. Linear but not CP."""
-    dims = _as_dims(dims)
-    d = math.prod(dims)
-    index = np.arange(d * d).reshape(d, d, order="F")
-    source = vec(partial_transpose(index, dims, subsystems)).real.astype(int)
-    return np.eye(d * d, dtype=complex)[source]
-
-
-def _as_superoperator(x) -> np.ndarray:
-    if isinstance(x, Channel):
-        return x.superoperator
-    s = np.asarray(x, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"not a superoperator: shape {s.shape}")
-    return s
-
-
-def compose(outer, inner) -> np.ndarray:
-    """Superoperator of ``outer o inner`` (inner acts first)."""
-    so, si = _as_superoperator(outer), _as_superoperator(inner)
-    if so.shape != si.shape:
-        raise ValueError(f"superoperator shapes differ: {so.shape} vs {si.shape}")
-    return so @ si
 
 
 def kraus_from_choi(c: ChoiMatrix, require_tp: bool = False) -> Channel:

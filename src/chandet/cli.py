@@ -29,6 +29,7 @@ from .channels import (
     _check_unitary,
 )
 from .detect import (
+    VERDICT_MARGIN,
     Witness,
     alpha_sru_optimize,
     build_sru_witness,
@@ -40,15 +41,15 @@ from .detect import (
     robustness_bounds,
     stabilizer_witness,
 )
-from .measure import estimate_witness, group_settings, pauli_decompose
+from .measure import ShotEstimate, estimate_witness, group_settings, pauli_decompose
 from .pptdetect import detect_npt
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
-# Largest prod(dims) a spec may declare. Each channel holds D^4-entry complex
-# arrays (superoperator, Choi matrix), 27 MB apiece at D = 36.
+# Largest prod(dims) a spec may declare. Each channel holds one D^4-entry
+# complex array, its Choi matrix, 27 MB at D = 36.
 MAX_CHANNEL_DIM = 36
 
 CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
@@ -290,7 +291,10 @@ def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
 def _estimate_payload(state: ChoiMatrix, w: Witness, opts: PipelineOptions) -> dict | None:
     if not opts.shots:
         return None
-    est = estimate_witness(state, w, opts.shots, opts.seed)
+    return _estimate_fields(estimate_witness(state, w, opts.shots, opts.seed))
+
+
+def _estimate_fields(est: ShotEstimate) -> dict:
     return {
         "value": est.value,
         "std_error": est.std_error,
@@ -374,7 +378,7 @@ def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> dict:
     results = {
         "expectation": value,
         "threshold": 0.0,
-        "verdict": "not_entanglement_breaking" if value < 0 else "undetected",
+        "verdict": "not_entanglement_breaking" if value < -VERDICT_MARGIN else "undetected",
         "bounds": {
             "c": bounds.c,
             "w_max": bounds.w_max,
@@ -462,14 +466,8 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
         if any(d != 2 for d in channel.dims):
             raise SpecError("shot simulation is available only for qubit systems")
     exact = float(np.real(np.trace(w.operator @ measured.matrix)))
-    settings = group_settings(pauli_decompose(w.operator))
-    payload.update(
-        {
-            "exact": exact,
-            "estimate": _estimate_payload(measured, w, sim_opts),
-            "setting_count": len(settings),
-        }
-    )
+    est = estimate_witness(measured, w, sim_opts.shots, sim_opts.seed)
+    payload.update(exact=exact, estimate=_estimate_fields(est), setting_count=est.setting_count)
     return payload
 
 

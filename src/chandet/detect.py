@@ -19,6 +19,8 @@ SCHMIDT_RANK_CUTOFF = 1e-12
 SWEEP_TOL = 1e-12
 MAX_SWEEPS = 500
 WITNESS_HERM_ATOL = 1e-12
+# an expectation must lie this far below a threshold for a verdict; rounding alone gives none
+VERDICT_MARGIN = 1e-12
 
 
 class Verdict(enum.Enum):
@@ -314,13 +316,14 @@ def classify_violation(value: float, w: Witness) -> Verdict:
     """Tiered verdict from a witness expectation.
 
     Below alpha_sru_sq - alpha_s_sq the map cannot be separable at all; below
-    zero it cannot be a separable random unitary; otherwise undetected.
+    zero it cannot be a separable random unitary; otherwise undetected. Each
+    threshold must be undercut by more than ``VERDICT_MARGIN``.
     """
     if w.alpha_sru_sq is None or w.alpha_s_sq is None:
         raise ValueError("witness carries no reference overlap coefficients")
-    if value < w.alpha_sru_sq - w.alpha_s_sq:
+    if value < w.alpha_sru_sq - w.alpha_s_sq - VERDICT_MARGIN:
         return Verdict.NOT_SEPARABLE
-    if value < 0.0:
+    if value < -VERDICT_MARGIN:
         return Verdict.NOT_SRU
     return Verdict.UNDETECTED
 

@@ -46,10 +46,13 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class ShotEstimate:
+    """Estimated witness value; ``setting_count`` settings were measured (none when exact)."""
+
     value: float
     std_error: float
     shots_per_setting: int
     seed: int
+    setting_count: int = 0
 
 
 def pauli_decompose(w: np.ndarray, tol: float = COEFF_CUTOFF) -> list[PauliTerm]:
@@ -238,4 +241,5 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
         std_error=float(np.sqrt(variance)),
         shots_per_setting=shots,
         seed=seed,
+        setting_count=len(settings),
     )

@@ -1,4 +1,4 @@
-"""Detection of NPT maps on bipartite systems.
+"""Detection of NPT maps on bipartite systems, read off the Choi matrix.
 
 A CP map M on two qudits is PPT when the transpose-conjugated composite
 T_A o M o T_A is still CP, i.e. when its Choi matrix stays positive. The
@@ -7,7 +7,8 @@ eigenvector of that Choi matrix, measured on the Choi state of the physically
 implementable composite M o SPA(T_A). SPA(T_A) is the structural physical
 approximation of the partial transpose (Horodecki & Ekert, PRL 89, 127902
 (2002)): the partial transpose plus the minimal depolarizing noise that makes
-it CP.
+it CP. Both Choi matrices are closed forms in M's Choi matrix, whose
+subsystems are ordered (A out, B out, A anc, B anc).
 """
 
 from dataclasses import dataclass
@@ -19,20 +20,15 @@ from .channels import (
     Channel,
     ChoiMatrix,
     ValidationError,
-    compose,
+    identity_channel,
     kraus_from_choi,
-    superoperator_to_choi,
-    transpose_superoperator,
-    unvec,
-    vec,
 )
-from .detect import Witness
-from .qmath import partial_transpose
+from .detect import VERDICT_MARGIN, Witness
+from .qmath import partial_trace, partial_transpose
 
 NEGATIVITY_ATOL = 1e-10
 DEGENERACY_ATOL = 1e-10
 CROSS_CHECK_ATOL = 1e-10
-VERDICT_MARGIN = 1e-12
 
 NPT_DETECTED = "npt_detected"
 NOT_DETECTED = "not_detected"
@@ -74,12 +70,14 @@ def _require_square_pair(ch: Channel) -> int:
     return ch.dims[0]
 
 
-def ppt_conjugate(ch: Channel):
-    """Superoperator and Choi matrix of T_A o ch o T_A (Hermitian, possibly non-PSD)."""
+def ppt_conjugate(ch: Channel) -> ChoiMatrix:
+    """Choi matrix of T_A o ch o T_A (Hermitian, possibly non-PSD).
+
+    It is ch's Choi matrix with A's output and ancilla (subsystems 0 and 2) transposed.
+    """
     _require_square_pair(ch)
-    s_ta = transpose_superoperator(ch.dims, 0)
-    s = s_ta @ ch.superoperator @ s_ta
-    return s, superoperator_to_choi(s, ch.dims)
+    c = ch.choi
+    return ChoiMatrix(partial_transpose(c.matrix, c.dims, (0, 2)), c.dims, c.source_dims)
 
 
 def spa_noise_weight(d: int) -> float:
@@ -88,15 +86,18 @@ def spa_noise_weight(d: int) -> float:
     return d**3 / (d**3 + 1.0)
 
 
-def spa_superoperator(d: int, noise: float) -> np.ndarray:
-    """Superoperator of (1-noise) * T_A + noise * (depolarize to Id/d^2) on dims [d, d].
+def spa_composite(ch: Channel, noise: float) -> ChoiMatrix:
+    """Choi state of ch o [(1-noise) * T_A + noise * (depolarize to Id/D)] on dims [d, d].
 
-    The depolarizing part rho -> Tr[rho] Id/D is vec(Id/D) vec(Id)^T.
+    T_A on the input transposes the A ancilla; the depolarizing part adds
+    M(Id/D) kron Id/D, where M(Id/D) is the Choi matrix with the ancillas traced out.
     """
-    d = int(d)
-    eye = np.eye(d * d)
-    s_ta = transpose_superoperator((d, d), 0)
-    return (1.0 - noise) * s_ta + noise * np.outer(vec(eye / (d * d)), vec(eye))
+    _require_square_pair(ch)
+    c = ch.choi
+    m_of_id = partial_trace(c.matrix, c.dims, keep=(0, 1))
+    mat = (1.0 - noise) * partial_transpose(c.matrix, c.dims, 2)
+    mat += noise * np.kron(m_of_id, np.eye(ch.dim) / ch.dim)
+    return ChoiMatrix(mat, c.dims, c.source_dims)
 
 
 def spa_transpose(d: int) -> Channel:
@@ -104,16 +105,22 @@ def spa_transpose(d: int) -> Channel:
     d = int(d)
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    p = spa_noise_weight(d)
-    choi = superoperator_to_choi(spa_superoperator(d, p), (d, d))
+    choi = spa_composite(identity_channel((d, d)), spa_noise_weight(d))
     return kraus_from_choi(choi, require_tp=True)
 
 
-def _negative_eigenpair(choi: ChoiMatrix):
-    w, v = np.linalg.eigh(choi.matrix)
+def _negative_eigenpair(w: np.ndarray, v: np.ndarray):
+    """From eigh's output: lambda_-, a unit vector of its eigenspace, and whether it is degenerate.
+
+    The eigensolver's basis of a degenerate eigenspace is arbitrary, so there
+    the vector is the normalized projection of (1, 2, ..., N)/N onto the space.
+    """
     lam = float(w[0])
-    degenerate = w.size > 1 and float(w[1]) - lam <= DEGENERACY_ATOL
-    return lam, v[:, 0], degenerate
+    block = v[:, w - lam <= DEGENERACY_ATOL]
+    if block.shape[1] == 1:
+        return lam, block[:, 0], False
+    x = block @ (block.conj().T @ (np.arange(1, w.size + 1) / w.size))
+    return lam, x / np.linalg.norm(x), True
 
 
 def ppt_witness(ch: Channel):
@@ -131,20 +138,22 @@ def ppt_witness(ch: Channel):
 def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     """Run the full NPT detection pipeline on a CP channel acting on dims [d, d].
 
-    Builds the Choi state of the physically realizable composite ch o SPA(T_A)
-    once, from the closed-form SPA superoperator, measures the witness on it,
-    and cross-checks the result against the two-term split
-    (1-p) * transpose-part + p * noise-part. When ``witness`` is None it is
+    Reads everything off the channel's Choi matrix: the Choi state of the
+    physically realizable composite ch o SPA(T_A) (:func:`spa_composite`), the
+    witness expectation on it, and the two-term split (1-p) * transpose-part +
+    p * noise-part that cross-checks it. When ``witness`` is None it is
     derived from the same transpose conjugate that gives lambda_-; channels
     whose transpose conjugate is already positive then come back
     ``not_detected`` with a diagnostic note.
     """
     d = _require_square_pair(ch)
-    unital = float(np.max(np.abs(ch.unital_deficit()))) <= UNITAL_ATOL
+    dim = ch.dim
+    m_of_id = partial_trace(ch.choi.matrix, ch.choi.dims, keep=(0, 1))
+    unital = float(np.max(np.abs(dim * m_of_id - np.eye(dim)))) <= UNITAL_ATOL
     p = spa_noise_weight(d)
     threshold = p / d**4 if unital else 0.0
-    s_mt, choi_mt = ppt_conjugate(ch)
-    lam, vector, degenerate = _negative_eigenpair(choi_mt)
+    choi_mt = ppt_conjugate(ch)
+    lam, vector, degenerate = _negative_eigenpair(*np.linalg.eigh(choi_mt.matrix))
 
     note = None
     if witness is None:
@@ -166,20 +175,21 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
         op = partial_transpose(np.outer(vector, vector.conj()), choi_mt.dims, 0)
         witness = Witness(operator=(op + op.conj().T) / 2, kind="ppt", dims=choi_mt.dims)
         if degenerate:
-            note = "most negative eigenvalue is degenerate; witness uses the first eigenvector"
+            note = (
+                "most negative eigenvalue is degenerate; witness uses the projection of "
+                "(1, 2, ..., N)/N onto its eigenspace"
+            )
     elif witness.dims != choi_mt.dims:
         raise ValueError(f"witness dims {witness.dims} do not match Choi dims {choi_mt.dims}")
 
-    dim = ch.dim
-    choi_comp = superoperator_to_choi(compose(ch, spa_superoperator(d, p)), ch.dims)
+    choi_comp = spa_composite(ch, p)
     expectation = float(np.real(np.trace(witness.operator @ choi_comp.matrix)))
 
     # Two-term split: the witness is proj^{T_A}, so traces against partially
     # transposed states turn into plain projector overlaps.
     proj = partial_transpose(witness.operator, witness.dims, 0)
     term_transpose = float(np.real(np.trace(proj @ choi_mt.matrix)))
-    mt_of_id = unvec(s_mt @ vec(np.eye(dim, dtype=complex) / dim))
-    m_of_id = ch(np.eye(dim, dtype=complex) / dim)
+    mt_of_id = partial_transpose(m_of_id, ch.dims, 0)
     eye_anc = np.eye(dim) / dim
     term_noise_mt = float(np.real(np.trace(proj @ np.kron(mt_of_id, eye_anc))))
     term_noise_m = float(np.real(np.trace(proj @ np.kron(m_of_id, eye_anc))))

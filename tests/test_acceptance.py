@@ -11,6 +11,7 @@ import numpy as np
 from chandet.channels import (
     cnot_channel,
     depolarizing_channel,
+    identity_channel,
     kraus_from_choi,
     superoperator_to_choi,
     z3_channel,
@@ -38,8 +39,8 @@ from chandet.pptdetect import (
     NPT_DETECTED,
     detect_npt,
     ppt_witness,
+    spa_composite,
     spa_noise_weight,
-    spa_superoperator,
     spa_transpose,
 )
 from chandet.qmath import PAULI, haar_unitary
@@ -158,7 +159,7 @@ def test_criterion_08_spa_minimality():
     choi = spa_transpose(2).choi
     assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
     reduced = spa_noise_weight(2) - 0.01
-    perturbed = superoperator_to_choi(spa_superoperator(2, reduced), (2, 2))
+    perturbed = spa_composite(identity_channel((2, 2)), reduced)
     assert np.linalg.eigvalsh(perturbed.matrix)[0] < -1e-4
     passed(8, "SPA transpose is CP at p = 8/9 and loses positivity at p - 0.01")
 

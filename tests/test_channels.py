@@ -3,11 +3,11 @@ import pytest
 
 from chandet.channels import (
     Channel,
+    ChoiMatrix,
     ValidationError,
     choi_to_superoperator,
     classify,
     cnot_channel,
-    compose,
     depolarizing_channel,
     fully_depolarizing_channel,
     identity_channel,
@@ -16,16 +16,19 @@ from chandet.channels import (
     random_unitary_channel,
     sru_channel,
     superoperator_to_choi,
-    transpose_superoperator,
     unitary_channel,
-    unvec,
-    vec,
     z3_channel,
 )
 from chandet.ensembles import random_channel, random_density_matrix, random_sru_channel
+from chandet.pptdetect import ppt_conjugate
 from chandet.qmath import PAULI, haar_unitary, kron, max_entangled, partial_trace, partial_transpose, permute_subsystems
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
+
+
+def vec(m):
+    """Column-stacking vectorization, the superoperator convention."""
+    return np.asarray(m).reshape(-1, order="F")
 
 CNOT = np.eye(4, dtype=complex)
 CNOT[2:, 2:] = X
@@ -134,7 +137,7 @@ class TestSuperoperator:
         rng = np.random.default_rng(1)
         ch = random_channel([3], rng, kraus_count=4)
         rho = random_density_matrix(3, rng)
-        out = unvec(ch.superoperator @ vec(rho))
+        out = (ch.superoperator @ vec(rho)).reshape(3, 3, order="F")
         np.testing.assert_allclose(out, ch(rho), atol=1e-12)
 
     def test_conversion_cycle(self):
@@ -156,46 +159,61 @@ class TestSuperoperator:
         )
 
 
+def _transpose_superoperator(dims, sys):
+    """Superoperator of the transpose on output subsystems ``sys``, read off the
+    partially transposed Choi matrix of the identity channel."""
+    choi = identity_channel(dims).choi
+    t_choi = ChoiMatrix(partial_transpose(choi.matrix, choi.dims, sys), choi.dims, choi.source_dims)
+    return choi_to_superoperator(t_choi)
+
+
 class TestTransposeSuperoperator:
+    """The transpose map is the partial transpose of the identity's Choi matrix."""
+
     def test_matches_direct_action(self):
         rng = np.random.default_rng(3)
-        s = transpose_superoperator([2, 2], 0)
+        s = _transpose_superoperator([2, 2], 0)
         for _ in range(20):
             rho = random_density_matrix(4, rng)
             np.testing.assert_allclose(
-                unvec(s @ vec(rho)), partial_transpose(rho, [2, 2], 0), atol=1e-12
+                (s @ vec(rho)).reshape(4, 4, order="F"), partial_transpose(rho, [2, 2], 0), atol=1e-12
             )
 
     def test_involution(self):
-        s = transpose_superoperator([2, 2], 0)
+        s = _transpose_superoperator([2, 2], 0)
         np.testing.assert_allclose(s @ s, np.eye(16), atol=1e-14)
 
     def test_full_transpose_fixes_symmetric(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((4, 4))
         sym = ((a + a.T) / 2).astype(complex)
-        s = transpose_superoperator([2, 2], [0, 1])
+        s = _transpose_superoperator([2, 2], [0, 1])
         np.testing.assert_allclose(s @ vec(sym), vec(sym), atol=1e-14)
 
 
 class TestCompose:
+    """Composition of channels is the product of their superoperators."""
+
     def test_compose_with_identity(self):
         ch = depolarizing_channel(0.3)
         np.testing.assert_allclose(
-            compose(ch, identity_channel([2])), ch.superoperator, atol=1e-14
+            ch.superoperator @ identity_channel([2]).superoperator, ch.superoperator, atol=1e-14
         )
 
     def test_transpose_conjugated_cnot_spectrum(self):
-        s_ta = transpose_superoperator([2, 2], 0)
-        s = compose(s_ta, compose(cnot_channel(), s_ta))
+        # partial transpose as a permutation superoperator, column by column
+        basis = np.eye(16).reshape(16, 4, 4).transpose(0, 2, 1)  # column-stacked order
+        s_ta = np.column_stack([vec(partial_transpose(e, [2, 2], 0)) for e in basis])
+        s = s_ta @ cnot_channel().superoperator @ s_ta
         choi = superoperator_to_choi(s, (2, 2))
+        np.testing.assert_allclose(choi.matrix, ppt_conjugate(cnot_channel()).matrix, atol=1e-15)
         eigs = np.linalg.eigvalsh(choi.matrix)
         assert abs(eigs[0] + 0.5) < 1e-10
         assert eigs[1] > -1e-10
 
     def test_unitary_inverse(self):
         u = haar_unitary(4, 7)
-        s = compose(unitary_channel(u, (2, 2)), unitary_channel(u.conj().T, (2, 2)))
+        s = unitary_channel(u, (2, 2)).superoperator @ unitary_channel(u.conj().T, (2, 2)).superoperator
         np.testing.assert_allclose(s, np.eye(16), atol=1e-12)
 
     def test_homomorphism(self):
@@ -203,11 +221,7 @@ class TestCompose:
         f = random_channel([2], rng, kraus_count=3)
         g = random_channel([2], rng, kraus_count=2)
         fg = Channel([a @ b for a in f.kraus for b in g.kraus], [2])
-        np.testing.assert_allclose(compose(f, g), fg.superoperator, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(depolarizing_channel(0.1), identity_channel([3]))
+        np.testing.assert_allclose(f.superoperator @ g.superoperator, fg.superoperator, atol=1e-10)
 
 
 class TestKrausFromChoi:

@@ -12,6 +12,7 @@ from chandet.cli import (
     matrix_to_pairs,
     parse_channel_spec,
 )
+from chandet.qmath import haar_unitary
 
 
 def write_spec(tmp_path, name, payload):
@@ -335,6 +336,43 @@ class TestPipelines:
         path = write_spec(tmp_path, "prod.json", unitary_spec(u))
         res = run_json(capsys, "detect-sru", "--channel", path)
         assert res["results"]["alpha_sru_sq"] == 1.0
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            # depolarizing at p = 1/2 is exactly entanglement breaking; Tr[W C] = -8e-17
+            ("detect-eb", dep_spec(0.5)),
+            # a product gate against itself: expectation 5e-16 below the rounded threshold
+            (
+                "detect-sru",
+                unitary_spec(np.kron(haar_unitary(2, 56), haar_unitary(2, 57))),
+            ),
+        ],
+    )
+    def test_rounding_below_a_threshold_is_no_verdict(self, tmp_path, capsys, command, spec):
+        path = write_spec(tmp_path, "chan.json", spec)
+        res = run_json(capsys, command, "--channel", path)["results"]
+        assert res["expectation"] < 0.0
+        assert res["verdict"] == "undetected"
+
+    @pytest.mark.parametrize("witness", ["sru", "ppt"])
+    def test_simulate_decomposes_the_witness_once(self, tmp_path, capsys, monkeypatch, witness):
+        from chandet import cli, measure
+
+        calls = []
+        real = measure.pauli_decompose
+
+        def counting(op, *args, **kwargs):
+            calls.append(op.shape)
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(measure, "pauli_decompose", counting)
+        monkeypatch.setattr(cli, "pauli_decompose", counting)
+        path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        argv = ["simulate", "--channel", path, "--witness", witness, "--shots", "200"]
+        res = run_json(capsys, *argv)["results"]
+        assert calls == [(16, 16)]
+        assert res["setting_count"] > 0
 
     @pytest.mark.parametrize("command", ["decompose-witness", "simulate"])
     def test_stabilizer_witness_for_noisy_cnot_target(self, tmp_path, capsys, command):

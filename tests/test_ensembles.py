@@ -35,7 +35,7 @@ def test_random_sru_channel_term_count():
 def test_random_ppt_channel_transpose_conjugate_is_positive():
     for seed in range(10):
         ch = random_sru_channel((2, 2), seed=seed)
-        _, choi = ppt_conjugate(ch)
+        choi = ppt_conjugate(ch)
         assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
 
 

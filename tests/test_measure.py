@@ -237,7 +237,7 @@ class TestEstimateWitness:
         from chandet.pptdetect import ppt_conjugate
 
         # the transpose conjugate of the CNOT has unit trace but a negative eigenvalue
-        _, choi_mt = ppt_conjugate(cnot_channel())
+        choi_mt = ppt_conjugate(cnot_channel())
         w = build_sru_witness(CNOT, (2, 2), 0.5)
         for shots in (0, 100):
             with pytest.raises(ValidationError, match="negative eigenvalue"):

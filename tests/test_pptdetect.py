@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,26 +7,28 @@ from chandet.channels import (
     Channel,
     classify,
     cnot_channel,
-    compose,
     depolarizing_channel,
     fully_depolarizing_channel,
     identity_channel,
     kraus_from_choi,
     superoperator_to_choi,
+    unitary_channel,
 )
 from chandet.ensembles import random_channel, random_sru_channel
 from chandet.pptdetect import (
+    DEGENERACY_ATOL,
     NOT_DETECTED,
     NPT_DETECTED,
     PptUndetectableError,
     detect_npt,
     ppt_conjugate,
     ppt_witness,
+    spa_composite,
     spa_noise_weight,
-    spa_superoperator,
     spa_transpose,
+    _negative_eigenpair,
 )
-from chandet.qmath import kron, max_entangled
+from chandet.qmath import haar_unitary, kron, max_entangled, partial_transpose
 
 
 def product_of_depolarizing(p):
@@ -34,22 +38,47 @@ def product_of_depolarizing(p):
     return Channel(kraus, (2, 2))
 
 
+def swap_channel(d):
+    u = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    return unitary_channel(u, (d, d))
+
+
+def choi_by_definition(phi, dims):
+    """(1/D) sum_ij phi(E_ij) kron E_ij, straight from the definition of the Choi state."""
+    dim = math.prod(dims)
+    c = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = 1.0
+            c += np.kron(phi(e), e)
+    return c / dim
+
+
+def definition_cases():
+    for d in (2, 3):
+        for rank in (1, d**4):
+            yield f"random{d}-rank{rank}", random_channel([d, d], 40 + rank, kraus_count=rank)
+        yield f"sru{d}", random_sru_channel((d, d), seed=d)
+        yield f"swap{d}", swap_channel(d)
+
+
 class TestPptConjugate:
     def test_identity_stays_positive(self):
-        _, choi = ppt_conjugate(identity_channel([2, 2]))
+        choi = ppt_conjugate(identity_channel([2, 2]))
         alpha = max_entangled(4)
         np.testing.assert_allclose(choi.matrix, np.outer(alpha, alpha.conj()), atol=1e-12)
         assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-12
 
     def test_cnot_single_negative_eigenvalue(self):
-        _, choi = ppt_conjugate(cnot_channel())
+        choi = ppt_conjugate(cnot_channel())
         eigs = np.linalg.eigvalsh(choi.matrix)
         assert abs(eigs[0] + 0.5) < 1e-10
         assert eigs[1] >= -1e-10
 
     def test_fully_mixing_product(self):
         ch = product_of_depolarizing(0.75)
-        _, choi = ppt_conjugate(ch)
+        choi = ppt_conjugate(ch)
         np.testing.assert_allclose(choi.matrix, np.eye(16) / 16, atol=1e-12)
 
     def test_dims_validated(self):
@@ -69,20 +98,22 @@ class TestSpaTranspose:
 
     def test_noise_is_minimal(self):
         p = spa_noise_weight(2) - 0.01
-        choi = superoperator_to_choi(spa_superoperator(2, p), (2, 2))
+        choi = spa_composite(identity_channel((2, 2)), p)
         assert np.linalg.eigvalsh(choi.matrix)[0] < -1e-4
 
     def test_qutrit_weight_and_cp(self):
         assert spa_noise_weight(3) == 27 / 28
-        choi = superoperator_to_choi(spa_superoperator(3, spa_noise_weight(3)), (3, 3))
+        choi = spa_composite(identity_channel((3, 3)), spa_noise_weight(3))
         assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
 
     def test_composition_with_cp_channel_stays_cp(self):
         for seed in range(5):
             ch = random_channel([2, 2], seed, kraus_count=3)
-            s = compose(ch, spa_transpose(2).superoperator)
+            s = ch.superoperator @ spa_transpose(2).superoperator
             choi = superoperator_to_choi(s, (2, 2))
             assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
+            closed = spa_composite(ch, spa_noise_weight(2))
+            np.testing.assert_allclose(closed.matrix, choi.matrix, atol=1e-12)
 
 
 class TestPptWitness:
@@ -150,7 +181,7 @@ class TestDetectNpt:
             us = [haar_unitary(4, rng) for _ in range(n)]
             ch = random_unitary_channel(probs, us, (2, 2))
             assert classify(ch).unital
-            _, choi = ppt_conjugate(ch)
+            choi = ppt_conjugate(ch)
             if np.linalg.eigvalsh(choi.matrix)[0] >= -1e-6:
                 continue  # PPT instance, no witness of its own
             hits += 1
@@ -172,3 +203,68 @@ class TestDetectNpt:
 
         with pytest.raises(ValueError, match="dims"):
             detect_npt(z3_channel(), witness=w)
+
+
+
+class TestAgainstDefinition:
+    """The closed forms in Choi matrices against Choi states built map by map."""
+
+    REFERENCE = {2: cnot_channel, 3: lambda: swap_channel(3)}
+
+    @pytest.mark.parametrize("name, ch", list(definition_cases()))
+    def test_closed_forms_match_the_definition(self, name, ch):
+        dims, dim = ch.dims, ch.dim
+        mixed = np.eye(dim) / dim
+
+        def t_a(x):
+            return partial_transpose(x, dims, 0)
+
+        def composite(p):
+            return choi_by_definition(lambda x: ch((1 - p) * t_a(x) + p * np.trace(x) * mixed), dims)
+
+        choi_mt = choi_by_definition(lambda x: t_a(ch(t_a(x))), dims)
+        np.testing.assert_allclose(ppt_conjugate(ch).matrix, choi_mt, atol=1e-12)
+        np.testing.assert_allclose(spa_composite(ch, 0.3).matrix, composite(0.3), atol=1e-12)
+
+        rep = detect_npt(ch)
+        if rep.witness is None:  # PPT: measure a reference gate's witness instead
+            rep = detect_npt(ch, witness=ppt_witness(self.REFERENCE[dims[0]]())[0])
+        np.testing.assert_allclose(rep.composite.matrix, composite(rep.noise_p), atol=1e-12)
+        assert rep.unital == classify(ch).unital
+        proj = partial_transpose(rep.witness.operator, rep.witness.dims, 0)
+        expected = {
+            "term_transpose": np.trace(proj @ choi_mt).real,
+            "term_noise_mt": np.trace(proj @ np.kron(t_a(ch(t_a(mixed))), mixed)).real,
+            "term_noise_m": np.trace(proj @ np.kron(ch(mixed), mixed)).real,
+        }
+        for field, value in expected.items():
+            assert getattr(rep, field) == pytest.approx(value, abs=1e-12), field
+
+
+class TestDegenerateWitness:
+    def test_vector_depends_only_on_the_eigenspace(self):
+        for d in (2, 3):
+            choi = ppt_conjugate(swap_channel(d))
+            w, v = np.linalg.eigh(choi.matrix)
+            k = int(np.sum(w - w[0] <= DEGENERACY_ATOL))
+            assert k == d * d * (d * d - 1) // 2  # the antisymmetric subspace
+            lam, x, degenerate = _negative_eigenpair(w, v)
+            assert degenerate
+            np.testing.assert_allclose(choi.matrix @ x, lam * x, atol=1e-12)
+            for seed in range(3):
+                mixed = v.copy()
+                mixed[:, :k] = v[:, :k] @ haar_unitary(k, seed)
+                _, y, _ = _negative_eigenpair(w, mixed)
+                np.testing.assert_allclose(np.outer(y, y.conj()), np.outer(x, x.conj()), atol=1e-12)
+
+    def test_report_does_not_depend_on_the_kraus_basis(self):
+        # a non-unital channel with a doubly degenerate lambda_-: amplitude damping after SWAP
+        swap = swap_channel(2).kraus[0]
+        damp = [np.array([[1, 0], [0, np.sqrt(0.7)]]), np.array([[0, np.sqrt(0.3)], [0, 0]])]
+        kraus = [np.kron(a, np.eye(2)) @ swap for a in damp]
+        mix = haar_unitary(2, 9)  # K'_k = sum_l mix[k, l] K_l is the same channel
+        mixed = [sum(mix[k, l] * kraus[l] for l in range(2)) for k in range(2)]
+        a, b = detect_npt(Channel(kraus, (2, 2))), detect_npt(Channel(mixed, (2, 2)))
+        assert a.degenerate and not a.unital
+        np.testing.assert_allclose(a.witness.operator, b.witness.operator, atol=1e-12)
+        assert a.expectation == pytest.approx(b.expectation, abs=1e-12)

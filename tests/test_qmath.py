@@ -170,12 +170,11 @@ class TestMaxEntangled:
 
 class TestHermitianEig:
     def test_transpose_conjugated_cnot_minimum(self):
-        from chandet.channels import cnot_channel, superoperator_to_choi, transpose_superoperator
+        from chandet.channels import cnot_channel
 
-        s_ta = transpose_superoperator([2, 2], 0)
-        s = s_ta @ cnot_channel().superoperator @ s_ta
-        choi = superoperator_to_choi(s, (2, 2))
-        w = np.linalg.eigvalsh(choi.matrix)
+        # T_A o CNOT o T_A: transpose A's output and ancilla in the Choi matrix
+        choi = partial_transpose(cnot_channel().choi.matrix, [2, 2, 2, 2], [0, 2])
+        w = np.linalg.eigvalsh(choi)
         assert abs(w[0] + 0.5) < 1e-10
 
     def test_eigenvalues_permutation_invariant(self):
