@@ -31,8 +31,8 @@ from .channels import (
 from .detect import (
     VERDICT_MARGIN,
     Witness,
+    _sru_witness_from_schmidt,
     alpha_sru_optimize,
-    build_sru_witness,
     choi_vector,
     classify_violation,
     eb_witness,
@@ -42,7 +42,7 @@ from .detect import (
     stabilizer_witness,
 )
 from .measure import ShotEstimate, estimate_witness, group_settings, pauli_decompose
-from .pptdetect import detect_npt
+from .pptdetect import NEGATIVITY_ATOL, detect_npt
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -51,6 +51,8 @@ EXIT_NUMERICAL_ERROR = 3
 # Largest prod(dims) a spec may declare. Each channel holds one D^4-entry
 # complex array, its Choi matrix, 27 MB at D = 36.
 MAX_CHANNEL_DIM = 36
+# Largest --starts. The optimizer holds a few (starts, d, d) arrays at once.
+MAX_STARTS = 10_000
 
 CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
 
@@ -238,19 +240,6 @@ def _require_dims(ch: Channel, allowed, command: str) -> None:
         raise SpecError(f"{command} needs channel dims {opts}, got {list(ch.dims)}")
 
 
-def _resolve_alpha_sq(u: np.ndarray, dims, opts: PipelineOptions):
-    """Squared product-unitary overlap alpha_SRU^2 of the gate ``u``.
-
-    For two qubits the KAK form makes the leading Schmidt term a product
-    unitary, so alpha_SRU = sigma_1 exactly; other dims run the optimizer.
-    """
-    if dims == (2, 2):
-        # rounding can put sigma_1 of a product gate a few ulp above 1
-        return min(float(operator_schmidt(u, 2, 2).sigmas[0] ** 2), 1.0), "sigma_1"
-    val, _, _ = alpha_sru_optimize(u, dims, starts=opts.starts, seed=opts.seed)
-    return float(val) ** 2, "optimizer"
-
-
 def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.ndarray:
     """Reference unitary for witness construction, defaulting to the channel itself."""
     if opts.target_spec is None:
@@ -264,10 +253,21 @@ def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.nd
 
 
 def _sru_witness(channel: Channel, opts: PipelineOptions, command: str):
-    """SRU witness of the reference gate; returns ``(witness, gate, alpha_source)``."""
+    """SRU witness of the reference gate; returns ``(witness, Schmidt data, alpha_source)``.
+
+    The gate is decomposed once. For two qubits the KAK form makes the leading
+    Schmidt term a product unitary, so alpha_SRU = sigma_1 exactly; other dims
+    run the optimizer.
+    """
     u = _target_gate(channel, opts, command)
-    alpha_sq, source = _resolve_alpha_sq(u, channel.dims, opts)
-    return build_sru_witness(u, channel.dims, alpha_sq), u, source
+    sd = operator_schmidt(u, *channel.dims)
+    if sd.dims == (2, 2):
+        # rounding can put sigma_1 of a product gate a few ulp above 1
+        alpha_sq, source = min(float(sd.sigmas[0] ** 2), 1.0), "sigma_1"
+    else:
+        val, _, _ = alpha_sru_optimize(u, sd.dims, starts=opts.starts, seed=opts.seed)
+        alpha_sq, source = val**2, "optimizer"
+    return _sru_witness_from_schmidt(u, sd, alpha_sq), sd, source
 
 
 def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
@@ -394,7 +394,7 @@ def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> dict:
 
 def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool = False) -> dict:
     _require_dims(channel, [(2, 2), (3, 3)], "detect-sru")
-    w, u, source = _sru_witness(channel, opts, "detect-sru")
+    w, sd, source = _sru_witness(channel, opts, "detect-sru")
     value = evaluate_witness(w, channel)
     verdict = classify_violation(value, w)
     results = {
@@ -411,7 +411,6 @@ def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool 
         "verdict": verdict.value,
     }
     if with_schmidt:
-        sd = operator_schmidt(u, channel.dims[0], channel.dims[1])
         results["sigmas"] = [float(s) for s in sd.sigmas]
         results["rank"] = sd.rank
     if opts.shots:
@@ -455,8 +454,8 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
         report = detect_npt(channel)
         if report.witness is None:
             raise SpecError(
-                f"the ppt witness needs an NPT channel; this one has lambda_minus = "
-                f"{report.lambda_minus:.6g}, so no witness exists"
+                f"the ppt witness needs an NPT channel; this one has lambda_minus >= "
+                f"-{NEGATIVITY_ATOL:g}, so no witness exists"
             )
         w, measured = report.witness, report.composite
         payload = {"witness": "ppt"}
@@ -595,6 +594,8 @@ def _options_from_args(args) -> PipelineOptions:
         raise SpecError("--seed must be non-negative")
     if args.starts < 1:
         raise SpecError("--starts must be >= 1")
+    if args.starts > MAX_STARTS:
+        raise SpecError(f"--starts {args.starts} is above the limit {MAX_STARTS}")
     target_spec = None
     if getattr(args, "target", None):
         target_spec = _read_spec_file(args.target)

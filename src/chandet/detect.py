@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, ValidationError, _check_unitary
-from .qmath import dag, haar_unitary, partial_trace, pauli_string, _as_dims
+from .qmath import dag, haar_unitary, pauli_string, _as_dims
 
 SCHMIDT_RANK_CUTOFF = 1e-12
 SWEEP_TOL = 1e-12
@@ -137,43 +137,42 @@ def product_overlap(u: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> float:
     return float(abs(np.trace(dag(np.kron(ua, ub)) @ u))) / (da * db)
 
 
-def _polar_unitary(f: np.ndarray) -> np.ndarray:
-    w, _, vh = np.linalg.svd(f)
-    return w @ vh
-
-
 def _alternating_ascent(u, da, db, ub0, record=None):
-    """One ascent run: each half-step is an exact coordinate maximization.
+    """Alternating polar ascent from every start in ``ub0`` (shape (starts, db, db)) at once.
 
-    Fixing ub, the overlap is |Tr[ua^dag F]| with F = Tr_B[(I kron ub^dag) u],
-    maximized by the polar unitary of F at the value ||F||_1; likewise for ub.
-    The objective is therefore non-decreasing sweep to sweep.
+    Each half-step is an exact coordinate maximization: fixing ub, the overlap
+    is |Tr[ua^dag F]| with F = Tr_B[(I kron ub^dag) u], maximized by the polar
+    unitary of F at the value ||F||_1; likewise for ua with G = Tr_A[(ua^dag
+    kron I) u]. Each start's objective is therefore non-decreasing sweep to
+    sweep, and a start stops after its first gain below ``SWEEP_TOL``. Returns
+    per-start values, ua and ub; ``record`` gets each sweep's values (NaN: stopped).
     """
-    eye_a, eye_b = np.eye(da), np.eye(db)
-    ub = ub0
-    ua = eye_a
-    val = prev = -1.0
+    u4 = u.reshape(da, db, da, db)
+    n = ub0.shape[0]
+    ub = np.array(ub0, dtype=complex)
+    ua = np.empty((n, da, da), dtype=complex)
+    val = np.full(n, -1.0)
+    live = np.ones(n, dtype=bool)
     for _ in range(MAX_SWEEPS):
-        f = partial_trace(np.kron(eye_a, dag(ub)) @ u, (da, db), keep=[0])
-        ua = _polar_unitary(f)
-        g = partial_trace(np.kron(dag(ua), eye_b) @ u, (da, db), keep=[1])
-        wv = np.linalg.svd(g, compute_uv=False)
-        ub = _polar_unitary(g)
-        val = float(wv.sum()) / (da * db)
+        w, _, vh = np.linalg.svd(np.einsum("kcb,acdb->kad", ub[live].conj(), u4))
+        ua[live] = w @ vh
+        w, s, vh = np.linalg.svd(np.einsum("kca,cbae->kbe", ua[live].conj(), u4))
+        ub[live] = w @ vh
+        prev, val[live] = val[live], s.sum(axis=1) / (da * db)
         if record is not None:
-            record.append(val)
-        if val - prev < SWEEP_TOL:
+            record.append(np.where(live, val, np.nan))
+        live[live] = val[live] - prev >= SWEEP_TOL
+        if not live.any():
             break
-        prev = val
     return val, ua, ub
 
 
 def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     """Maximal overlap of a unitary's Choi state with product-unitary Choi states.
 
-    Runs ``starts`` alternating-ascent climbs from Haar-random initial points
-    (seed-derived, independent streams) and keeps the best. Returns
-    ``(alpha_sru, ua, ub)`` with the maximizing local pair.
+    Climbs from ``starts`` Haar-random initial points (start k drawn from the
+    stream ``[seed, k]``), all in one batched ascent, and keeps the first best.
+    Returns ``(alpha_sru, ua, ub)`` with the maximizing local pair.
     """
     dims = _as_dims(dims)
     if len(dims) != 2:
@@ -184,15 +183,11 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
         raise ValueError(f"unitary side {u.shape[0]} does not match dims {dims}")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    best_val, best_ua, best_ub = -1.0, None, None
-    for k in range(int(starts)):
-        rng = np.random.default_rng([int(seed), k])
-        ub0 = haar_unitary(db, rng)
-        val, ua, ub = _alternating_ascent(u, da, db, ub0)
-        if val > best_val:
-            best_val, best_ua, best_ub = val, ua, ub
+    rngs = (np.random.default_rng([int(seed), k]) for k in range(int(starts)))
+    val, ua, ub = _alternating_ascent(u, da, db, np.stack([haar_unitary(db, r) for r in rngs]))
+    best = int(np.argmax(val))
     # an overlap of unit vectors is at most 1; product gates reach it up to rounding
-    return min(best_val, 1.0), best_ua, best_ub
+    return min(float(val[best]), 1.0), ua[best], ub[best]
 
 
 def choi_vector(u: np.ndarray, dims) -> np.ndarray:
@@ -216,16 +211,19 @@ def build_sru_witness(u: np.ndarray, dims, alpha_sq: float) -> Witness:
     if len(dims) != 2:
         raise ValueError(f"expected a bipartite dimension list, got {dims}")
     u = _check_unitary(u, "target unitary")
+    return _sru_witness_from_schmidt(u, operator_schmidt(u, dims[0], dims[1]), alpha_sq)
+
+
+def _sru_witness_from_schmidt(u: np.ndarray, sd: SchmidtDecomposition, alpha_sq: float) -> Witness:
+    """:func:`build_sru_witness` for a checked unitary whose Schmidt decomposition is ``sd``."""
     alpha_sq = float(alpha_sq)
     if not 0.0 < alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq={alpha_sq!r} outside (0, 1]")
-    ket = choi_vector(u, dims)
-    op = alpha_sq * np.eye(ket.size) - np.outer(ket, ket.conj())
-    sd = operator_schmidt(u, dims[0], dims[1])
+    ket = choi_vector(u, sd.dims)
     return Witness(
-        operator=op,
+        operator=alpha_sq * np.eye(ket.size) - np.outer(ket, ket.conj()),
         kind="sru",
-        dims=dims + dims,
+        dims=sd.dims + sd.dims,
         alpha_sru_sq=alpha_sq,
         alpha_s_sq=float(sd.sigmas[0] ** 2),
     )
@@ -331,12 +329,12 @@ def classify_violation(value: float, w: Witness) -> Verdict:
 def robustness_bounds(c: float, w: Witness) -> BoundReport:
     """Generalized-robustness and critical-mixing lower bounds from expectation c.
 
-    R >= |c| / w_max for c < 0 (else 0), and the minimal EB-mixing weight obeys
-    mu_c >= 1 - 1/(1 + R).
+    R >= |c| / w_max for c below -``VERDICT_MARGIN`` (else 0, as for the verdict),
+    and the minimal EB-mixing weight obeys mu_c >= 1 - 1/(1 + R).
     """
     c = float(c)
     w_max = w.max_eigenvalue()
-    if c < 0.0:
+    if c < -VERDICT_MARGIN:
         if w_max <= 0.0:
             raise ValueError("witness has no positive eigenvalue; bounds undefined")
         r = abs(c) / w_max

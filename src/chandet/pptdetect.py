@@ -167,8 +167,8 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
                 verdict=NOT_DETECTED,
                 degenerate=degenerate,
                 note=(
-                    f"transpose-conjugated Choi matrix is positive (min eigenvalue {lam:.6g}); "
-                    "witness unavailable"
+                    "transpose-conjugated Choi matrix is positive (min eigenvalue >= "
+                    f"-{NEGATIVITY_ATOL:g}); witness unavailable"
                 ),
             )
         # the partial transpose acts on the first output qudit of the Choi space

@@ -113,6 +113,19 @@ class TestSpecParsing:
             assert code == EXIT_INPUT_ERROR and out == ""
             assert "above the limit 36" in err
 
+    def test_starts_bound_precedes_the_optimizer(self, tmp_path, capsys, monkeypatch):
+        from chandet import cli
+
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("the optimizer must not run")
+
+        monkeypatch.setattr(cli, "alpha_sru_optimize", no_optimizer)
+        path = write_spec(tmp_path, "z3.json", Z3_SPEC)
+        argv = ["detect-sep", "--channel", path, "--starts", str(cli.MAX_STARTS + 1)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert f"above the limit {cli.MAX_STARTS}" in err
+
     def test_tp_deficit_reported(self):
         from chandet.channels import ValidationError
 
@@ -355,6 +368,34 @@ class TestPipelines:
         assert res["expectation"] < 0.0
         assert res["verdict"] == "undetected"
 
+    def test_detect_eb_rounding_gives_no_bound(self, tmp_path, capsys):
+        # depolarizing at p = 1/2 is exactly entanglement breaking; Tr[W C] = -8e-17
+        path = write_spec(tmp_path, "dep.json", dep_spec(0.5))
+        res = run_json(capsys, "detect-eb", "--channel", path)["results"]
+        assert res["expectation"] < 0.0 and res["verdict"] == "undetected"
+        assert res["bounds"]["robustness_lb"] == 0.0
+        assert res["bounds"]["mu_c_lb"] == 0.0
+
+    @pytest.mark.parametrize("command", ["detect-sru", "detect-sep"])
+    @pytest.mark.parametrize("spec", [CNOT_SPEC, Z3_SPEC], ids=["cnot", "z3"])
+    def test_one_schmidt_decomposition_per_request(
+        self, tmp_path, capsys, monkeypatch, command, spec
+    ):
+        from chandet import cli, detect
+
+        calls = []
+        real = detect.operator_schmidt
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(detect, "operator_schmidt", counting)
+        monkeypatch.setattr(cli, "operator_schmidt", counting)
+        path = write_spec(tmp_path, "gate.json", spec)
+        run_json(capsys, command, "--channel", path, "--target", path, "--starts", "3")
+        assert calls == [tuple(spec["dims"])]
+
     @pytest.mark.parametrize("witness", ["sru", "ppt"])
     def test_simulate_decomposes_the_witness_once(self, tmp_path, capsys, monkeypatch, witness):
         from chandet import cli, measure
@@ -446,6 +487,20 @@ class TestPipelines:
         code, out, err = run(capsys, "simulate", "--channel", path, "--witness", "ppt")
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "lambda_minus" in err
+
+    def test_ppt_refusal_is_stable_under_kraus_order(self, tmp_path, capsys):
+        from chandet.ensembles import random_sru_channel
+
+        # lambda_- of an SRU mixture is rounding, +-1e-16, and moves with the Kraus order
+        kraus = random_sru_channel((2, 2), seed=0).kraus
+        refusals = []
+        for ops in (kraus, kraus[::-1]):
+            spec = {"dims": [2, 2], "kind": "kraus", "kraus": [matrix_to_pairs(k) for k in ops]}
+            path = write_spec(tmp_path, "sru.json", spec)
+            code, out, err = run(capsys, "simulate", "--channel", path, "--witness", "ppt")
+            assert code == EXIT_INPUT_ERROR and out == ""
+            refusals.append(err)
+        assert refusals[0] == refusals[1]
 
 
 class TestRendering:

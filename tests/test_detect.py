@@ -11,6 +11,8 @@ from chandet.channels import (
     z3_channel,
 )
 from chandet.detect import (
+    MAX_SWEEPS,
+    SWEEP_TOL,
     Verdict,
     Witness,
     _alternating_ascent,
@@ -26,7 +28,7 @@ from chandet.detect import (
     stabilizer_witness,
 )
 from chandet.ensembles import random_separable_state, random_sru_channel
-from chandet.qmath import PAULI, haar_unitary, kron, max_entangled
+from chandet.qmath import PAULI, haar_unitary, kron, max_entangled, partial_trace
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 CNOT = np.eye(4, dtype=complex)
@@ -35,6 +37,31 @@ Z3 = np.diag([1.0] * 8 + [-1.0]).astype(complex)
 SQRT17 = np.sqrt(17.0)
 Z3_SIGMA_1 = np.sqrt((9 + SQRT17) / 2) / 3
 Z3_SIGMA_2 = np.sqrt((9 - SQRT17) / 2) / 3
+HAAR9 = [haar_unitary(9, seed) for seed in (500, 501, 502)]
+
+
+def reference_climb(u, da, db, ub0):
+    """One start of the ascent as a plain loop: kron, partial_trace and polar steps."""
+
+    def polar(f):
+        w, _, vh = np.linalg.svd(f)
+        return w @ vh
+
+    eye_a, eye_b = np.eye(da), np.eye(db)
+    ub, prev = ub0, -1.0
+    for _ in range(MAX_SWEEPS):
+        ua = polar(partial_trace(np.kron(eye_a, ub.conj().T) @ u, (da, db), keep=[0]))
+        g = partial_trace(np.kron(ua.conj().T, eye_b) @ u, (da, db), keep=[1])
+        ub = polar(g)
+        val = float(np.linalg.svd(g, compute_uv=False).sum()) / (da * db)
+        if val - prev < SWEEP_TOL:
+            break
+        prev = val
+    return val, ua, ub
+
+
+def start_points(db, starts, seed):
+    return np.stack([haar_unitary(db, np.random.default_rng([seed, k])) for k in range(starts)])
 
 
 class TestOperatorSchmidt:
@@ -134,10 +161,37 @@ class TestAlphaSruOptimize:
             assert abs(val - s1) < 1e-6
 
     def test_sweeps_monotone(self):
-        history = []
-        _alternating_ascent(Z3, 3, 3, haar_unitary(3, 9), record=history)
-        assert len(history) >= 1
-        assert all(b - a >= -1e-12 for a, b in zip(history, history[1:]))
+        for u in (Z3, HAAR9[0]):
+            history = []
+            val, _, _ = _alternating_ascent(u, 3, 3, start_points(3, 12, 9), record=history)
+            sweeps = np.array(history)
+            assert sweeps.shape[1] == 12
+            for k, column in enumerate(sweeps.T):
+                run = column[~np.isnan(column)]
+                assert run.size >= 1
+                assert np.isnan(column[run.size :]).all()  # a stopped start stays stopped
+                assert np.all(np.diff(run) >= -1e-12)
+                assert run[-1] == val[k]
+
+    @pytest.mark.parametrize("u", [Z3] + HAAR9, ids=["z3", "haar0", "haar1", "haar2"])
+    def test_batch_matches_per_start_loop(self, u):
+        for starts, seed in ((1, 0), (1, 4), (7, 3), (20, 0), (50, 1)):
+            ub0 = start_points(3, starts, seed)
+            climbs = [reference_climb(u, 3, 3, b) for b in ub0]
+            ref = max(climbs, key=lambda c: c[0])[0]
+            vals, _, _ = _alternating_ascent(u, 3, 3, ub0)
+            np.testing.assert_allclose(vals, [c[0] for c in climbs], rtol=0, atol=1e-14)
+            val, ua, ub = alpha_sru_optimize(u, (3, 3), starts=starts, seed=seed)
+            assert abs(val - min(ref, 1.0)) <= 1e-14
+            assert abs(product_overlap(u, ua, ub) - val) <= 1e-12
+
+    def test_single_start_is_one_climb(self):
+        for u in (Z3, HAAR9[1]):
+            val, ua, ub = alpha_sru_optimize(u, (3, 3), starts=1, seed=2)
+            ref_val, ref_ua, ref_ub = reference_climb(u, 3, 3, start_points(3, 1, 2)[0])
+            assert abs(val - ref_val) <= 1e-14
+            np.testing.assert_allclose(ua, ref_ua, atol=1e-10)
+            np.testing.assert_allclose(ub, ref_ub, atol=1e-10)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
@@ -291,6 +345,14 @@ class TestRobustnessBounds:
 
     def test_positive_expectation(self):
         rep = robustness_bounds(0.3, eb_witness())
+        assert rep.robustness_lb == 0.0 and rep.mu_c_lb == 0.0
+
+    def test_rounding_below_zero_gives_no_bound(self):
+        # depolarizing at p = 1/2 is exactly entanglement breaking; Tr[W C] = -8e-17
+        w = eb_witness()
+        c = evaluate_witness(w, depolarizing_channel(0.5))
+        assert c < 0.0
+        rep = robustness_bounds(c, w)
         assert rep.robustness_lb == 0.0 and rep.mu_c_lb == 0.0
 
 

@@ -190,6 +190,15 @@ class TestDetectNpt:
             assert abs(rep.expectation - closed) < 1e-10
         assert hits >= 5  # global Haar mixtures are generically NPT
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_ppt_note_is_stable_under_kraus_order(self, dims):
+        # lambda_- of an SRU mixture is rounding, +-1e-16, and moves with the Kraus order
+        ch = random_sru_channel(dims, seed=0)
+        reordered = Channel(ch.kraus[::-1], ch.dims)
+        notes = [detect_npt(c).note for c in (ch, reordered)]
+        assert notes[0] == notes[1]
+        assert "-1e-10" in notes[0]
+
     def test_soundness_on_ppt_channels(self):
         w, _ = ppt_witness(cnot_channel())
         for seed in range(20):
