@@ -9,19 +9,15 @@ local-measurement schemes that realize those expectations.
 
 from .channels import (
     Channel,
-    ChannelFlags,
     ChoiMatrix,
     ValidationError,
-    classify,
     cnot_channel,
     depolarizing_channel,
     fully_depolarizing_channel,
     identity_channel,
-    kraus_from_choi,
     make_named_channel,
     random_unitary_channel,
     sru_channel,
-    superoperator_to_choi,
     unitary_channel,
     z3_channel,
 )
@@ -52,12 +48,9 @@ from .measure import (
 )
 from .pptdetect import (
     NptReport,
-    PptUndetectableError,
     detect_npt,
     ppt_conjugate,
-    ppt_witness,
     spa_noise_weight,
-    spa_transpose,
 )
 from .qmath import (
     PAULI,
@@ -67,7 +60,6 @@ from .qmath import (
     partial_trace,
     partial_transpose,
     pauli_string,
-    permute_subsystems,
 )
 
 __version__ = "0.1.0"

@@ -1,14 +1,9 @@
-"""Quantum channels in Kraus form with a cached Choi matrix.
+"""Quantum channels in Kraus form with a cached Choi matrix, and the tolerance table.
 
-Conventions used throughout:
-
-* the superoperator, reshuffled from the Choi matrix on demand, acts on
-  column-stacked matrices, so ``vec(A rho B) = (B^T kron A) vec(rho)`` and a
-  Kraus operator ``A`` contributes ``conj(A) kron A`` to it;
-* Choi matrices follow the trace-normalized state convention
-  ``C = (M kron Id)[|alpha><alpha|]`` with subsystem order (outputs..., ancillas...),
-  so a trace-preserving channel has ``Tr[C] = 1`` and the partial trace of C over
-  the output subsystems equals ``Id / prod(dims)``.
+Choi matrices follow the trace-normalized state convention
+``C = (M kron Id)[|alpha><alpha|]`` with subsystem order (outputs..., ancillas...),
+so a trace-preserving channel has ``Tr[C] = 1`` and the partial trace of C over
+the output subsystems equals ``Id / prod(dims)``.
 """
 
 import math
@@ -18,16 +13,34 @@ import numpy as np
 
 from .qmath import dag, kron, _as_dims
 
-TP_ATOL = 1e-10
-UNITAL_ATOL = 1e-10
-CP_ATOL = 1e-10
-CHOI_PSD_ATOL = 1e-9
-KRAUS_RANK_CUTOFF = 1e-10
-UNITARY_ATOL = 1e-10
+# Tolerance table: every tolerance of the package. No small float literal appears
+# outside it (tests/test_tolerances.py checks). Each verdict is a sign test
+# against a threshold, so these values are part of the method.
+#
+# ATOL: rounding in exact equalities (TP, unital and unitary deficits, sums to 1,
+# sigma >= 0, imaginary parts, Pauli-expanded Hermiticity, the NPT cross-check);
+# lambda_- is negative below -ATOL, and eigenvalues within ATOL of it are degenerate.
+ATOL = 1e-10
+STATE_ATOL = 1e-9  # a state handed to the shot simulator: Hermitian, trace 1, PSD
+WITNESS_HERM_ATOL = 1e-12  # Hermiticity of a witness operator
+ALPHA_ORDER_ATOL = 1e-9  # how far alpha_SRU^2 may exceed alpha_S^2 in a witness
+# a magnitude at or below it is zero: Schmidt rank and phase, Pauli coefficients, probabilities
+ZERO_CUTOFF = 1e-12
+SIGMA_RANK_CUTOFF = 1e-14  # an eigenvalue of sigma at or below it adds no Kraus operator
+SWEEP_TOL = 1e-12  # an optimizer start stops after a sweep that gains less
+# an expectation must lie this far below a threshold for a verdict; rounding alone gives none
+VERDICT_MARGIN = 1e-12
 
 
 class ValidationError(ValueError):
     """A numerical validation (TP, CP, unitarity, hermiticity) failed outside tolerance."""
+
+
+def _check_hermitian(m: np.ndarray, atol: float, what: str) -> None:
+    """Raise :class:`ValidationError` unless max|m - m^dag| <= atol (NaN fails)."""
+    dev = float(np.max(np.abs(m - dag(m))))
+    if not dev <= atol:
+        raise ValidationError(f"{what} is not Hermitian within {atol:g} (deviation {dev:.3e})")
 
 
 @dataclass(frozen=True)
@@ -37,13 +50,6 @@ class ChoiMatrix:
     matrix: np.ndarray
     dims: tuple[int, ...]
     source_dims: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ChannelFlags:
-    cp: bool
-    tp: bool
-    unital: bool
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -60,29 +66,13 @@ def kraus_to_choi_matrix(kraus, dim: int) -> np.ndarray:
     return c / dim
 
 
-def superoperator_to_choi(s: np.ndarray, source_dims) -> ChoiMatrix:
-    """Reshuffle a superoperator into the trace-normalized Choi matrix."""
-    source_dims = _as_dims(source_dims)
-    d = math.prod(source_dims)
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (d * d, d * d):
-        raise ValueError(f"superoperator shape {s.shape} does not match dims {source_dims}")
-    c = s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
-    return ChoiMatrix(_frozen(c), source_dims + source_dims, source_dims)
-
-
-def choi_to_superoperator(c: ChoiMatrix) -> np.ndarray:
-    d = math.prod(c.source_dims)
-    return c.matrix.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) * d
-
-
 class Channel:
     """Completely positive map on ``prod(dims)`` dimensions, stored in Kraus form.
 
     The Choi matrix is computed eagerly at construction and frozen, so
-    instances are safe to share across threads; ``superoperator`` is derived
-    from it on each access. Set ``require_tp=False`` for maps that are
-    intentionally not trace preserving (separable-map analysis allows them).
+    instances are safe to share across threads. Set ``require_tp=False`` for
+    maps that are intentionally not trace preserving (separable-map analysis
+    allows them).
     """
 
     def __init__(self, kraus, dims, require_tp: bool = True):
@@ -105,7 +95,7 @@ class Channel:
         with np.errstate(over="ignore", invalid="ignore"):
             if self.require_tp:
                 deficit = float(np.max(np.abs(self.tp_deficit())))
-                if not deficit <= TP_ATOL:
+                if not deficit <= ATOL:
                     raise ValidationError(
                         f"Kraus operators are not trace preserving: max|sum A^dag A - I| = {deficit:.6g}"
                     )
@@ -116,10 +106,6 @@ class Channel:
             )
         if not np.isfinite(self.choi.matrix).all():
             raise ValidationError("Kraus entries overflow: the Choi matrix is not finite")
-
-    @property
-    def superoperator(self) -> np.ndarray:
-        return choi_to_superoperator(self.choi)
 
     def tp_deficit(self) -> np.ndarray:
         return sum(dag(a) @ a for a in self.kraus) - np.eye(self.dim)
@@ -135,43 +121,12 @@ class Channel:
         return f"Channel(dims={self.dims}, kraus_count={len(self.kraus)}, require_tp={self.require_tp})"
 
 
-def kraus_from_choi(c: ChoiMatrix, require_tp: bool = False) -> Channel:
-    """Extract a Kraus decomposition from a positive semidefinite Choi matrix.
-
-    Eigenpairs with eigenvalue above ``KRAUS_RANK_CUTOFF`` are kept; each
-    eigenvector is reshaped to a matrix and scaled by sqrt(eigenvalue * dim).
-    """
-    mat = np.asarray(c.matrix, dtype=complex)
-    w, v = np.linalg.eigh((mat + dag(mat)) / 2)
-    if w[0] < -CHOI_PSD_ATOL:
-        raise ValidationError(
-            f"Choi matrix is not positive semidefinite: min eigenvalue {w[0]:.6g}"
-        )
-    d = math.prod(c.source_dims)
-    kraus = [
-        np.sqrt(lam * d) * v[:, k].reshape(d, d)
-        for k, lam in enumerate(w)
-        if lam > KRAUS_RANK_CUTOFF
-    ]
-    if not kraus:
-        raise ValidationError("Choi matrix is numerically zero; no Kraus operators extracted")
-    return Channel(kraus, c.source_dims, require_tp=require_tp)
-
-
-def classify(ch: Channel) -> ChannelFlags:
-    """CP / TP / unital flags at the module tolerances."""
-    tp = float(np.max(np.abs(ch.tp_deficit()))) <= TP_ATOL
-    unital = float(np.max(np.abs(ch.unital_deficit()))) <= UNITAL_ATOL
-    cp = float(np.linalg.eigvalsh(ch.choi.matrix)[0]) >= -CP_ATOL
-    return ChannelFlags(cp=cp, tp=tp, unital=unital)
-
-
 def _check_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{name} is not square: shape {u.shape}")
     dev = float(np.max(np.abs(dag(u) @ u - np.eye(u.shape[0]))))
-    if dev > UNITARY_ATOL:
+    if dev > ATOL:
         raise ValidationError(f"{name} is not unitary: max|U^dag U - I| = {dev:.6g}")
     return u
 
@@ -180,9 +135,9 @@ def _check_probabilities(probs, name: str = "probabilities") -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{name} must be a non-empty 1D sequence")
-    if np.any(p < -1e-12):
+    if np.any(p < -ZERO_CUTOFF):
         raise ValueError(f"{name} contains a negative entry")
-    if abs(float(p.sum()) - 1.0) > 1e-10:
+    if abs(float(p.sum()) - 1.0) > ATOL:
         raise ValueError(f"{name} sum to {float(p.sum())!r}, expected 1")
     return np.clip(p, 0.0, None)
 
@@ -245,11 +200,11 @@ def fully_depolarizing_channel(dims, sigma: np.ndarray | None = None) -> Channel
     if sigma.shape != (d, d):
         raise ValueError(f"sigma shape {sigma.shape} does not match dims {dims}")
     w, v = np.linalg.eigh((sigma + dag(sigma)) / 2)
-    if w[0] < -1e-10 or abs(float(w.sum()) - 1.0) > 1e-10:
+    if w[0] < -ATOL or abs(float(w.sum()) - 1.0) > ATOL:
         raise ValidationError("sigma is not a density matrix (PSD, trace 1)")
     kraus = []
     for i, lam in enumerate(w):
-        if lam <= 1e-14:
+        if lam <= SIGMA_RANK_CUTOFF:
             continue
         for j in range(d):
             k = np.zeros((d, d), dtype=complex)

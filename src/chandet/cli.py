@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import (
-    UNITARY_ATOL,
+    ATOL,
+    VERDICT_MARGIN,
     Channel,
     ChoiMatrix,
     ValidationError,
@@ -29,7 +30,6 @@ from .channels import (
     _check_unitary,
 )
 from .detect import (
-    VERDICT_MARGIN,
     Witness,
     _sru_witness_from_schmidt,
     alpha_sru_optimize,
@@ -42,7 +42,7 @@ from .detect import (
     stabilizer_witness,
 )
 from .measure import ShotEstimate, estimate_witness, group_settings, pauli_decompose
-from .pptdetect import NEGATIVITY_ATOL, detect_npt
+from .pptdetect import detect_npt
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -118,7 +118,8 @@ def _matrix_list(obj, where: str) -> list:
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 # Parser of each named-channel parameter, by parameter name; other keys are ignored.
@@ -240,6 +241,11 @@ def _require_dims(ch: Channel, allowed, command: str) -> None:
         raise SpecError(f"{command} needs channel dims {opts}, got {list(ch.dims)}")
 
 
+def _require_qubit_shots(ch: Channel, opts: PipelineOptions) -> None:
+    if opts.shots and any(d != 2 for d in ch.dims):
+        raise SpecError("shot simulation is available only for qubit systems")
+
+
 def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.ndarray:
     """Reference unitary for witness construction, defaulting to the channel itself."""
     if opts.target_spec is None:
@@ -280,7 +286,7 @@ def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
     w = stabilizer_witness(CNOT_STABILIZER_GENERATORS)
     ket = choi_vector(u, channel.dims)
     value = float(np.real(ket.conj() @ w.operator @ ket))
-    if not abs(value + 1.0) <= UNITARY_ATOL:
+    if not abs(value + 1.0) <= ATOL:
         raise SpecError(
             "the stabilizer witness needs a CNOT reference gate: its expectation on the "
             f"gate's Choi state is {value:.6g}, not -1"
@@ -394,6 +400,7 @@ def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> dict:
 
 def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool = False) -> dict:
     _require_dims(channel, [(2, 2), (3, 3)], "detect-sru")
+    _require_qubit_shots(channel, opts)
     w, sd, source = _sru_witness(channel, opts, "detect-sru")
     value = evaluate_witness(w, channel)
     verdict = classify_violation(value, w)
@@ -414,8 +421,6 @@ def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool 
         results["sigmas"] = [float(s) for s in sd.sigmas]
         results["rank"] = sd.rank
     if opts.shots:
-        if channel.dims != (2, 2):
-            raise SpecError("shot simulation is available only for qubit systems")
         results["estimate"] = _estimate_payload(channel.choi, w, opts)
     return results
 
@@ -423,6 +428,7 @@ def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool 
 def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> dict:
     if len(channel.dims) != 2 or channel.dims[0] != channel.dims[1]:
         raise SpecError(f"detect-npt needs channel dims [d, d], got {list(channel.dims)}")
+    _require_qubit_shots(channel, opts)
     report = detect_npt(channel)
     results = {
         "lambda_minus": report.lambda_minus,
@@ -438,8 +444,6 @@ def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> dict:
         "note": report.note,
     }
     if opts.shots:
-        if channel.dims != (2, 2):
-            raise SpecError("shot simulation is available only for qubit systems")
         # a PPT channel has no witness, hence nothing to estimate
         w = report.witness
         results["estimate"] = None if w is None else _estimate_payload(report.composite, w, opts)
@@ -455,15 +459,14 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
         if report.witness is None:
             raise SpecError(
                 f"the ppt witness needs an NPT channel; this one has lambda_minus >= "
-                f"-{NEGATIVITY_ATOL:g}, so no witness exists"
+                f"-{ATOL:g}, so no witness exists"
             )
         w, measured = report.witness, report.composite
         payload = {"witness": "ppt"}
     else:
         w, payload = _build_witness(channel, kind, sim_opts)
         measured = channel.choi
-        if any(d != 2 for d in channel.dims):
-            raise SpecError("shot simulation is available only for qubit systems")
+        _require_qubit_shots(channel, sim_opts)
     exact = float(np.real(np.trace(w.operator @ measured.matrix)))
     est = estimate_witness(measured, w, sim_opts.shots, sim_opts.seed)
     payload.update(exact=exact, estimate=_estimate_fields(est), setting_count=est.setting_count)

@@ -12,15 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, ValidationError, _check_unitary
+from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, VERDICT_MARGIN, WITNESS_HERM_ATOL, ZERO_CUTOFF
+from .channels import Channel, ValidationError, _check_hermitian, _check_unitary
 from .qmath import dag, haar_unitary, pauli_string, _as_dims
 
-SCHMIDT_RANK_CUTOFF = 1e-12
-SWEEP_TOL = 1e-12
 MAX_SWEEPS = 500
-WITNESS_HERM_ATOL = 1e-12
-# an expectation must lie this far below a threshold for a verdict; rounding alone gives none
-VERDICT_MARGIN = 1e-12
 
 
 class Verdict(enum.Enum):
@@ -70,11 +66,9 @@ class Witness:
         side = math.prod(self.dims)
         if op.shape != (side, side):
             raise ValueError(f"witness shape {op.shape} does not match dims {self.dims}")
-        dev = float(np.max(np.abs(op - dag(op))))
-        if dev > WITNESS_HERM_ATOL:
-            raise ValidationError(f"witness is not Hermitian within {WITNESS_HERM_ATOL} (deviation {dev:.3e})")
+        _check_hermitian(op, WITNESS_HERM_ATOL, "witness")
         if self.alpha_sru_sq is not None and self.alpha_s_sq is not None:
-            if self.alpha_sru_sq > self.alpha_s_sq + 1e-9:
+            if self.alpha_sru_sq > self.alpha_s_sq + ALPHA_ORDER_ATOL:
                 raise ValueError(
                     f"alpha_sru_sq={self.alpha_sru_sq} exceeds alpha_s_sq={self.alpha_s_sq}"
                 )
@@ -108,14 +102,14 @@ def operator_schmidt(o: np.ndarray, da: int, db: int) -> SchmidtDecomposition:
     realigned = o.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, sv, vh = np.linalg.svd(realigned)
     sigmas = sv / np.sqrt(da * db)
-    rank = int(np.sum(sigmas > SCHMIDT_RANK_CUTOFF))
+    rank = int(np.sum(sigmas > ZERO_CUTOFF))
     rank = max(rank, 1)
     a_factors, b_factors = [], []
     for i in range(rank):
         a = np.sqrt(da) * u[:, i].reshape(da, da)
         b = np.sqrt(db) * vh[i, :].reshape(db, db)
         flat = a.reshape(-1)
-        nz = np.flatnonzero(np.abs(flat) > 1e-12)
+        nz = np.flatnonzero(np.abs(flat) > ZERO_CUTOFF)
         if nz.size:
             phase = flat[nz[0]] / abs(flat[nz[0]])
             a = a / phase
@@ -305,7 +299,7 @@ def evaluate_witness(w: Witness, ch: Channel) -> float:
     if w.dims != ch.choi.dims:
         raise ValueError(f"witness dims {w.dims} do not match Choi dims {ch.choi.dims}")
     val = complex(np.trace(w.operator @ ch.choi.matrix))
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > ATOL:
         raise ValidationError(f"witness expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiMatrix, ValidationError
+from .channels import ATOL, STATE_ATOL, ZERO_CUTOFF, ChoiMatrix, ValidationError, _check_hermitian
 from .detect import Witness
 from .qmath import kron, pauli_string
-
-COEFF_CUTOFF = 1e-12
 
 # single-qubit eigenbases, columns ordered (+1 eigenvector, -1 eigenvector)
 _EIGENBASIS = {
@@ -55,7 +53,7 @@ class ShotEstimate:
     setting_count: int = 0
 
 
-def pauli_decompose(w: np.ndarray, tol: float = COEFF_CUTOFF) -> list[PauliTerm]:
+def pauli_decompose(w: np.ndarray, tol: float = ZERO_CUTOFF) -> list[PauliTerm]:
     """Expand a Hermitian qubit operator as sum of real Pauli-string coefficients.
 
     Coefficients are Tr[P W] / 2^n; strings with |coefficient| <= tol are dropped.
@@ -64,13 +62,12 @@ def pauli_decompose(w: np.ndarray, tol: float = COEFF_CUTOFF) -> list[PauliTerm]
     n = int(round(math.log2(w.shape[0])))
     if w.ndim != 2 or w.shape[0] != w.shape[1] or 2**n != w.shape[0]:
         raise ValueError(f"operator shape {w.shape} is not a square power of 2")
-    if np.max(np.abs(w - w.conj().T)) > 1e-10:
-        raise ValueError("operator is not Hermitian; Pauli coefficients would be complex")
+    _check_hermitian(w, ATOL, "operator")
     terms = []
     for letters in itertools.product("IXYZ", repeat=n):
         s = "".join(letters)
         coeff = complex(np.trace(pauli_string(s) @ w)) / 2**n
-        if abs(coeff.imag) > COEFF_CUTOFF:
+        if abs(coeff.imag) > ZERO_CUTOFF:
             raise ValueError(f"coefficient of {s} has imaginary part {coeff.imag:.3e}")
         if abs(coeff.real) > tol:
             terms.append(PauliTerm(string=s, coefficient=float(coeff.real)))
@@ -133,7 +130,7 @@ def _setting_probabilities(state: np.ndarray, bases: str) -> np.ndarray:
     probs = np.real(np.einsum("ij,jk,ki->i", b.conj().T, state, b))
     probs = np.clip(probs, 0.0, None)
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > STATE_ATOL:
         raise ValueError(f"outcome probabilities sum to {total!r}; state is not normalized")
     return probs / total
 
@@ -142,10 +139,10 @@ def _check_state(state: np.ndarray, n: int) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape != (2**n, 2**n):
         raise ValueError(f"state shape {state.shape} does not match {n} qubits")
-    trace_dev = abs(complex(np.trace(state)).real - 1.0)
-    if not (trace_dev <= 1e-9 and np.max(np.abs(state - state.conj().T)) <= 1e-9):
-        raise ValidationError("state must be Hermitian with unit trace")
-    if float(np.linalg.eigvalsh((state + state.conj().T) / 2)[0]) < -1e-9:
+    _check_hermitian(state, STATE_ATOL, "state")
+    if not abs(complex(np.trace(state)).real - 1.0) <= STATE_ATOL:
+        raise ValidationError("state must have unit trace")
+    if float(np.linalg.eigvalsh((state + state.conj().T) / 2)[0]) < -STATE_ATOL:
         raise ValidationError("state has a negative eigenvalue")
     return state
 

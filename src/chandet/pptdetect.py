@@ -15,27 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    UNITAL_ATOL,
-    Channel,
-    ChoiMatrix,
-    ValidationError,
-    identity_channel,
-    kraus_from_choi,
-)
-from .detect import VERDICT_MARGIN, Witness
+from .channels import ATOL, VERDICT_MARGIN, Channel, ChoiMatrix, ValidationError
+from .detect import Witness
 from .qmath import partial_trace, partial_transpose
-
-NEGATIVITY_ATOL = 1e-10
-DEGENERACY_ATOL = 1e-10
-CROSS_CHECK_ATOL = 1e-10
 
 NPT_DETECTED = "npt_detected"
 NOT_DETECTED = "not_detected"
-
-
-class PptUndetectableError(ValueError):
-    """The transpose-conjugated Choi matrix has no negative eigenvalue."""
 
 
 @dataclass(frozen=True)
@@ -100,15 +85,6 @@ def spa_composite(ch: Channel, noise: float) -> ChoiMatrix:
     return ChoiMatrix(mat, c.dims, c.source_dims)
 
 
-def spa_transpose(d: int) -> Channel:
-    """Structural physical approximation of the partial transpose, as a CP-TP channel."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
-    choi = spa_composite(identity_channel((d, d)), spa_noise_weight(d))
-    return kraus_from_choi(choi, require_tp=True)
-
-
 def _negative_eigenpair(w: np.ndarray, v: np.ndarray):
     """From eigh's output: lambda_-, a unit vector of its eigenspace, and whether it is degenerate.
 
@@ -116,23 +92,11 @@ def _negative_eigenpair(w: np.ndarray, v: np.ndarray):
     the vector is the normalized projection of (1, 2, ..., N)/N onto the space.
     """
     lam = float(w[0])
-    block = v[:, w - lam <= DEGENERACY_ATOL]
+    block = v[:, w - lam <= ATOL]
     if block.shape[1] == 1:
         return lam, block[:, 0], False
     x = block @ (block.conj().T @ (np.arange(1, w.size + 1) / w.size))
     return lam, x / np.linalg.norm(x), True
-
-
-def ppt_witness(ch: Channel):
-    """Witness |lambda_-><lambda_-|^{T_A} that :func:`detect_npt` derives for ``ch``.
-
-    Returns ``(witness, lambda_minus)``; raises :class:`PptUndetectableError`
-    when the channel is PPT and no such witness exists.
-    """
-    report = detect_npt(ch)
-    if report.witness is None:
-        raise PptUndetectableError(report.note)
-    return report.witness, report.lambda_minus
 
 
 def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
@@ -149,7 +113,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     d = _require_square_pair(ch)
     dim = ch.dim
     m_of_id = partial_trace(ch.choi.matrix, ch.choi.dims, keep=(0, 1))
-    unital = float(np.max(np.abs(dim * m_of_id - np.eye(dim)))) <= UNITAL_ATOL
+    unital = float(np.max(np.abs(dim * m_of_id - np.eye(dim)))) <= ATOL
     p = spa_noise_weight(d)
     threshold = p / d**4 if unital else 0.0
     choi_mt = ppt_conjugate(ch)
@@ -157,7 +121,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
 
     note = None
     if witness is None:
-        if lam >= -NEGATIVITY_ATOL:
+        if lam >= -ATOL:
             return NptReport(
                 lambda_minus=lam,
                 expectation=None,
@@ -168,7 +132,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
                 degenerate=degenerate,
                 note=(
                     "transpose-conjugated Choi matrix is positive (min eigenvalue >= "
-                    f"-{NEGATIVITY_ATOL:g}); witness unavailable"
+                    f"-{ATOL:g}); witness unavailable"
                 ),
             )
         # the partial transpose acts on the first output qudit of the Choi space
@@ -194,7 +158,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     term_noise_mt = float(np.real(np.trace(proj @ np.kron(mt_of_id, eye_anc))))
     term_noise_m = float(np.real(np.trace(proj @ np.kron(m_of_id, eye_anc))))
     split = (1.0 - p) * term_transpose + p * term_noise_mt
-    if not abs(expectation - split) <= CROSS_CHECK_ATOL:
+    if not abs(expectation - split) <= ATOL:
         raise ValidationError(
             f"two-term split {split!r} disagrees with direct expectation {expectation!r}"
         )

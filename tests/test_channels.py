@@ -2,26 +2,22 @@ import numpy as np
 import pytest
 
 from chandet.channels import (
+    ATOL,
     Channel,
-    ChoiMatrix,
     ValidationError,
-    choi_to_superoperator,
-    classify,
     cnot_channel,
     depolarizing_channel,
     fully_depolarizing_channel,
     identity_channel,
-    kraus_from_choi,
     make_named_channel,
     random_unitary_channel,
     sru_channel,
-    superoperator_to_choi,
     unitary_channel,
     z3_channel,
 )
 from chandet.ensembles import random_channel, random_density_matrix, random_sru_channel
 from chandet.pptdetect import ppt_conjugate
-from chandet.qmath import PAULI, haar_unitary, kron, max_entangled, partial_trace, partial_transpose, permute_subsystems
+from chandet.qmath import PAULI, haar_unitary, kron, max_entangled, partial_trace, partial_transpose
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 
@@ -29,6 +25,46 @@ I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 def vec(m):
     """Column-stacking vectorization, the superoperator convention."""
     return np.asarray(m).reshape(-1, order="F")
+
+
+def superoperator(choi):
+    """Superoperator on column-stacked matrices, reshuffled from a trace-normalized Choi matrix."""
+    d = int(round(np.sqrt(choi.shape[0])))
+    return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) * d
+
+
+def choi_of_superoperator(s):
+    """Inverse reshuffle of :func:`superoperator`."""
+    d = int(round(np.sqrt(s.shape[0])))
+    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
+
+
+def kraus_from_choi(choi, dims, require_tp=False):
+    """Channel of the eigen-Kraus operators sqrt(lambda * D) * reshape(v) of a PSD Choi matrix."""
+    d = choi.shape[0] // int(np.prod(dims))
+    w, v = np.linalg.eigh(choi)
+    kraus = [np.sqrt(lam * d) * v[:, k].reshape(d, d) for k, lam in enumerate(w) if lam > 1e-10]
+    return Channel(kraus, dims, require_tp=require_tp)
+
+
+def permute_subsystems(m, dims, perm):
+    """Reorder the subsystems of ``m`` so that subsystem k of the result is ``perm[k]``."""
+    n = len(dims)
+    axes = list(perm) + [p + n for p in perm]
+    return m.reshape(list(dims) * 2).transpose(axes).reshape(m.shape)
+
+
+def is_tp(ch):
+    return float(np.max(np.abs(ch.tp_deficit()))) <= ATOL
+
+
+def is_unital(ch):
+    return float(np.max(np.abs(ch.unital_deficit()))) <= ATOL
+
+
+def is_cp(ch):
+    return float(np.linalg.eigvalsh(ch.choi.matrix)[0]) >= -ATOL
+
 
 CNOT = np.eye(4, dtype=complex)
 CNOT[2:, 2:] = X
@@ -84,7 +120,7 @@ class TestNamedChannels:
         ch = fully_depolarizing_channel([2], sigma)
         rho = random_density_matrix(2, rng)
         np.testing.assert_allclose(ch(rho), sigma, atol=1e-12)
-        assert classify(ch).tp
+        assert is_tp(ch)
 
 
 class TestChoi:
@@ -126,36 +162,40 @@ class TestChoi:
 
 
 class TestSuperoperator:
+    """The Choi matrix reshuffles into the superoperator sum_k conj(A_k) kron A_k."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(identity_channel([2, 2]).superoperator, np.eye(16))
+        np.testing.assert_array_equal(superoperator(identity_channel([2, 2]).choi.matrix), np.eye(16))
 
     def test_unitary_channel(self):
         u = haar_unitary(3, 0)
-        np.testing.assert_allclose(unitary_channel(u).superoperator, np.kron(u.conj(), u), atol=1e-14)
+        s = superoperator(unitary_channel(u).choi.matrix)
+        np.testing.assert_allclose(s, np.kron(u.conj(), u), atol=1e-14)
 
     def test_superoperator_action(self):
         rng = np.random.default_rng(1)
         ch = random_channel([3], rng, kraus_count=4)
         rho = random_density_matrix(3, rng)
-        out = (ch.superoperator @ vec(rho)).reshape(3, 3, order="F")
+        out = (superoperator(ch.choi.matrix) @ vec(rho)).reshape(3, 3, order="F")
         np.testing.assert_allclose(out, ch(rho), atol=1e-12)
 
     def test_conversion_cycle(self):
-        # superoperator -> Choi (reshuffle) -> Kraus -> superoperator
+        # superoperator (from Kraus) -> Choi (reshuffle) -> Kraus (eigh) -> superoperator
         for k in range(50):
             rng = np.random.default_rng(100 + k)
             dims = [2] if k % 2 == 0 else [3]
             ch = random_channel(dims, rng)
-            choi = superoperator_to_choi(ch.superoperator, ch.dims)
-            np.testing.assert_allclose(choi.matrix, ch.choi.matrix, atol=1e-12)
-            rebuilt = kraus_from_choi(choi, require_tp=True)
-            np.testing.assert_allclose(rebuilt.superoperator, ch.superoperator, atol=1e-10)
+            s = sum(np.kron(a.conj(), a) for a in ch.kraus)
+            choi = choi_of_superoperator(s)
+            np.testing.assert_allclose(choi, ch.choi.matrix, atol=1e-12)
+            rebuilt = kraus_from_choi(choi, dims, require_tp=True)
+            np.testing.assert_allclose(superoperator(rebuilt.choi.matrix), s, atol=1e-10)
 
     def test_choi_superoperator_inverse_pair(self):
         rng = np.random.default_rng(2)
         ch = random_channel([2, 2], rng, kraus_count=3)
         np.testing.assert_allclose(
-            choi_to_superoperator(ch.choi), ch.superoperator, atol=1e-12
+            superoperator(ch.choi.matrix), sum(np.kron(a.conj(), a) for a in ch.kraus), atol=1e-12
         )
 
 
@@ -163,8 +203,7 @@ def _transpose_superoperator(dims, sys):
     """Superoperator of the transpose on output subsystems ``sys``, read off the
     partially transposed Choi matrix of the identity channel."""
     choi = identity_channel(dims).choi
-    t_choi = ChoiMatrix(partial_transpose(choi.matrix, choi.dims, sys), choi.dims, choi.source_dims)
-    return choi_to_superoperator(t_choi)
+    return superoperator(partial_transpose(choi.matrix, choi.dims, sys))
 
 
 class TestTransposeSuperoperator:
@@ -196,24 +235,24 @@ class TestCompose:
 
     def test_compose_with_identity(self):
         ch = depolarizing_channel(0.3)
-        np.testing.assert_allclose(
-            ch.superoperator @ identity_channel([2]).superoperator, ch.superoperator, atol=1e-14
-        )
+        s = superoperator(ch.choi.matrix)
+        np.testing.assert_allclose(s @ superoperator(identity_channel([2]).choi.matrix), s, atol=1e-14)
 
     def test_transpose_conjugated_cnot_spectrum(self):
         # partial transpose as a permutation superoperator, column by column
         basis = np.eye(16).reshape(16, 4, 4).transpose(0, 2, 1)  # column-stacked order
         s_ta = np.column_stack([vec(partial_transpose(e, [2, 2], 0)) for e in basis])
-        s = s_ta @ cnot_channel().superoperator @ s_ta
-        choi = superoperator_to_choi(s, (2, 2))
-        np.testing.assert_allclose(choi.matrix, ppt_conjugate(cnot_channel()).matrix, atol=1e-15)
-        eigs = np.linalg.eigvalsh(choi.matrix)
+        s = s_ta @ superoperator(cnot_channel().choi.matrix) @ s_ta
+        choi = choi_of_superoperator(s)
+        np.testing.assert_allclose(choi, ppt_conjugate(cnot_channel()).matrix, atol=1e-15)
+        eigs = np.linalg.eigvalsh(choi)
         assert abs(eigs[0] + 0.5) < 1e-10
         assert eigs[1] > -1e-10
 
     def test_unitary_inverse(self):
         u = haar_unitary(4, 7)
-        s = unitary_channel(u, (2, 2)).superoperator @ unitary_channel(u.conj().T, (2, 2)).superoperator
+        s = superoperator(unitary_channel(u, (2, 2)).choi.matrix)
+        s = s @ superoperator(unitary_channel(u.conj().T, (2, 2)).choi.matrix)
         np.testing.assert_allclose(s, np.eye(16), atol=1e-12)
 
     def test_homomorphism(self):
@@ -221,14 +260,18 @@ class TestCompose:
         f = random_channel([2], rng, kraus_count=3)
         g = random_channel([2], rng, kraus_count=2)
         fg = Channel([a @ b for a in f.kraus for b in g.kraus], [2])
-        np.testing.assert_allclose(f.superoperator @ g.superoperator, fg.superoperator, atol=1e-10)
+        np.testing.assert_allclose(
+            superoperator(f.choi.matrix) @ superoperator(g.choi.matrix), superoperator(fg.choi.matrix), atol=1e-10
+        )
 
 
 class TestKrausFromChoi:
+    """The eigenvectors of the Choi matrix, reshaped row-major, are Kraus operators of the channel."""
+
     def test_depolarizing_round_trip(self):
         rng = np.random.default_rng(6)
         ch = depolarizing_channel(0.3)
-        rebuilt = kraus_from_choi(ch.choi, require_tp=True)
+        rebuilt = kraus_from_choi(ch.choi.matrix, ch.dims, require_tp=True)
         assert len(rebuilt.kraus) == 4
         for _ in range(10):
             rho = random_density_matrix(2, rng)
@@ -238,17 +281,14 @@ class TestKrausFromChoi:
 
     def test_pure_choi_single_kraus(self):
         ch = cnot_channel()
-        rebuilt = kraus_from_choi(ch.choi)
+        rebuilt = kraus_from_choi(ch.choi.matrix, ch.dims)
         assert len(rebuilt.kraus) == 1
         k = rebuilt.kraus[0]
         phase = k[0, 0] / CNOT[0, 0]
         np.testing.assert_allclose(k / phase, CNOT, atol=1e-10)
 
     def test_maximally_mixed_choi(self):
-        from chandet.channels import ChoiMatrix
-
-        choi = ChoiMatrix(np.eye(4) / 4, (2, 2), (2,))
-        ch = kraus_from_choi(choi, require_tp=True)
+        ch = kraus_from_choi(np.eye(4) / 4, (2,), require_tp=True)
         assert len(ch.kraus) == 4
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -258,39 +298,32 @@ class TestKrausFromChoi:
     def test_choi_of_kraus_from_choi_round_trip(self):
         rng = np.random.default_rng(8)
         ch = random_channel([2, 2], rng, kraus_count=5)
-        rebuilt = kraus_from_choi(ch.choi)
+        rebuilt = kraus_from_choi(ch.choi.matrix, ch.dims)
         np.testing.assert_allclose(rebuilt.choi.matrix, ch.choi.matrix, atol=1e-9)
-
-    def test_rejects_negative_choi(self):
-        from chandet.channels import ChoiMatrix
-
-        bad = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
-        with pytest.raises(ValidationError, match="positive semidefinite"):
-            kraus_from_choi(ChoiMatrix(bad, (2, 2), (2,)))
 
 
 class TestClassify:
     def test_depolarizing_flags(self):
         for p in (0.0, 0.5, 1.0):
-            flags = classify(depolarizing_channel(p))
-            assert flags.cp and flags.tp and flags.unital
+            ch = depolarizing_channel(p)
+            assert is_cp(ch) and is_tp(ch) and is_unital(ch)
 
     def test_cnot_flags(self):
-        flags = classify(cnot_channel())
-        assert flags.cp and flags.tp and flags.unital
+        ch = cnot_channel()
+        assert is_cp(ch) and is_tp(ch) and is_unital(ch)
 
     def test_non_unital_channel(self):
         # sends everything to |0><0|: sum A A^dag = 2|0><0| != I
         k0 = np.array([[1, 0], [0, 0]], dtype=complex)
         k1 = np.array([[0, 1], [0, 0]], dtype=complex)
-        flags = classify(Channel([k0, k1], [2]))
-        assert flags.cp and flags.tp and not flags.unital
+        ch = Channel([k0, k1], [2])
+        assert is_cp(ch) and is_tp(ch) and not is_unital(ch)
 
     def test_tp_validation_reports_deficit(self):
         with pytest.raises(ValidationError, match="trace preserving"):
             Channel([np.sqrt(0.9) * I2], [2])
         ch = Channel([np.sqrt(0.9) * I2], [2], require_tp=False)
-        assert not classify(ch).tp
+        assert not is_tp(ch)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_kraus_rejected(self, bad):
@@ -335,5 +368,4 @@ class TestSruChoiStructure:
 
     def test_random_sru_is_tp_unital(self):
         ch = random_sru_channel((2, 2), seed=3)
-        flags = classify(ch)
-        assert flags.cp and flags.tp and flags.unital
+        assert is_cp(ch) and is_tp(ch) and is_unital(ch)

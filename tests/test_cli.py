@@ -161,6 +161,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "detect-eb", "--channel", path)
         assert code == EXIT_INPUT_ERROR and "dims" in err
 
+    @pytest.mark.parametrize("command", ["detect-sru", "detect-sep", "detect-npt"])
+    def test_non_qubit_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch, command):
+        from chandet import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the request must be refused before any work")
+
+        monkeypatch.setattr(cli, "alpha_sru_optimize", no_work)
+        monkeypatch.setattr(cli, "detect_npt", no_work)
+        path = write_spec(tmp_path, "z3.json", Z3_SPEC)
+        code, out, err = run(capsys, command, "--channel", path, "--shots", "100")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "only for qubit systems" in err
+
     def test_tp_failure_is_numerical(self, tmp_path, capsys):
         bad = {
             "dims": [2],
@@ -526,6 +540,16 @@ class TestRendering:
         # round-tripping through the rendered JSON loses no precision
         assert out["inputs"]["channel"]["params"]["p"] == 1 / 3
         assert out["results"]["expectation"] == 1 / 3 - 0.5
+
+        def per_entry(m):
+            return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+        # against a per-entry conversion, signed zeros, a subnormal and a huge entry
+        # keep their exact floats and JSON text
+        m = np.array([[complex(-0.0, -0.0), complex(5e-324, -0.0)], [complex(1.7e308, 2.5e-310), 1 / 3]])
+        for matrix in (m, CNOT):
+            assert matrix_to_pairs(matrix) == per_entry(matrix)
+            assert json.dumps(matrix_to_pairs(matrix)) == json.dumps(per_entry(matrix))
 
     def test_text_mode_npt_fields(self, tmp_path, capsys):
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)

@@ -4,31 +4,25 @@ import numpy as np
 import pytest
 
 from chandet.channels import (
+    ATOL,
     Channel,
-    classify,
     cnot_channel,
     depolarizing_channel,
     fully_depolarizing_channel,
     identity_channel,
-    kraus_from_choi,
-    superoperator_to_choi,
     unitary_channel,
 )
 from chandet.ensembles import random_channel, random_sru_channel
 from chandet.pptdetect import (
-    DEGENERACY_ATOL,
     NOT_DETECTED,
     NPT_DETECTED,
-    PptUndetectableError,
     detect_npt,
     ppt_conjugate,
-    ppt_witness,
     spa_composite,
     spa_noise_weight,
-    spa_transpose,
     _negative_eigenpair,
 )
-from chandet.qmath import haar_unitary, kron, max_entangled, partial_transpose
+from chandet.qmath import haar_unitary, kron, max_entangled, partial_trace, partial_transpose
 
 
 def product_of_depolarizing(p):
@@ -36,6 +30,22 @@ def product_of_depolarizing(p):
     one = depolarizing_channel(p)
     kraus = [kron(a, b) for a in one.kraus for b in one.kraus]
     return Channel(kraus, (2, 2))
+
+
+def superoperator(choi):
+    """Superoperator on column-stacked matrices, reshuffled from a trace-normalized Choi matrix."""
+    d = int(round(np.sqrt(choi.shape[0])))
+    return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) * d
+
+
+def choi_of_superoperator(s):
+    """Inverse reshuffle of :func:`superoperator`."""
+    d = int(round(np.sqrt(s.shape[0])))
+    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
+
+
+def is_unital(ch):
+    return float(np.max(np.abs(ch.unital_deficit()))) <= ATOL
 
 
 def swap_channel(d):
@@ -91,10 +101,11 @@ class TestSpaTranspose:
         assert spa_noise_weight(2) == 8 / 9
 
     def test_channel_is_cp(self):
-        ch = spa_transpose(2)
-        assert np.linalg.eigvalsh(ch.choi.matrix)[0] >= -1e-10
-        flags = classify(ch)
-        assert flags.cp and flags.tp
+        choi = spa_composite(identity_channel((2, 2)), spa_noise_weight(2))
+        assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
+        # trace preserving: tracing out the outputs leaves Id/D, the Kraus form's TP deficit
+        reduced = partial_trace(choi.matrix, choi.dims, keep=(2, 3))
+        assert float(np.max(np.abs(4 * reduced - np.eye(4)))) <= ATOL
 
     def test_noise_is_minimal(self):
         p = spa_noise_weight(2) - 0.01
@@ -109,16 +120,17 @@ class TestSpaTranspose:
     def test_composition_with_cp_channel_stays_cp(self):
         for seed in range(5):
             ch = random_channel([2, 2], seed, kraus_count=3)
-            s = ch.superoperator @ spa_transpose(2).superoperator
-            choi = superoperator_to_choi(s, (2, 2))
-            assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
+            spa = spa_composite(identity_channel((2, 2)), spa_noise_weight(2))
+            choi = choi_of_superoperator(superoperator(ch.choi.matrix) @ superoperator(spa.matrix))
+            assert np.linalg.eigvalsh(choi)[0] >= -1e-10
             closed = spa_composite(ch, spa_noise_weight(2))
-            np.testing.assert_allclose(closed.matrix, choi.matrix, atol=1e-12)
+            np.testing.assert_allclose(closed.matrix, choi, atol=1e-12)
 
 
 class TestPptWitness:
     def test_cnot_witness(self):
-        w, lam = ppt_witness(cnot_channel())
+        rep = detect_npt(cnot_channel())
+        w, lam = rep.witness, rep.lambda_minus
         assert abs(lam + 0.5) < 1e-10
         assert abs(np.trace(w.operator).real - 1.0) < 1e-10
         np.testing.assert_allclose(w.operator, w.operator.conj().T, atol=1e-12)
@@ -126,8 +138,7 @@ class TestPptWitness:
         assert eigs[0] >= -0.5 - 1e-10 and eigs[-1] <= 0.5 + 1e-10
 
     def test_positive_choi_rejected(self):
-        with pytest.raises(PptUndetectableError):
-            ppt_witness(identity_channel([2, 2]))
+        assert detect_npt(identity_channel([2, 2])).witness is None
 
 
 class TestDetectNpt:
@@ -152,7 +163,7 @@ class TestDetectNpt:
         assert rep.note is not None and "positive" in rep.note
 
     def test_unital_ppt_channel_stays_above_noise_floor(self):
-        w, _ = ppt_witness(cnot_channel())
+        w = detect_npt(cnot_channel()).witness
         ch = fully_depolarizing_channel([2, 2])
         rep = detect_npt(ch, witness=w)
         assert rep.unital
@@ -162,7 +173,7 @@ class TestDetectNpt:
     def test_two_term_split_on_random_channels(self):
         # consistency of the direct expectation with the (1-p)/p split is
         # asserted inside detect_npt; drive it across random CP-TP channels
-        w, _ = ppt_witness(cnot_channel())
+        w = detect_npt(cnot_channel()).witness
         for seed in range(20):
             ch = random_channel([2, 2], seed, kraus_count=int(seed % 4) + 1)
             rep = detect_npt(ch, witness=w)
@@ -180,7 +191,7 @@ class TestDetectNpt:
             probs = rng.dirichlet(np.ones(n))
             us = [haar_unitary(4, rng) for _ in range(n)]
             ch = random_unitary_channel(probs, us, (2, 2))
-            assert classify(ch).unital
+            assert is_unital(ch)
             choi = ppt_conjugate(ch)
             if np.linalg.eigvalsh(choi.matrix)[0] >= -1e-6:
                 continue  # PPT instance, no witness of its own
@@ -200,14 +211,14 @@ class TestDetectNpt:
         assert "-1e-10" in notes[0]
 
     def test_soundness_on_ppt_channels(self):
-        w, _ = ppt_witness(cnot_channel())
+        w = detect_npt(cnot_channel()).witness
         for seed in range(20):
             ch = random_sru_channel((2, 2), seed=seed)
             rep = detect_npt(ch, witness=w)
             assert rep.expectation >= -1e-10
 
     def test_external_witness_dims_checked(self):
-        w, _ = ppt_witness(cnot_channel())
+        w = detect_npt(cnot_channel()).witness
         from chandet.channels import z3_channel
 
         with pytest.raises(ValueError, match="dims"):
@@ -237,9 +248,9 @@ class TestAgainstDefinition:
 
         rep = detect_npt(ch)
         if rep.witness is None:  # PPT: measure a reference gate's witness instead
-            rep = detect_npt(ch, witness=ppt_witness(self.REFERENCE[dims[0]]())[0])
+            rep = detect_npt(ch, witness=detect_npt(self.REFERENCE[dims[0]]()).witness)
         np.testing.assert_allclose(rep.composite.matrix, composite(rep.noise_p), atol=1e-12)
-        assert rep.unital == classify(ch).unital
+        assert rep.unital == is_unital(ch)
         proj = partial_transpose(rep.witness.operator, rep.witness.dims, 0)
         expected = {
             "term_transpose": np.trace(proj @ choi_mt).real,
@@ -255,7 +266,7 @@ class TestDegenerateWitness:
         for d in (2, 3):
             choi = ppt_conjugate(swap_channel(d))
             w, v = np.linalg.eigh(choi.matrix)
-            k = int(np.sum(w - w[0] <= DEGENERACY_ATOL))
+            k = int(np.sum(w - w[0] <= ATOL))
             assert k == d * d * (d * d - 1) // 2  # the antisymmetric subspace
             lam, x, degenerate = _negative_eigenpair(w, v)
             assert degenerate
