@@ -53,6 +53,8 @@ EXIT_NUMERICAL_ERROR = 3
 MAX_CHANNEL_DIM = 36
 # Largest --starts. The optimizer holds a few (starts, d, d) arrays at once.
 MAX_STARTS = 10_000
+# Shots per setting of simulate when --shots is not given.
+_SIMULATE_SHOTS = 100_000
 
 CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
 
@@ -451,7 +453,12 @@ def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> dict:
 
 
 def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
-    sim_opts = replace(opts, shots=opts.shots or 100_000)
+    if opts.shots == 0:
+        raise SpecError(
+            "simulate needs at least 1 shot per setting; omit --shots for the default of "
+            f"{_SIMULATE_SHOTS}"
+        )
+    sim_opts = replace(opts, shots=opts.shots or _SIMULATE_SHOTS)
     kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
     if kind == "ppt":
         _require_dims(channel, [(2, 2)], "simulate --witness ppt")

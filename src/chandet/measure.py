@@ -4,17 +4,28 @@ A qubit witness is expanded in the Pauli basis, the non-identity strings are
 grouped into product measurement settings (strings sharing a setting are
 estimated from the same shots), and outcomes are sampled from the exact Born
 distribution of the Choi state being measured.
+
+No step builds a dense 2^n x 2^n product per string or per setting: every
+coefficient is read off one gather of the operator (a Pauli string has one
+nonzero entry per row), grouping compares strings packed two bits per qubit,
+and one einsum gives the Born probabilities of every setting. Each number is
+bitwise the one the dense ``Tr[P W]`` and per-setting ``kron`` basis give, so
+the sampling streams and estimates are those of the dense path.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ATOL, STATE_ATOL, ZERO_CUTOFF, ChoiMatrix, ValidationError, _check_hermitian
 from .detect import Witness
-from .qmath import kron, pauli_string
+
+_LETTERS = "IXYZ"  # a letter's index is its 2-bit code; I is 0
+_CODE = {ch: k for k, ch in enumerate(_LETTERS)}
+# Row r of the one-qubit Pauli with code c holds its nonzero entry _PHASE[c, r]
+# at column r ^ _FLIP[c].
+_FLIP = np.array([0, 1, 1, 0])
+_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
 
 # single-qubit eigenbases, columns ordered (+1 eigenvector, -1 eigenvector)
 _EIGENBASIS = {
@@ -28,10 +39,6 @@ _EIGENBASIS = {
 class PauliTerm:
     string: str
     coefficient: float
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for ch in self.string if ch != "I")
 
 
 @dataclass(frozen=True)
@@ -53,29 +60,64 @@ class ShotEstimate:
     setting_count: int = 0
 
 
+def _pauli_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero entries of all 4^n Pauli strings, in ``itertools.product("IXYZ", repeat=n)`` order.
+
+    Row i of string s holds its one nonzero entry ``phases[s, i]`` at column
+    ``cols[s, i]``. The tables grow one qubit at a time, leftmost qubit most
+    significant, as ``qmath.kron`` orders a product.
+    """
+    cols = np.zeros((1, 1), dtype=np.intp)
+    phases = np.ones((1, 1), dtype=complex)
+    flips = np.arange(2) ^ _FLIP[:, None]  # [letter, bit]
+    for _ in range(n):
+        # [string, row] x [letter, bit] -> [string, letter, row, bit]
+        shape = (4 * cols.shape[0], 2 * cols.shape[1])
+        cols = (2 * cols[:, None, :, None] + flips[None, :, None, :]).reshape(shape)
+        phases = (phases[:, None, :, None] * _PHASE[None, :, None, :]).reshape(shape)
+    return cols, phases
+
+
+def _string_of(index: int, n: int) -> str:
+    return "".join(_LETTERS[(index >> 2 * (n - 1 - q)) & 3] for q in range(n))
+
+
 def pauli_decompose(w: np.ndarray, tol: float = ZERO_CUTOFF) -> list[PauliTerm]:
     """Expand a Hermitian qubit operator as sum of real Pauli-string coefficients.
 
     Coefficients are Tr[P W] / 2^n; strings with |coefficient| <= tol are dropped.
+    The trace sums the 2^n products P[i, j] W[j, i] with P[i, j] != 0 in the
+    order ``np.trace(P @ W)`` does, so each coefficient is bitwise the dense one.
     """
     w = np.asarray(w, dtype=complex)
-    n = int(round(math.log2(w.shape[0])))
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or 2**n != w.shape[0]:
+    side = w.shape[0] if w.ndim == 2 and w.shape[0] == w.shape[1] else 0
+    if side < 2 or side & (side - 1):
         raise ValueError(f"operator shape {w.shape} is not a square power of 2")
+    n = side.bit_length() - 1
     _check_hermitian(w, ATOL, "operator")
-    terms = []
-    for letters in itertools.product("IXYZ", repeat=n):
-        s = "".join(letters)
-        coeff = complex(np.trace(pauli_string(s) @ w)) / 2**n
-        if abs(coeff.imag) > ZERO_CUTOFF:
-            raise ValueError(f"coefficient of {s} has imaginary part {coeff.imag:.3e}")
-        if abs(coeff.real) > tol:
-            terms.append(PauliTerm(string=s, coefficient=float(coeff.real)))
-    return terms
+    cols, phases = _pauli_tables(n)
+    coeffs = (phases * w[cols, np.arange(side)]).sum(axis=-1) / side
+    bad = np.flatnonzero(np.abs(coeffs.imag) > ZERO_CUTOFF)
+    if bad.size:
+        s = bad[0]
+        raise ValueError(f"coefficient of {_string_of(s, n)} has imaginary part {coeffs[s].imag:.3e}")
+    return [
+        PauliTerm(string=_string_of(s, n), coefficient=float(coeffs[s].real))
+        for s in np.flatnonzero(np.abs(coeffs.real) > tol)
+    ]
 
 
-def _compatible(term: str, bases: str) -> bool:
-    return all(t == "I" or t == b for t, b in zip(term, bases))
+def _pack(string: str) -> tuple[int, int]:
+    """``(code, mask)``: two bits per qubit, leftmost most significant; mask is 0b11 off identity."""
+    code = mask = 0
+    for ch in string:
+        try:
+            c = _CODE[ch]
+        except KeyError:
+            raise ValueError(f"unknown Pauli letter {ch!r} in {string!r}") from None
+        code = code << 2 | c
+        mask = mask << 2 | (3 if c else 0)
+    return code, mask
 
 
 def group_settings(terms) -> list[MeasurementSetting]:
@@ -86,53 +128,66 @@ def group_settings(terms) -> list[MeasurementSetting]:
     (identity) slots are filled by merging the remaining compatible terms in
     order, then padded with X. Every non-identity term ends up covered by
     exactly one setting.
+
+    Strings are packed two bits per qubit, so ``a`` and ``b`` are compatible
+    exactly when ``(code_a ^ code_b) & mask_a & mask_b == 0``.
     """
     terms = list(terms)
+    if len({len(t.string) for t in terms}) > 1:
+        raise ValueError("Pauli strings of different lengths cannot share settings")
+    n = len(terms[0].string) if terms else 0
+    full = (1 << 2 * n) - 1
+    x_fill = full // 3  # code 0b01 (X) in every slot
+    packed = [_pack(t.string) for t in terms]
     order = sorted(
-        (i for i, t in enumerate(terms) if t.weight > 0),
+        (i for i, (_, mask) in enumerate(packed) if mask),
         key=lambda i: (terms[i].string.count("I"), i),
     )
-    settings: list[tuple[list[str], list[int]]] = []
-    assigned: set[int] = set()
+    settings: list[tuple[int, list[int]]] = []
     for pos, i in enumerate(order):
-        term = terms[i].string
-        placed = False
+        code, mask = packed[i]
         for bases, covered in settings:
-            if _compatible(term, "".join(bases)):
+            if (code ^ bases) & mask == 0:
                 covered.append(i)
-                placed = True
                 break
-        if placed:
-            assigned.add(i)
-            continue
-        pattern: list[str | None] = [ch if ch != "I" else None for ch in term]
-        for j in order[pos + 1 :]:
-            if j in assigned:
-                continue
-            other = terms[j].string
-            fits = all(
-                ch == "I" or pattern[k] is None or pattern[k] == ch
-                for k, ch in enumerate(other)
-            )
-            if fits:
-                for k, ch in enumerate(other):
-                    if ch != "I":
-                        pattern[k] = ch
-        bases = [ch if ch is not None else "X" for ch in pattern]
-        settings.append((bases, [i]))
-        assigned.add(i)
-    return [MeasurementSetting(bases="".join(b), covered_terms=tuple(c)) for b, c in settings]
+        else:
+            for j in order[pos + 1 :]:
+                if mask == full:
+                    break  # no free slot left for a later term to fill
+                other, other_mask = packed[j]
+                if (code ^ other) & mask & other_mask == 0:
+                    code |= other
+                    mask |= other_mask
+            settings.append((code | x_fill & ~mask, [i]))
+    return [MeasurementSetting(bases=_string_of(b, n), covered_terms=tuple(c)) for b, c in settings]
 
 
-def _setting_probabilities(state: np.ndarray, bases: str) -> np.ndarray:
-    """Born probabilities of the 2^n product-basis outcomes, outcome bit 0 <-> +1."""
-    b = kron(*(_EIGENBASIS[ch] for ch in bases))
-    probs = np.real(np.einsum("ij,jk,ki->i", b.conj().T, state, b))
+def _product_bases(bases: list[str]) -> np.ndarray:
+    """Stacked ``kron`` of the eigenbases of each setting, multiplied left to right."""
+    out = np.stack([_EIGENBASIS[b[0]] for b in bases])
+    for q in range(1, len(bases[0])):
+        e = np.stack([_EIGENBASIS[b[q]] for b in bases])
+        shape = (len(bases), 2 * out.shape[1], 2 * out.shape[2])
+        out = (out[:, :, None, :, None] * e[:, None, :, None, :]).reshape(shape)
+    return out
+
+
+def _setting_probabilities(state: np.ndarray, bases: list[str]) -> np.ndarray:
+    """Born probabilities of the 2^n product-basis outcomes of each setting, outcome bit 0 <-> +1.
+
+    Row k belongs to ``bases[k]``. One einsum covers every setting; its
+    per-setting summation order is that of the single-setting contraction, so
+    an outcome the state cannot produce keeps probability exactly 0.
+    """
+    b = _product_bases(bases)
+    probs = np.real(np.einsum("sij,jk,ski->si", b.conj().transpose(0, 2, 1), state, b))
     probs = np.clip(probs, 0.0, None)
-    total = float(probs.sum())
-    if abs(total - 1.0) > STATE_ATOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}; state is not normalized")
-    return probs / total
+    for row in probs:
+        total = float(row.sum())
+        if abs(total - 1.0) > STATE_ATOL:
+            raise ValueError(f"outcome probabilities sum to {total!r}; state is not normalized")
+        row /= total
+    return probs
 
 
 def _check_state(state: np.ndarray, n: int) -> np.ndarray:
@@ -161,15 +216,10 @@ def simulate_counts(state: np.ndarray, setting, shots: int, seed) -> dict[tuple[
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _sample_counts(_check_state(state, len(bases)), bases, shots, rng)
-
-
-def _sample_counts(state: np.ndarray, bases: str, shots: int, rng) -> dict[tuple[int, ...], int]:
-    """Outcome histogram of an already validated state; see :func:`simulate_counts`."""
     n = len(bases)
-    counts = rng.multinomial(shots, _setting_probabilities(state, bases))
+    probs = _setting_probabilities(_check_state(state, n), [bases])[0]
     hist = {}
-    for idx, cnt in enumerate(counts):
+    for idx, cnt in enumerate(rng.multinomial(shots, probs)):
         if cnt == 0:
             continue
         bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
@@ -177,12 +227,12 @@ def _sample_counts(state: np.ndarray, bases: str, shots: int, rng) -> dict[tuple
     return hist
 
 
-def _term_sign(outcome: tuple[int, ...], string: str) -> int:
-    sign = 1
-    for o, ch in zip(outcome, string):
-        if ch != "I":
-            sign *= o
-    return sign
+def _outcome_signs(strings: list[str]) -> np.ndarray:
+    """``[outcome, term]`` product of the +-1 outcomes on each string's non-identity qubits."""
+    n = len(strings[0])
+    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # [outcome, qubit]
+    support = np.array([[ch != "I" for ch in s] for s in strings], dtype=int)  # [term, qubit]
+    return 1 - 2 * (bits @ support.T & 1)
 
 
 def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed: int = 0) -> ShotEstimate:
@@ -216,16 +266,17 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     identity = "I" * n
     value = sum(t.coefficient for t in terms if t.string == identity)
     variance = 0.0
+    probs = _setting_probabilities(state, [s.bases for s in settings]) if settings else []
     for k, setting in enumerate(settings):
-        rng = np.random.default_rng([seed, k])
-        hist = _sample_counts(state, setting.bases, shots, rng)
+        counts = np.random.default_rng([seed, k]).multinomial(shots, probs[k])
+        covered = [terms[i] for i in setting.covered_terms]
+        # [outcome, term] signed coefficients; each row is summed left to right below
+        signed = np.array([t.coefficient for t in covered]) * _outcome_signs([t.string for t in covered])
         mean_acc = 0.0
         sq_acc = 0.0
-        for outcome, cnt in hist.items():
-            v = sum(
-                terms[i].coefficient * _term_sign(outcome, terms[i].string)
-                for i in setting.covered_terms
-            )
+        for idx in np.flatnonzero(counts):
+            cnt = int(counts[idx])
+            v = sum(signed[idx].tolist())
             mean_acc += cnt * v
             sq_acc += cnt * v * v
         mean = mean_acc / shots

@@ -175,6 +175,22 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "only for qubit systems" in err
 
+    @pytest.mark.parametrize("witness", ["sru", "stabilizer", "ppt"])
+    def test_simulate_refuses_zero_shots_before_the_work(self, tmp_path, capsys, monkeypatch, witness):
+        from chandet import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the request must be refused before any work")
+
+        monkeypatch.setattr(cli, "detect_npt", no_work)
+        monkeypatch.setattr(cli, "_sru_witness", no_work)
+        monkeypatch.setattr(cli, "_stabilizer_witness", no_work)
+        path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        argv = ["simulate", "--channel", path, "--witness", witness, "--shots", "0"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "omit --shots for the default of 100000" in err
+
     def test_tp_failure_is_numerical(self, tmp_path, capsys):
         bad = {
             "dims": [2],
@@ -428,6 +444,30 @@ class TestPipelines:
         res = run_json(capsys, *argv)["results"]
         assert calls == [(16, 16)]
         assert res["setting_count"] > 0
+
+    @pytest.mark.parametrize(
+        "command", [["simulate", "--witness", "sru"], ["detect-npt"]], ids=["simulate-sru", "detect-npt"]
+    )
+    def test_shot_requests_build_no_dense_pauli_string(self, tmp_path, capsys, monkeypatch, command):
+        # the Pauli expansion and the product bases come from index tables and
+        # broadcasting; a dense kron per string or per setting must not come back
+        from chandet import channels, cli, detect, ensembles, measure, pptdetect, qmath
+
+        calls = []
+        for name in ("kron", "pauli_string"):
+            real = getattr(qmath, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            for module in (qmath, channels, detect, ensembles, measure, pptdetect, cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        res = run_json(capsys, *command, "--channel", path, "--shots", "1000")["results"]
+        assert res["estimate"]["shots_per_setting"] == 1000
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["decompose-witness", "simulate"])
     def test_stabilizer_witness_for_noisy_cnot_target(self, tmp_path, capsys, command):

@@ -1,20 +1,24 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from chandet.channels import Channel, cnot_channel, depolarizing_channel
-from chandet.detect import build_sru_witness, eb_witness, evaluate_witness
-from chandet.ensembles import random_density_matrix
+from chandet.channels import STATE_ATOL, Channel, cnot_channel, depolarizing_channel
+from chandet.detect import build_sru_witness, eb_witness, evaluate_witness, stabilizer_witness
+from chandet.ensembles import random_channel, random_density_matrix
 from chandet.measure import (
     MeasurementSetting,
     PauliTerm,
+    ShotEstimate,
+    _setting_probabilities,
     estimate_witness,
     group_settings,
     pauli_decompose,
     simulate_counts,
 )
-from chandet.qmath import PAULI, kron, max_entangled
+from chandet.pptdetect import detect_npt
+from chandet.qmath import PAULI, haar_unitary, kron, max_entangled
 
 I2, X = PAULI["I"], PAULI["X"]
 CNOT = np.eye(4, dtype=complex)
@@ -77,6 +81,9 @@ class TestPauliDecompose:
     def test_rejects_non_qubit_or_non_hermitian(self):
         with pytest.raises(ValueError):
             pauli_decompose(np.eye(3))
+        for shape in [(0, 0), (), (1, 1), (4,), (2, 4), (2, 2, 2)]:
+            with pytest.raises(ValueError, match="is not a square power of 2"):
+                pauli_decompose(np.ones(shape))
         with pytest.raises(ValueError):
             pauli_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
@@ -102,6 +109,12 @@ class TestGroupSettings:
         assert len(settings) == 1
         assert settings[0].bases[0] == "Z" and settings[0].bases[3] == "Z"
         assert settings[0].covered_terms == (0,)
+
+    def test_rejects_malformed_strings(self):
+        with pytest.raises(ValueError, match="unknown Pauli letter"):
+            group_settings([PauliTerm("XA", 1.0)])
+        with pytest.raises(ValueError, match="different lengths"):
+            group_settings([PauliTerm("XX", 1.0), PauliTerm("Z", 1.0)])
 
     def test_partition_covers_each_term_once(self):
         w = build_sru_witness(CNOT, (2, 2), 0.5)
@@ -242,3 +255,195 @@ class TestEstimateWitness:
         for shots in (0, 100):
             with pytest.raises(ValidationError, match="negative eigenvalue"):
                 estimate_witness(choi_mt, w, shots, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the dense measurement layer that the tabulated one
+# replaced: one kron per Pauli string, a character-wise greedy grouping and one
+# kron basis per setting. The fast layer must agree with them bit for bit,
+# because the probabilities seed multinomial streams and the reports print
+# every digit.
+
+EIGENBASIS = {
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+    "Z": np.eye(2, dtype=complex),
+}
+
+
+def dense_decompose(w, tol=1e-12):
+    w = np.asarray(w, dtype=complex)
+    n = int(round(np.log2(w.shape[0])))
+    terms = []
+    for letters in itertools.product("IXYZ", repeat=n):
+        s = "".join(letters)
+        coeff = complex(np.trace(_string_matrix(s) @ w)) / 2**n
+        assert abs(coeff.imag) <= 1e-12
+        if abs(coeff.real) > tol:
+            terms.append(PauliTerm(string=s, coefficient=float(coeff.real)))
+    return terms
+
+
+def _compatible(term, bases):
+    return all(t == "I" or t == b for t, b in zip(term, bases))
+
+
+def greedy_group(terms):
+    terms = list(terms)
+    order = sorted(
+        (i for i, t in enumerate(terms) if t.string.count("I") < len(t.string)),
+        key=lambda i: (terms[i].string.count("I"), i),
+    )
+    settings = []
+    for pos, i in enumerate(order):
+        term = terms[i].string
+        for bases, covered in settings:
+            if _compatible(term, "".join(bases)):
+                covered.append(i)
+                break
+        else:
+            pattern = [ch if ch != "I" else None for ch in term]
+            for j in order[pos + 1 :]:
+                other = terms[j].string
+                if all(ch == "I" or pattern[k] is None or pattern[k] == ch for k, ch in enumerate(other)):
+                    for k, ch in enumerate(other):
+                        if ch != "I":
+                            pattern[k] = ch
+            settings.append(([ch if ch is not None else "X" for ch in pattern], [i]))
+    return [MeasurementSetting(bases="".join(b), covered_terms=tuple(c)) for b, c in settings]
+
+
+def kron_probabilities(state, bases):
+    b = kron(*(EIGENBASIS[ch] for ch in bases))
+    probs = np.clip(np.real(np.einsum("ij,jk,ki->i", b.conj().T, state, b)), 0.0, None)
+    total = float(probs.sum())
+    assert abs(total - 1.0) <= STATE_ATOL
+    return probs / total
+
+
+def dense_estimate(choi, w, shots, seed):
+    state = choi.matrix
+    n = len(choi.dims)
+    terms = dense_decompose(w.operator)
+    settings = greedy_group(terms)
+    value = sum(t.coefficient for t in terms if t.string == "I" * n)
+    variance = 0.0
+    for k, setting in enumerate(settings):
+        counts = np.random.default_rng([seed, k]).multinomial(shots, kron_probabilities(state, setting.bases))
+        mean_acc = sq_acc = 0.0
+        for idx, cnt in enumerate(counts):
+            if cnt == 0:
+                continue
+            outcome = [1 - 2 * ((idx >> (n - 1 - q)) & 1) for q in range(n)]
+            v = sum(
+                terms[i].coefficient
+                * math.prod(o for o, ch in zip(outcome, terms[i].string) if ch != "I")
+                for i in setting.covered_terms
+            )
+            mean_acc += int(cnt) * v
+            sq_acc += int(cnt) * v * v
+        mean = mean_acc / shots
+        value += mean
+        if shots > 1:
+            variance += (sq_acc / shots - mean**2) * shots / (shots - 1) / shots
+    return ShotEstimate(float(value), float(np.sqrt(variance)), shots, seed, len(settings))
+
+
+def _noisy_cnot(p):
+    noise = depolarizing_channel(p)
+    return Channel([kron(a, b) @ CNOT for a in noise.kraus for b in noise.kraus], (2, 2))
+
+
+def _bit_flipped_cnot(p):
+    # flips only the target qubit, so stabilizers without Z there stay sharp
+    return Channel([np.sqrt(1 - p) * CNOT, np.sqrt(p) * kron(I2, X) @ CNOT], (2, 2))
+
+
+def _qubit_pair_channels():
+    yield "cnot", cnot_channel()
+    yield "bit-flipped-cnot", _bit_flipped_cnot(0.1)
+    yield "noisy-cnot", _noisy_cnot(0.2)
+    for seed in range(3):
+        yield f"haar-{seed}", Channel([haar_unitary(4, seed)], (2, 2))
+    for rank in (1, 2, 4, 16):
+        yield f"kraus-rank-{rank}", random_channel((2, 2), 40 + rank, kraus_count=rank)
+
+
+QUBIT_PAIR_CHANNELS = dict(_qubit_pair_channels())
+
+
+def _sru_witness_of(u):
+    from chandet.detect import operator_schmidt
+
+    return build_sru_witness(u, (2, 2), min(float(operator_schmidt(u, 2, 2).sigmas[0] ** 2), 1.0))
+
+
+class TestMatchesDenseReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pauli_decompose(self, n):
+        rng = np.random.default_rng(n)
+        d = 2**n
+        for trial in range(25):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            if trial % 3 == 0:
+                a[rng.random((d, d)) < 0.5] = 0  # exact zeros and cancelling terms
+            if trial % 4 == 0:
+                a = np.round(a, 1)
+            op = a + a.conj().T
+            for tol in (1e-12, 0.3):
+                assert pauli_decompose(op, tol) == dense_decompose(op, tol)
+
+    def test_pauli_decompose_of_witnesses(self):
+        ws = [eb_witness(), stabilizer_witness(("XXXI", "IXIX", "ZIZI", "ZZIZ"))]
+        ws += [_sru_witness_of(u) for u in (CNOT, haar_unitary(4, 7))]
+        for w in ws:
+            assert pauli_decompose(w.operator) == dense_decompose(w.operator)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_group_settings(self, n):
+        rng = np.random.default_rng(10 + n)
+        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+        subsets = [[], ["I" * n], ["I" * n] * 3, strings[:256]]
+        for _ in range(40):
+            size = int(rng.integers(1, min(len(strings), 256) + 1))
+            subsets.append(list(rng.choice(strings, size=size, replace=bool(rng.integers(2)))))
+        for subset in subsets:
+            terms = [PauliTerm(str(s), 1.0) for s in subset]
+            assert group_settings(terms) == greedy_group(terms)
+
+    def test_group_settings_of_witnesses(self):
+        for ch in QUBIT_PAIR_CHANNELS.values():
+            report = detect_npt(ch)
+            if report.witness is not None:
+                terms = pauli_decompose(report.witness.operator)
+                assert group_settings(terms) == greedy_group(terms)
+
+    @pytest.mark.parametrize("name", sorted(QUBIT_PAIR_CHANNELS))
+    def test_probabilities(self, name):
+        state = QUBIT_PAIR_CHANNELS[name].choi.matrix
+        bases = ["".join(p) for p in itertools.product("XYZ", repeat=4)]
+        expected = np.array([kron_probabilities(state, b) for b in bases])
+        assert np.array_equal(_setting_probabilities(state, bases), expected)
+        if name in ("cnot", "bit-flipped-cnot"):
+            assert np.count_nonzero(expected == 0) > 0  # outcomes the state cannot produce
+
+    @pytest.mark.parametrize(
+        "name", ["cnot", "bit-flipped-cnot", "noisy-cnot", "haar-0", "kraus-rank-2", "kraus-rank-16"]
+    )
+    def test_estimate_witness(self, name):
+        ch = QUBIT_PAIR_CHANNELS[name]
+        targets = [CNOT, haar_unitary(4, 3)]
+        witnesses = [(ch.choi, _sru_witness_of(u)) for u in targets]
+        report = detect_npt(ch)
+        if report.witness is not None:
+            witnesses.append((report.composite, report.witness))
+        for choi, w in witnesses:
+            for shots, seed in [(1, 0), (2, 5), (1000, 1), (20_000, 9)]:
+                assert estimate_witness(choi, w, shots, seed) == dense_estimate(choi, w, shots, seed)
+
+    def test_estimate_eb_witness(self):
+        for seed in range(3):
+            ch = random_channel((2,), seed, kraus_count=2)
+            for shots in (1, 2, 5000):
+                est = estimate_witness(ch.choi, eb_witness(), shots, seed)
+                assert est == dense_estimate(ch.choi, eb_witness(), shots, seed)
