@@ -33,7 +33,6 @@ from .detect import (
     Witness,
     _sru_witness_from_schmidt,
     alpha_sru_optimize,
-    choi_vector,
     classify_violation,
     eb_witness,
     evaluate_witness,
@@ -53,6 +52,11 @@ EXIT_NUMERICAL_ERROR = 3
 MAX_CHANNEL_DIM = 36
 # Largest --starts. The optimizer holds a few (starts, d, d) arrays at once.
 MAX_STARTS = 10_000
+# Largest --shots: the sampler draws each setting's counts as one int64 multinomial.
+MAX_SHOTS = int(np.iinfo(np.int64).max)
+# Channel dims the measurement layer serves. Its Pauli tables hold 4^n x 2^n
+# entries for an n-qubit Choi state, so n stays at most 4.
+_MEASURED_DIMS = ((2,), (2, 2))
 # Shots per setting of simulate when --shots is not given.
 _SIMULATE_SHOTS = 100_000
 
@@ -86,6 +90,13 @@ def _number(obj, where: str) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise SpecError(f"{where} must be a finite number")
+    return value
+
+
+def _whole_number(obj, where: str) -> float:
+    value = _number(obj, where)
+    if not value.is_integer():
+        raise SpecError(f"{where} must be a whole number")
     return value
 
 
@@ -127,7 +138,7 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 # Parser of each named-channel parameter, by parameter name; other keys are ignored.
 _PARAM_PARSERS = {
     "p": _number,
-    "d": _number,
+    "d": _whole_number,
     "probs": _number_list,
     "matrix": _complex_matrix,
     "sigma": _complex_matrix,
@@ -243,9 +254,18 @@ def _require_dims(ch: Channel, allowed, command: str) -> None:
         raise SpecError(f"{command} needs channel dims {opts}, got {list(ch.dims)}")
 
 
+def _require_measurable(ch: Channel, what: str) -> None:
+    """Refuse, before any work, a channel whose Choi state the measurement layer does not serve."""
+    if ch.dims not in _MEASURED_DIMS:
+        raise SpecError(
+            f"{what} is available only for qubit systems with channel dims [2] or [2, 2], "
+            f"got {list(ch.dims)}"
+        )
+
+
 def _require_qubit_shots(ch: Channel, opts: PipelineOptions) -> None:
-    if opts.shots and any(d != 2 for d in ch.dims):
-        raise SpecError("shot simulation is available only for qubit systems")
+    if opts.shots:
+        _require_measurable(ch, "shot simulation")
 
 
 def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.ndarray:
@@ -286,8 +306,7 @@ def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
     """
     u = _target_gate(channel, opts, "the stabilizer witness")
     w = stabilizer_witness(CNOT_STABILIZER_GENERATORS)
-    ket = choi_vector(u, channel.dims)
-    value = float(np.real(ket.conj() @ w.operator @ ket))
+    value = evaluate_witness(w, Channel([u], channel.dims).choi)
     if not abs(value + 1.0) <= ATOL:
         raise SpecError(
             "the stabilizer witness needs a CNOT reference gate: its expectation on the "
@@ -350,11 +369,17 @@ def _witness_terms_payload(w: Witness) -> dict:
     }
 
 
+def _eb_witness(channel: Channel) -> Witness:
+    try:
+        return eb_witness(channel.dims)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+
+
 def _build_witness(channel: Channel, kind: str, opts: PipelineOptions):
     """Witness of the requested kind plus a payload describing its provenance."""
     if kind == "eb":
-        _require_dims(channel, [(2,)], "the eb witness")
-        return eb_witness(), {"witness": "eb"}
+        return _eb_witness(channel), {"witness": "eb"}
     if kind == "sru":
         _require_dims(channel, [(2, 2)], "witness decomposition")
         w, _, source = _sru_witness(channel, opts, "witness construction")
@@ -372,6 +397,7 @@ def _build_witness(channel: Channel, kind: str, opts: PipelineOptions):
 
 
 def _run_decompose_witness(channel: Channel, opts: PipelineOptions) -> dict:
+    _require_measurable(channel, "witness decomposition")
     kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
     w, payload = _build_witness(channel, kind, opts)
     payload.update(_witness_terms_payload(w))
@@ -379,9 +405,9 @@ def _run_decompose_witness(channel: Channel, opts: PipelineOptions) -> dict:
 
 
 def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> dict:
-    _require_dims(channel, [(2,)], "detect-eb")
-    w = eb_witness()
-    value = evaluate_witness(w, channel)
+    _require_qubit_shots(channel, opts)
+    w = _eb_witness(channel)
+    value = evaluate_witness(w, channel.choi)
     bounds = robustness_bounds(value, w)
     results = {
         "expectation": value,
@@ -404,7 +430,7 @@ def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool 
     _require_dims(channel, [(2, 2), (3, 3)], "detect-sru")
     _require_qubit_shots(channel, opts)
     w, sd, source = _sru_witness(channel, opts, "detect-sru")
-    value = evaluate_witness(w, channel)
+    value = evaluate_witness(w, channel.choi)
     verdict = classify_violation(value, w)
     results = {
         "alpha_sru": float(np.sqrt(w.alpha_sru_sq)),
@@ -459,6 +485,7 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
             f"{_SIMULATE_SHOTS}"
         )
     sim_opts = replace(opts, shots=opts.shots or _SIMULATE_SHOTS)
+    _require_measurable(channel, "shot simulation")
     kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
     if kind == "ppt":
         _require_dims(channel, [(2, 2)], "simulate --witness ppt")
@@ -473,8 +500,7 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
     else:
         w, payload = _build_witness(channel, kind, sim_opts)
         measured = channel.choi
-        _require_qubit_shots(channel, sim_opts)
-    exact = float(np.real(np.trace(w.operator @ measured.matrix)))
+    exact = evaluate_witness(w, measured)
     est = estimate_witness(measured, w, sim_opts.shots, sim_opts.seed)
     payload.update(exact=exact, estimate=_estimate_fields(est), setting_count=est.setting_count)
     return payload
@@ -600,6 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _options_from_args(args) -> PipelineOptions:
     if args.shots is not None and args.shots < 0:
         raise SpecError("--shots must be non-negative")
+    if args.shots is not None and args.shots > MAX_SHOTS:
+        raise SpecError(f"--shots {args.shots} is above the limit {MAX_SHOTS}")
     if args.seed < 0:
         raise SpecError("--seed must be non-negative")
     if args.starts < 1:

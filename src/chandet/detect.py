@@ -4,6 +4,9 @@ Covers the operator Schmidt decomposition of bipartite gates, the maximal
 overlap of a gate's Choi state with product-unitary Choi states (found by
 multistart alternating polar ascent), witness operators built from those
 overlaps, and the robustness bounds extracted from a measured expectation.
+The EB and SRU witnesses are one family alpha^2 Id - P_U (eigenvalues alpha^2
+and alpha^2 - 1), P_U the projector onto a unitary's Choi state: SRU takes the
+target gate, EB takes U = Id_D and alpha^2 = 1/D in every dimension.
 """
 
 import enum
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, VERDICT_MARGIN, WITNESS_HERM_ATOL, ZERO_CUTOFF
-from .channels import Channel, ValidationError, _check_hermitian, _check_unitary
+from .channels import ChoiMatrix, ValidationError, _check_hermitian, _check_unitary
 from .qmath import dag, haar_unitary, pauli_string, _as_dims
 
 MAX_SWEEPS = 500
@@ -52,7 +55,8 @@ class Witness:
     ``alpha_sru_sq`` and ``alpha_s_sq`` are the squared reference overlaps of
     the target gate's Choi state with the product-unitary set and with the
     larger single-product-Kraus set; when both are present the first never
-    exceeds the second (product unitaries are a subset).
+    exceeds the second (product unitaries are a subset). ``alpha_sq`` is the
+    alpha^2 of a fidelity witness alpha^2 Id - P_U, its largest eigenvalue.
     """
 
     operator: np.ndarray
@@ -60,6 +64,7 @@ class Witness:
     dims: tuple[int, ...]
     alpha_sru_sq: float | None = None
     alpha_s_sq: float | None = None
+    alpha_sq: float | None = None
 
     def __post_init__(self):
         op = np.asarray(self.operator, dtype=complex)
@@ -72,9 +77,6 @@ class Witness:
                 raise ValueError(
                     f"alpha_sru_sq={self.alpha_sru_sq} exceeds alpha_s_sq={self.alpha_s_sq}"
                 )
-
-    def max_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.operator)[-1])
 
 
 @dataclass(frozen=True)
@@ -208,27 +210,29 @@ def build_sru_witness(u: np.ndarray, dims, alpha_sq: float) -> Witness:
     return _sru_witness_from_schmidt(u, operator_schmidt(u, dims[0], dims[1]), alpha_sq)
 
 
-def _sru_witness_from_schmidt(u: np.ndarray, sd: SchmidtDecomposition, alpha_sq: float) -> Witness:
-    """:func:`build_sru_witness` for a checked unitary whose Schmidt decomposition is ``sd``."""
+def _fidelity_witness(u: np.ndarray, alpha_sq: float, kind: str, dims, **overlaps) -> Witness:
+    """alpha_sq * Id - P_U, P_U = outer(vec U, conj vec U) / D rounding each entry once."""
     alpha_sq = float(alpha_sq)
     if not 0.0 < alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq={alpha_sq!r} outside (0, 1]")
-    ket = choi_vector(u, sd.dims)
-    return Witness(
-        operator=alpha_sq * np.eye(ket.size) - np.outer(ket, ket.conj()),
-        kind="sru",
-        dims=sd.dims + sd.dims,
-        alpha_sru_sq=alpha_sq,
-        alpha_s_sq=float(sd.sigmas[0] ** 2),
-    )
+    vec = np.asarray(u, dtype=complex).reshape(-1)
+    op = alpha_sq * np.eye(vec.size) - np.outer(vec, vec.conj()) / len(u)
+    return Witness(op, kind, dims + dims, alpha_sq=alpha_sq, **overlaps)
 
 
-def eb_witness() -> Witness:
-    """Qubit witness (Id Id - XX + YY - ZZ)/4 for entanglement-breaking detection."""
-    op = 0.25 * (
-        pauli_string("II") - pauli_string("XX") + pauli_string("YY") - pauli_string("ZZ")
-    )
-    return Witness(operator=op, kind="eb", dims=(2, 2))
+def _sru_witness_from_schmidt(u: np.ndarray, sd: SchmidtDecomposition, alpha_sq: float) -> Witness:
+    """:func:`build_sru_witness` for a checked unitary whose Schmidt decomposition is ``sd``."""
+    overlaps = {"alpha_sru_sq": float(alpha_sq), "alpha_s_sq": float(sd.sigmas[0] ** 2)}
+    return _fidelity_witness(u, alpha_sq, "sru", sd.dims, **overlaps)
+
+
+def eb_witness(dims=(2,)) -> Witness:
+    """Id/D - |Phi><Phi|: separable (EB) Choi states have fidelity <= 1/D with |Phi>; needs D >= 2."""
+    dims = _as_dims(dims)
+    d = math.prod(dims)
+    if d < 2:  # the witness would be 0
+        raise ValueError(f"the eb witness needs prod(dims) >= 2, got dims {list(dims)}")
+    return _fidelity_witness(np.eye(d), 1.0 / d, "eb", dims)
 
 
 def _parse_signed_pauli(s: str):
@@ -294,11 +298,11 @@ def stabilizer_witness(generators) -> Witness:
     return Witness(operator=op, kind="stabilizer", dims=(2,) * n)
 
 
-def evaluate_witness(w: Witness, ch: Channel) -> float:
-    """Exact witness expectation Tr[W * Choi(ch)]."""
-    if w.dims != ch.choi.dims:
-        raise ValueError(f"witness dims {w.dims} do not match Choi dims {ch.choi.dims}")
-    val = complex(np.trace(w.operator @ ch.choi.matrix))
+def evaluate_witness(w: Witness, choi: ChoiMatrix) -> float:
+    """Exact witness expectation Tr[W * choi] on the measured Choi state."""
+    if w.dims != choi.dims:
+        raise ValueError(f"witness dims {w.dims} do not match Choi dims {choi.dims}")
+    val = complex(np.trace(w.operator @ choi.matrix))
     if abs(val.imag) > ATOL:
         raise ValidationError(f"witness expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -324,13 +328,13 @@ def robustness_bounds(c: float, w: Witness) -> BoundReport:
     """Generalized-robustness and critical-mixing lower bounds from expectation c.
 
     R >= |c| / w_max for c below -``VERDICT_MARGIN`` (else 0, as for the verdict),
-    and the minimal EB-mixing weight obeys mu_c >= 1 - 1/(1 + R).
+    and the minimal EB-mixing weight obeys mu_c >= 1 - 1/(1 + R); w_max is a fidelity witness's alpha^2.
     """
     c = float(c)
-    w_max = w.max_eigenvalue()
+    if w.alpha_sq is None:
+        raise ValueError(f"the {w.kind} witness is not of the form alpha^2 Id - P_U; bounds undefined")
+    w_max = w.alpha_sq
     if c < -VERDICT_MARGIN:
-        if w_max <= 0.0:
-            raise ValueError("witness has no positive eigenvalue; bounds undefined")
         r = abs(c) / w_max
     else:
         r = 0.0

@@ -51,13 +51,13 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class ShotEstimate:
-    """Estimated witness value; ``setting_count`` settings were measured (none when exact)."""
+    """Estimated witness value from ``shots_per_setting`` shots on each of ``setting_count`` settings."""
 
     value: float
     std_error: float
     shots_per_setting: int
     seed: int
-    setting_count: int = 0
+    setting_count: int
 
 
 def _pauli_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,8 +239,8 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     """Estimate Tr[W * choi] from simulated local measurements on the Choi state.
 
     The state is validated (Hermitian, unit trace, positive semidefinite) once,
-    before any setting is sampled. ``shots_per_setting == 0`` selects exact
-    evaluation (a degenerate estimate with zero standard error). Terms sharing
+    before any setting is sampled; ``shots_per_setting`` must be at least 1
+    (the exact value is :func:`chandet.detect.evaluate_witness`). Terms sharing
     a setting are evaluated from the same shots, and their covariance enters
     the standard error through the per-shot sample variance of the combined
     value.
@@ -253,14 +253,10 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if shots < 0:
-        raise ValueError("shots_per_setting must be non-negative")
     n = len(choi.dims)
     state = _check_state(choi.matrix, n)
-    if shots == 0:
-        exact = float(np.real(np.trace(w.operator @ state)))
-        return ShotEstimate(value=exact, std_error=0.0, shots_per_setting=0, seed=seed)
-
+    if shots < 1:
+        raise ValueError("shots_per_setting must be >= 1")
     terms = pauli_decompose(w.operator)
     settings = group_settings(terms)
     identity = "I" * n

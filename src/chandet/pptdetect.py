@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ATOL, VERDICT_MARGIN, Channel, ChoiMatrix, ValidationError
-from .detect import Witness
+from .detect import Witness, evaluate_witness
 from .qmath import partial_trace, partial_transpose
 
 NPT_DETECTED = "npt_detected"
@@ -143,11 +143,9 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
                 "most negative eigenvalue is degenerate; witness uses the projection of "
                 "(1, 2, ..., N)/N onto its eigenspace"
             )
-    elif witness.dims != choi_mt.dims:
-        raise ValueError(f"witness dims {witness.dims} do not match Choi dims {choi_mt.dims}")
 
     choi_comp = spa_composite(ch, p)
-    expectation = float(np.real(np.trace(witness.operator @ choi_comp.matrix)))
+    expectation = evaluate_witness(witness, choi_comp)
 
     # Two-term split: the witness is proj^{T_A}, so traces against partially
     # transposed states turn into plain projector overlaps.

@@ -63,7 +63,7 @@ def passed(n, text):
 def test_criterion_01_eb_detection_curve():
     w = eb_witness()
     for p in np.arange(0.0, 1.0 + 1e-9, 0.1):
-        value = evaluate_witness(w, depolarizing_channel(p))
+        value = evaluate_witness(w, depolarizing_channel(p).choi)
         assert abs(value - (p - 0.5)) <= 1e-9, p
         if p < 0.5 - 1e-12:
             assert value < 0  # detected: not entanglement breaking
@@ -75,7 +75,7 @@ def test_criterion_01_eb_detection_curve():
 def test_criterion_02_mu_c_bounds():
     p = 0.25
     w = eb_witness()
-    rep = robustness_bounds(evaluate_witness(w, depolarizing_channel(p)), w)
+    rep = robustness_bounds(evaluate_witness(w, depolarizing_channel(p).choi), w)
     closed = (1 - 2 * p) / (2 - 2 * p)
     assert abs(rep.mu_c_lb - 1 / 3) <= 1e-12
     assert abs(rep.mu_c_lb - closed) <= 1e-12
@@ -107,13 +107,13 @@ def test_criterion_04_w_cnot_structure():
     settings = group_settings(terms)
     assert len(settings) == 9
     assert {s.bases for s in settings} == EXPECTED_CNOT_SETTINGS
-    assert abs(evaluate_witness(w, cnot_channel()) + 0.5) <= 1e-10
+    assert abs(evaluate_witness(w, cnot_channel().choi) + 0.5) <= 1e-10
     passed(4, "W_CNOT: 16 strings with the expected signs, 9 settings, detection value -1/2")
 
 
 def test_criterion_05_stabilizer_witness():
     w = stabilizer_witness(("XXXI", "IXIX", "ZIZI", "ZZIZ"))
-    assert abs(evaluate_witness(w, cnot_channel()) + 1.0) <= 1e-10
+    assert abs(evaluate_witness(w, cnot_channel().choi) + 1.0) <= 1e-10
     settings = group_settings(pauli_decompose(w.operator))
     assert len(settings) == 2
     assert {s.bases for s in settings} == {"XXXX", "ZZZZ"}
@@ -129,8 +129,15 @@ def test_criterion_06_z3_analysis():
     assert abs(np.sum(sd.sigmas**2) - 1.0) <= 1e-10
     alpha, _, _ = alpha_sru_optimize(z3.kraus[0], (3, 3), starts=50, seed=0)
     assert abs(alpha - 0.786) <= 0.01
+    # For a diagonal gate U = diag(u_ab), F = Tr_B[(I x u_b^dag) U] is diagonal with
+    # F_aa = sum_b conj(beta_b) u_ab, beta = diag(u_b); ||F||_1 is convex in beta, so
+    # alpha_SRU = max over the torus |beta_b| = 1 of sum_a |sum_b conj(beta_b) u_ab| / 9.
+    # For z3, rows 1-2 give |s + beta_3| and row 3 gives |s - beta_3| with s = beta_1 + beta_2;
+    # convexity puts |s| = 2, and with beta_3 = 1, c = cos arg s the sum is
+    # 2 sqrt(5 + 4c) + sqrt(5 - 4c), maximal at c = 3/4 where it is 5 sqrt(2): alpha^2 = 50/81.
+    assert abs(alpha**2 - 50 / 81) <= 1e-12
     w = build_sru_witness(z3.kraus[0], (3, 3), alpha**2)
-    value = evaluate_witness(w, z3)
+    value = evaluate_witness(w, z3.choi)
     assert abs(value - (alpha**2 - 1.0)) <= 1e-10
     gap = w.alpha_sru_sq - w.alpha_s_sq
     assert abs(gap + 0.111) < 5e-3
@@ -164,7 +171,7 @@ def test_criterion_08_spa_minimality():
 def test_criterion_09_witness_soundness():
     w_cnot = build_sru_witness(CNOT, (2, 2), 0.5)
     for seed in range(200):
-        assert evaluate_witness(w_cnot, random_sru_channel((2, 2), seed=seed)) >= -1e-9
+        assert evaluate_witness(w_cnot, random_sru_channel((2, 2), seed=seed).choi) >= -1e-9
     w_eb = eb_witness()
     for seed in range(500):
         rho = random_separable_state((2, 2), seed=seed)

@@ -96,6 +96,7 @@ class TestSpecParsing:
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": "0.3"}},
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": True}},
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.1, "d": 0}},
+            {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.25, "d": 2.9}},
         ],
     )
     def test_schema_violations(self, spec):
@@ -125,6 +126,13 @@ class TestSpecParsing:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INPUT_ERROR and out == ""
         assert f"above the limit {cli.MAX_STARTS}" in err
+
+    def test_shots_bound(self, tmp_path, capsys):
+        # the sampler draws int64 multinomial counts; a larger --shots used to escape as OverflowError
+        path = write_spec(tmp_path, "dep.json", dep_spec())
+        code, out, err = run(capsys, "detect-eb", "--channel", path, "--shots", "99999999999999999999")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "above the limit 9223372036854775807" in err
 
     def test_tp_deficit_reported(self):
         from chandet.channels import ValidationError
@@ -157,8 +165,8 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR and out == ""
 
     def test_wrong_dims_for_command(self, tmp_path, capsys):
-        path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
-        code, _, err = run(capsys, "detect-eb", "--channel", path)
+        path = write_spec(tmp_path, "dep.json", dep_spec())
+        code, _, err = run(capsys, "detect-sru", "--channel", path)
         assert code == EXIT_INPUT_ERROR and "dims" in err
 
     @pytest.mark.parametrize("command", ["detect-sru", "detect-sep", "detect-npt"])
@@ -174,6 +182,34 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--channel", path, "--shots", "100")
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "only for qubit systems" in err
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["decompose-witness", "--witness", "eb"], {"dims": [1], "kind": "kraus", "kraus": [[[[1, 0]]]]}),
+            (["decompose-witness", "--witness", "eb"], {"dims": [3], "kind": "named", "name": "identity"}),
+            (["decompose-witness", "--witness", "eb"], {"dims": [2, 2, 2], "kind": "named", "name": "identity"}),
+            (["detect-eb", "--shots", "100"], {"dims": [2, 2, 2], "kind": "named", "name": "identity"}),
+            (["simulate", "--witness", "eb"], {"dims": [3], "kind": "named", "name": "identity"}),
+        ],
+    )
+    def test_measurement_refused_beyond_four_qubits(self, tmp_path, capsys, monkeypatch, argv, spec):
+        from chandet import measure
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("the Pauli tables must not be built")
+
+        monkeypatch.setattr(measure, "_pauli_tables", no_tables)
+        path = write_spec(tmp_path, "spec.json", spec)
+        code, out, err = run(capsys, *argv, "--channel", path)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "only for qubit systems with channel dims [2] or [2, 2]" in err
+
+    def test_eb_witness_needs_dimension_two(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "one.json", {"dims": [1], "kind": "kraus", "kraus": [[[[1, 0]]]]})
+        code, out, err = run(capsys, "detect-eb", "--channel", path)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "prod(dims) >= 2" in err
 
     @pytest.mark.parametrize("witness", ["sru", "stabilizer", "ppt"])
     def test_simulate_refuses_zero_shots_before_the_work(self, tmp_path, capsys, monkeypatch, witness):
@@ -497,6 +533,27 @@ class TestPipelines:
         assert res["witness"] == "eb"
         assert res["setting_count"] == 3
 
+    def test_two_qubit_eb_witness_is_measured(self, tmp_path, capsys):
+        from chandet.detect import eb_witness
+        from chandet.qmath import pauli_string
+
+        path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        res = run_json(capsys, "decompose-witness", "--channel", path, "--witness", "eb")["results"]
+        rebuilt = sum(t["coefficient"] * pauli_string(t["string"]) for t in res["terms"])
+        np.testing.assert_allclose(rebuilt, eb_witness((2, 2)).operator, atol=1e-15)
+        argv = ["simulate", "--channel", path, "--witness", "eb", "--shots", "1000"]
+        res = run_json(capsys, *argv)["results"]
+        assert res["exact"] == 0.0  # |Tr CNOT|^2 / 16 = 1/4 = alpha^2: CNOT is not flagged
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 2 / 3, 0.9, 1.0])
+    def test_detect_eb_qutrit_depolarizing(self, tmp_path, capsys, p):
+        spec = {"dims": [3], "kind": "named", "name": "depolarizing", "params": {"p": p}}
+        res = run_json(capsys, "detect-eb", "--channel", write_spec(tmp_path, "dep3.json", spec))["results"]
+        # fidelity of the Choi state with |Phi> is 1 - p, so the sign changes at p = 2/3
+        assert res["expectation"] == pytest.approx(1 / 3 - (1 - p), abs=1e-12)
+        assert res["verdict"] == ("not_entanglement_breaking" if p < 2 / 3 else "undetected")
+        assert res["bounds"]["w_max"] == 1 / 3
+
     def test_choi_pipeline(self, tmp_path, capsys):
         path = write_spec(tmp_path, "dep.json", dep_spec(0.75))
         res = run_json(capsys, "choi", "--channel", path)["results"]
@@ -617,7 +674,7 @@ class TestRendering:
 
         path = write_spec(tmp_path, "dep.json", dep_spec(0.3))
         res = run_json(capsys, "detect-eb", "--channel", path)["results"]
-        assert res["expectation"] == evaluate_witness(eb_witness(), depolarizing_channel(0.3))
+        assert res["expectation"] == evaluate_witness(eb_witness(), depolarizing_channel(0.3).choi)
 
 
 class TestEntryPoint:

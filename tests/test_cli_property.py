@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from chandet.channels import NAMED_CHANNELS  # noqa: E402
 from chandet.cli import COMMANDS, EXIT_INPUT_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK, main  # noqa: E402
 
-DIMS = ([1], [2], [1, 2], [2, 1], [2, 2])
+DIMS = ([1], [2], [3], [1, 2], [2, 1], [2, 2], [2, 2, 2])
 PARAM_KEYS = ["p", "d", "probs", "matrix", "sigma", "unitaries"]
 
 numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2, 2))

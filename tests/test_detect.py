@@ -206,7 +206,7 @@ class TestAlphaSruOptimize:
 class TestSruWitness:
     def test_cnot_witness_detects_cnot(self):
         w = build_sru_witness(CNOT, (2, 2), 0.5)
-        assert abs(evaluate_witness(w, cnot_channel()) + 0.5) < 1e-12
+        assert abs(evaluate_witness(w, cnot_channel().choi) + 0.5) < 1e-12
         assert w.alpha_s_sq is not None and abs(w.alpha_s_sq - 0.5) < 1e-10
 
     def test_identity_channel_value(self):
@@ -216,18 +216,18 @@ class TestSruWitness:
         overlap = alpha.conj() @ (kron(CNOT, np.eye(4)) @ alpha)
         expected = 0.5 - abs(overlap) ** 2
         assert abs(expected - 0.25) < 1e-12
-        assert abs(evaluate_witness(w, identity_channel([2, 2])) - expected) < 1e-12
+        assert abs(evaluate_witness(w, identity_channel([2, 2]).choi) - expected) < 1e-12
 
     def test_nonnegative_on_random_srus(self):
         w = build_sru_witness(CNOT, (2, 2), 0.5)
         for seed in range(50):
             ch = random_sru_channel((2, 2), seed=seed)
-            assert evaluate_witness(w, ch) >= -1e-9
+            assert evaluate_witness(w, ch.choi) >= -1e-9
 
     def test_z3_witness_value(self):
         alpha, _, _ = alpha_sru_optimize(Z3, (3, 3), starts=50, seed=0)
         w = build_sru_witness(Z3, (3, 3), alpha**2)
-        val = evaluate_witness(w, z3_channel())
+        val = evaluate_witness(w, z3_channel().choi)
         assert abs(val - (alpha**2 - 1.0)) < 1e-10
 
     def test_choi_vector_normalization(self):
@@ -247,7 +247,7 @@ class TestEbWitness:
     def test_depolarizing_curve(self):
         w = eb_witness()
         for p in (0.0, 0.25, 0.5, 1.0):
-            val = evaluate_witness(w, depolarizing_channel(p))
+            val = evaluate_witness(w, depolarizing_channel(p).choi)
             assert abs(val - (p - 0.5)) < 1e-12
 
     def test_bell_state_expectation(self):
@@ -256,7 +256,28 @@ class TestEbWitness:
         assert abs(val + 0.5) < 1e-12
 
     def test_max_eigenvalue(self):
-        assert abs(eb_witness().max_eigenvalue() - 0.5) < 1e-12
+        # the family alpha^2 Id - P_U has eigenvalues alpha^2 and alpha^2 - 1 in closed form
+        for dims in ((2,), (3,), (2, 2)):
+            w = eb_witness(dims)
+            eigs = np.linalg.eigvalsh(w.operator)
+            assert w.alpha_sq == 1.0 / np.prod(dims) and w.kind == "eb"
+            assert abs(eigs[-1] - w.alpha_sq) < 1e-12 and abs(eigs[0] - (w.alpha_sq - 1.0)) < 1e-12
+
+    def test_qubit_witness_is_the_pauli_sum_bitwise(self):
+        from chandet.qmath import pauli_string
+
+        literal = 0.25 * (pauli_string("II") - pauli_string("XX") + pauli_string("YY") - pauli_string("ZZ"))
+        assert np.array_equal(eb_witness().operator, literal)
+
+    def test_qubit_sru_witness_is_unchanged_bitwise(self):
+        # P_U = outer(vec U) / D and the old outer(vec U / sqrt(D)) agree exactly when D = 4
+        ket = choi_vector(CNOT, (2, 2))
+        reference = 0.5 * np.eye(16) - np.outer(ket, ket.conj())
+        assert np.array_equal(build_sru_witness(CNOT, (2, 2), 0.5).operator, reference)
+
+    def test_dimension_one_refused(self):
+        with pytest.raises(ValueError, match="prod"):
+            eb_witness((1,))
 
     def test_nonnegative_on_separable_states(self):
         w = eb_witness()
@@ -270,7 +291,7 @@ class TestStabilizerWitness:
 
     def test_detects_cnot(self):
         w = stabilizer_witness(self.GENS)
-        assert abs(evaluate_witness(w, cnot_channel()) + 1.0) < 1e-10
+        assert abs(evaluate_witness(w, cnot_channel().choi) + 1.0) < 1e-10
 
     def test_maximally_mixed_value(self):
         w = stabilizer_witness(self.GENS)
@@ -329,7 +350,7 @@ class TestVerdicts:
 class TestRobustnessBounds:
     def test_depolarizing_quarter(self):
         w = eb_witness()
-        c = evaluate_witness(w, depolarizing_channel(0.25))
+        c = evaluate_witness(w, depolarizing_channel(0.25).choi)
         rep = robustness_bounds(c, w)
         assert abs(rep.c + 0.25) < 1e-12
         assert abs(rep.w_max - 0.5) < 1e-12
@@ -350,24 +371,28 @@ class TestRobustnessBounds:
     def test_rounding_below_zero_gives_no_bound(self):
         # depolarizing at p = 1/2 is exactly entanglement breaking; Tr[W C] = -8e-17
         w = eb_witness()
-        c = evaluate_witness(w, depolarizing_channel(0.5))
+        c = evaluate_witness(w, depolarizing_channel(0.5).choi)
         assert c < 0.0
         rep = robustness_bounds(c, w)
         assert rep.robustness_lb == 0.0 and rep.mu_c_lb == 0.0
+
+    def test_needs_a_fidelity_witness(self):
+        with pytest.raises(ValueError, match="alpha"):
+            robustness_bounds(-0.5, stabilizer_witness(("XXXI", "IXIX", "ZIZI", "ZZIZ")))
 
 
 class TestEvaluateWitness:
     def test_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
-            evaluate_witness(eb_witness(), cnot_channel())
+            evaluate_witness(eb_witness(), cnot_channel().choi)
 
     def test_matches_trace_formula(self):
         w = eb_witness()
         ch = depolarizing_channel(0.3)
         direct = np.trace(w.operator @ ch.choi.matrix).real
-        assert evaluate_witness(w, ch) == direct
+        assert evaluate_witness(w, ch.choi) == direct
 
     def test_non_tp_channel_still_evaluates(self):
         half = Channel([np.sqrt(0.5) * np.eye(2)], [2], require_tp=False)
-        val = evaluate_witness(eb_witness(), half)
+        val = evaluate_witness(eb_witness(), half.choi)
         assert abs(val + 0.25) < 1e-12

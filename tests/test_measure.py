@@ -62,7 +62,7 @@ class TestPauliDecompose:
     def test_detection_value_from_terms(self):
         # the tabulated coefficients must reproduce Tr[W C_CNOT] = -1/2
         w = build_sru_witness(CNOT, (2, 2), 0.5)
-        assert abs(evaluate_witness(w, cnot_channel()) + 0.5) < 1e-10
+        assert abs(evaluate_witness(w, cnot_channel().choi) + 0.5) < 1e-10
 
     def test_rescaled_identity(self):
         terms = pauli_decompose(np.eye(16) / 16)
@@ -172,12 +172,10 @@ class TestSimulateCounts:
 
 
 class TestEstimateWitness:
-    def test_exact_mode(self):
-        ch = depolarizing_channel(0.25)
-        w = eb_witness()
-        est = estimate_witness(ch.choi, w, 0, seed=3)
-        assert est.value == evaluate_witness(w, ch)
-        assert est.std_error == 0.0 and est.shots_per_setting == 0
+    def test_needs_a_shot(self):
+        # the exact value is evaluate_witness; no request estimates from zero shots
+        with pytest.raises(ValueError, match=">= 1"):
+            estimate_witness(depolarizing_channel(0.25).choi, eb_witness(), 0, seed=3)
 
     def test_cnot_estimate_matches_exact(self):
         ch = cnot_channel()
@@ -198,7 +196,7 @@ class TestEstimateWitness:
     def test_unbiased_over_seeds(self):
         ch = depolarizing_channel(0.25)
         w = eb_witness()
-        exact = evaluate_witness(w, ch)
+        exact = evaluate_witness(w, ch.choi)
         ests = [estimate_witness(ch.choi, w, 10_000, seed=s) for s in range(50)]
         mean = np.mean([e.value for e in ests])
         typical_se = np.mean([e.std_error for e in ests])
@@ -220,7 +218,7 @@ class TestEstimateWitness:
         kraus = [kron(a, b) @ CNOT for a in noise.kraus for b in noise.kraus]
         ch = Channel(kraus, (2, 2))
         w = build_sru_witness(CNOT, (2, 2), 0.5)
-        exact = evaluate_witness(w, ch)
+        exact = evaluate_witness(w, ch.choi)
         ratios = []
         for seed in range(10):
             e1 = estimate_witness(ch.choi, w, 2_000, seed=seed)

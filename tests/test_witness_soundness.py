@@ -4,12 +4,18 @@ A mixture of product unitaries (``random_sru_channel``) is a separable random
 unitary channel, hence also separable and PPT. Whatever Haar gate the SRU
 witness is built from, the CLI must not report the mixture ``not_sru`` or
 ``not_separable``, and the NPT pipeline must not detect it.
+
+An entanglement-breaking channel has a separable Choi state, whose fidelity
+with the maximally entangled state is at most 1/D, so ``detect-eb`` must not
+flag one in any dimension: fully depolarizing channels and measure-and-prepare
+channels (rank-one Kraus operators, the general EB form) stay ``undetected``.
 """
 
 import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -17,7 +23,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chandet.cli import EXIT_OK, main, matrix_to_pairs  # noqa: E402
-from chandet.ensembles import random_sru_channel  # noqa: E402
+from chandet.ensembles import random_density_matrix, random_ket, random_sru_channel  # noqa: E402
 from chandet.qmath import haar_unitary  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
@@ -51,3 +57,29 @@ def test_sru_mixtures_are_never_flagged(spec_dir, d, channel_seed, target_seed):
     for command in ("detect-sru", "detect-sep"):
         assert verdict([command, "--channel", chan, "--target", target]) == "undetected"
     assert verdict(["detect-npt", "--channel", chan]) == "not_detected"
+
+
+def measure_and_prepare_kraus(d, rng, boundary):
+    """Kraus operators |psi_k><r_k| of a rank-one POVM {|r_k><r_k|} followed by preparations.
+
+    The rows r_k of a Haar isometry form the POVM. With ``boundary`` the POVM is
+    a basis and each outcome prepares its own basis state: the Choi state then
+    has fidelity exactly 1/D, so the expectation is 0 up to rounding.
+    """
+    m = d if boundary else int(rng.integers(d, d * d + 1))
+    rows = haar_unitary(m, rng)[:, :d]
+    preps = [r.conj() if boundary else random_ket(d, rng) for r in rows]
+    return [np.outer(psi, r) for psi, r in zip(preps, rows)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(dims=st.sampled_from([[2], [3], [2, 2], [3, 3]]), seed=seeds, boundary=st.booleans())
+def test_eb_channels_are_never_flagged(spec_dir, dims, seed, boundary):
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(seed)
+    sigma = {"sigma": matrix_to_pairs(random_density_matrix(d, rng))}
+    depol = write_spec(spec_dir / "depol.json", dims, kind="named", name="fully_depolarizing", params=sigma)
+    kraus = [matrix_to_pairs(k) for k in measure_and_prepare_kraus(d, rng, boundary)]
+    mp = write_spec(spec_dir / "mp.json", dims, kind="kraus", kraus=kraus)
+    for chan in (depol, mp):
+        assert verdict(["detect-eb", "--channel", chan]) == "undetected"
