@@ -28,7 +28,6 @@ from .detect import (
     Witness,
     alpha_sru_optimize,
     build_sru_witness,
-    choi_vector,
     classify_violation,
     eb_witness,
     evaluate_witness,
@@ -44,7 +43,6 @@ from .measure import (
     estimate_witness,
     group_settings,
     pauli_decompose,
-    simulate_counts,
 )
 from .pptdetect import (
     NptReport,

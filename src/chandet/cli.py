@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +30,10 @@ from .channels import (
     _check_unitary,
 )
 from .detect import (
+    CNOT_STABILIZER_GENERATORS,
     Witness,
-    _sru_witness_from_schmidt,
     alpha_sru_optimize,
+    build_sru_witness,
     classify_violation,
     eb_witness,
     evaluate_witness,
@@ -40,7 +41,7 @@ from .detect import (
     robustness_bounds,
     stabilizer_witness,
 )
-from .measure import ShotEstimate, estimate_witness, group_settings, pauli_decompose
+from .measure import estimate_witness, group_settings, pauli_decompose
 from .pptdetect import detect_npt
 
 EXIT_OK = 0
@@ -59,8 +60,6 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)
 _MEASURED_DIMS = ((2,), (2, 2))
 # Shots per setting of simulate when --shots is not given.
 _SIMULATE_SHOTS = 100_000
-
-CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
 
 
 class SpecError(ValueError):
@@ -263,11 +262,6 @@ def _require_measurable(ch: Channel, what: str) -> None:
         )
 
 
-def _require_qubit_shots(ch: Channel, opts: PipelineOptions) -> None:
-    if opts.shots:
-        _require_measurable(ch, "shot simulation")
-
-
 def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.ndarray:
     """Reference unitary for witness construction, defaulting to the channel itself."""
     if opts.target_spec is None:
@@ -295,7 +289,7 @@ def _sru_witness(channel: Channel, opts: PipelineOptions, command: str):
     else:
         val, _, _ = alpha_sru_optimize(u, sd.dims, starts=opts.starts, seed=opts.seed)
         alpha_sq, source = val**2, "optimizer"
-    return _sru_witness_from_schmidt(u, sd, alpha_sq), sd, source
+    return build_sru_witness(u, sd.dims, alpha_sq, schmidt=sd), sd, source
 
 
 def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
@@ -305,7 +299,7 @@ def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
     gate is a CNOT up to a global phase.
     """
     u = _target_gate(channel, opts, "the stabilizer witness")
-    w = stabilizer_witness(CNOT_STABILIZER_GENERATORS)
+    w = stabilizer_witness()
     value = evaluate_witness(w, Channel([u], channel.dims).choi)
     if not abs(value + 1.0) <= ATOL:
         raise SpecError(
@@ -315,19 +309,16 @@ def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
     return w
 
 
-def _estimate_payload(state: ChoiMatrix, w: Witness, opts: PipelineOptions) -> dict | None:
-    if not opts.shots:
-        return None
-    return _estimate_fields(estimate_witness(state, w, opts.shots, opts.seed))
-
-
-def _estimate_fields(est: ShotEstimate) -> dict:
-    return {
+def _estimate(state: ChoiMatrix, w: Witness, shots: int, seed: int) -> tuple[dict, int]:
+    """The one shot-estimate path: report fields of the estimate of Tr[w state] and its setting count."""
+    est = estimate_witness(state, w, shots, seed)
+    fields = {
         "value": est.value,
         "std_error": est.std_error,
         "shots_per_setting": est.shots_per_setting,
         "seed": est.seed,
     }
+    return fields, est.setting_count
 
 
 def _run_choi(channel: Channel, opts: PipelineOptions) -> dict:
@@ -376,16 +367,16 @@ def _eb_witness(channel: Channel) -> Witness:
         raise SpecError(str(exc)) from exc
 
 
-def _build_witness(channel: Channel, kind: str, opts: PipelineOptions):
-    """Witness of the requested kind plus a payload describing its provenance."""
+def _build_witness(channel: Channel, kind: str, opts: PipelineOptions, command: str):
+    """Witness of the requested kind plus its provenance payload; refusals name ``command``."""
     if kind == "eb":
         return _eb_witness(channel), {"witness": "eb"}
     if kind == "sru":
-        _require_dims(channel, [(2, 2)], "witness decomposition")
+        _require_dims(channel, [(2, 2)], command)
         w, _, source = _sru_witness(channel, opts, "witness construction")
         return w, {
             "witness": "sru",
-            "alpha_sru_sq": w.alpha_sru_sq,
+            "alpha_sru_sq": w.alpha_sq,
             "alpha_s_sq": w.alpha_s_sq,
             "alpha_source": source,
         }
@@ -399,13 +390,12 @@ def _build_witness(channel: Channel, kind: str, opts: PipelineOptions):
 def _run_decompose_witness(channel: Channel, opts: PipelineOptions) -> dict:
     _require_measurable(channel, "witness decomposition")
     kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
-    w, payload = _build_witness(channel, kind, opts)
+    w, payload = _build_witness(channel, kind, opts, "witness decomposition")
     payload.update(_witness_terms_payload(w))
     return payload
 
 
-def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> dict:
-    _require_qubit_shots(channel, opts)
+def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> tuple:
     w = _eb_witness(channel)
     value = evaluate_witness(w, channel.choi)
     bounds = robustness_bounds(value, w)
@@ -420,43 +410,36 @@ def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> dict:
             "mu_c_lb": bounds.mu_c_lb,
         },
     }
-    est = _estimate_payload(channel.choi, w, opts)
-    if est is not None:
-        results["estimate"] = est
-    return results
+    return results, w, channel.choi
 
 
-def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool = False) -> dict:
+def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool = False) -> tuple:
     _require_dims(channel, [(2, 2), (3, 3)], "detect-sru")
-    _require_qubit_shots(channel, opts)
     w, sd, source = _sru_witness(channel, opts, "detect-sru")
     value = evaluate_witness(w, channel.choi)
     verdict = classify_violation(value, w)
     results = {
-        "alpha_sru": float(np.sqrt(w.alpha_sru_sq)),
-        "alpha_sru_sq": w.alpha_sru_sq,
+        "alpha_sru": float(np.sqrt(w.alpha_sq)),
+        "alpha_sru_sq": w.alpha_sq,
         "alpha_s": float(np.sqrt(w.alpha_s_sq)),
         "alpha_s_sq": w.alpha_s_sq,
         "alpha_source": source,
         "expectation": value,
         "thresholds": {
             "not_sru": 0.0,
-            "not_separable": w.alpha_sru_sq - w.alpha_s_sq,
+            "not_separable": w.alpha_sq - w.alpha_s_sq,
         },
         "verdict": verdict.value,
     }
     if with_schmidt:
         results["sigmas"] = [float(s) for s in sd.sigmas]
         results["rank"] = sd.rank
-    if opts.shots:
-        results["estimate"] = _estimate_payload(channel.choi, w, opts)
-    return results
+    return results, w, channel.choi
 
 
-def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> dict:
+def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> tuple:
     if len(channel.dims) != 2 or channel.dims[0] != channel.dims[1]:
         raise SpecError(f"detect-npt needs channel dims [d, d], got {list(channel.dims)}")
-    _require_qubit_shots(channel, opts)
     report = detect_npt(channel)
     results = {
         "lambda_minus": report.lambda_minus,
@@ -471,11 +454,7 @@ def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> dict:
         "verdict": report.verdict,
         "note": report.note,
     }
-    if opts.shots:
-        # a PPT channel has no witness, hence nothing to estimate
-        w = report.witness
-        results["estimate"] = None if w is None else _estimate_payload(report.composite, w, opts)
-    return results
+    return results, report.witness, report.composite
 
 
 def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
@@ -484,7 +463,6 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
             "simulate needs at least 1 shot per setting; omit --shots for the default of "
             f"{_SIMULATE_SHOTS}"
         )
-    sim_opts = replace(opts, shots=opts.shots or _SIMULATE_SHOTS)
     _require_measurable(channel, "shot simulation")
     kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
     if kind == "ppt":
@@ -498,12 +476,31 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
         w, measured = report.witness, report.composite
         payload = {"witness": "ppt"}
     else:
-        w, payload = _build_witness(channel, kind, sim_opts)
+        w, payload = _build_witness(channel, kind, opts, f"simulate --witness {kind}")
         measured = channel.choi
     exact = evaluate_witness(w, measured)
-    est = estimate_witness(measured, w, sim_opts.shots, sim_opts.seed)
-    payload.update(exact=exact, estimate=_estimate_fields(est), setting_count=est.setting_count)
+    estimate, setting_count = _estimate(measured, w, opts.shots or _SIMULATE_SHOTS, opts.seed)
+    payload.update(exact=exact, estimate=estimate, setting_count=setting_count)
     return payload
+
+
+def _detect(run) -> Callable[[Channel, PipelineOptions], dict]:
+    """Runner of a detect command whose ``run`` returns its results, witness and measured state.
+
+    With --shots > 0 a non-qubit channel is refused before ``run`` does any
+    work, and the results gain the shot estimate of the witness on that
+    state; a PPT channel has no NPT witness, hence the estimate None.
+    """
+
+    def run_detect(channel: Channel, opts: PipelineOptions) -> dict:
+        if opts.shots:
+            _require_measurable(channel, "shot simulation")
+        results, w, state = run(channel, opts)
+        if opts.shots:
+            results["estimate"] = None if w is None else _estimate(state, w, opts.shots, opts.seed)[0]
+        return results
+
+    return run_detect
 
 
 @dataclass(frozen=True)
@@ -514,24 +511,29 @@ class _Command:
     require_tp: bool
     witnesses: tuple[str, ...] = ()
     takes_target: bool = False
+    takes_shots: bool = True
 
 
 _WITNESSES = ("eb", "sru", "stabilizer")
 
 _COMMANDS = {
-    "choi": _Command(_run_choi, require_tp=False),
-    "schmidt": _Command(_run_schmidt, require_tp=False),
+    "choi": _Command(_run_choi, require_tp=False, takes_shots=False),
+    "schmidt": _Command(_run_schmidt, require_tp=False, takes_shots=False),
     "decompose-witness": _Command(
-        _run_decompose_witness, require_tp=False, witnesses=_WITNESSES, takes_target=True
+        _run_decompose_witness,
+        require_tp=False,
+        witnesses=_WITNESSES,
+        takes_target=True,
+        takes_shots=False,
     ),
-    "detect-eb": _Command(_run_detect_eb, require_tp=True),
-    "detect-sru": _Command(_run_detect_sru, require_tp=True, takes_target=True),
+    "detect-eb": _Command(_detect(_run_detect_eb), require_tp=True),
+    "detect-sru": _Command(_detect(_run_detect_sru), require_tp=True, takes_target=True),
     "detect-sep": _Command(
-        lambda ch, opts: _run_detect_sru(ch, opts, with_schmidt=True),
+        _detect(lambda ch, opts: _run_detect_sru(ch, opts, with_schmidt=True)),
         require_tp=False,
         takes_target=True,
     ),
-    "detect-npt": _Command(_run_detect_npt, require_tp=True),
+    "detect-npt": _Command(_detect(_run_detect_npt), require_tp=True),
     "simulate": _Command(
         _run_simulate, require_tp=True, witnesses=_WITNESSES + ("ppt",), takes_target=True
     ),
@@ -624,6 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _options_from_args(args) -> PipelineOptions:
+    if args.shots is not None and not _COMMANDS[args.command].takes_shots:
+        raise SpecError(f"{args.command} takes no --shots: it samples nothing")
     if args.shots is not None and args.shots < 0:
         raise SpecError("--shots must be non-negative")
     if args.shots is not None and args.shots > MAX_SHOTS:

@@ -6,7 +6,10 @@ multistart alternating polar ascent), witness operators built from those
 overlaps, and the robustness bounds extracted from a measured expectation.
 The EB and SRU witnesses are one family alpha^2 Id - P_U (eigenvalues alpha^2
 and alpha^2 - 1), P_U the projector onto a unitary's Choi state: SRU takes the
-target gate, EB takes U = Id_D and alpha^2 = 1/D in every dimension.
+target gate, EB takes U = Id_D and alpha^2 = 1/D in every dimension. The third
+witness is the two-setting stabilizer witness of the CNOT Choi state (Toth and
+Guehne, PRL 94, 060501), measured with the settings XXXX and ZZZZ. Each
+witness has exactly one builder here.
 """
 
 import enum
@@ -20,6 +23,9 @@ from .channels import ChoiMatrix, ValidationError, _check_hermitian, _check_unit
 from .qmath import dag, haar_unitary, pauli_string, _as_dims
 
 MAX_SWEEPS = 500
+
+# Stabilizer generators of the CNOT Choi state, qubits ordered (A_out, B_out, A_in, B_in).
+CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
 
 
 class Verdict(enum.Enum):
@@ -52,17 +58,17 @@ class SchmidtDecomposition:
 class Witness:
     """Hermitian detection operator on a Choi space.
 
-    ``alpha_sru_sq`` and ``alpha_s_sq`` are the squared reference overlaps of
-    the target gate's Choi state with the product-unitary set and with the
-    larger single-product-Kraus set; when both are present the first never
-    exceeds the second (product unitaries are a subset). ``alpha_sq`` is the
-    alpha^2 of a fidelity witness alpha^2 Id - P_U, its largest eigenvalue.
+    ``alpha_sq`` is the alpha^2 of a fidelity witness alpha^2 Id - P_U, its
+    largest eigenvalue; for an SRU witness it is the squared overlap of the
+    target gate's Choi state with the product-unitary set. ``alpha_s_sq`` is
+    the squared overlap with the larger single-product-Kraus set; when both
+    are present the first never exceeds the second (product unitaries are a
+    subset).
     """
 
     operator: np.ndarray
     kind: str
     dims: tuple[int, ...]
-    alpha_sru_sq: float | None = None
     alpha_s_sq: float | None = None
     alpha_sq: float | None = None
 
@@ -72,11 +78,9 @@ class Witness:
         if op.shape != (side, side):
             raise ValueError(f"witness shape {op.shape} does not match dims {self.dims}")
         _check_hermitian(op, WITNESS_HERM_ATOL, "witness")
-        if self.alpha_sru_sq is not None and self.alpha_s_sq is not None:
-            if self.alpha_sru_sq > self.alpha_s_sq + ALPHA_ORDER_ATOL:
-                raise ValueError(
-                    f"alpha_sru_sq={self.alpha_sru_sq} exceeds alpha_s_sq={self.alpha_s_sq}"
-                )
+        if self.alpha_sq is not None and self.alpha_s_sq is not None:
+            if self.alpha_sq > self.alpha_s_sq + ALPHA_ORDER_ATOL:
+                raise ValueError(f"alpha_sq={self.alpha_sq} exceeds alpha_s_sq={self.alpha_s_sq}")
 
 
 @dataclass(frozen=True)
@@ -186,44 +190,34 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     return min(float(val[best]), 1.0), ua[best], ub[best]
 
 
-def choi_vector(u: np.ndarray, dims) -> np.ndarray:
-    """Choi state vector (u kron Id)|alpha> of a unitary, as a flat array."""
-    dims = _as_dims(dims)
-    d = math.prod(dims)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError(f"unitary shape {u.shape} does not match dims {dims}")
-    return u.reshape(-1) / np.sqrt(d)
-
-
-def build_sru_witness(u: np.ndarray, dims, alpha_sq: float) -> Witness:
-    """Detection operator alpha_sq * Id - |U><U| on the doubled subsystem space.
-
-    ``alpha_sq`` is the squared product-unitary overlap for the gate; the
-    squared single-product-Kraus overlap (the leading Schmidt coefficient
-    squared) is computed here and stored for tiered verdicts.
-    """
-    dims = _as_dims(dims)
-    if len(dims) != 2:
-        raise ValueError(f"expected a bipartite dimension list, got {dims}")
-    u = _check_unitary(u, "target unitary")
-    return _sru_witness_from_schmidt(u, operator_schmidt(u, dims[0], dims[1]), alpha_sq)
-
-
-def _fidelity_witness(u: np.ndarray, alpha_sq: float, kind: str, dims, **overlaps) -> Witness:
+def _fidelity_witness(u: np.ndarray, alpha_sq: float, kind: str, dims, alpha_s_sq=None) -> Witness:
     """alpha_sq * Id - P_U, P_U = outer(vec U, conj vec U) / D rounding each entry once."""
     alpha_sq = float(alpha_sq)
     if not 0.0 < alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq={alpha_sq!r} outside (0, 1]")
     vec = np.asarray(u, dtype=complex).reshape(-1)
     op = alpha_sq * np.eye(vec.size) - np.outer(vec, vec.conj()) / len(u)
-    return Witness(op, kind, dims + dims, alpha_sq=alpha_sq, **overlaps)
+    return Witness(op, kind, dims + dims, alpha_s_sq=alpha_s_sq, alpha_sq=alpha_sq)
 
 
-def _sru_witness_from_schmidt(u: np.ndarray, sd: SchmidtDecomposition, alpha_sq: float) -> Witness:
-    """:func:`build_sru_witness` for a checked unitary whose Schmidt decomposition is ``sd``."""
-    overlaps = {"alpha_sru_sq": float(alpha_sq), "alpha_s_sq": float(sd.sigmas[0] ** 2)}
-    return _fidelity_witness(u, alpha_sq, "sru", sd.dims, **overlaps)
+def build_sru_witness(
+    u: np.ndarray, dims, alpha_sq: float, schmidt: SchmidtDecomposition | None = None
+) -> Witness:
+    """Detection operator alpha_sq * Id - |U><U| on the doubled subsystem space.
+
+    ``alpha_sq`` is the squared product-unitary overlap for the gate; the
+    squared single-product-Kraus overlap (the leading Schmidt coefficient
+    squared) is read from ``schmidt``, the gate's operator Schmidt
+    decomposition, which is computed here when not given.
+    """
+    dims = _as_dims(dims)
+    if len(dims) != 2:
+        raise ValueError(f"expected a bipartite dimension list, got {dims}")
+    u = _check_unitary(u, "target unitary")
+    sd = operator_schmidt(u, *dims) if schmidt is None else schmidt
+    if sd.dims != dims:
+        raise ValueError(f"Schmidt data dims {sd.dims} do not match dims {dims}")
+    return _fidelity_witness(u, alpha_sq, "sru", dims, float(sd.sigmas[0] ** 2))
 
 
 def eb_witness(dims=(2,)) -> Witness:
@@ -235,67 +229,15 @@ def eb_witness(dims=(2,)) -> Witness:
     return _fidelity_witness(np.eye(d), 1.0 / d, "eb", dims)
 
 
-def _parse_signed_pauli(s: str):
-    sign = 1.0
-    body = s.strip()
-    if body[:1] in "+-":
-        sign = -1.0 if body[0] == "-" else 1.0
-        body = body[1:]
-    if not body or any(ch not in "IXYZ" for ch in body):
-        raise ValueError(f"invalid Pauli string {s!r}")
-    return sign, body
+def stabilizer_witness() -> Witness:
+    """Two-setting witness 3*Id - 2*(P1 P2 + P3 P4) of the CNOT Choi state.
 
-
-def _strings_commute(a: str, b: str) -> bool:
-    clashes = sum(1 for x, y in zip(a, b) if x != "I" and y != "I" and x != y)
-    return clashes % 2 == 0
-
-
-def _independent_over_gf2(bodies) -> bool:
-    # symplectic (x|z) representation; independence = full GF(2) row rank
-    rows = []
-    for body in bodies:
-        x = [1 if ch in "XY" else 0 for ch in body]
-        z = [1 if ch in "ZY" else 0 for ch in body]
-        rows.append(x + z)
-    m = np.array(rows, dtype=np.uint8)
-    rank = 0
-    for col in range(m.shape[1]):
-        pivot = next((r for r in range(rank, m.shape[0]) if m[r, col]), None)
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(m.shape[0]):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank == len(bodies)
-
-
-def stabilizer_witness(generators) -> Witness:
-    """Suboptimal two-setting witness 3*Id - 2*(P1 P2 + P3 P4) from four stabilizer generators.
-
-    P_i = (Id + g_i)/2 in the given order. Generators must commute pairwise and
-    be independent.
+    P_i = (Id + g_i)/2 for the i-th of ``CNOT_STABILIZER_GENERATORS``, four
+    commuting, independent generators of the stabilizer of that state.
     """
-    parsed = [_parse_signed_pauli(g) for g in generators]
-    if len(parsed) != 4:
-        raise ValueError(f"expected exactly 4 generators, got {len(parsed)}")
-    n = len(parsed[0][1])
-    if any(len(body) != n for _, body in parsed):
-        raise ValueError("generators act on different numbers of qubits")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not _strings_commute(parsed[i][1], parsed[j][1]):
-                raise ValueError(
-                    f"generators {generators[i]!r} and {generators[j]!r} do not commute"
-                )
-    if not _independent_over_gf2([body for _, body in parsed]):
-        raise ValueError("generators are not independent")
-    eye = np.eye(2**n)
-    projs = [(eye + sign * pauli_string(body)) / 2 for sign, body in parsed]
-    op = 3 * eye - 2 * (projs[0] @ projs[1] + projs[2] @ projs[3])
-    return Witness(operator=op, kind="stabilizer", dims=(2,) * n)
+    eye = np.eye(16)
+    p = [(eye + pauli_string(g)) / 2 for g in CNOT_STABILIZER_GENERATORS]
+    return Witness(3 * eye - 2 * (p[0] @ p[1] + p[2] @ p[3]), "stabilizer", (2, 2, 2, 2))
 
 
 def evaluate_witness(w: Witness, choi: ChoiMatrix) -> float:
@@ -311,13 +253,13 @@ def evaluate_witness(w: Witness, choi: ChoiMatrix) -> float:
 def classify_violation(value: float, w: Witness) -> Verdict:
     """Tiered verdict from a witness expectation.
 
-    Below alpha_sru_sq - alpha_s_sq the map cannot be separable at all; below
+    Below alpha_sq - alpha_s_sq the map cannot be separable at all; below
     zero it cannot be a separable random unitary; otherwise undetected. Each
     threshold must be undercut by more than ``VERDICT_MARGIN``.
     """
-    if w.alpha_sru_sq is None or w.alpha_s_sq is None:
+    if w.alpha_sq is None or w.alpha_s_sq is None:
         raise ValueError("witness carries no reference overlap coefficients")
-    if value < w.alpha_sru_sq - w.alpha_s_sq - VERDICT_MARGIN:
+    if value < w.alpha_sq - w.alpha_s_sq - VERDICT_MARGIN:
         return Verdict.NOT_SEPARABLE
     if value < -VERDICT_MARGIN:
         return Verdict.NOT_SRU

@@ -3,7 +3,8 @@
 A qubit witness is expanded in the Pauli basis, the non-identity strings are
 grouped into product measurement settings (strings sharing a setting are
 estimated from the same shots), and outcomes are sampled from the exact Born
-distribution of the Choi state being measured.
+distribution of the Choi state being measured. :func:`estimate_witness` is the
+one sampler: setting k draws its counts from the stream ``[seed, k]``.
 
 No step builds a dense 2^n x 2^n product per string or per setting: every
 coefficient is read off one gather of the operator (a Pauli string has one
@@ -200,31 +201,6 @@ def _check_state(state: np.ndarray, n: int) -> np.ndarray:
     if float(np.linalg.eigvalsh((state + state.conj().T) / 2)[0]) < -STATE_ATOL:
         raise ValidationError("state has a negative eigenvalue")
     return state
-
-
-def simulate_counts(state: np.ndarray, setting, shots: int, seed) -> dict[tuple[int, ...], int]:
-    """Sample projective outcomes for one product setting.
-
-    Returns a histogram mapping outcome tuples (entries +1 or -1 per qubit) to
-    counts. Sampling is multinomial over the exact Born distribution and
-    deterministic for a fixed seed.
-    """
-    bases = setting.bases if isinstance(setting, MeasurementSetting) else str(setting)
-    if not bases or any(ch not in "XYZ" for ch in bases):
-        raise ValueError(f"invalid measurement bases {bases!r}")
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = len(bases)
-    probs = _setting_probabilities(_check_state(state, n), [bases])[0]
-    hist = {}
-    for idx, cnt in enumerate(rng.multinomial(shots, probs)):
-        if cnt == 0:
-            continue
-        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-        hist[tuple(1 - 2 * b for b in bits)] = int(cnt)
-    return hist
 
 
 def _outcome_signs(strings: list[str]) -> np.ndarray:

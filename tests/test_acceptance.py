@@ -112,7 +112,7 @@ def test_criterion_04_w_cnot_structure():
 
 
 def test_criterion_05_stabilizer_witness():
-    w = stabilizer_witness(("XXXI", "IXIX", "ZIZI", "ZZIZ"))
+    w = stabilizer_witness()
     assert abs(evaluate_witness(w, cnot_channel().choi) + 1.0) <= 1e-10
     settings = group_settings(pauli_decompose(w.operator))
     assert len(settings) == 2
@@ -139,7 +139,7 @@ def test_criterion_06_z3_analysis():
     w = build_sru_witness(z3.kraus[0], (3, 3), alpha**2)
     value = evaluate_witness(w, z3.choi)
     assert abs(value - (alpha**2 - 1.0)) <= 1e-10
-    gap = w.alpha_sru_sq - w.alpha_s_sq
+    gap = w.alpha_sq - w.alpha_s_sq
     assert abs(gap + 0.111) < 5e-3
     assert value < gap
     assert classify_violation(value, w) is Verdict.NOT_SEPARABLE

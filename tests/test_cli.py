@@ -169,6 +169,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "detect-sru", "--channel", path)
         assert code == EXIT_INPUT_ERROR and "dims" in err
 
+    @pytest.mark.parametrize("command", ["choi", "schmidt", "decompose-witness"])
+    @pytest.mark.parametrize("shots", ["0", "100"])
+    def test_shots_refused_where_nothing_is_sampled(self, tmp_path, capsys, monkeypatch, command, shots):
+        from chandet import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the request must be refused before any work")
+
+        monkeypatch.setattr(cli, "run_pipeline", no_work)
+        path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        code, out, err = run(capsys, command, "--channel", path, "--shots", shots)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert f"{command} takes no --shots" in err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("simulate", "simulate --witness sru needs channel dims [2, 2], got [2]"),
+            ("decompose-witness", "witness decomposition needs channel dims [2, 2], got [2]"),
+        ],
+        ids=["simulate", "decompose-witness"],
+    )
+    def test_sru_dims_refusal_names_the_command(self, tmp_path, capsys, command, message):
+        path = write_spec(tmp_path, "dep.json", dep_spec())
+        code, out, err = run(capsys, command, "--channel", path, "--witness", "sru")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == f"input error: {message}\n"
+
     @pytest.mark.parametrize("command", ["detect-sru", "detect-sep", "detect-npt"])
     def test_non_qubit_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch, command):
         from chandet import cli
@@ -512,7 +540,9 @@ class TestPipelines:
         chan = write_spec(tmp_path, "noisy.json", spec)
         target = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         argv = [command, "--channel", chan, "--target", target, "--witness", "stabilizer"]
-        res = run_json(capsys, *argv, "--shots", "200")["results"]
+        if command == "simulate":
+            argv += ["--shots", "200"]
+        res = run_json(capsys, *argv)["results"]
         assert res["witness"] == "stabilizer" and res["setting_count"] == 2
 
     @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 
 Whatever the spec holds (finite numbers of any size, NaN, infinities, strings,
 booleans, wrong shapes), a run ends with exit code 0, 2 or 3, never with an
-escaping exception, and whatever it prints to stdout is RFC-8259 JSON.
+escaping exception. A JSON report is RFC-8259 JSON, a text report holds no
+NaN or Infinity token, and a failed run prints nothing to stdout.
 """
 
 import contextlib
@@ -10,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -109,9 +111,7 @@ def spec_path():
         yield os.path.join(tmp, "spec.json")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(spec=channel_specs, argv=invocations())
-def test_cli_contract(spec_path, spec, argv):
+def run_main(spec_path, spec, argv):
     with open(spec_path, "w", encoding="utf-8") as fh:
         json.dump(spec, fh)  # writes NaN and Infinity as bare tokens
     out, err = io.StringIO(), io.StringIO()
@@ -119,7 +119,22 @@ def test_cli_contract(spec_path, spec, argv):
         code = main(argv + ["--channel", spec_path])
     event(f"exit {code}")
     assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_NUMERICAL_ERROR)
-    if code == EXIT_OK:
-        json.loads(out.getvalue(), parse_constant=reject_constant)
-    else:
+    if code != EXIT_OK:
         assert out.getvalue() == "" and err.getvalue()
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=channel_specs, argv=invocations())
+def test_cli_contract(spec_path, spec, argv):
+    code, out = run_main(spec_path, spec, argv)
+    if code == EXIT_OK:
+        json.loads(out, parse_constant=reject_constant)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=channel_specs, argv=invocations())
+def test_cli_contract_text(spec_path, spec, argv):
+    code, out = run_main(spec_path, spec, argv + ["--format", "text"])
+    if code == EXIT_OK:
+        assert not re.search(r"\b(NaN|Infinity)\b", out), out

@@ -18,7 +18,6 @@ from chandet.detect import (
     _alternating_ascent,
     alpha_sru_optimize,
     build_sru_witness,
-    choi_vector,
     classify_violation,
     eb_witness,
     evaluate_witness,
@@ -28,7 +27,7 @@ from chandet.detect import (
     stabilizer_witness,
 )
 from chandet.ensembles import random_separable_state, random_sru_channel
-from chandet.qmath import PAULI, haar_unitary, kron, max_entangled, partial_trace
+from chandet.qmath import PAULI, haar_unitary, kron, max_entangled, partial_trace, pauli_string
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 CNOT = np.eye(4, dtype=complex)
@@ -38,6 +37,11 @@ SQRT17 = np.sqrt(17.0)
 Z3_SIGMA_1 = np.sqrt((9 + SQRT17) / 2) / 3
 Z3_SIGMA_2 = np.sqrt((9 - SQRT17) / 2) / 3
 HAAR9 = [haar_unitary(9, seed) for seed in (500, 501, 502)]
+
+
+def choi_ket(u):
+    """Choi state vector (u kron Id)|alpha> of a unitary, as a flat array."""
+    return u.reshape(-1) / np.sqrt(len(u))
 
 
 def reference_climb(u, da, db, ub0):
@@ -231,12 +235,23 @@ class TestSruWitness:
         assert abs(val - (alpha**2 - 1.0)) < 1e-10
 
     def test_choi_vector_normalization(self):
-        ket = choi_vector(CNOT, (2, 2))
-        assert abs(np.linalg.norm(ket) - 1.0) < 1e-12
+        # alpha^2 Id - W is the projector onto the gate's unit-norm Choi vector
+        w = build_sru_witness(Z3, (3, 3), 0.6)
+        proj = w.alpha_sq * np.eye(81) - w.operator
+        assert abs(np.trace(proj).real - 1.0) < 1e-12
+        assert np.allclose(proj @ proj, proj, atol=1e-12)
+
+    def test_takes_the_callers_schmidt_data(self):
+        sd = operator_schmidt(Z3, 3, 3)
+        w = build_sru_witness(Z3, (3, 3), 0.6, schmidt=sd)
+        assert w.alpha_s_sq == float(sd.sigmas[0] ** 2)
+        assert np.array_equal(w.operator, build_sru_witness(Z3, (3, 3), 0.6).operator)
+        with pytest.raises(ValueError, match="Schmidt data dims"):
+            build_sru_witness(CNOT, (2, 2), 0.5, schmidt=sd)
 
     def test_alpha_ordering_enforced(self):
         with pytest.raises(ValueError, match="exceeds"):
-            Witness(operator=np.eye(16), kind="sru", dims=(2, 2, 2, 2), alpha_sru_sq=0.9, alpha_s_sq=0.5)
+            Witness(operator=np.eye(16), kind="sru", dims=(2, 2, 2, 2), alpha_sq=0.9, alpha_s_sq=0.5)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
@@ -271,7 +286,7 @@ class TestEbWitness:
 
     def test_qubit_sru_witness_is_unchanged_bitwise(self):
         # P_U = outer(vec U) / D and the old outer(vec U / sqrt(D)) agree exactly when D = 4
-        ket = choi_vector(CNOT, (2, 2))
+        ket = choi_ket(CNOT)
         reference = 0.5 * np.eye(16) - np.outer(ket, ket.conj())
         assert np.array_equal(build_sru_witness(CNOT, (2, 2), 0.5).operator, reference)
 
@@ -286,54 +301,51 @@ class TestEbWitness:
             assert np.trace(w.operator @ rho).real >= -1e-9
 
 
-class TestStabilizerWitness:
-    GENS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
+def generic_stabilizer_witness(generators):
+    """Reference copy of the generic builder that the constant CNOT witness replaced."""
+    parsed = []
+    for g in generators:
+        sign, body = (-1.0, g[1:]) if g[0] == "-" else (1.0, g.lstrip("+"))
+        parsed.append((sign, body))
+    eye = np.eye(2 ** len(parsed[0][1]))
+    projs = [(eye + sign * pauli_string(body)) / 2 for sign, body in parsed]
+    return 3 * eye - 2 * (projs[0] @ projs[1] + projs[2] @ projs[3])
 
+
+class TestStabilizerWitness:
     def test_detects_cnot(self):
-        w = stabilizer_witness(self.GENS)
+        w = stabilizer_witness()
         assert abs(evaluate_witness(w, cnot_channel().choi) + 1.0) < 1e-10
 
     def test_maximally_mixed_value(self):
-        w = stabilizer_witness(self.GENS)
+        w = stabilizer_witness()
         assert abs(np.trace(w.operator @ (np.eye(16) / 16)).real - 2.0) < 1e-12
 
     def test_two_settings(self):
         from chandet.measure import group_settings, pauli_decompose
 
-        settings = group_settings(pauli_decompose(stabilizer_witness(self.GENS).operator))
+        settings = group_settings(pauli_decompose(stabilizer_witness().operator))
         assert sorted(s.bases for s in settings) == ["XXXX", "ZZZZ"]
 
-    def test_signed_generators(self):
-        w = stabilizer_witness(("+XXXI", "IXIX", "-ZIZI", "ZZIZ"))
-        assert w.operator.shape == (16, 16)
-
-    def test_non_commuting_rejected(self):
-        with pytest.raises(ValueError, match="commute"):
-            stabilizer_witness(("XXXI", "ZIII", "ZIZI", "ZZIZ"))
-
-    def test_dependent_rejected(self):
-        with pytest.raises(ValueError, match="independent"):
-            stabilizer_witness(("XXXI", "IXIX", "XIXX", "ZZIZ"))
-
-    def test_wrong_count_rejected(self):
-        with pytest.raises(ValueError, match="4 generators"):
-            stabilizer_witness(("XX", "ZZ"))
+    def test_matches_the_generic_builder_bitwise(self):
+        reference = generic_stabilizer_witness(("XXXI", "IXIX", "ZIZI", "ZZIZ"))
+        assert np.array_equal(stabilizer_witness().operator, reference)
 
 
 class TestVerdicts:
-    def _z3_witness(self, alpha_sru_sq=0.786**2):
+    def _z3_witness(self, alpha_sq=0.786**2):
         return Witness(
-            operator=alpha_sru_sq * np.eye(81) - np.outer(choi_vector(Z3, (3, 3)), choi_vector(Z3, (3, 3)).conj()),
+            operator=alpha_sq * np.eye(81) - np.outer(choi_ket(Z3), choi_ket(Z3).conj()),
             kind="sru",
             dims=(3, 3, 3, 3),
-            alpha_sru_sq=alpha_sru_sq,
             alpha_s_sq=Z3_SIGMA_1**2,
+            alpha_sq=alpha_sq,
         )
 
     def test_not_separable(self):
         w = self._z3_witness()
         value = 0.786**2 - 1.0
-        assert value < w.alpha_sru_sq - w.alpha_s_sq
+        assert value < w.alpha_sq - w.alpha_s_sq
         assert classify_violation(value, w) is Verdict.NOT_SEPARABLE
 
     def test_not_sru_between_thresholds(self):
@@ -378,7 +390,7 @@ class TestRobustnessBounds:
 
     def test_needs_a_fidelity_witness(self):
         with pytest.raises(ValueError, match="alpha"):
-            robustness_bounds(-0.5, stabilizer_witness(("XXXI", "IXIX", "ZIZI", "ZZIZ")))
+            robustness_bounds(-0.5, stabilizer_witness())
 
 
 class TestEvaluateWitness:

@@ -15,10 +15,9 @@ from chandet.measure import (
     estimate_witness,
     group_settings,
     pauli_decompose,
-    simulate_counts,
 )
 from chandet.pptdetect import detect_npt
-from chandet.qmath import PAULI, haar_unitary, kron, max_entangled
+from chandet.qmath import PAULI, haar_unitary, kron
 
 I2, X = PAULI["I"], PAULI["X"]
 CNOT = np.eye(4, dtype=complex)
@@ -142,35 +141,6 @@ class TestGroupSettings:
         assert abs(total - np.trace(w.operator @ rho).real) < 1e-10
 
 
-class TestSimulateCounts:
-    def test_z_eigenstate_deterministic(self):
-        state = np.zeros((2, 2), dtype=complex)
-        state[0, 0] = 1.0
-        hist = simulate_counts(state, "Z", 1000, seed=0)
-        assert hist == {(1,): 1000}
-
-    def test_unbiased_coin(self):
-        hist = simulate_counts(np.eye(2, dtype=complex) / 2, "X", 100_000, seed=1)
-        mean = sum(k[0] * v for k, v in hist.items()) / 100_000
-        assert abs(mean) < 5 / np.sqrt(100_000)
-
-    def test_bell_state_parity(self):
-        alpha = max_entangled(2)
-        hist = simulate_counts(np.outer(alpha, alpha.conj()), "XX", 5000, seed=2)
-        assert all(o[0] * o[1] == 1 for o in hist)
-        assert sum(hist.values()) == 5000
-
-    def test_deterministic_per_seed(self):
-        state = np.eye(4, dtype=complex) / 4
-        assert simulate_counts(state, "XZ", 500, seed=7) == simulate_counts(state, "XZ", 500, seed=7)
-
-    def test_invalid_state(self):
-        with pytest.raises(ValueError):
-            simulate_counts(np.eye(2, dtype=complex), "Z", 10, seed=0)  # trace 2
-        with pytest.raises(ValueError):
-            simulate_counts(np.diag([1.5, -0.5]).astype(complex), "Z", 10, seed=0)
-
-
 class TestEstimateWitness:
     def test_needs_a_shot(self):
         # the exact value is evaluate_witness; no request estimates from zero shots
@@ -242,6 +212,14 @@ class TestEstimateWitness:
         w = build_sru_witness(z3.kraus[0], (3, 3), 0.6)
         with pytest.raises(ValueError, match="qubit"):
             estimate_witness(z3.choi, w, 100, seed=0)
+
+    def test_invalid_state(self):
+        from chandet.channels import ChoiMatrix
+
+        w = eb_witness()
+        for bad in (np.eye(4) / 2, np.diag([1.5, -0.5, 0.0, 0.0])):  # trace 2; a negative eigenvalue
+            with pytest.raises(ValueError):
+                estimate_witness(ChoiMatrix(bad.astype(complex), (2, 2), (2,)), w, 10, seed=0)
 
     def test_rejects_non_positive_state(self):
         from chandet.channels import ValidationError
@@ -392,7 +370,7 @@ class TestMatchesDenseReference:
                 assert pauli_decompose(op, tol) == dense_decompose(op, tol)
 
     def test_pauli_decompose_of_witnesses(self):
-        ws = [eb_witness(), stabilizer_witness(("XXXI", "IXIX", "ZIZI", "ZZIZ"))]
+        ws = [eb_witness(), stabilizer_witness()]
         ws += [_sru_witness_of(u) for u in (CNOT, haar_unitary(4, 7))]
         for w in ws:
             assert pauli_decompose(w.operator) == dense_decompose(w.operator)
