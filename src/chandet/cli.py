@@ -5,9 +5,16 @@ Channel specs are JSON with complex entries encoded as [re, im] pairs:
     {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.25}}
     {"dims": [2], "kind": "kraus", "kraus": [[[[1,0],[0,0]],[[0,0],[1,0]]]]}
 
+A request runs in one order: the options are checked, then the channel is
+built, then the command runs. Every witness the CLI measures (eb, sru,
+stabilizer, ppt) comes from one step, ``_witness``, which picks it from the
+reference gate, returns the Choi state it is measured on and the facts the
+report states; refusals name the command that was run.
+
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,
-3 = numerical validation failure.
+3 = numerical validation failure; a non-finite number in a report is a
+numerical failure in either format.
 """
 
 import argparse
@@ -16,7 +23,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,15 +71,6 @@ _SIMULATE_SHOTS = 100_000
 
 class SpecError(ValueError):
     """Malformed input: file, schema, or command/dims mismatch."""
-
-
-@dataclass
-class Report:
-    pipeline: str
-    channel_spec: dict
-    options: dict
-    results: dict
-    elapsed_seconds: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +219,19 @@ def _read_spec_file(path: str) -> dict:
 
 @dataclass
 class PipelineOptions:
+    """The request's options, echoed under ``inputs.options``; ``target`` is the --target spec."""
+
     seed: int = 0
     shots: int | None = None
     starts: int = 50
     witness: str | None = None
-    target_spec: dict | None = None
-
-    def echo(self) -> dict:
-        return {
-            "seed": self.seed,
-            "shots": self.shots,
-            "starts": self.starts,
-            "witness": self.witness,
-            "target": self.target_spec,
-        }
+    target: dict | None = None
 
 
 def _single_operator(ch: Channel, what: str) -> np.ndarray:
     if len(ch.kraus) != 1:
         raise SpecError(f"{what} needs a single-Kraus channel, got {len(ch.kraus)} operators")
     return ch.kraus[0]
-
-
-def _single_unitary(ch: Channel, what: str) -> np.ndarray:
-    return _check_unitary(_single_operator(ch, what), f"{what} operator")
 
 
 def _require_dims(ch: Channel, allowed, command: str) -> None:
@@ -264,24 +251,50 @@ def _require_measurable(ch: Channel, what: str) -> None:
 
 def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.ndarray:
     """Reference unitary for witness construction, defaulting to the channel itself."""
-    if opts.target_spec is None:
-        return _single_unitary(channel, command)
-    target = parse_channel_spec(opts.target_spec, require_tp=False)
-    if target.dims != channel.dims:
-        raise SpecError(
-            f"target dims {list(target.dims)} do not match channel dims {list(channel.dims)}"
-        )
-    return _single_unitary(target, f"{command} target")
+    gate, what = channel, command
+    if opts.target is not None:
+        gate, what = parse_channel_spec(opts.target, require_tp=False), f"{command} target"
+        if gate.dims != channel.dims:
+            raise SpecError(
+                f"target dims {list(gate.dims)} do not match channel dims {list(channel.dims)}"
+            )
+    return _check_unitary(_single_operator(gate, what), f"{what} operator")
 
 
-def _sru_witness(channel: Channel, opts: PipelineOptions, command: str):
-    """SRU witness of the reference gate; returns ``(witness, Schmidt data, alpha_source)``.
+def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str) -> tuple:
+    """The ``kind`` witness, the Choi state it is measured on, and the facts the report states.
 
-    The gate is decomposed once. For two qubits the KAK form makes the leading
-    Schmidt term a product unitary, so alpha_SRU = sigma_1 exactly; other dims
-    run the optimizer.
+    The facts are ``(Schmidt data, alpha source)`` for sru, the ``NptReport``
+    for ppt and None otherwise; a PPT channel has no ppt witness, hence None.
+    Refusals name ``command``.
     """
+    if kind == "eb":
+        try:
+            return eb_witness(channel.dims), channel.choi, None
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
+    if kind == "ppt":
+        if len(channel.dims) != 2 or channel.dims[0] != channel.dims[1]:
+            raise SpecError(f"{command} needs channel dims [d, d], got {list(channel.dims)}")
+        report = detect_npt(channel)
+        return report.witness, report.composite, report
+    if kind == "sru":
+        _require_dims(channel, [(2, 2), (3, 3)], command)
     u = _target_gate(channel, opts, command)
+    if kind == "stabilizer":
+        # the minimum -1 is reached on the gate's Choi state exactly when the
+        # generators stabilize it, i.e. when the gate is a CNOT up to a global phase
+        w = stabilizer_witness()
+        value = evaluate_witness(w, Channel([u], channel.dims).choi)
+        if not abs(value + 1.0) <= ATOL:
+            raise SpecError(
+                f"{command} needs a CNOT reference gate: its expectation on the "
+                f"gate's Choi state is {value:.6g}, not -1"
+            )
+        return w, channel.choi, None
+    # The gate is decomposed once. For two qubits the KAK form makes the leading
+    # Schmidt term a product unitary, so alpha_SRU = sigma_1 exactly; other dims
+    # run the optimizer.
     sd = operator_schmidt(u, *channel.dims)
     if sd.dims == (2, 2):
         # rounding can put sigma_1 of a product gate a few ulp above 1
@@ -289,24 +302,7 @@ def _sru_witness(channel: Channel, opts: PipelineOptions, command: str):
     else:
         val, _, _ = alpha_sru_optimize(u, sd.dims, starts=opts.starts, seed=opts.seed)
         alpha_sq, source = val**2, "optimizer"
-    return build_sru_witness(u, sd.dims, alpha_sq, schmidt=sd), sd, source
-
-
-def _stabilizer_witness(channel: Channel, opts: PipelineOptions) -> Witness:
-    """CNOT stabilizer witness, if its minimum -1 is reached on the reference gate's Choi state.
-
-    That happens exactly when the generators stabilize the state, i.e. when the
-    gate is a CNOT up to a global phase.
-    """
-    u = _target_gate(channel, opts, "the stabilizer witness")
-    w = stabilizer_witness()
-    value = evaluate_witness(w, Channel([u], channel.dims).choi)
-    if not abs(value + 1.0) <= ATOL:
-        raise SpecError(
-            "the stabilizer witness needs a CNOT reference gate: its expectation on the "
-            f"gate's Choi state is {value:.6g}, not -1"
-        )
-    return w
+    return build_sru_witness(u, sd.dims, alpha_sq, schmidt=sd), channel.choi, (sd, source)
 
 
 def _estimate(state: ChoiMatrix, w: Witness, shots: int, seed: int) -> tuple[dict, int]:
@@ -348,100 +344,85 @@ def _run_schmidt(channel: Channel, opts: PipelineOptions) -> dict:
     }
 
 
-def _witness_terms_payload(w: Witness) -> dict:
-    terms = pauli_decompose(w.operator)
-    settings = group_settings(terms)
-    return {
-        "terms": [{"string": t.string, "coefficient": t.coefficient} for t in terms],
-        "settings": [
-            {"bases": s.bases, "covered_terms": list(s.covered_terms)} for s in settings
-        ],
-        "setting_count": len(settings),
-    }
+def _chosen_witness(command: str, channel: Channel, opts: PipelineOptions) -> tuple:
+    """simulate's or decompose-witness's --witness, its state, and the fields naming it.
 
-
-def _eb_witness(channel: Channel) -> Witness:
-    try:
-        return eb_witness(channel.dims)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-
-
-def _build_witness(channel: Channel, kind: str, opts: PipelineOptions, command: str):
-    """Witness of the requested kind plus its provenance payload; refusals name ``command``."""
-    if kind == "eb":
-        return _eb_witness(channel), {"witness": "eb"}
+    The default is eb on one qubit and sru on two; every other kind needs two qubits.
+    """
+    kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
+    what = f"simulate --witness {kind}" if command == "simulate" else "witness decomposition"
+    if kind != "eb":
+        _require_dims(channel, [(2, 2)], what)
+    w, state, facts = _witness(kind, channel, opts, what)
+    fields = {"witness": kind}
     if kind == "sru":
-        _require_dims(channel, [(2, 2)], command)
-        w, _, source = _sru_witness(channel, opts, "witness construction")
-        return w, {
-            "witness": "sru",
-            "alpha_sru_sq": w.alpha_sq,
-            "alpha_s_sq": w.alpha_s_sq,
-            "alpha_source": source,
-        }
-    if kind == "stabilizer":
-        _require_dims(channel, [(2, 2)], "the stabilizer witness")
-        w = _stabilizer_witness(channel, opts)
-        return w, {"witness": "stabilizer", "generators": list(CNOT_STABILIZER_GENERATORS)}
-    raise SpecError(f"unknown witness kind {kind!r}")
+        fields.update(alpha_sru_sq=w.alpha_sq, alpha_s_sq=w.alpha_s_sq, alpha_source=facts[1])
+    elif kind == "stabilizer":
+        fields["generators"] = list(CNOT_STABILIZER_GENERATORS)
+    return w, state, fields
 
 
 def _run_decompose_witness(channel: Channel, opts: PipelineOptions) -> dict:
     _require_measurable(channel, "witness decomposition")
-    kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
-    w, payload = _build_witness(channel, kind, opts, "witness decomposition")
-    payload.update(_witness_terms_payload(w))
+    w, _, payload = _chosen_witness("decompose-witness", channel, opts)
+    terms = pauli_decompose(w.operator)
+    settings = group_settings(terms)
+    payload.update(
+        terms=[{"string": t.string, "coefficient": t.coefficient} for t in terms],
+        settings=[{"bases": s.bases, "covered_terms": list(s.covered_terms)} for s in settings],
+        setting_count=len(settings),
+    )
     return payload
 
 
-def _run_detect_eb(channel: Channel, opts: PipelineOptions) -> tuple:
-    w = _eb_witness(channel)
-    value = evaluate_witness(w, channel.choi)
-    bounds = robustness_bounds(value, w)
-    results = {
+def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
+    _require_measurable(channel, "shot simulation")
+    w, state, payload = _chosen_witness("simulate", channel, opts)
+    if w is None:
+        raise SpecError(
+            f"the ppt witness needs an NPT channel; this one has lambda_minus >= "
+            f"-{ATOL:g}, so no witness exists"
+        )
+    exact = evaluate_witness(w, state)
+    estimate, setting_count = _estimate(state, w, opts.shots or _SIMULATE_SHOTS, opts.seed)
+    payload.update(exact=exact, estimate=estimate, setting_count=setting_count)
+    return payload
+
+
+def _eb_results(w: Witness, state: ChoiMatrix, facts) -> dict:
+    value = evaluate_witness(w, state)
+    return {
         "expectation": value,
         "threshold": 0.0,
         "verdict": "not_entanglement_breaking" if value < -VERDICT_MARGIN else "undetected",
-        "bounds": {
-            "c": bounds.c,
-            "w_max": bounds.w_max,
-            "robustness_lb": bounds.robustness_lb,
-            "mu_c_lb": bounds.mu_c_lb,
-        },
+        "bounds": asdict(robustness_bounds(value, w)),
     }
-    return results, w, channel.choi
 
 
-def _run_detect_sru(channel: Channel, opts: PipelineOptions, with_schmidt: bool = False) -> tuple:
-    _require_dims(channel, [(2, 2), (3, 3)], "detect-sru")
-    w, sd, source = _sru_witness(channel, opts, "detect-sru")
-    value = evaluate_witness(w, channel.choi)
-    verdict = classify_violation(value, w)
-    results = {
+def _sru_results(w: Witness, state: ChoiMatrix, facts) -> dict:
+    value = evaluate_witness(w, state)
+    return {
         "alpha_sru": float(np.sqrt(w.alpha_sq)),
         "alpha_sru_sq": w.alpha_sq,
         "alpha_s": float(np.sqrt(w.alpha_s_sq)),
         "alpha_s_sq": w.alpha_s_sq,
-        "alpha_source": source,
+        "alpha_source": facts[1],
         "expectation": value,
         "thresholds": {
             "not_sru": 0.0,
             "not_separable": w.alpha_sq - w.alpha_s_sq,
         },
-        "verdict": verdict.value,
+        "verdict": classify_violation(value, w).value,
     }
-    if with_schmidt:
-        results["sigmas"] = [float(s) for s in sd.sigmas]
-        results["rank"] = sd.rank
-    return results, w, channel.choi
 
 
-def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> tuple:
-    if len(channel.dims) != 2 or channel.dims[0] != channel.dims[1]:
-        raise SpecError(f"detect-npt needs channel dims [d, d], got {list(channel.dims)}")
-    report = detect_npt(channel)
-    results = {
+def _sep_results(w: Witness, state: ChoiMatrix, facts) -> dict:
+    sd = facts[0]
+    return {**_sru_results(w, state, facts), "sigmas": [float(s) for s in sd.sigmas], "rank": sd.rank}
+
+
+def _npt_results(w: Witness | None, state: ChoiMatrix, report) -> dict:
+    return {
         "lambda_minus": report.lambda_minus,
         "noise_p": report.noise_p,
         "unital": report.unital,
@@ -454,64 +435,26 @@ def _run_detect_npt(channel: Channel, opts: PipelineOptions) -> tuple:
         "verdict": report.verdict,
         "note": report.note,
     }
-    return results, report.witness, report.composite
-
-
-def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
-    if opts.shots == 0:
-        raise SpecError(
-            "simulate needs at least 1 shot per setting; omit --shots for the default of "
-            f"{_SIMULATE_SHOTS}"
-        )
-    _require_measurable(channel, "shot simulation")
-    kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
-    if kind == "ppt":
-        _require_dims(channel, [(2, 2)], "simulate --witness ppt")
-        report = detect_npt(channel)
-        if report.witness is None:
-            raise SpecError(
-                f"the ppt witness needs an NPT channel; this one has lambda_minus >= "
-                f"-{ATOL:g}, so no witness exists"
-            )
-        w, measured = report.witness, report.composite
-        payload = {"witness": "ppt"}
-    else:
-        w, payload = _build_witness(channel, kind, opts, f"simulate --witness {kind}")
-        measured = channel.choi
-    exact = evaluate_witness(w, measured)
-    estimate, setting_count = _estimate(measured, w, opts.shots or _SIMULATE_SHOTS, opts.seed)
-    payload.update(exact=exact, estimate=estimate, setting_count=setting_count)
-    return payload
-
-
-def _detect(run) -> Callable[[Channel, PipelineOptions], dict]:
-    """Runner of a detect command whose ``run`` returns its results, witness and measured state.
-
-    With --shots > 0 a non-qubit channel is refused before ``run`` does any
-    work, and the results gain the shot estimate of the witness on that
-    state; a PPT channel has no NPT witness, hence the estimate None.
-    """
-
-    def run_detect(channel: Channel, opts: PipelineOptions) -> dict:
-        if opts.shots:
-            _require_measurable(channel, "shot simulation")
-        results, w, state = run(channel, opts)
-        if opts.shots:
-            results["estimate"] = None if w is None else _estimate(state, w, opts.shots, opts.seed)[0]
-        return results
-
-    return run_detect
 
 
 @dataclass(frozen=True)
 class _Command:
-    """How one subcommand parses its channel, which options it takes and what it runs."""
+    """How one subcommand parses its channel, which options it takes and what it runs.
 
-    run: Callable[[Channel, PipelineOptions], dict]
+    ``witnesses`` are the kinds of witness the command can build. A detect
+    command builds one, and its ``run`` maps that witness, its state and the
+    facts to results; every other ``run`` takes the channel and options.
+    """
+
+    run: Callable[..., dict]
     require_tp: bool
     witnesses: tuple[str, ...] = ()
-    takes_target: bool = False
     takes_shots: bool = True
+
+    @property
+    def takes_target(self) -> bool:
+        """A reference gate is taken exactly where an sru or stabilizer witness can be built."""
+        return not {"sru", "stabilizer"}.isdisjoint(self.witnesses)
 
 
 _WITNESSES = ("eb", "sru", "stabilizer")
@@ -520,84 +463,71 @@ _COMMANDS = {
     "choi": _Command(_run_choi, require_tp=False, takes_shots=False),
     "schmidt": _Command(_run_schmidt, require_tp=False, takes_shots=False),
     "decompose-witness": _Command(
-        _run_decompose_witness,
-        require_tp=False,
-        witnesses=_WITNESSES,
-        takes_target=True,
-        takes_shots=False,
+        _run_decompose_witness, require_tp=False, witnesses=_WITNESSES, takes_shots=False
     ),
-    "detect-eb": _Command(_detect(_run_detect_eb), require_tp=True),
-    "detect-sru": _Command(_detect(_run_detect_sru), require_tp=True, takes_target=True),
-    "detect-sep": _Command(
-        _detect(lambda ch, opts: _run_detect_sru(ch, opts, with_schmidt=True)),
-        require_tp=False,
-        takes_target=True,
-    ),
-    "detect-npt": _Command(_detect(_run_detect_npt), require_tp=True),
-    "simulate": _Command(
-        _run_simulate, require_tp=True, witnesses=_WITNESSES + ("ppt",), takes_target=True
-    ),
+    "detect-eb": _Command(_eb_results, require_tp=True, witnesses=("eb",)),
+    "detect-sru": _Command(_sru_results, require_tp=True, witnesses=("sru",)),
+    "detect-sep": _Command(_sep_results, require_tp=False, witnesses=("sru",)),
+    "detect-npt": _Command(_npt_results, require_tp=True, witnesses=("ppt",)),
+    "simulate": _Command(_run_simulate, require_tp=True, witnesses=_WITNESSES + ("ppt",)),
 }
 
 COMMANDS = tuple(_COMMANDS)
 
 
-def run_pipeline(command: str, channel: Channel, options: PipelineOptions) -> Report:
-    if command not in _COMMANDS:
-        raise SpecError(f"unknown command {command!r}")
-    start = time.perf_counter()
-    results = _COMMANDS[command].run(channel, options)
-    elapsed = time.perf_counter() - start
-    return Report(
-        pipeline=command,
-        channel_spec={},
-        options=options.echo(),
-        results=results,
-        elapsed_seconds=elapsed,
-    )
+def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
+    """Results of ``command`` on ``channel``.
+
+    A detect command refuses --shots > 0 on a non-qubit channel before any
+    work, and its results gain the shot estimate of the witness on its state;
+    a PPT channel has no NPT witness, hence the estimate None.
+    """
+    cmd = _COMMANDS[command]
+    if len(cmd.witnesses) != 1:
+        return cmd.run(channel, opts)
+    if opts.shots:
+        _require_measurable(channel, "shot simulation")
+    w, state, facts = _witness(cmd.witnesses[0], channel, opts, command)
+    results = cmd.run(w, state, facts)
+    if opts.shots:
+        results["estimate"] = None if w is None else _estimate(state, w, opts.shots, opts.seed)[0]
+    return results
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def report_payload(report: Report) -> dict:
-    """JSON-stable payload; timing is deliberately excluded so identical
-    inputs render byte-identical reports."""
-    return {
-        "pipeline": report.pipeline,
-        "inputs": {"channel": report.channel_spec, "options": report.options},
-        "results": report.results,
-    }
+def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str:
+    """Render a report payload; a non-finite number in it is a numerical failure in either format.
 
-
-def render_report(report: Report, fmt: str = "json") -> str:
-    """Render a report; a non-finite number in a JSON report is a numerical failure."""
-    if fmt == "json":
-        try:
-            return json.dumps(report_payload(report), indent=2, allow_nan=False) + "\n"
-        except ValueError as exc:
-            raise ValidationError(f"report holds a non-finite number: {exc}") from exc
-    if fmt != "text":
+    Timing appears only in text mode, so identical inputs render byte-identical JSON.
+    """
+    if fmt not in ("json", "text"):
         raise SpecError(f"unknown format {fmt!r}")
 
     def show(val):
-        return val if isinstance(val, str) else json.dumps(val)
+        return val if isinstance(val, str) else json.dumps(val, allow_nan=False)
 
-    lines = [f"pipeline: {report.pipeline}"]
-    lines.append(f"channel: {json.dumps(report.channel_spec)}")
-    for key, val in report.options.items():
-        if val is not None:
-            lines.append(f"{key}: {show(val)}")
-    lines.append("results:")
-    for key, val in report.results.items():
-        if isinstance(val, dict):
-            lines.append(f"  {key}:")
-            for k2, v2 in val.items():
-                lines.append(f"    {k2}: {show(v2)}")
-        else:
-            lines.append(f"  {key}: {show(val)}")
-    lines.append(f"elapsed_seconds: {report.elapsed_seconds:.6f}")
+    try:
+        if fmt == "json":
+            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        lines = [f"pipeline: {payload['pipeline']}"]
+        lines.append(f"channel: {show(payload['inputs']['channel'])}")
+        for key, val in payload["inputs"]["options"].items():
+            if val is not None:
+                lines.append(f"{key}: {show(val)}")
+        lines.append("results:")
+        for key, val in payload["results"].items():
+            if isinstance(val, dict):
+                lines.append(f"  {key}:")
+                for k2, v2 in val.items():
+                    lines.append(f"    {k2}: {show(v2)}")
+            else:
+                lines.append(f"  {key}: {show(val)}")
+    except ValueError as exc:
+        raise ValidationError(f"report holds a non-finite number: {exc}") from exc
+    lines.append(f"elapsed_seconds: {elapsed:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -620,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         if cmd.takes_target:
             p.add_argument("--target", default=None, help="spec file of the reference unitary gate")
-        if cmd.witnesses:
+        if len(cmd.witnesses) > 1:
             p.add_argument("--witness", choices=cmd.witnesses, default=None)
     return parser
 
@@ -638,28 +568,36 @@ def _options_from_args(args) -> PipelineOptions:
         raise SpecError("--starts must be >= 1")
     if args.starts > MAX_STARTS:
         raise SpecError(f"--starts {args.starts} is above the limit {MAX_STARTS}")
-    target_spec = None
-    if getattr(args, "target", None):
-        target_spec = _read_spec_file(args.target)
+    if args.command == "simulate" and args.shots == 0:
+        raise SpecError(
+            "simulate needs at least 1 shot per setting; omit --shots for the default of "
+            f"{_SIMULATE_SHOTS}"
+        )
+    target = getattr(args, "target", None)
     return PipelineOptions(
         seed=args.seed,
         shots=args.shots,
         starts=args.starts,
         witness=getattr(args, "witness", None),
-        target_spec=target_spec,
+        target=_read_spec_file(target) if target else None,
     )
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        options = _options_from_args(args)
         spec = _read_spec_file(args.channel)
         channel = parse_channel_spec(spec, require_tp=_COMMANDS[args.command].require_tp)
-        options = _options_from_args(args)
-        report = run_pipeline(args.command, channel, options)
-        report.channel_spec = spec
-        text = render_report(report, args.format)
+        start = time.perf_counter()
+        results = _run(args.command, channel, options)
+        elapsed = time.perf_counter() - start
+        payload = {
+            "pipeline": args.command,
+            "inputs": {"channel": spec, "options": asdict(options)},
+            "results": results,
+        }
+        text = render_report(payload, args.format, elapsed)
     except SpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from chandet.cli import (
+    COMMANDS,
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     SpecError,
+    build_parser,
     main,
     matrix_to_pairs,
     parse_channel_spec,
@@ -177,11 +179,64 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("the request must be refused before any work")
 
-        monkeypatch.setattr(cli, "run_pipeline", no_work)
+        monkeypatch.setattr(cli, "parse_channel_spec", no_work)
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         code, out, err = run(capsys, command, "--channel", path, "--shots", shots)
         assert code == EXIT_INPUT_ERROR and out == ""
         assert f"{command} takes no --shots" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["choi", "--shots", "5"], "choi takes no --shots"),
+            (["detect-eb", "--seed", "-1"], "--seed must be non-negative"),
+            (["detect-sep", "--starts", "0"], "--starts must be >= 1"),
+            (["simulate", "--shots", "0"], "omit --shots for the default of 100000"),
+        ],
+        ids=["choi-shots", "detect-eb-seed", "detect-sep-starts", "simulate-zero-shots"],
+    )
+    def test_options_refused_before_the_channel_is_built(self, tmp_path, capsys, monkeypatch, argv, message):
+        from chandet import cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the channel must not be built")
+
+        monkeypatch.setattr(cli, "parse_channel_spec", no_build)
+        path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        code, out, err = run(capsys, *argv, "--channel", path)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert message in err
+
+    def test_option_fault_is_reported_before_a_channel_fault(self, tmp_path, capsys):
+        not_tp = {"dims": [2], "kind": "kraus", "kraus": [[[[0.9, 0], [0, 0]], [[0, 0], [0.9, 0]]]]}
+        path = write_spec(tmp_path, "bad.json", not_tp)
+        code, out, err = run(capsys, "simulate", "--channel", path, "--shots", "0")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "omit --shots" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_target_is_taken_exactly_where_a_gate_witness_can_be_built(self, capsys, command):
+        # --target names the reference gate of the sru and stabilizer witnesses
+        argv = [command, "--channel", "spec.json", "--target", "cnot.json"]
+        if command in ("decompose-witness", "detect-sep", "detect-sru", "simulate"):
+            assert build_parser().parse_args(argv).target == "cnot.json"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == EXIT_INPUT_ERROR
+            assert "unrecognized arguments: --target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect-sru", "detect-sep"])
+    def test_refusals_name_the_command_run(self, tmp_path, capsys, command):
+        dep = write_spec(tmp_path, "dep.json", dep_spec())
+        code, out, err = run(capsys, command, "--channel", dep)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == f"input error: {command} needs channel dims [2, 2] or [3, 3], got [2]\n"
+        noisy = {"dims": [2, 2], "kind": "kraus", "kraus": [matrix_to_pairs(np.sqrt(0.5) * CNOT)] * 2}
+        path = write_spec(tmp_path, "noisy.json", noisy)
+        code, out, err = run(capsys, command, "--channel", path)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == f"input error: {command} needs a single-Kraus channel, got 2 operators\n"
 
     @pytest.mark.parametrize(
         "command, message",
@@ -247,8 +302,7 @@ class TestExitCodes:
             raise AssertionError("the request must be refused before any work")
 
         monkeypatch.setattr(cli, "detect_npt", no_work)
-        monkeypatch.setattr(cli, "_sru_witness", no_work)
-        monkeypatch.setattr(cli, "_stabilizer_witness", no_work)
+        monkeypatch.setattr(cli, "_witness", no_work)
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         argv = ["simulate", "--channel", path, "--witness", witness, "--shots", "0"]
         code, out, err = run(capsys, *argv)
@@ -687,11 +741,24 @@ class TestRendering:
 
     def test_non_finite_result_is_numerical_failure(self):
         from chandet.channels import ValidationError
-        from chandet.cli import Report, render_report
+        from chandet.cli import render_report
 
-        report = Report("detect-eb", {}, {}, {"expectation": float("nan")})
+        payload = {
+            "pipeline": "detect-eb",
+            "inputs": {"channel": {}, "options": {}},
+            "results": {"expectation": float("nan")},
+        }
         with pytest.raises(ValidationError, match="non-finite"):
-            render_report(report)
+            render_report(payload)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_echo_is_numerical_failure_in_both_formats(self, tmp_path, capsys, fmt):
+        # an unknown spec key is echoed, not parsed, so 1e400 reaches the report as inf
+        path = tmp_path / "dep.json"
+        path.write_text('{"dims": [2], "kind": "named", "name": "identity", "note": 1e400}')
+        code, out, err = run(capsys, "detect-eb", "--channel", str(path), "--format", fmt)
+        assert code == EXIT_NUMERICAL_ERROR and out == ""
+        assert "non-finite" in err
 
     def test_elapsed_not_in_json(self, tmp_path, capsys):
         path = write_spec(tmp_path, "dep.json", dep_spec())

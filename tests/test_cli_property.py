@@ -88,6 +88,13 @@ def malformed_specs(draw):
 
 channel_specs = st.one_of(st.sampled_from(VALID_SPECS), malformed_specs())
 
+# --target files, written next to the spec: a valid CNOT spec and a malformed one
+TARGET_SPECS = {
+    "target-cnot.json": {"dims": [2, 2], "kind": "named", "name": "cnot"},
+    "target-malformed.json": {"dims": [2, 2], "kind": "kraus", "kraus": [[[1, 0]]]},
+}
+TARGET_COMMANDS = ("decompose-witness", "detect-sep", "detect-sru", "simulate")
+
 
 @st.composite
 def invocations(draw):
@@ -98,6 +105,8 @@ def invocations(draw):
     if command in ("decompose-witness", "simulate"):
         kinds = ["eb", "sru", "stabilizer"] + (["ppt"] if command == "simulate" else [])
         argv += ["--witness", draw(st.sampled_from(kinds))]
+    if command in TARGET_COMMANDS and draw(st.booleans()):
+        argv += ["--target", draw(st.sampled_from(sorted(TARGET_SPECS)))]
     return argv
 
 
@@ -108,12 +117,17 @@ def reject_constant(token):
 @pytest.fixture(scope="module")
 def spec_path():
     with tempfile.TemporaryDirectory() as tmp:
+        for name, target in TARGET_SPECS.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(target, fh)
         yield os.path.join(tmp, "spec.json")
 
 
 def run_main(spec_path, spec, argv):
     with open(spec_path, "w", encoding="utf-8") as fh:
         json.dump(spec, fh)  # writes NaN and Infinity as bare tokens
+    tmp = os.path.dirname(spec_path)
+    argv = [os.path.join(tmp, a) if a in TARGET_SPECS else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--channel", spec_path])
