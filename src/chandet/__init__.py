@@ -5,6 +5,8 @@ convex channel classes (entanglement breaking, separable random unitary,
 separable, PPT) is tested through Hermitian witness operators whose negative
 expectation certifies exclusion, including finite-shot simulations of the
 local-measurement schemes that realize those expectations.
+
+The names below are the library's surface; the linear-algebra helpers live in chandet.qmath.
 """
 
 from .channels import (
@@ -32,7 +34,6 @@ from .detect import (
     eb_witness,
     evaluate_witness,
     operator_schmidt,
-    product_overlap,
     robustness_bounds,
     stabilizer_witness,
 )
@@ -49,15 +50,6 @@ from .pptdetect import (
     detect_npt,
     ppt_conjugate,
     spa_noise_weight,
-)
-from .qmath import (
-    PAULI,
-    haar_unitary,
-    kron,
-    max_entangled,
-    partial_trace,
-    partial_transpose,
-    pauli_string,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import dag, kron, _as_dims
+from .qmath import PAULI, dag, kron, _as_dims
 
 # Tolerance table: every tolerance of the package. No small float literal appears
 # outside it (tests/test_tolerances.py checks). Each verdict is a sign test
@@ -172,15 +172,16 @@ def depolarizing_channel(p: float, d: int = 2) -> Channel:
     """Depolarizing channel with total error weight p.
 
     For qubits the Kraus set is {sqrt(1-p) I, sqrt(p/3) X, sqrt(p/3) Y, sqrt(p/3) Z};
-    for d > 2 the Pauli set is replaced by the d^2 - 1 Weyl operators.
+    for d > 2 the Pauli set is replaced by the d^2 - 1 Weyl operators. A
+    one-dimensional system has no error operator to carry p, so d < 2 is refused.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing weight p={p!r} outside [0, 1]")
     d = int(d)
+    if d < 2:
+        raise ValueError(f"the depolarizing channel needs dimension d >= 2, got {d}")
     if d == 2:
-        from .qmath import PAULI
-
         errs = [PAULI["X"], PAULI["Y"], PAULI["Z"]]
     else:
         errs = _weyl_operators(d)

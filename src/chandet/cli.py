@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -308,13 +308,12 @@ def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str) -
 def _estimate(state: ChoiMatrix, w: Witness, shots: int, seed: int) -> tuple[dict, int]:
     """The one shot-estimate path: report fields of the estimate of Tr[w state] and its setting count."""
     est = estimate_witness(state, w, shots, seed)
-    fields = {
+    return {
         "value": est.value,
         "std_error": est.std_error,
         "shots_per_setting": est.shots_per_setting,
         "seed": est.seed,
-    }
-    return fields, est.setting_count
+    }, est.setting_count
 
 
 def _run_choi(channel: Channel, opts: PipelineOptions) -> dict:
@@ -354,12 +353,12 @@ def _chosen_witness(command: str, channel: Channel, opts: PipelineOptions) -> tu
     if kind != "eb":
         _require_dims(channel, [(2, 2)], what)
     w, state, facts = _witness(kind, channel, opts, what)
-    fields = {"witness": kind}
+    payload = {"witness": kind}
     if kind == "sru":
-        fields.update(alpha_sru_sq=w.alpha_sq, alpha_s_sq=w.alpha_s_sq, alpha_source=facts[1])
+        payload.update(alpha_sru_sq=w.alpha_sq, alpha_s_sq=w.alpha_s_sq, alpha_source=facts[1])
     elif kind == "stabilizer":
-        fields["generators"] = list(CNOT_STABILIZER_GENERATORS)
-    return w, state, fields
+        payload["generators"] = list(CNOT_STABILIZER_GENERATORS)
+    return w, state, payload
 
 
 def _run_decompose_witness(channel: Channel, opts: PipelineOptions) -> dict:
@@ -422,18 +421,11 @@ def _sep_results(w: Witness, state: ChoiMatrix, facts) -> dict:
 
 
 def _npt_results(w: Witness | None, state: ChoiMatrix, report) -> dict:
+    """Every field of the ``NptReport``, in its order, but the witness and its state."""
     return {
-        "lambda_minus": report.lambda_minus,
-        "noise_p": report.noise_p,
-        "unital": report.unital,
-        "threshold": report.threshold,
-        "expectation": report.expectation,
-        "term_transpose": report.term_transpose,
-        "term_noise_mt": report.term_noise_mt,
-        "term_noise_m": report.term_noise_m,
-        "degenerate": report.degenerate,
-        "verdict": report.verdict,
-        "note": report.note,
+        f.name: getattr(report, f.name)
+        for f in fields(report)
+        if f.name not in ("witness", "composite")
     }
 
 
@@ -478,15 +470,22 @@ COMMANDS = tuple(_COMMANDS)
 def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
     """Results of ``command`` on ``channel``.
 
-    A detect command refuses --shots > 0 on a non-qubit channel before any
-    work, and its results gain the shot estimate of the witness on its state;
-    a PPT channel has no NPT witness, hence the estimate None.
+    A detect command refuses --shots > 0 on a non-qubit channel, or on a
+    non-TP map (detect-sep takes one), before any work, and its results gain
+    the shot estimate of the witness on its state; a PPT channel has no NPT
+    witness, hence the estimate None.
     """
     cmd = _COMMANDS[command]
     if len(cmd.witnesses) != 1:
         return cmd.run(channel, opts)
     if opts.shots:
         _require_measurable(channel, "shot simulation")
+        with np.errstate(over="ignore", invalid="ignore"):
+            deficit = float(np.max(np.abs(channel.tp_deficit())))
+        if not deficit <= ATOL:  # the Choi matrix of a non-TP map is no state to sample
+            raise SpecError(
+                f"{command} --shots needs a trace-preserving channel: max|sum A^dag A - I| = {deficit:.6g}"
+            )
     w, state, facts = _witness(cmd.witnesses[0], channel, opts, command)
     results = cmd.run(w, state, facts)
     if opts.shots:

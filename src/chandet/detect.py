@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, VERDICT_MARGIN, WITNESS_HERM_ATOL, ZERO_CUTOFF
 from .channels import ChoiMatrix, ValidationError, _check_hermitian, _check_unitary
-from .qmath import dag, haar_unitary, pauli_string, _as_dims
+from .qmath import haar_unitary, pauli_string, _as_dims
 
 MAX_SWEEPS = 500
 
@@ -129,12 +129,6 @@ def operator_schmidt(o: np.ndarray, da: int, db: int) -> SchmidtDecomposition:
         rank=rank,
         dims=(da, db),
     )
-
-
-def product_overlap(u: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> float:
-    """|<ua kron ub | u>| = |Tr[(ua kron ub)^dag u]| / (da*db) on Choi vectors."""
-    da, db = ua.shape[0], ub.shape[0]
-    return float(abs(np.trace(dag(np.kron(ua, ub)) @ u))) / (da * db)
 
 
 def _alternating_ascent(u, da, db, ub0, record=None):

@@ -23,7 +23,7 @@ NPT_DETECTED = "npt_detected"
 NOT_DETECTED = "not_detected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NptReport:
     """Outcome of the NPT detection pipeline for one channel.
 
@@ -31,19 +31,20 @@ class NptReport:
     physical transpose approximation) and 0 otherwise; ``expectation`` is None
     when no witness could be built and none was supplied. ``witness`` and
     ``composite`` (the Choi state of ch o SPA(T_A) it was measured on) are
-    None in the same case.
+    None in the same case. The fields before them are the report's results,
+    in report order.
     """
 
     lambda_minus: float
-    expectation: float | None
     noise_p: float
-    threshold: float
     unital: bool
-    verdict: str
+    threshold: float
+    expectation: float | None
     term_transpose: float | None = None
     term_noise_mt: float | None = None
     term_noise_m: float | None = None
     degenerate: bool = False
+    verdict: str
     note: str | None = None
     witness: Witness | None = None
     composite: ChoiMatrix | None = None

@@ -88,33 +88,17 @@ def partial_transpose(m: np.ndarray, dims, subsystems) -> np.ndarray:
     return t.transpose(axes).reshape(m.shape)
 
 
-def max_entangled(d: int) -> np.ndarray:
-    """Maximally entangled bipartite state (1/sqrt(d)) sum_k |k>|k> as a flat vector."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"maximally entangled state needs dimension >= 2, got {d}")
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0 / np.sqrt(d)
-    return v
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Coerce an integer seed (or pass through a Generator) to a numpy Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Gaussian matrix.
 
     The diagonal of R is phase-corrected so the distribution is exactly Haar,
-    not merely unitary. Deterministic for a fixed integer seed.
+    not merely unitary. Deterministic for a fixed integer seed; a Generator
+    ``seed`` is drawn from in place (``default_rng`` returns it as it is).
     """
     d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(a)
     ph = np.diagonal(r).copy()

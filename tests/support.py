@@ -1,0 +1,114 @@
+"""Random ensembles and reference helpers shared by the test files; no command reaches them.
+
+Separable random unitary mixtures are PPT by construction (a partial transpose
+of the product Kraus operators only conjugates the A-side unitaries), so
+:func:`random_sru_channel` draws PPT channels. The reference helpers restate
+the package's conventions by independent means for the tests to check against.
+"""
+
+import math
+
+import numpy as np
+
+from chandet.channels import ATOL, Channel, sru_channel
+from chandet.qmath import PAULI, dag, haar_unitary, kron
+
+CNOT = np.eye(4, dtype=complex)
+CNOT[2:, 2:] = PAULI["X"]
+
+
+def random_ket(d: int, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def random_density_matrix(d: int, seed, rank: int | None = None) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    rank = rank or d
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+def random_channel(dims, seed, kraus_count: int | None = None) -> Channel:
+    """Random CP-TP channel: Gaussian Kraus operators whitened to satisfy TP."""
+    d = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    count = kraus_count or int(rng.integers(1, d * d + 1))
+    gs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(count)]
+    total = sum(g.conj().T @ g for g in gs)
+    w, v = np.linalg.eigh(total)
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    return Channel([g @ inv_sqrt for g in gs], dims)
+
+
+def random_sru_channel(dims=(2, 2), seed=0, max_terms: int = 8) -> Channel:
+    """Mixture of up to ``max_terms`` Haar product unitaries with uniform-simplex weights."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, max_terms + 1))
+    probs = rng.dirichlet(np.ones(n))
+    va = [haar_unitary(dims[0], rng) for _ in range(n)]
+    wb = [haar_unitary(dims[1], rng) for _ in range(n)]
+    return sru_channel(probs, va, wb, dims)
+
+
+def random_separable_state(dims=(2, 2), seed=0, max_terms: int = 8) -> np.ndarray:
+    """Mixture of product pure states, hence separable across the bipartition."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, max_terms + 1))
+    probs = rng.dirichlet(np.ones(n))
+    rho = np.zeros((math.prod(dims), math.prod(dims)), dtype=complex)
+    for p in probs:
+        ket = kron(
+            random_ket(dims[0], rng).reshape(-1, 1), random_ket(dims[1], rng).reshape(-1, 1)
+        ).reshape(-1)
+        rho += p * np.outer(ket, ket.conj())
+    return rho
+
+
+def max_entangled(d: int) -> np.ndarray:
+    """Maximally entangled bipartite state (1/sqrt(d)) sum_k |k>|k> as a flat vector."""
+    d = int(d)
+    if d < 2:
+        raise ValueError(f"maximally entangled state needs dimension >= 2, got {d}")
+    v = np.zeros(d * d, dtype=complex)
+    v[:: d + 1] = 1.0 / np.sqrt(d)
+    return v
+
+
+def product_overlap(u: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> float:
+    """|<ua kron ub | u>| = |Tr[(ua kron ub)^dag u]| / (da*db) on Choi vectors."""
+    da, db = ua.shape[0], ub.shape[0]
+    return float(abs(np.trace(dag(np.kron(ua, ub)) @ u))) / (da * db)
+
+
+def superoperator(choi):
+    """Superoperator on column-stacked matrices, reshuffled from a trace-normalized Choi matrix."""
+    d = int(round(np.sqrt(choi.shape[0])))
+    return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) * d
+
+
+def choi_of_superoperator(s):
+    """Inverse reshuffle of :func:`superoperator`: the trace-normalized Choi matrix."""
+    d = int(round(np.sqrt(s.shape[0])))
+    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
+
+
+def kraus_from_choi(choi, dims, require_tp=False):
+    """Channel of the eigen-Kraus operators sqrt(lambda * D) * reshape(v) of a PSD Choi matrix."""
+    d = choi.shape[0] // int(np.prod(dims))
+    w, v = np.linalg.eigh(choi)
+    kraus = [np.sqrt(lam * d) * v[:, k].reshape(d, d) for k, lam in enumerate(w) if lam > 1e-10]
+    return Channel(kraus, dims, require_tp=require_tp)
+
+
+def permute_subsystems(m, dims, perm):
+    """Reorder the subsystems of ``m`` so that subsystem k of the result is ``perm[k]``."""
+    n = len(dims)
+    axes = list(perm) + [p + n for p in perm]
+    return m.reshape(list(dims) * 2).transpose(axes).reshape(m.shape)
+
+
+def is_unital(ch):
+    return float(np.max(np.abs(ch.unital_deficit()))) <= ATOL

@@ -9,7 +9,6 @@ value here is copied from the code under test.
 import numpy as np
 
 from chandet.channels import (
-    Channel,
     cnot_channel,
     depolarizing_channel,
     identity_channel,
@@ -23,15 +22,8 @@ from chandet.detect import (
     eb_witness,
     evaluate_witness,
     operator_schmidt,
-    product_overlap,
     robustness_bounds,
     stabilizer_witness,
-)
-from chandet.ensembles import (
-    random_channel,
-    random_density_matrix,
-    random_separable_state,
-    random_sru_channel,
 )
 from chandet.measure import estimate_witness, group_settings, pauli_decompose
 from chandet.pptdetect import (
@@ -41,9 +33,8 @@ from chandet.pptdetect import (
     spa_noise_weight,
 )
 from chandet.qmath import PAULI, haar_unitary
-
-CNOT = np.eye(4, dtype=complex)
-CNOT[2:, 2:] = PAULI["X"]
+from support import CNOT, choi_of_superoperator, kraus_from_choi, product_overlap, random_channel
+from support import random_density_matrix, random_separable_state, random_sru_channel
 
 EXPECTED_CNOT_SIGNS = {
     "IXIX": -1, "XXXI": -1, "XIXX": -1,
@@ -188,26 +179,13 @@ def superoperator(ch):
     return sum(np.kron(a.conj(), a) for a in ch.kraus)
 
 
-def choi_of_superoperator(s):
-    """Reshuffle a superoperator into the trace-normalized Choi matrix."""
-    d = int(round(np.sqrt(s.shape[0])))
-    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
-
-
-def kraus_from_choi(choi, dims):
-    """Trace-preserving channel of the eigen-Kraus operators sqrt(lambda * D) * reshape(v)."""
-    d = choi.shape[0] // int(np.prod(dims))
-    w, v = np.linalg.eigh(choi)
-    return Channel([np.sqrt(lam * d) * v[:, k].reshape(d, d) for k, lam in enumerate(w) if lam > 1e-10], dims)
-
-
 def test_criterion_10_conversion_round_trips():
     for k in range(50):
         rng = np.random.default_rng(1000 + k)
         dims = [2] if k % 2 == 0 else [3]
         ch = random_channel(dims, rng)
-        via_choi = kraus_from_choi(ch.choi.matrix, ch.dims)
-        via_super = kraus_from_choi(choi_of_superoperator(superoperator(ch)), ch.dims)
+        via_choi = kraus_from_choi(ch.choi.matrix, ch.dims, require_tp=True)
+        via_super = kraus_from_choi(choi_of_superoperator(superoperator(ch)), ch.dims, require_tp=True)
         for _ in range(3):
             rho = random_density_matrix(ch.dim, rng)
             expected = ch(rho)

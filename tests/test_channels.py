@@ -15,9 +15,10 @@ from chandet.channels import (
     unitary_channel,
     z3_channel,
 )
-from chandet.ensembles import random_channel, random_density_matrix, random_sru_channel
 from chandet.pptdetect import ppt_conjugate
-from chandet.qmath import PAULI, haar_unitary, kron, max_entangled, partial_trace, partial_transpose
+from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, partial_transpose
+from support import CNOT, choi_of_superoperator, is_unital, kraus_from_choi, max_entangled, permute_subsystems
+from support import random_channel, random_density_matrix, random_sru_channel, superoperator
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 
@@ -27,47 +28,12 @@ def vec(m):
     return np.asarray(m).reshape(-1, order="F")
 
 
-def superoperator(choi):
-    """Superoperator on column-stacked matrices, reshuffled from a trace-normalized Choi matrix."""
-    d = int(round(np.sqrt(choi.shape[0])))
-    return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) * d
-
-
-def choi_of_superoperator(s):
-    """Inverse reshuffle of :func:`superoperator`."""
-    d = int(round(np.sqrt(s.shape[0])))
-    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
-
-
-def kraus_from_choi(choi, dims, require_tp=False):
-    """Channel of the eigen-Kraus operators sqrt(lambda * D) * reshape(v) of a PSD Choi matrix."""
-    d = choi.shape[0] // int(np.prod(dims))
-    w, v = np.linalg.eigh(choi)
-    kraus = [np.sqrt(lam * d) * v[:, k].reshape(d, d) for k, lam in enumerate(w) if lam > 1e-10]
-    return Channel(kraus, dims, require_tp=require_tp)
-
-
-def permute_subsystems(m, dims, perm):
-    """Reorder the subsystems of ``m`` so that subsystem k of the result is ``perm[k]``."""
-    n = len(dims)
-    axes = list(perm) + [p + n for p in perm]
-    return m.reshape(list(dims) * 2).transpose(axes).reshape(m.shape)
-
-
 def is_tp(ch):
     return float(np.max(np.abs(ch.tp_deficit()))) <= ATOL
 
 
-def is_unital(ch):
-    return float(np.max(np.abs(ch.unital_deficit()))) <= ATOL
-
-
 def is_cp(ch):
     return float(np.linalg.eigvalsh(ch.choi.matrix)[0]) >= -ATOL
-
-
-CNOT = np.eye(4, dtype=complex)
-CNOT[2:, 2:] = X
 
 
 def bell_projector():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from chandet import cli
 from chandet.cli import (
     COMMANDS,
     EXIT_INPUT_ERROR,
@@ -43,6 +44,10 @@ CNOT_SPELLINGS = [
     unitary_spec(CNOT),
     {"dims": [2, 2], "kind": "kraus", "kraus": [matrix_to_pairs(CNOT)]},
 ]
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("the request must be refused before any work")
 
 
 def run(capsys, *argv):
@@ -99,6 +104,7 @@ class TestSpecParsing:
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": True}},
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.1, "d": 0}},
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.25, "d": 2.9}},
+            {"dims": [1], "kind": "named", "name": "depolarizing", "params": {"p": 0.5}},
         ],
     )
     def test_schema_violations(self, spec):
@@ -117,8 +123,6 @@ class TestSpecParsing:
             assert "above the limit 36" in err
 
     def test_starts_bound_precedes_the_optimizer(self, tmp_path, capsys, monkeypatch):
-        from chandet import cli
-
         def no_optimizer(*args, **kwargs):
             raise AssertionError("the optimizer must not run")
 
@@ -174,12 +178,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["choi", "schmidt", "decompose-witness"])
     @pytest.mark.parametrize("shots", ["0", "100"])
     def test_shots_refused_where_nothing_is_sampled(self, tmp_path, capsys, monkeypatch, command, shots):
-        from chandet import cli
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the request must be refused before any work")
-
-        monkeypatch.setattr(cli, "parse_channel_spec", no_work)
+        monkeypatch.setattr(cli, "parse_channel_spec", refuse_work)
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         code, out, err = run(capsys, command, "--channel", path, "--shots", shots)
         assert code == EXIT_INPUT_ERROR and out == ""
@@ -196,8 +195,6 @@ class TestExitCodes:
         ids=["choi-shots", "detect-eb-seed", "detect-sep-starts", "simulate-zero-shots"],
     )
     def test_options_refused_before_the_channel_is_built(self, tmp_path, capsys, monkeypatch, argv, message):
-        from chandet import cli
-
         def no_build(*args, **kwargs):
             raise AssertionError("the channel must not be built")
 
@@ -254,17 +251,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["detect-sru", "detect-sep", "detect-npt"])
     def test_non_qubit_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch, command):
-        from chandet import cli
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the request must be refused before any work")
-
-        monkeypatch.setattr(cli, "alpha_sru_optimize", no_work)
-        monkeypatch.setattr(cli, "detect_npt", no_work)
+        monkeypatch.setattr(cli, "alpha_sru_optimize", refuse_work)
+        monkeypatch.setattr(cli, "detect_npt", refuse_work)
         path = write_spec(tmp_path, "z3.json", Z3_SPEC)
         code, out, err = run(capsys, command, "--channel", path, "--shots", "100")
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "only for qubit systems" in err
+
+    def test_non_tp_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch):
+        # detect-sep takes a non-TP map, but its Choi matrix (trace 0.81) is no state to sample
+        spec = {"dims": [2, 2], "kind": "kraus", "kraus": [matrix_to_pairs(0.9 * np.eye(4))]}
+        chan = write_spec(tmp_path, "lossy.json", spec)
+        target = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        argv = ["detect-sep", "--channel", chan, "--target", target]
+        res = run_json(capsys, *argv)["results"]
+        # alpha^2 Tr C - |<vec I|vec CNOT>|^2 Tr C / 16 = 0.81 / 2 - 0.81 / 4
+        assert res["verdict"] == "undetected" and abs(res["expectation"] - 0.2025) <= 1e-12
+
+        monkeypatch.setattr(cli, "_witness", refuse_work)
+        code, out, err = run(capsys, *argv, "--shots", "1000")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("input error: detect-sep --shots needs a trace-preserving channel")
 
     @pytest.mark.parametrize(
         "argv, spec",
@@ -296,13 +303,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("witness", ["sru", "stabilizer", "ppt"])
     def test_simulate_refuses_zero_shots_before_the_work(self, tmp_path, capsys, monkeypatch, witness):
-        from chandet import cli
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the request must be refused before any work")
-
-        monkeypatch.setattr(cli, "detect_npt", no_work)
-        monkeypatch.setattr(cli, "_witness", no_work)
+        monkeypatch.setattr(cli, "detect_npt", refuse_work)
+        monkeypatch.setattr(cli, "_witness", refuse_work)
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         argv = ["simulate", "--channel", path, "--witness", witness, "--shots", "0"]
         code, out, err = run(capsys, *argv)
@@ -475,9 +477,6 @@ class TestPipelines:
         assert results[0] == results[1] == results[2]
 
     def test_two_qubit_alpha_is_sigma_1(self, tmp_path, capsys, monkeypatch):
-        from chandet import cli
-        from chandet.qmath import haar_unitary
-
         def no_optimizer(*args, **kwargs):
             raise AssertionError("two-qubit gates must not run the optimizer")
 
@@ -490,7 +489,6 @@ class TestPipelines:
 
     def test_product_gate_alpha_is_clipped_at_one(self, tmp_path, capsys):
         from chandet.detect import operator_schmidt
-        from chandet.qmath import haar_unitary
 
         u = np.kron(haar_unitary(2, 56), haar_unitary(2, 57))
         assert operator_schmidt(u, 2, 2).sigmas[0] ** 2 > 1.0  # rounding
@@ -529,7 +527,7 @@ class TestPipelines:
     def test_one_schmidt_decomposition_per_request(
         self, tmp_path, capsys, monkeypatch, command, spec
     ):
-        from chandet import cli, detect
+        from chandet import detect
 
         calls = []
         real = detect.operator_schmidt
@@ -546,7 +544,7 @@ class TestPipelines:
 
     @pytest.mark.parametrize("witness", ["sru", "ppt"])
     def test_simulate_decomposes_the_witness_once(self, tmp_path, capsys, monkeypatch, witness):
-        from chandet import cli, measure
+        from chandet import measure
 
         calls = []
         real = measure.pauli_decompose
@@ -569,7 +567,7 @@ class TestPipelines:
     def test_shot_requests_build_no_dense_pauli_string(self, tmp_path, capsys, monkeypatch, command):
         # the Pauli expansion and the product bases come from index tables and
         # broadcasting; a dense kron per string or per setting must not come back
-        from chandet import channels, cli, detect, ensembles, measure, pptdetect, qmath
+        from chandet import channels, detect, measure, pptdetect, qmath
 
         calls = []
         for name in ("kron", "pauli_string"):
@@ -579,7 +577,7 @@ class TestPipelines:
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
-            for module in (qmath, channels, detect, ensembles, measure, pptdetect, cli):
+            for module in (qmath, channels, detect, measure, pptdetect, cli):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counting)
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
@@ -684,7 +682,7 @@ class TestPipelines:
         assert "lambda_minus" in err
 
     def test_ppt_refusal_is_stable_under_kraus_order(self, tmp_path, capsys):
-        from chandet.ensembles import random_sru_channel
+        from support import random_sru_channel
 
         # lambda_- of an SRU mixture is rounding, +-1e-16, and moves with the Kraus order
         kraus = random_sru_channel((2, 2), seed=0).kraus

@@ -22,16 +22,13 @@ from chandet.detect import (
     eb_witness,
     evaluate_witness,
     operator_schmidt,
-    product_overlap,
     robustness_bounds,
     stabilizer_witness,
 )
-from chandet.ensembles import random_separable_state, random_sru_channel
-from chandet.qmath import PAULI, haar_unitary, kron, max_entangled, partial_trace, pauli_string
+from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, pauli_string
+from support import CNOT, max_entangled, product_overlap, random_separable_state, random_sru_channel
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
-CNOT = np.eye(4, dtype=complex)
-CNOT[2:, 2:] = X
 Z3 = np.diag([1.0] * 8 + [-1.0]).astype(complex)
 SQRT17 = np.sqrt(17.0)
 Z3_SIGMA_1 = np.sqrt((9 + SQRT17) / 2) / 3

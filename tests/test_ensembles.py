@@ -1,13 +1,8 @@
 import numpy as np
 
 from chandet.channels import ATOL
-from chandet.ensembles import (
-    random_channel,
-    random_density_matrix,
-    random_separable_state,
-    random_sru_channel,
-)
 from chandet.pptdetect import ppt_conjugate
+from support import random_channel, random_density_matrix, random_separable_state, random_sru_channel
 
 
 def test_random_channel_is_cptp():

@@ -6,7 +6,6 @@ import pytest
 
 from chandet.channels import STATE_ATOL, Channel, cnot_channel, depolarizing_channel
 from chandet.detect import build_sru_witness, eb_witness, evaluate_witness, stabilizer_witness
-from chandet.ensembles import random_channel, random_density_matrix
 from chandet.measure import (
     MeasurementSetting,
     PauliTerm,
@@ -18,10 +17,9 @@ from chandet.measure import (
 )
 from chandet.pptdetect import detect_npt
 from chandet.qmath import PAULI, haar_unitary, kron
+from support import CNOT, random_channel, random_density_matrix
 
 I2, X = PAULI["I"], PAULI["X"]
-CNOT = np.eye(4, dtype=complex)
-CNOT[2:, 2:] = X
 
 # W_CNOT = Id/2 - C_CNOT expanded over Pauli strings: the identity carries 7/16
 # and these fifteen strings carry 1/16 with the signs below.

@@ -12,7 +12,6 @@ from chandet.channels import (
     identity_channel,
     unitary_channel,
 )
-from chandet.ensembles import random_channel, random_sru_channel
 from chandet.pptdetect import (
     NOT_DETECTED,
     NPT_DETECTED,
@@ -22,7 +21,9 @@ from chandet.pptdetect import (
     spa_noise_weight,
     _negative_eigenpair,
 )
-from chandet.qmath import haar_unitary, kron, max_entangled, partial_trace, partial_transpose
+from chandet.qmath import haar_unitary, kron, partial_trace, partial_transpose
+from support import choi_of_superoperator, is_unital, max_entangled, random_channel, random_sru_channel
+from support import superoperator
 
 
 def product_of_depolarizing(p):
@@ -30,22 +31,6 @@ def product_of_depolarizing(p):
     one = depolarizing_channel(p)
     kraus = [kron(a, b) for a in one.kraus for b in one.kraus]
     return Channel(kraus, (2, 2))
-
-
-def superoperator(choi):
-    """Superoperator on column-stacked matrices, reshuffled from a trace-normalized Choi matrix."""
-    d = int(round(np.sqrt(choi.shape[0])))
-    return choi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) * d
-
-
-def choi_of_superoperator(s):
-    """Inverse reshuffle of :func:`superoperator`."""
-    d = int(round(np.sqrt(s.shape[0])))
-    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
-
-
-def is_unital(ch):
-    return float(np.max(np.abs(ch.unital_deficit()))) <= ATOL
 
 
 def swap_channel(d):

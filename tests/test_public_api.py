@@ -1,0 +1,45 @@
+"""The names ``chandet`` exports, and that the CLI reaches every module of the package."""
+
+import json
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import chandet
+
+SRC = Path(chandet.__file__).parent
+
+# The library's surface; the linear-algebra helpers stay in chandet.qmath.
+PUBLIC_NAMES = """
+    BoundReport Channel ChoiMatrix MeasurementSetting NptReport PauliTerm SchmidtDecomposition
+    ShotEstimate ValidationError Verdict Witness alpha_sru_optimize build_sru_witness
+    classify_violation cnot_channel depolarizing_channel detect_npt eb_witness estimate_witness
+    evaluate_witness fully_depolarizing_channel group_settings identity_channel make_named_channel
+    operator_schmidt pauli_decompose ppt_conjugate random_unitary_channel robustness_bounds
+    spa_noise_weight sru_channel stabilizer_witness unitary_channel z3_channel
+""".split()
+
+# Imports chandet.cli under a bare stand-in for the package, so that the
+# re-exports of chandet/__init__.py, which would load every module anyway,
+# do not count; prints the chandet modules that the CLI's imports loaded.
+LOADED_BY_CLI = """
+import json, sys, types
+package = types.ModuleType("chandet")
+package.__path__ = [sys.argv[1]]
+sys.modules["chandet"] = package
+import chandet.cli
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("chandet."))))
+"""
+
+
+def test_public_names():
+    names = [n for n, v in vars(chandet).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+    assert sorted(names) == PUBLIC_NAMES and len(names) == 34
+
+
+def test_cli_reaches_every_module():
+    modules = sorted(f"chandet.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__")
+    argv = [sys.executable, "-c", LOADED_BY_CLI, str(SRC)]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(proc.stdout) == modules

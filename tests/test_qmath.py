@@ -5,20 +5,13 @@ from chandet.qmath import (
     PAULI,
     haar_unitary,
     kron,
-    max_entangled,
     partial_trace,
     partial_transpose,
     pauli_string,
 )
+from support import max_entangled, permute_subsystems
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
-
-
-def permute_subsystems(m, dims, perm):
-    """Reorder the subsystems of ``m`` so that subsystem k of the result is ``perm[k]``."""
-    n = len(dims)
-    axes = list(perm) + [p + n for p in perm]
-    return m.reshape(list(dims) * 2).transpose(axes).reshape(m.shape)
 
 
 def random_hermitian(d, rng):
@@ -185,6 +178,24 @@ class TestHaarUnitary:
 
     def test_deterministic(self):
         np.testing.assert_array_equal(haar_unitary(3, 42), haar_unitary(3, 42))
+
+    def test_draws_match_the_reference(self):
+        def reference(d, seed):
+            # the first sampler: a Generator was passed through, anything else seeded one
+            rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+            a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+            q, r = np.linalg.qr(a)
+            ph = np.diagonal(r).copy()
+            ph /= np.abs(ph)
+            return q * ph
+
+        for d in (1, 2, 3, 4, 9):
+            for seed in (0, 1, 42, 2**32 + 5, [7, 3]):
+                np.testing.assert_array_equal(haar_unitary(d, seed), reference(d, seed))
+            # a shared Generator is drawn from in place, so consecutive draws differ and agree
+            rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
+            for _ in range(3):
+                np.testing.assert_array_equal(haar_unitary(d, rng), reference(d, ref_rng))
 
     def test_trace_moment(self):
         # Haar moment: the mean of |Tr U|^2 over U(2) equals 1

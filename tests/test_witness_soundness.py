@@ -23,8 +23,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chandet.cli import EXIT_OK, main, matrix_to_pairs  # noqa: E402
-from chandet.ensembles import random_density_matrix, random_ket, random_sru_channel  # noqa: E402
 from chandet.qmath import haar_unitary  # noqa: E402
+from support import random_density_matrix, random_ket, random_sru_channel  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
 
