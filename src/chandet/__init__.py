@@ -17,7 +17,6 @@ from .channels import (
     depolarizing_channel,
     fully_depolarizing_channel,
     identity_channel,
-    make_named_channel,
     random_unitary_channel,
     sru_channel,
     unitary_channel,

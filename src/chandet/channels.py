@@ -1,4 +1,4 @@
-"""Quantum channels in Kraus form with a cached Choi matrix, and the tolerance table.
+"""Quantum channels in Kraus form with a cached Choi matrix, the tolerance table and the verdict test.
 
 Choi matrices follow the trace-normalized state convention
 ``C = (M kron Id)[|alpha><alpha|]`` with subsystem order (outputs..., ancillas...),
@@ -30,6 +30,11 @@ SIGMA_RANK_CUTOFF = 1e-14  # an eigenvalue of sigma at or below it adds no Kraus
 SWEEP_TOL = 1e-12  # an optimizer start stops after a sweep that gains less
 # an expectation must lie this far below a threshold for a verdict; rounding alone gives none
 VERDICT_MARGIN = 1e-12
+
+
+def below_threshold(value: float, threshold: float) -> bool:
+    """The test of every verdict: ``value`` lies more than ``VERDICT_MARGIN`` below ``threshold``."""
+    return value < threshold - VERDICT_MARGIN
 
 
 class ValidationError(ValueError):
@@ -109,13 +114,6 @@ class Channel:
 
     def tp_deficit(self) -> np.ndarray:
         return sum(dag(a) @ a for a in self.kraus) - np.eye(self.dim)
-
-    def unital_deficit(self) -> np.ndarray:
-        return sum(a @ dag(a) for a in self.kraus) - np.eye(self.dim)
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        return sum(a @ rho @ dag(a) for a in self.kraus)
 
     def __repr__(self):
         return f"Channel(dims={self.dims}, kraus_count={len(self.kraus)}, require_tp={self.require_tp})"
@@ -249,58 +247,3 @@ def sru_channel(probs, a_unitaries, b_unitaries, dims=None) -> Channel:
     if len(dims) != 2 or (va[0].shape[0], wb[0].shape[0]) != dims:
         raise ValueError(f"local unitary shapes do not match dims {dims}")
     return Channel([np.sqrt(pk) * kron(v, w) for pk, v, w in zip(p, va, wb)], dims)
-
-
-NAMED_CHANNELS = (
-    "identity",
-    "depolarizing",
-    "fully_depolarizing",
-    "unitary",
-    "cnot",
-    "z3",
-    "random_unitary",
-    "sru",
-)
-
-
-def make_named_channel(name: str, params: dict | None = None, dims=None) -> Channel:
-    """Construct one of the named channels used across the detection pipelines.
-
-    ``params`` carries the per-channel arguments (probabilities, matrices);
-    matrices must already be complex ndarrays.
-    """
-    params = dict(params or {})
-    if name == "identity":
-        return identity_channel(dims if dims is not None else (2,))
-    if name == "depolarizing":
-        if "p" not in params:
-            raise ValueError("depolarizing channel needs params.p")
-        d = int(params.get("d", dims[0] if dims else 2))
-        if dims is not None and _as_dims(dims) != (d,):
-            raise ValueError(f"dims {dims} do not match depolarizing dimension {d}")
-        return depolarizing_channel(params["p"], d)
-    if name == "fully_depolarizing":
-        return fully_depolarizing_channel(dims if dims is not None else (2,), params.get("sigma"))
-    if name == "unitary":
-        if "matrix" not in params:
-            raise ValueError("unitary channel needs params.matrix")
-        return unitary_channel(params["matrix"], dims)
-    if name == "cnot":
-        ch = cnot_channel()
-    elif name == "z3":
-        ch = z3_channel()
-    elif name == "random_unitary":
-        for key in ("probs", "unitaries"):
-            if key not in params:
-                raise ValueError(f"random_unitary channel needs params.{key}")
-        return random_unitary_channel(params["probs"], params["unitaries"], dims)
-    elif name == "sru":
-        for key in ("probs", "a_unitaries", "b_unitaries"):
-            if key not in params:
-                raise ValueError(f"sru channel needs params.{key}")
-        return sru_channel(params["probs"], params["a_unitaries"], params["b_unitaries"], dims)
-    else:
-        raise ValueError(f"unknown channel name {name!r}; known: {', '.join(NAMED_CHANNELS)}")
-    if dims is not None and _as_dims(dims) != ch.dims:
-        raise ValueError(f"dims {dims} do not match {name} dims {ch.dims}")
-    return ch

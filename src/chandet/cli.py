@@ -5,6 +5,10 @@ Channel specs are JSON with complex entries encoded as [re, im] pairs:
     {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.25}}
     {"dims": [2], "kind": "kraus", "kraus": [[[[1,0],[0,0]],[[0,0],[1,0]]]]}
 
+The spec schema is one table, ``NAMED_SPECS``: a name maps to the parser of
+each param its channel takes, the params it needs and its constructor from
+dims and those params. Any other key under ``params`` is an input error.
+
 A request runs in one order: the options are checked, then the channel is
 built, then the command runs. Every witness the CLI measures (eb, sru,
 stabilizer, ppt) comes from one step, ``_witness``, which picks it from the
@@ -29,11 +33,18 @@ import numpy as np
 
 from .channels import (
     ATOL,
-    VERDICT_MARGIN,
     Channel,
     ChoiMatrix,
     ValidationError,
-    make_named_channel,
+    below_threshold,
+    cnot_channel,
+    depolarizing_channel,
+    fully_depolarizing_channel,
+    identity_channel,
+    random_unitary_channel,
+    sru_channel,
+    unitary_channel,
+    z3_channel,
     _check_unitary,
 )
 from .detect import (
@@ -90,13 +101,6 @@ def _number(obj, where: str) -> float:
     return value
 
 
-def _whole_number(obj, where: str) -> float:
-    value = _number(obj, where)
-    if not value.is_integer():
-        raise SpecError(f"{where} must be a whole number")
-    return value
-
-
 def _number_list(obj, where: str) -> list:
     if not isinstance(obj, list):
         raise SpecError(f"{where} must be a list of numbers")
@@ -132,16 +136,30 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-# Parser of each named-channel parameter, by parameter name; other keys are ignored.
-_PARAM_PARSERS = {
-    "p": _number,
-    "d": _whole_number,
-    "probs": _number_list,
-    "matrix": _complex_matrix,
-    "sigma": _complex_matrix,
-    "unitaries": _matrix_list,
-    "a_unitaries": _matrix_list,
-    "b_unitaries": _matrix_list,
+@dataclass(frozen=True)
+class _Named:
+    """Schema of one named channel; ``build`` gets the spec's dims and the parsed params as keywords."""
+
+    takes: dict[str, Callable]  # the parser of each param the channel takes
+    needs: tuple[str, ...]  # the params it cannot do without
+    build: Callable[..., Channel]
+
+
+_UNITARIES = {"probs": _number_list, "unitaries": _matrix_list}
+_LOCAL_UNITARIES = {"probs": _number_list, "a_unitaries": _matrix_list, "b_unitaries": _matrix_list}
+
+# The spec schema: every name a named spec may give.
+NAMED_SPECS = {
+    "identity": _Named({}, (), identity_channel),
+    "depolarizing": _Named({"p": _number}, ("p",), lambda dims, p: depolarizing_channel(p, dims[0])),
+    "fully_depolarizing": _Named({"sigma": _complex_matrix}, (), fully_depolarizing_channel),
+    "unitary": _Named(
+        {"matrix": _complex_matrix}, ("matrix",), lambda dims, matrix: unitary_channel(matrix, dims)
+    ),
+    "cnot": _Named({}, (), lambda dims: cnot_channel()),
+    "z3": _Named({}, (), lambda dims: z3_channel()),
+    "random_unitary": _Named(_UNITARIES, tuple(_UNITARIES), random_unitary_channel),
+    "sru": _Named(_LOCAL_UNITARIES, tuple(_LOCAL_UNITARIES), sru_channel),
 }
 
 
@@ -169,32 +187,38 @@ def parse_channel_spec(spec: dict, require_tp: bool = True) -> Channel:
         name = spec.get("name")
         if not isinstance(name, str):
             raise SpecError("name must be a string for kind=named")
+        if name not in NAMED_SPECS:
+            raise SpecError(f"unknown channel name {name!r}; known: {', '.join(NAMED_SPECS)}")
+        schema = NAMED_SPECS[name]
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise SpecError("params must be an object")
-        params = {
-            key: _PARAM_PARSERS[key](val, f"params.{key}") if key in _PARAM_PARSERS else val
-            for key, val in params.items()
-        }
-        try:
-            channel = make_named_channel(name, params, dims)
-        except ValidationError:
-            raise
-        except (ValueError, KeyError) as exc:
-            raise SpecError(str(exc)) from exc
+        for key in params:
+            if key not in schema.takes:
+                raise SpecError(f"{name} channel takes no params.{key}")
+        params = {key: schema.takes[key](val, f"params.{key}") for key, val in params.items()}
+        for key in schema.needs:
+            if key not in params:
+                raise SpecError(f"{name} channel needs params.{key}")
+        build, args = schema.build, {"dims": dims, **params}
     elif kind == "kraus":
+        if "params" in spec:
+            raise SpecError("a kraus spec takes no params")
         ops = spec.get("kraus")
         if not isinstance(ops, list) or not ops:
             raise SpecError("kraus must be a non-empty list of matrices")
         mats = [_complex_matrix(m, f"kraus[{i}]") for i, m in enumerate(ops)]
-        try:
-            channel = Channel(mats, dims, require_tp=require_tp)
-        except ValidationError:
-            raise
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
+        name, build, args = kind, Channel, {"kraus": mats, "dims": dims, "require_tp": require_tp}
     else:
         raise SpecError("kind must be 'named' or 'kraus'")
+    try:
+        channel = build(**args)
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+    if channel.dims != tuple(dims):
+        raise SpecError(f"dims {dims} do not match {name} dims {channel.dims}")
     return channel
 
 
@@ -393,7 +417,7 @@ def _eb_results(w: Witness, state: ChoiMatrix, facts) -> dict:
     return {
         "expectation": value,
         "threshold": 0.0,
-        "verdict": "not_entanglement_breaking" if value < -VERDICT_MARGIN else "undetected",
+        "verdict": "not_entanglement_breaking" if below_threshold(value, 0.0) else "undetected",
         "bounds": asdict(robustness_bounds(value, w)),
     }
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, VERDICT_MARGIN, WITNESS_HERM_ATOL, ZERO_CUTOFF
-from .channels import ChoiMatrix, ValidationError, _check_hermitian, _check_unitary
+from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
+from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary
 from .qmath import haar_unitary, pauli_string, _as_dims
 
 MAX_SWEEPS = 500
@@ -47,11 +47,6 @@ class SchmidtDecomposition:
     b_factors: tuple[np.ndarray, ...]
     rank: int
     dims: tuple[int, int]
-
-    def reconstruct(self) -> np.ndarray:
-        return sum(
-            s * np.kron(a, b) for s, a, b in zip(self.sigmas, self.a_factors, self.b_factors)
-        )
 
 
 @dataclass(frozen=True)
@@ -249,13 +244,13 @@ def classify_violation(value: float, w: Witness) -> Verdict:
 
     Below alpha_sq - alpha_s_sq the map cannot be separable at all; below
     zero it cannot be a separable random unitary; otherwise undetected. Each
-    threshold must be undercut by more than ``VERDICT_MARGIN``.
+    threshold is tested with :func:`~chandet.channels.below_threshold`.
     """
     if w.alpha_sq is None or w.alpha_s_sq is None:
         raise ValueError("witness carries no reference overlap coefficients")
-    if value < w.alpha_sq - w.alpha_s_sq - VERDICT_MARGIN:
+    if below_threshold(value, w.alpha_sq - w.alpha_s_sq):
         return Verdict.NOT_SEPARABLE
-    if value < -VERDICT_MARGIN:
+    if below_threshold(value, 0.0):
         return Verdict.NOT_SRU
     return Verdict.UNDETECTED
 
@@ -263,14 +258,14 @@ def classify_violation(value: float, w: Witness) -> Verdict:
 def robustness_bounds(c: float, w: Witness) -> BoundReport:
     """Generalized-robustness and critical-mixing lower bounds from expectation c.
 
-    R >= |c| / w_max for c below -``VERDICT_MARGIN`` (else 0, as for the verdict),
+    R >= |c| / w_max for c below zero by the verdict's test (else 0),
     and the minimal EB-mixing weight obeys mu_c >= 1 - 1/(1 + R); w_max is a fidelity witness's alpha^2.
     """
     c = float(c)
     if w.alpha_sq is None:
         raise ValueError(f"the {w.kind} witness is not of the form alpha^2 Id - P_U; bounds undefined")
     w_max = w.alpha_sq
-    if c < -VERDICT_MARGIN:
+    if below_threshold(c, 0.0):
         r = abs(c) / w_max
     else:
         r = 0.0

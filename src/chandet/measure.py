@@ -242,13 +242,16 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     for k, setting in enumerate(settings):
         counts = np.random.default_rng([seed, k]).multinomial(shots, probs[k])
         covered = [terms[i] for i in setting.covered_terms]
-        # [outcome, term] signed coefficients; each row is summed left to right below
+        # [outcome, term] signed coefficients; each row is summed left to right below,
+        # not with sum(), whose floats are compensated from Python 3.12 on
         signed = np.array([t.coefficient for t in covered]) * _outcome_signs([t.string for t in covered])
         mean_acc = 0.0
         sq_acc = 0.0
         for idx in np.flatnonzero(counts):
             cnt = int(counts[idx])
-            v = sum(signed[idx].tolist())
+            v = 0.0
+            for term in signed[idx].tolist():
+                v += term
             mean_acc += cnt * v
             sq_acc += cnt * v * v
         mean = mean_acc / shots

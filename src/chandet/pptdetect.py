@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ATOL, VERDICT_MARGIN, Channel, ChoiMatrix, ValidationError
+from .channels import ATOL, Channel, ChoiMatrix, ValidationError, below_threshold
 from .detect import Witness, evaluate_witness
 from .qmath import partial_trace, partial_transpose
 
@@ -162,7 +162,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
             f"two-term split {split!r} disagrees with direct expectation {expectation!r}"
         )
 
-    verdict = NPT_DETECTED if expectation < threshold - VERDICT_MARGIN else NOT_DETECTED
+    verdict = NPT_DETECTED if below_threshold(expectation, threshold) else NOT_DETECTED
     return NptReport(
         lambda_minus=lam,
         expectation=expectation,

@@ -110,5 +110,18 @@ def permute_subsystems(m, dims, perm):
     return m.reshape(list(dims) * 2).transpose(axes).reshape(m.shape)
 
 
+def reconstruct(sd):
+    """The operator sum_i sigma_i A_i kron B_i of operator Schmidt data ``sd``."""
+    return sum(s * np.kron(a, b) for s, a, b in zip(sd.sigmas, sd.a_factors, sd.b_factors))
+
+
+def apply(ch, rho):
+    """The channel's action sum_k A_k rho A_k^dag on ``rho``."""
+    rho = np.asarray(rho, dtype=complex)
+    return sum(a @ rho @ dag(a) for a in ch.kraus)
+
+
 def is_unital(ch):
-    return float(np.max(np.abs(ch.unital_deficit()))) <= ATOL
+    """sum_k A_k A_k^dag = Id within ATOL."""
+    deficit = sum(a @ dag(a) for a in ch.kraus) - np.eye(ch.dim)
+    return float(np.max(np.abs(deficit))) <= ATOL

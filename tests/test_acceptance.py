@@ -33,8 +33,8 @@ from chandet.pptdetect import (
     spa_noise_weight,
 )
 from chandet.qmath import PAULI, haar_unitary
-from support import CNOT, choi_of_superoperator, kraus_from_choi, product_overlap, random_channel
-from support import random_density_matrix, random_separable_state, random_sru_channel
+from support import CNOT, apply, choi_of_superoperator, kraus_from_choi, product_overlap
+from support import random_channel, random_density_matrix, random_separable_state, random_sru_channel
 
 EXPECTED_CNOT_SIGNS = {
     "IXIX": -1, "XXXI": -1, "XIXX": -1,
@@ -188,9 +188,9 @@ def test_criterion_10_conversion_round_trips():
         via_super = kraus_from_choi(choi_of_superoperator(superoperator(ch)), ch.dims, require_tp=True)
         for _ in range(3):
             rho = random_density_matrix(ch.dim, rng)
-            expected = ch(rho)
-            assert np.max(np.abs(via_choi(rho) - expected)) <= 1e-10
-            assert np.max(np.abs(via_super(rho) - expected)) <= 1e-10
+            expected = apply(ch, rho)
+            assert np.max(np.abs(apply(via_choi, rho) - expected)) <= 1e-10
+            assert np.max(np.abs(apply(via_super, rho) - expected)) <= 1e-10
     passed(10, "Kraus/Choi/superoperator round trips preserve channel action (d = 2 and 3)")
 
 

@@ -9,16 +9,16 @@ from chandet.channels import (
     depolarizing_channel,
     fully_depolarizing_channel,
     identity_channel,
-    make_named_channel,
     random_unitary_channel,
     sru_channel,
     unitary_channel,
     z3_channel,
 )
+from chandet.cli import SpecError, parse_channel_spec
 from chandet.pptdetect import ppt_conjugate
 from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, partial_transpose
-from support import CNOT, choi_of_superoperator, is_unital, kraus_from_choi, max_entangled, permute_subsystems
-from support import random_channel, random_density_matrix, random_sru_channel, superoperator
+from support import CNOT, apply, choi_of_superoperator, is_unital, kraus_from_choi, max_entangled
+from support import permute_subsystems, random_channel, random_density_matrix, random_sru_channel, superoperator
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 
@@ -43,7 +43,7 @@ def bell_projector():
 
 class TestNamedChannels:
     def test_depolarizing_zero_is_identity(self):
-        ch = make_named_channel("depolarizing", {"p": 0.0}, [2])
+        ch = depolarizing_channel(0.0, 2)
         assert len(ch.kraus) == 1
         np.testing.assert_allclose(ch.kraus[0], I2)
 
@@ -55,18 +55,18 @@ class TestNamedChannels:
             np.testing.assert_allclose(k, np.sqrt(0.1) * pauli)
 
     def test_cnot_block_structure(self):
-        ch = make_named_channel("cnot")
+        ch = cnot_channel()
         assert ch.dims == (2, 2)
         np.testing.assert_array_equal(ch.kraus[0], CNOT)
 
     def test_z3_diagonal(self):
-        ch = make_named_channel("z3")
+        ch = z3_channel()
         assert ch.dims == (3, 3)
         np.testing.assert_array_equal(ch.kraus[0], np.diag([1.0] * 8 + [-1.0]))
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown channel name"):
-            make_named_channel("swap")
+        with pytest.raises(SpecError, match="unknown channel name 'swap'"):
+            parse_channel_spec({"dims": [2, 2], "kind": "named", "name": "swap"})
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ class TestNamedChannels:
         sigma = random_density_matrix(2, rng)
         ch = fully_depolarizing_channel([2], sigma)
         rho = random_density_matrix(2, rng)
-        np.testing.assert_allclose(ch(rho), sigma, atol=1e-12)
+        np.testing.assert_allclose(apply(ch, rho), sigma, atol=1e-12)
         assert is_tp(ch)
 
 
@@ -143,7 +143,7 @@ class TestSuperoperator:
         ch = random_channel([3], rng, kraus_count=4)
         rho = random_density_matrix(3, rng)
         out = (superoperator(ch.choi.matrix) @ vec(rho)).reshape(3, 3, order="F")
-        np.testing.assert_allclose(out, ch(rho), atol=1e-12)
+        np.testing.assert_allclose(out, apply(ch, rho), atol=1e-12)
 
     def test_conversion_cycle(self):
         # superoperator (from Kraus) -> Choi (reshuffle) -> Kraus (eigh) -> superoperator
@@ -242,7 +242,7 @@ class TestKrausFromChoi:
         for _ in range(10):
             rho = random_density_matrix(2, rng)
             np.testing.assert_allclose(
-                rebuilt(rho), ch(rho), atol=1e-10
+                apply(rebuilt, rho), apply(ch, rho), atol=1e-10
             )
 
     def test_pure_choi_single_kraus(self):
@@ -259,7 +259,7 @@ class TestKrausFromChoi:
         rng = np.random.default_rng(7)
         for _ in range(5):
             rho = random_density_matrix(2, rng)
-            np.testing.assert_allclose(ch(rho), I2 / 2, atol=1e-10)
+            np.testing.assert_allclose(apply(ch, rho), I2 / 2, atol=1e-10)
 
     def test_choi_of_kraus_from_choi_round_trip(self):
         rng = np.random.default_rng(8)

@@ -105,11 +105,23 @@ class TestSpecParsing:
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.1, "d": 0}},
             {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.25, "d": 2.9}},
             {"dims": [1], "kind": "named", "name": "depolarizing", "params": {"p": 0.5}},
+            # a param the channel does not take; d restates dims, so depolarizing takes none
+            {"dims": [2, 2], "kind": "named", "name": "cnot", "params": {"p": 0.3}},
+            {"dims": [2], "kind": "named", "name": "identity", "params": {"sigma": [[[1, 0]]]}},
+            {"dims": [3], "kind": "named", "name": "depolarizing", "params": {"p": 0.1, "d": 3}},
+            {"dims": [2], "kind": "kraus", "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "params": {}},
         ],
     )
     def test_schema_violations(self, spec):
         with pytest.raises(SpecError):
             parse_channel_spec(spec)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_param_the_channel_does_not_take(self, tmp_path, capsys, command):
+        path = write_spec(tmp_path, "cnot.json", {**CNOT_SPEC, "params": {"p": 0.3}})
+        code, out, err = run(capsys, command, "--channel", path)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "cnot channel takes no params.p" in err
 
     def test_size_bound_precedes_parsing(self, tmp_path, capsys):
         big = {"dims": [37], "kind": "kraus", "kraus": "never read"}

@@ -20,8 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from chandet.channels import NAMED_CHANNELS  # noqa: E402
-from chandet.cli import COMMANDS, EXIT_INPUT_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK, main  # noqa: E402
+from chandet.cli import COMMANDS, EXIT_INPUT_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK, NAMED_SPECS, main  # noqa: E402
 
 DIMS = ([1], [2], [3], [1, 2], [2, 1], [2, 2], [2, 2, 2])
 PARAM_KEYS = ["p", "d", "probs", "matrix", "sigma", "unitaries"]
@@ -70,7 +69,7 @@ def malformed_specs(draw):
     dims = draw(st.sampled_from(DIMS))
     side = math.prod(dims)
     if draw(st.booleans()):
-        name = draw(st.sampled_from(NAMED_CHANNELS))
+        name = draw(st.sampled_from(tuple(NAMED_SPECS)))
         params = {}
         for key in sorted(draw(st.sets(st.sampled_from(PARAM_KEYS)))):
             if key in ("matrix", "sigma"):

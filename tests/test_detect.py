@@ -7,7 +7,6 @@ from chandet.channels import (
     cnot_channel,
     depolarizing_channel,
     identity_channel,
-    unitary_channel,
     z3_channel,
 )
 from chandet.detect import (
@@ -27,6 +26,7 @@ from chandet.detect import (
 )
 from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, pauli_string
 from support import CNOT, max_entangled, product_overlap, random_separable_state, random_sru_channel
+from support import reconstruct
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 Z3 = np.diag([1.0] * 8 + [-1.0]).astype(complex)
@@ -71,7 +71,7 @@ class TestOperatorSchmidt:
         assert sd.rank == 2
         np.testing.assert_allclose(sd.sigmas, [1 / np.sqrt(2)] * 2, atol=1e-12)
         # degenerate coefficients: factors are not unique, check reconstruction only
-        np.testing.assert_allclose(sd.reconstruct(), CNOT, atol=1e-10)
+        np.testing.assert_allclose(reconstruct(sd), CNOT, atol=1e-10)
 
     def test_z3_closed_form(self):
         sd = operator_schmidt(Z3, 3, 3)
@@ -98,7 +98,7 @@ class TestOperatorSchmidt:
             da, db = dims
             o = rng.standard_normal((da * db, da * db)) + 1j * rng.standard_normal((da * db, da * db))
             sd = operator_schmidt(o, da, db)
-            np.testing.assert_allclose(sd.reconstruct(), o, atol=1e-10)
+            np.testing.assert_allclose(reconstruct(sd), o, atol=1e-10)
             for factors, d in ((sd.a_factors, da), (sd.b_factors, db)):
                 gram = np.array(
                     [[np.trace(f1.conj().T @ f2) for f2 in factors] for f1 in factors]

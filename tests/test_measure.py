@@ -204,7 +204,7 @@ class TestEstimateWitness:
 
     def test_rejects_qutrits(self):
         from chandet.channels import z3_channel
-        from chandet.detect import alpha_sru_optimize, build_sru_witness
+        from chandet.detect import build_sru_witness
 
         z3 = z3_channel()
         w = build_sru_witness(z3.kraus[0], (3, 3), 0.6)
@@ -309,11 +309,10 @@ def dense_estimate(choi, w, shots, seed):
             if cnt == 0:
                 continue
             outcome = [1 - 2 * ((idx >> (n - 1 - q)) & 1) for q in range(n)]
-            v = sum(
-                terms[i].coefficient
-                * math.prod(o for o, ch in zip(outcome, terms[i].string) if ch != "I")
-                for i in setting.covered_terms
-            )
+            v = 0.0  # left to right, as the package adds them
+            for i in setting.covered_terms:
+                sign = math.prod(o for o, ch in zip(outcome, terms[i].string) if ch != "I")
+                v += terms[i].coefficient * sign
             mean_acc += int(cnt) * v
             sq_acc += int(cnt) * v * v
         mean = mean_acc / shots

@@ -22,8 +22,8 @@ from chandet.pptdetect import (
     _negative_eigenpair,
 )
 from chandet.qmath import haar_unitary, kron, partial_trace, partial_transpose
-from support import choi_of_superoperator, is_unital, max_entangled, random_channel, random_sru_channel
-from support import superoperator
+from support import apply, choi_of_superoperator, is_unital, max_entangled, random_channel
+from support import random_sru_channel, superoperator
 
 
 def product_of_depolarizing(p):
@@ -225,9 +225,9 @@ class TestAgainstDefinition:
             return partial_transpose(x, dims, 0)
 
         def composite(p):
-            return choi_by_definition(lambda x: ch((1 - p) * t_a(x) + p * np.trace(x) * mixed), dims)
+            return choi_by_definition(lambda x: apply(ch, (1 - p) * t_a(x) + p * np.trace(x) * mixed), dims)
 
-        choi_mt = choi_by_definition(lambda x: t_a(ch(t_a(x))), dims)
+        choi_mt = choi_by_definition(lambda x: t_a(apply(ch, t_a(x))), dims)
         np.testing.assert_allclose(ppt_conjugate(ch).matrix, choi_mt, atol=1e-12)
         np.testing.assert_allclose(spa_composite(ch, 0.3).matrix, composite(0.3), atol=1e-12)
 
@@ -239,8 +239,8 @@ class TestAgainstDefinition:
         proj = partial_transpose(rep.witness.operator, rep.witness.dims, 0)
         expected = {
             "term_transpose": np.trace(proj @ choi_mt).real,
-            "term_noise_mt": np.trace(proj @ np.kron(t_a(ch(t_a(mixed))), mixed)).real,
-            "term_noise_m": np.trace(proj @ np.kron(ch(mixed), mixed)).real,
+            "term_noise_mt": np.trace(proj @ np.kron(t_a(apply(ch, t_a(mixed))), mixed)).real,
+            "term_noise_m": np.trace(proj @ np.kron(apply(ch, mixed), mixed)).real,
         }
         for field, value in expected.items():
             assert getattr(rep, field) == pytest.approx(value, abs=1e-12), field
