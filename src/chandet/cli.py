@@ -6,8 +6,10 @@ Channel specs are JSON with complex entries encoded as [re, im] pairs:
     {"dims": [2], "kind": "kraus", "kraus": [[[[1,0],[0,0]],[[0,0],[1,0]]]]}
 
 The spec schema is one table, ``NAMED_SPECS``: a name maps to the parser of
-each param its channel takes, the params it needs and its constructor from
-dims and those params. Any other key under ``params`` is an input error.
+each param its channel takes, the params it needs, its constructor from dims
+and those params, and the dims of the channel it builds, which are checked
+against the spec's before the build. Any other key under ``params`` is an
+input error.
 
 A request runs in one order: the options are checked, then the channel is
 built, then the command runs. Every witness the CLI measures (eb, sru,
@@ -28,6 +30,8 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -107,7 +111,34 @@ def _number_list(obj, where: str) -> list:
     return [_number(x, f"{where}[{i}]") for i, x in enumerate(obj)]
 
 
+def _uniform(obj, containers: set, leaves: set):
+    """``(shape, leaves in row-major order)`` of a nest of ``containers``, or None.
+
+    The containers must be non-empty and of one shape, and the type of every
+    leaf must be in ``leaves``; a leaf at the top gives the shape [].
+    """
+    shape, items = [], [obj]
+    while (types := set(map(type, items))) <= containers:
+        lengths = set(map(len, items))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        items = list(chain.from_iterable(items))
+    return (shape, items) if types <= leaves else None
+
+
 def _complex_matrix(obj, where: str) -> np.ndarray:
+    found = _uniform(obj, {list}, {int, float})
+    if found is not None and len(found[0]) == 3 and found[0][2] == 2:
+        try:
+            pairs = np.array(found[1], dtype=float)
+        except OverflowError:
+            pass  # an int beyond the float range: the walk below names it
+        else:
+            if np.isfinite(pairs).all():
+                # the [re, im] pairs are the complex entries' memory layout, signed zeros included
+                return pairs.view(complex).reshape(found[0][:2])
+    # any other input, entry by entry, naming the first fault
     if not isinstance(obj, list) or not obj:
         raise SpecError(f"{where} must be a non-empty nested list of [re, im] pairs")
     rows = []
@@ -143,6 +174,7 @@ class _Named:
     takes: dict[str, Callable]  # the parser of each param the channel takes
     needs: tuple[str, ...]  # the params it cannot do without
     build: Callable[..., Channel]
+    dims: Callable[[list], tuple] = tuple  # the dims of the channel ``build`` makes on the spec's dims
 
 
 _UNITARIES = {"probs": _number_list, "unitaries": _matrix_list}
@@ -151,13 +183,15 @@ _LOCAL_UNITARIES = {"probs": _number_list, "a_unitaries": _matrix_list, "b_unita
 # The spec schema: every name a named spec may give.
 NAMED_SPECS = {
     "identity": _Named({}, (), identity_channel),
-    "depolarizing": _Named({"p": _number}, ("p",), lambda dims, p: depolarizing_channel(p, dims[0])),
+    "depolarizing": _Named(
+        {"p": _number}, ("p",), lambda dims, p: depolarizing_channel(p, dims[0]), lambda dims: (dims[0],)
+    ),
     "fully_depolarizing": _Named({"sigma": _complex_matrix}, (), fully_depolarizing_channel),
     "unitary": _Named(
         {"matrix": _complex_matrix}, ("matrix",), lambda dims, matrix: unitary_channel(matrix, dims)
     ),
-    "cnot": _Named({}, (), lambda dims: cnot_channel()),
-    "z3": _Named({}, (), lambda dims: z3_channel()),
+    "cnot": _Named({}, (), lambda dims: cnot_channel(), lambda dims: (2, 2)),
+    "z3": _Named({}, (), lambda dims: z3_channel(), lambda dims: (3, 3)),
     "random_unitary": _Named(_UNITARIES, tuple(_UNITARIES), random_unitary_channel),
     "sru": _Named(_LOCAL_UNITARIES, tuple(_LOCAL_UNITARIES), sru_channel),
 }
@@ -200,6 +234,9 @@ def parse_channel_spec(spec: dict, require_tp: bool = True) -> Channel:
         for key in schema.needs:
             if key not in params:
                 raise SpecError(f"{name} channel needs params.{key}")
+        # before the build, which can take seconds at dimension 36
+        if schema.dims(dims) != tuple(dims):
+            raise SpecError(f"dims {dims} do not match {name} dims {schema.dims(dims)}")
         build, args = schema.build, {"dims": dims, **params}
     elif kind == "kraus":
         if "params" in spec:
@@ -208,18 +245,15 @@ def parse_channel_spec(spec: dict, require_tp: bool = True) -> Channel:
         if not isinstance(ops, list) or not ops:
             raise SpecError("kraus must be a non-empty list of matrices")
         mats = [_complex_matrix(m, f"kraus[{i}]") for i, m in enumerate(ops)]
-        name, build, args = kind, Channel, {"kraus": mats, "dims": dims, "require_tp": require_tp}
+        build, args = Channel, {"kraus": mats, "dims": dims, "require_tp": require_tp}
     else:
         raise SpecError("kind must be 'named' or 'kraus'")
     try:
-        channel = build(**args)
+        return build(**args)
     except ValidationError:
         raise
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
-    if channel.dims != tuple(dims):
-        raise SpecError(f"dims {dims} do not match {name} dims {channel.dims}")
-    return channel
 
 
 def _read_spec_file(path: str) -> dict:
@@ -521,6 +555,73 @@ def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
 # rendering
 
 
+def _float_block(o, level: int) -> str | None:
+    """``_json`` of a nested list of finite floats of one shape, written in one join.
+
+    None for any other value; for a non-finite float the recursion raises.
+    """
+    found = _uniform(o, {list, tuple}, {float, np.float64})
+    if found is None or not all(map(math.isfinite, found[1])):
+        return None
+    shape, leaves = found
+    k = len(shape)
+    pad = ["\n" + "  " * (level + j) for j in range(k + 1)]
+
+    def closes(r):  # end the r innermost lists
+        return "".join(pad[k - 1 - j] + "]" for j in range(r))
+
+    def opens(r):  # start r innermost lists, up to the first leaf
+        return "".join(pad[k - r + j] + "[" for j in range(r)) + pad[k]
+
+    # the separator between two neighbouring leaves ends and starts as many
+    # lists as there are trailing indices that wrap around between them
+    seps = []
+    for r, n in enumerate(reversed(shape)):
+        seps = (seps + [closes(r) + "," + opens(r)]) * n
+        del seps[-1]
+    parts = [""] * (2 * len(leaves) - 1)
+    parts[::2] = map(float.__repr__, leaves)
+    parts[1::2] = seps
+    return "[" + opens(k - 1) + "".join(parts) + closes(k)
+
+
+def _json(o, level: int = 0) -> str:
+    """``json.dumps(o, indent=2, allow_nan=False)`` for a value with str keys, same text and same errors.
+
+    json's indenting encoder is pure Python; here a nested list of floats of
+    one shape (a Choi matrix, a list of Kraus operators) is one join, and every
+    other value recurses the way that encoder does.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        block = _float_block(o, level)
+        if block is not None:
+            return block
+        return "[" + pad + ("," + pad).join(_json(v, level + 1) for v in o) + pad[:-2] + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + _json(v, level + 1) for k, v in o.items())
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str:
     """Render a report payload; a non-finite number in it is a numerical failure in either format.
 
@@ -534,7 +635,7 @@ def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str
 
     try:
         if fmt == "json":
-            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            return _json(payload) + "\n"
         lines = [f"pipeline: {payload['pipeline']}"]
         lines.append(f"channel: {show(payload['inputs']['channel'])}")
         for key, val in payload["inputs"]["options"].items():
@@ -558,13 +659,22 @@ def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a known ``command``, only its subparser is built.
+
+    Every message and help text reads the same either way. ``main`` passes its
+    first argument, so ``chandet -h`` and an unknown command get every subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="chandet",
         description="Detect properties of quantum channels via Choi-state witnesses.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in _COMMANDS.items():
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # with one subparser built, the metavar keeps every command in the usage line
+    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        cmd = _COMMANDS[name]
         p = sub.add_parser(name)
         p.add_argument("--channel", required=True, help="path to a channel-spec JSON file")
         p.add_argument("--shots", type=int, default=None, help="shots per measurement setting")
@@ -607,7 +717,8 @@ def _options_from_args(args) -> PipelineOptions:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         options = _options_from_args(args)
         spec = _read_spec_file(args.channel)

@@ -123,6 +123,22 @@ class TestSpecParsing:
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "cnot channel takes no params.p" in err
 
+    @pytest.mark.parametrize(
+        "constructor, spec, message",
+        [
+            ("depolarizing_channel", {**dep_spec(0.1), "dims": [36, 1]}, "[36, 1] do not match depolarizing dims (36,)"),
+            ("depolarizing_channel", {**dep_spec(1.5), "dims": [2, 2]}, "[2, 2] do not match depolarizing dims (2,)"),
+            ("cnot_channel", {**CNOT_SPEC, "dims": [4]}, "[4] do not match cnot dims (2, 2)"),
+            ("z3_channel", {**Z3_SPEC, "dims": [3, 3, 1]}, "[3, 3, 1] do not match z3 dims (3, 3)"),
+        ],
+    )
+    def test_dims_mismatch_refused_before_the_build(self, monkeypatch, constructor, spec, message):
+        # depolarizing on [36, 1] would build 1 296 Kraus operators before the refusal
+        monkeypatch.setattr(cli, constructor, refuse_work)
+        with pytest.raises(SpecError) as exc:
+            parse_channel_spec(spec)
+        assert str(exc.value) == f"dims {message}"
+
     def test_size_bound_precedes_parsing(self, tmp_path, capsys):
         big = {"dims": [37], "kind": "kraus", "kraus": "never read"}
         with pytest.raises(SpecError, match="above the limit 36"):
@@ -785,6 +801,17 @@ class TestRendering:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_subparser_reads_as_all_of_them(self, capsys, command):
+        # main builds only the subparser of the command it is given
+        for tail in (["--help"], [], ["--channel", "x", "--format", "xml"], ["--channel", "x", "--bogus"]):
+            outcomes = []
+            for parser in (build_parser(), build_parser(command)):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([command, *tail])
+                outcomes.append((exc.value.code, *capsys.readouterr()))
+            assert outcomes[0] == outcomes[1]
+
     def test_module_invocation(self, tmp_path):
         import subprocess
         import sys

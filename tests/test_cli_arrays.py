@@ -1,0 +1,235 @@
+"""The CLI's whole-array paths against their per-entry references.
+
+``render_report`` writes a nested list of floats of one shape in one join; it
+must give exactly the text and the errors of ``json.dumps(indent=2,
+allow_nan=False)``. ``_complex_matrix`` accepts a well-formed matrix through
+one array check; it must return exactly the array of the per-entry walk below
+(the parser as it was before that check), and name the same fault on
+malformed input.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from chandet import cli  # noqa: E402
+from chandet.channels import ValidationError  # noqa: E402
+from chandet.cli import SpecError, parse_channel_spec, render_report  # noqa: E402
+
+
+def per_entry_number(obj, where):
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise SpecError(f"{where} must be a number")
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecError(f"{where} must be a finite number")
+    return value
+
+
+def per_entry_complex_matrix(obj, where):
+    """The reference: one entry at a time, each pair through ``complex(re, im)``."""
+    if not isinstance(obj, list) or not obj:
+        raise SpecError(f"{where} must be a non-empty nested list of [re, im] pairs")
+    rows = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or not row:
+            raise SpecError(f"{where}[{i}] must be a non-empty list")
+        entries = []
+        for j, pair in enumerate(row):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise SpecError(f"{where}[{i}][{j}] must be an [re, im] pair of numbers")
+            entries.append(complex(*(per_entry_number(x, f"{where}[{i}][{j}]") for x in pair)))
+        rows.append(entries)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise SpecError(f"{where} rows have unequal lengths")
+    return np.array(rows, dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1.7e308, -1.7e308, 1 / 3]
+NON_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]
+plain_floats = st.floats(allow_nan=False, allow_infinity=False)
+finite_floats = st.one_of(plain_floats, st.sampled_from(EDGE_FLOATS), plain_floats.map(np.float64))
+any_floats = st.one_of(finite_floats, finite_floats, st.sampled_from(NON_FINITE))
+strings = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\r\x00\x1f\x7f", "é ü   \U0001f600", ""]))
+
+
+@st.composite
+def uniform_arrays(draw, leaves):
+    """A nested list of depth 1-4 and one shape, some levels tuples."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+
+    def build(dims):
+        if not dims:
+            return draw(leaves)
+        items = [build(dims[1:]) for _ in range(dims[0])]
+        return tuple(items) if draw(st.integers(0, 4)) == 0 else items
+
+    return build(shape)
+
+
+def json_values(floats):
+    numbers = st.one_of(floats, st.integers(), st.booleans())
+    scalars = st.one_of(numbers, strings, st.none())
+    arrays = st.one_of(
+        uniform_arrays(floats),
+        st.lists(numbers, max_size=5),  # int/float/bool mixes
+        st.lists(st.lists(floats, max_size=3), max_size=3),  # ragged, empty rows
+    )
+    return st.recursive(
+        st.one_of(scalars, arrays),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(strings, inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+def reference_text(value):
+    """``json.dumps(indent=2)`` as ``render_report`` prints it, or the ValueError's text."""
+    try:
+        return json.dumps(value, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def rendered_text(value):
+    try:
+        return render_report(value)
+    except ValidationError as exc:
+        # the writer's ValueError, raised as a numerical failure
+        assert str(exc) == f"report holds a non-finite number: {exc.__cause__}"
+        return type(exc.__cause__), str(exc.__cause__)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(json_values(finite_floats))
+@example([[[-0.0, 5e-324], [1.7e308, 0.0]]])
+@example({"matrix": [[np.float64(1.5)]], "empty": [[], {}], "tuple": (1.0, (2.0,)), "mixed": [1, 1.0, True]})
+def test_writer_matches_json_dumps(value):
+    assert rendered_text(value) == reference_text(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(json_values(any_floats))
+@example([[0.5, math.nan], [math.inf, 1.0]])
+@example({"a": [1.0, np.float64("-inf")], "b": math.nan})
+def test_writer_raises_what_json_dumps_raises(value):
+    assert rendered_text(value) == reference_text(value)
+
+
+def test_writer_error_names_the_first_non_finite_float():
+    with pytest.raises(ValidationError) as exc:
+        render_report({"results": {"matrix": [[0.0, 1.0], [np.float64("nan"), math.inf]]}})
+    assert str(exc.value.__cause__) == "Out of range float values are not JSON compliant: np.float64(nan)"
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+numbers = st.one_of(
+    plain_floats,
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 2**53 + 1, 10**308, 1.7e308]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_valid_matrix_matches_the_walk_bitwise(rows, cols, data):
+    obj = [[[data.draw(numbers), data.draw(numbers)] for _ in range(cols)] for _ in range(rows)]
+    ref = per_entry_complex_matrix(obj, "m")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_number", None)  # the whole-array path reads no entry on its own
+        got = cli._complex_matrix(obj, "m")
+    assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+    assert got.tobytes() == ref.tobytes()
+
+
+GOOD = [[[1, 0]]]
+# each holds one fault, read from JSON text as a spec file gives it
+MALFORMED = {
+    "string": '[[[1, 0], ["0.5", 0]]]',
+    "bool": "[[[true, 0]]]",
+    "huge int": "[[[1" + "0" * 400 + ", 0]]]",
+    "1e400": "[[[0, 0], [0, 1e400]]]",
+    "3-element pair": "[[[1, 0, 0]]]",
+    "1-element pair": "[[[1]]]",
+    "ragged rows": "[[[1, 0], [0, 0]], [[1, 0]]]",
+    "extra nesting": "[[[[1, 0], [0, 0]]]]",
+    "empty row": "[[[1, 0]], []]",
+    "empty matrix": "[]",
+    "bare pair list": "[[1, 0]]",
+    "object": '{"re": 1}',
+    "string matrix": '"[[[1, 0]]]"',
+    "number": "1",
+    "null": "null",
+}
+# where each field puts a matrix, the spec holding it there, and the name the fault is reported under
+FIELDS = {
+    "kraus": ("kraus[0]", lambda m: {"dims": [1], "kind": "kraus", "kraus": [m]}),
+    "params.matrix": ("params.matrix", lambda m: {"dims": [1], "kind": "named", "name": "unitary", "params": {"matrix": m}}),
+    "params.sigma": (
+        "params.sigma",
+        lambda m: {"dims": [1], "kind": "named", "name": "fully_depolarizing", "params": {"sigma": m}},
+    ),
+    "unitaries": (
+        "params.unitaries[1]",
+        lambda m: {"dims": [1], "kind": "named", "name": "random_unitary", "params": {"probs": [0.5, 0.5], "unitaries": [GOOD, m]}},
+    ),
+    "a_unitaries": (
+        "params.a_unitaries[0]",
+        lambda m: {
+            "dims": [1, 1],
+            "kind": "named",
+            "name": "sru",
+            "params": {"probs": [1.0], "a_unitaries": [m], "b_unitaries": [GOOD]},
+        },
+    ),
+    "b_unitaries": (
+        "params.b_unitaries[0]",
+        lambda m: {
+            "dims": [1, 1],
+            "kind": "named",
+            "name": "sru",
+            "params": {"probs": [1.0], "a_unitaries": [GOOD], "b_unitaries": [m]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("fault", MALFORMED)
+def test_malformed_matrix_is_named_as_the_walk_names_it(field, fault):
+    obj = json.loads(MALFORMED[fault])
+    where, spec = FIELDS[field]
+    with pytest.raises(SpecError) as ref:
+        per_entry_complex_matrix(obj, where)
+    with pytest.raises(SpecError) as got:
+        parse_channel_spec(spec(obj))
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize(
+    "obj, fault",
+    [([[[0.0, 0.0], [math.nan, 0.0]]], "[0][1] must be a finite number"), ([[(1, 0)]], "[0][0] must be an [re, im] pair of numbers")],
+)
+def test_python_only_faults_are_named_as_the_walk_names_them(field, obj, fault):
+    where, spec = FIELDS[field]
+    with pytest.raises(SpecError) as got:
+        parse_channel_spec(spec(obj))
+    assert str(got.value) == where + fault
