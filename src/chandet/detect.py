@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
 from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary
-from .qmath import haar_unitary, pauli_string, _as_dims
+from .qmath import pauli_string, _as_dims, _haar_stack
 
 MAX_SWEEPS = 500
 
@@ -172,8 +172,8 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
         raise ValueError(f"unitary side {u.shape[0]} does not match dims {dims}")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    rngs = (np.random.default_rng([int(seed), k]) for k in range(int(starts)))
-    val, ua, ub = _alternating_ascent(u, da, db, np.stack([haar_unitary(db, r) for r in rngs]))
+    rngs = [np.random.default_rng([int(seed), k]) for k in range(int(starts))]
+    val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, rngs))
     best = int(np.argmax(val))
     # an overlap of unit vectors is at most 1; product gates reach it up to rounding
     return min(float(val[best]), 1.0), ua[best], ub[best]

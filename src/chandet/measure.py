@@ -4,7 +4,12 @@ A qubit witness is expanded in the Pauli basis, the non-identity strings are
 grouped into product measurement settings (strings sharing a setting are
 estimated from the same shots), and outcomes are sampled from the exact Born
 distribution of the Choi state being measured. :func:`estimate_witness` is the
-one sampler: setting k draws its counts from the stream ``[seed, k]``.
+one sampler: setting k draws its counts from the stream ``[seed, k]``, and one
+pass over ``[setting, outcome]`` arrays turns all the counts into the
+estimate. One sign table serves every term; each setting's terms are padded
+to the widest setting with a zero term, and every sum runs left to right, so
+each outcome value and each setting's moments are bitwise those of a loop
+over settings, outcomes and terms.
 
 No step builds a dense 2^n x 2^n product per string or per setting: every
 coefficient is read off one gather of the operator (a Pauli string has one
@@ -14,6 +19,7 @@ bitwise the one the dense ``Tr[P W]`` and per-setting ``kron`` basis give, so
 the sampling streams and estimates are those of the dense path.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,14 +104,13 @@ def pauli_decompose(w: np.ndarray, tol: float = ZERO_CUTOFF) -> list[PauliTerm]:
     _check_hermitian(w, ATOL, "operator")
     cols, phases = _pauli_tables(n)
     coeffs = (phases * w[cols, np.arange(side)]).sum(axis=-1) / side
+    names = ["".join(p) for p in itertools.product(_LETTERS, repeat=n)]  # the tables' string order
     bad = np.flatnonzero(np.abs(coeffs.imag) > ZERO_CUTOFF)
     if bad.size:
         s = bad[0]
-        raise ValueError(f"coefficient of {_string_of(s, n)} has imaginary part {coeffs[s].imag:.3e}")
-    return [
-        PauliTerm(string=_string_of(s, n), coefficient=float(coeffs[s].real))
-        for s in np.flatnonzero(np.abs(coeffs.real) > tol)
-    ]
+        raise ValueError(f"coefficient of {names[s]} has imaginary part {coeffs[s].imag:.3e}")
+    kept = np.flatnonzero(np.abs(coeffs.real) > tol)
+    return [PauliTerm(names[s], c) for s, c in zip(kept.tolist(), coeffs.real[kept].tolist())]
 
 
 def _pack(string: str) -> tuple[int, int]:
@@ -183,12 +188,11 @@ def _setting_probabilities(state: np.ndarray, bases: list[str]) -> np.ndarray:
     b = _product_bases(bases)
     probs = np.real(np.einsum("sij,jk,ski->si", b.conj().transpose(0, 2, 1), state, b))
     probs = np.clip(probs, 0.0, None)
-    for row in probs:
-        total = float(row.sum())
-        if abs(total - 1.0) > STATE_ATOL:
-            raise ValueError(f"outcome probabilities sum to {total!r}; state is not normalized")
-        row /= total
-    return probs
+    totals = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > STATE_ATOL)
+    if bad.size:
+        raise ValueError(f"outcome probabilities sum to {float(totals[bad[0]])!r}; state is not normalized")
+    return probs / totals[:, None]
 
 
 def _check_state(state: np.ndarray, n: int) -> np.ndarray:
@@ -238,27 +242,34 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     identity = "I" * n
     value = sum(t.coefficient for t in terms if t.string == identity)
     variance = 0.0
-    probs = _setting_probabilities(state, [s.bases for s in settings]) if settings else []
-    for k, setting in enumerate(settings):
-        counts = np.random.default_rng([seed, k]).multinomial(shots, probs[k])
-        covered = [terms[i] for i in setting.covered_terms]
-        # [outcome, term] signed coefficients; each row is summed left to right below,
-        # not with sum(), whose floats are compensated from Python 3.12 on
-        signed = np.array([t.coefficient for t in covered]) * _outcome_signs([t.string for t in covered])
-        mean_acc = 0.0
-        sq_acc = 0.0
-        for idx in np.flatnonzero(counts):
-            cnt = int(counts[idx])
-            v = 0.0
-            for term in signed[idx].tolist():
-                v += term
-            mean_acc += cnt * v
-            sq_acc += cnt * v * v
-        mean = mean_acc / shots
-        value += mean
-        if shots > 1:
-            sample_var = (sq_acc / shots - mean**2) * shots / (shots - 1)
-            variance += sample_var / shots
+    if settings:
+        probs = _setting_probabilities(state, [s.bases for s in settings])
+        # [setting, outcome] counts; setting k draws from the stream [seed, k]
+        counts = np.stack([np.random.default_rng([seed, k]).multinomial(shots, p) for k, p in enumerate(probs)])
+        # [term, outcome] signed coefficients; one more term, 0.0 * identity, pads every setting to the widest
+        strings = [t.string for t in terms] + [identity]
+        signed = np.array([t.coefficient for t in terms] + [0.0])[:, None] * _outcome_signs(strings).T
+        slots = np.full((len(settings), max(len(s.covered_terms) for s in settings)), len(terms))
+        for k, setting in enumerate(settings):
+            slots[k, : len(setting.covered_terms)] = setting.covered_terms
+        # [setting, outcome] values, each adding its setting's terms left to right (x + 0.0 == x)
+        v = np.zeros(counts.shape)
+        for column in slots.T:
+            v += signed[column]
+        # per setting, count * v and count * v * v summed over outcomes in ascending order;
+        # a zero count adds +-0.0, which changes no sum
+        weighted = counts * v
+        mean_acc = np.zeros(len(settings))
+        sq_acc = np.zeros(len(settings))
+        for o in range(counts.shape[1]):
+            mean_acc += weighted[:, o]
+            sq_acc += weighted[:, o] * v[:, o]
+        for m_acc, s_acc in zip(mean_acc.tolist(), sq_acc.tolist()):
+            mean = m_acc / shots
+            value += mean
+            if shots > 1:
+                sample_var = (s_acc / shots - mean**2) * shots / (shots - 1)
+                variance += sample_var / shots
     return ShotEstimate(
         value=float(value),
         std_error=float(np.sqrt(variance)),

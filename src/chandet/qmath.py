@@ -98,9 +98,18 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = np.random.default_rng(seed)
-    a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    return _haar_stack(d, [np.random.default_rng(seed)])[0]
+
+
+def _haar_stack(d: int, rngs) -> np.ndarray:
+    """One d x d Haar unitary per Generator in ``rngs``, stacked; one batched QR for all.
+
+    Each Generator draws its real then its imaginary Gaussian part, so matrix k
+    is bitwise ``haar_unitary(d, rngs[k])``.
+    """
+    a = np.stack([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs])
+    a /= np.sqrt(2)
     q, r = np.linalg.qr(a)
-    ph = np.diagonal(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[:, None, :]

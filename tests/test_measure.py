@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chandet.channels import STATE_ATOL, Channel, cnot_channel, depolarizing_channel
-from chandet.detect import build_sru_witness, eb_witness, evaluate_witness, stabilizer_witness
+from chandet.detect import Witness, build_sru_witness, eb_witness, evaluate_witness, stabilizer_witness
 from chandet.measure import (
     MeasurementSetting,
     PauliTerm,
@@ -195,6 +197,35 @@ class TestEstimateWitness:
             ratios.append(e4.std_error / e1.std_error)
         assert 0.35 <= np.mean(ratios) <= 0.65
 
+    def test_one_sign_table_and_one_stream_per_setting(self, monkeypatch):
+        # the sampling contract: setting k draws from default_rng([seed, k]), in setting order,
+        # and the outcome signs of every term come from one table
+        from chandet import measure
+
+        tables, streams = [], []
+        real_signs, real_rng = measure._outcome_signs, np.random.default_rng
+
+        def counting_signs(strings):
+            tables.append(list(strings))
+            return real_signs(strings)
+
+        def counting_rng(seed=None):
+            streams.append(seed)
+            return real_rng(seed)
+
+        cases = [
+            (cnot_channel().choi, _sru_witness_of(haar_unitary(4, 3))),
+            (depolarizing_channel(0.25).choi, eb_witness()),
+        ]
+        monkeypatch.setattr(measure, "_outcome_signs", counting_signs)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        for choi, w in cases:
+            tables.clear()
+            streams.clear()
+            est = estimate_witness(choi, w, 1000, seed=11)
+            assert len(tables) == 1 and {t.string for t in pauli_decompose(w.operator)} <= set(tables[0])
+            assert streams == [[11, k] for k in range(est.setting_count)]
+
     def test_seed_reproducible(self):
         ch = depolarizing_channel(0.25)
         w = eb_witness()
@@ -322,6 +353,12 @@ def dense_estimate(choi, w, shots, seed):
     return ShotEstimate(float(value), float(np.sqrt(variance)), shots, seed, len(settings))
 
 
+def assert_bitwise(est, ref):
+    # ShotEstimate == compares floats with ==, which cannot tell 0.0 from -0.0
+    assert est == ref
+    assert (est.value.hex(), est.std_error.hex()) == (ref.value.hex(), ref.std_error.hex())
+
+
 def _noisy_cnot(p):
     noise = depolarizing_channel(p)
     return Channel([kron(a, b) @ CNOT for a in noise.kraus for b in noise.kraus], (2, 2))
@@ -412,11 +449,35 @@ class TestMatchesDenseReference:
             witnesses.append((report.composite, report.witness))
         for choi, w in witnesses:
             for shots, seed in [(1, 0), (2, 5), (1000, 1), (20_000, 9)]:
-                assert estimate_witness(choi, w, shots, seed) == dense_estimate(choi, w, shots, seed)
+                assert_bitwise(estimate_witness(choi, w, shots, seed), dense_estimate(choi, w, shots, seed))
 
     def test_estimate_eb_witness(self):
         for seed in range(3):
             ch = random_channel((2,), seed, kraus_count=2)
             for shots in (1, 2, 5000):
                 est = estimate_witness(ch.choi, eb_witness(), shots, seed)
-                assert est == dense_estimate(ch.choi, eb_witness(), shots, seed)
+                assert_bitwise(est, dense_estimate(ch.choi, eb_witness(), shots, seed))
+
+    def test_estimate_stabilizer_witness(self):
+        # two settings whose parities are deterministic on the CNOT state: zero variance
+        choi = cnot_channel().choi
+        for shots, seed in [(1, 0), (2, 3), (1000, 1), (100_000, 7)]:
+            est = estimate_witness(choi, stabilizer_witness(), shots, seed)
+            assert est.setting_count == 2 and est.std_error == 0.0
+            assert_bitwise(est, dense_estimate(choi, stabilizer_witness(), shots, seed))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.9, 0.97]),
+        st.integers(1, 16),
+        st.sampled_from([1, 2, 3, 1000, 100_000]),
+    )
+    def test_estimate_random_hermitian_witness(self, seed, sparsity, kraus_count, shots):
+        # settings cover from one to fifteen terms, so most are padded to the widest
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        a[rng.random((16, 16)) < sparsity] = 0
+        w = Witness(a + a.conj().T, "hermitian", (2, 2, 2, 2))
+        choi = random_channel((2, 2), seed, kraus_count=kraus_count).choi
+        assert_bitwise(estimate_witness(choi, w, shots, seed), dense_estimate(choi, w, shots, seed))

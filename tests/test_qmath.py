@@ -3,6 +3,7 @@ import pytest
 
 from chandet.qmath import (
     PAULI,
+    _haar_stack,
     haar_unitary,
     kron,
     partial_trace,
@@ -196,6 +197,17 @@ class TestHaarUnitary:
             rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
             for _ in range(3):
                 np.testing.assert_array_equal(haar_unitary(d, rng), reference(d, ref_rng))
+
+    def test_stack_matches_one_at_a_time(self):
+        def starts_of(seed, starts):
+            return [np.random.default_rng([seed, k]) for k in range(starts)]
+
+        # the optimizer's starts come from one batched QR; each is the per-start draw, bit for bit
+        for d in (2, 3, 4, 6):
+            for seed in (0, 1, 7, 12345):
+                for starts in (1, 2, 50, 64):
+                    expected = np.stack([haar_unitary(d, rng) for rng in starts_of(seed, starts)])
+                    assert _haar_stack(d, starts_of(seed, starts)).tobytes() == expected.tobytes()
 
     def test_trace_moment(self):
         # Haar moment: the mean of |Tr U|^2 over U(2) equals 1
