@@ -198,6 +198,7 @@ def fully_depolarizing_channel(dims, sigma: np.ndarray | None = None) -> Channel
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != (d, d):
         raise ValueError(f"sigma shape {sigma.shape} does not match dims {dims}")
+    _check_hermitian(sigma, ATOL, "sigma")
     w, v = np.linalg.eigh((sigma + dag(sigma)) / 2)
     if w[0] < -ATOL or abs(float(w.sum()) - 1.0) > ATOL:
         raise ValidationError("sigma is not a density matrix (PSD, trace 1)")

@@ -64,7 +64,7 @@ from .detect import (
     stabilizer_witness,
 )
 from .measure import estimate_witness, group_settings, pauli_decompose
-from .pptdetect import detect_npt
+from .pptdetect import detect_npt, _require_bipartite
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -332,8 +332,10 @@ def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str) -
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
     if kind == "ppt":
-        if len(channel.dims) != 2 or channel.dims[0] != channel.dims[1]:
-            raise SpecError(f"{command} needs channel dims [d, d], got {list(channel.dims)}")
+        try:
+            _require_bipartite(channel)
+        except ValueError as exc:
+            raise SpecError(f"{command}: {exc}") from exc
         report = detect_npt(channel)
         return report.witness, report.composite, report
     if kind == "sru":

@@ -1,7 +1,7 @@
 """Detection of NPT maps on bipartite systems, read off the Choi matrix.
 
-A CP map M on two qudits is PPT when the transpose-conjugated composite
-T_A o M o T_A is still CP, i.e. when its Choi matrix stays positive. The
+A CP map M on a bipartite system [d_A, d_B] is PPT when the transpose-conjugated
+composite T_A o M o T_A is still CP, i.e. when its Choi matrix stays positive. The
 witness here is the partial transpose of the projector onto the most negative
 eigenvector of that Choi matrix, measured on the Choi state of the physically
 implementable composite M o SPA(T_A). SPA(T_A) is the structural physical
@@ -27,12 +27,12 @@ NOT_DETECTED = "not_detected"
 class NptReport:
     """Outcome of the NPT detection pipeline for one channel.
 
-    ``threshold`` is p/d^4 when the channel is unital (the noise floor of the
-    physical transpose approximation) and 0 otherwise; ``expectation`` is None
-    when no witness could be built and none was supplied. ``witness`` and
-    ``composite`` (the Choi state of ch o SPA(T_A) it was measured on) are
-    None in the same case. The fields before them are the report's results,
-    in report order.
+    ``threshold`` is p/D^2, D = d_A d_B, when the channel is unital (the noise
+    floor of the physical transpose approximation) and 0 otherwise;
+    ``expectation`` is None when no witness could be built and none was
+    supplied. ``witness`` and ``composite`` (the Choi state of ch o SPA(T_A)
+    it was measured on) are None in the same case. The fields before them are
+    the report's results, in report order.
     """
 
     lambda_minus: float
@@ -50,10 +50,9 @@ class NptReport:
     composite: ChoiMatrix | None = None
 
 
-def _require_square_pair(ch: Channel) -> int:
-    if len(ch.dims) != 2 or ch.dims[0] != ch.dims[1]:
-        raise ValueError(f"NPT detection needs dims [d, d], got {list(ch.dims)}")
-    return ch.dims[0]
+def _require_bipartite(ch: Channel) -> None:
+    if len(ch.dims) != 2 or min(ch.dims) < 2:  # a factor of 1 has no partial transpose to reveal
+        raise ValueError(f"NPT detection needs dims [d_A, d_B] with d_A, d_B >= 2, got {list(ch.dims)}")
 
 
 def ppt_conjugate(ch: Channel) -> ChoiMatrix:
@@ -61,24 +60,24 @@ def ppt_conjugate(ch: Channel) -> ChoiMatrix:
 
     It is ch's Choi matrix with A's output and ancilla (subsystems 0 and 2) transposed.
     """
-    _require_square_pair(ch)
+    _require_bipartite(ch)
     c = ch.choi
     return ChoiMatrix(partial_transpose(c.matrix, c.dims, (0, 2)), c.dims, c.source_dims)
 
 
-def spa_noise_weight(d: int) -> float:
-    """Minimal depolarizing weight making the partial transpose CP: d^3/(d^3+1)."""
-    d = int(d)
-    return d**3 / (d**3 + 1.0)
+def spa_noise_weight(dims) -> float:
+    """Least noise weight making T_A on [d_A, d_B] CP: d_A d_B^2/(d_A d_B^2+1), as lambda_min = -1/d_A."""
+    d_a, d_b = map(int, dims)
+    return d_a * d_b**2 / (d_a * d_b**2 + 1.0)
 
 
 def spa_composite(ch: Channel, noise: float) -> ChoiMatrix:
-    """Choi state of ch o [(1-noise) * T_A + noise * (depolarize to Id/D)] on dims [d, d].
+    """Choi state of ch o [(1-noise) * T_A + noise * (depolarize to Id/D)] on dims [d_A, d_B].
 
     T_A on the input transposes the A ancilla; the depolarizing part adds
     M(Id/D) kron Id/D, where M(Id/D) is the Choi matrix with the ancillas traced out.
     """
-    _require_square_pair(ch)
+    _require_bipartite(ch)
     c = ch.choi
     m_of_id = partial_trace(c.matrix, c.dims, keep=(0, 1))
     mat = (1.0 - noise) * partial_transpose(c.matrix, c.dims, 2)
@@ -101,7 +100,7 @@ def _negative_eigenpair(w: np.ndarray, v: np.ndarray):
 
 
 def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
-    """Run the full NPT detection pipeline on a CP channel acting on dims [d, d].
+    """Run the full NPT detection pipeline on a CP channel acting on dims [d_A, d_B], both >= 2.
 
     Reads everything off the channel's Choi matrix: the Choi state of the
     physically realizable composite ch o SPA(T_A) (:func:`spa_composite`), the
@@ -111,13 +110,12 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     whose transpose conjugate is already positive then come back
     ``not_detected`` with a diagnostic note.
     """
-    d = _require_square_pair(ch)
+    choi_mt = ppt_conjugate(ch)  # refuses dims that are not [d_A, d_B], both >= 2
     dim = ch.dim
     m_of_id = partial_trace(ch.choi.matrix, ch.choi.dims, keep=(0, 1))
     unital = float(np.max(np.abs(dim * m_of_id - np.eye(dim)))) <= ATOL
-    p = spa_noise_weight(d)
-    threshold = p / d**4 if unital else 0.0
-    choi_mt = ppt_conjugate(ch)
+    p = spa_noise_weight(ch.dims)
+    threshold = p / dim**2 if unital else 0.0
     lam, vector, degenerate = _negative_eigenpair(*np.linalg.eigh(choi_mt.matrix))
 
     note = None

@@ -151,9 +151,9 @@ def test_criterion_07_npt_pipeline_on_cnot():
 
 
 def test_criterion_08_spa_minimality():
-    choi = spa_composite(identity_channel((2, 2)), spa_noise_weight(2))
+    choi = spa_composite(identity_channel((2, 2)), spa_noise_weight((2, 2)))
     assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
-    reduced = spa_noise_weight(2) - 0.01
+    reduced = spa_noise_weight((2, 2)) - 0.01
     perturbed = spa_composite(identity_channel((2, 2)), reduced)
     assert np.linalg.eigvalsh(perturbed.matrix)[0] < -1e-4
     passed(8, "SPA transpose is CP at p = 8/9 and loses positivity at p - 0.01")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chandet.cli import (
     matrix_to_pairs,
     parse_channel_spec,
 )
+from chandet.pptdetect import detect_npt
 from chandet.qmath import haar_unitary
 
 
@@ -281,10 +283,21 @@ class TestExitCodes:
     def test_non_qubit_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr(cli, "alpha_sru_optimize", refuse_work)
         monkeypatch.setattr(cli, "detect_npt", refuse_work)
-        path = write_spec(tmp_path, "z3.json", Z3_SPEC)
-        code, out, err = run(capsys, command, "--channel", path, "--shots", "100")
+        for spec in (Z3_SPEC, {"dims": [2, 3], "kind": "kraus", "kraus": [matrix_to_pairs(np.eye(6))]}):
+            path = write_spec(tmp_path, "spec.json", spec)
+            code, out, err = run(capsys, command, "--channel", path, "--shots", "100")
+            assert code == EXIT_INPUT_ERROR and out == ""
+            assert "only for qubit systems" in err
+
+    @pytest.mark.parametrize("dims", [[4], [2, 2, 2], [1, 4], [2, 1]])
+    def test_npt_dims_refusal_names_the_command(self, tmp_path, capsys, monkeypatch, dims):
+        monkeypatch.setattr(cli, "detect_npt", refuse_work)
+        path = write_spec(tmp_path, "id.json", {"dims": dims, "kind": "named", "name": "identity"})
+        code, out, err = run(capsys, "detect-npt", "--channel", path)
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert "only for qubit systems" in err
+        assert err == (
+            f"input error: detect-npt: NPT detection needs dims [d_A, d_B] with d_A, d_B >= 2, got {dims}\n"
+        )
 
     def test_non_tp_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch):
         # detect-sep takes a non-TP map, but its Choi matrix (trace 0.81) is no state to sample
@@ -338,6 +351,15 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "omit --shots for the default of 100000" in err
+
+    @pytest.mark.parametrize("command", ["choi", "detect-eb"])
+    def test_non_hermitian_sigma_is_numerical(self, tmp_path, capsys, command):
+        # its Hermitian part is a density matrix, so without the check another channel would be built
+        sigma = [[[0.5, 0], [0.4, 0]], [[0, 0], [0.5, 0]]]
+        spec = {"dims": [2], "kind": "named", "name": "fully_depolarizing", "params": {"sigma": sigma}}
+        code, out, err = run(capsys, command, "--channel", write_spec(tmp_path, "sigma.json", spec))
+        assert code == EXIT_NUMERICAL_ERROR and out == ""
+        assert err == "validation error: sigma is not Hermitian within 1e-10 (deviation 4.000e-01)\n"
 
     def test_tp_failure_is_numerical(self, tmp_path, capsys):
         bad = {
@@ -428,6 +450,17 @@ class TestPipelines:
         assert res["noise_p"] == pytest.approx(8 / 9, abs=0)
         assert res["threshold"] == pytest.approx(1 / 18, abs=1e-12)
         assert abs(res["expectation"]) < 1e-10
+        assert res["verdict"] == "npt_detected"
+
+    @pytest.mark.parametrize("dims", [[2, 3], [3, 2], [2, 4]])
+    def test_detect_npt_unequal_dims(self, tmp_path, capsys, dims):
+        dim = int(np.prod(dims))
+        kraus = [np.sqrt(0.7) * haar_unitary(dim, 1), np.sqrt(0.3) * haar_unitary(dim, 2)]
+        spec = {"dims": dims, "kind": "kraus", "kraus": [matrix_to_pairs(k) for k in kraus]}
+        res = run_json(capsys, "detect-npt", "--channel", write_spec(tmp_path, "ch.json", spec))["results"]
+        report = detect_npt(parse_channel_spec(spec))
+        shown = [f.name for f in fields(report) if f.name not in ("witness", "composite")]
+        assert res == {name: getattr(report, name) for name in shown}
         assert res["verdict"] == "npt_detected"
 
     def test_schmidt_z3(self, tmp_path, capsys):

@@ -17,12 +17,12 @@ import tempfile
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import event, given, settings  # noqa: E402
+from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chandet.cli import COMMANDS, EXIT_INPUT_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK, NAMED_SPECS, main  # noqa: E402
 
-DIMS = ([1], [2], [3], [1, 2], [2, 1], [2, 2], [2, 2, 2])
+DIMS = ([1], [2], [3], [1, 2], [2, 1], [2, 2], [2, 3], [2, 2, 2])
 PARAM_KEYS = ["p", "d", "probs", "matrix", "sigma", "unitaries"]
 
 numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2, 2))
@@ -53,6 +53,9 @@ def exact_pairs(m):
 
 IDENTITY4 = exact_pairs([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 SWAP = exact_pairs([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+# |0><0| kron Id_3 + |1><1| kron X_3 on [2, 3]: NPT, so detect-npt builds and measures its witness
+SHIFT = exact_pairs([[i == j if min(i, j) < 3 else i - 3 == (j - 2) % 3 for j in range(6)] for i in range(6)])
+SHIFT_SPEC = {"dims": [2, 3], "kind": "kraus", "kraus": [SHIFT]}
 # well-formed specs that run every pipeline to the end
 VALID_SPECS = [
     {"dims": [2, 2], "kind": "named", "name": "cnot"},
@@ -61,6 +64,7 @@ VALID_SPECS = [
     {"dims": [2], "kind": "named", "name": "depolarizing", "params": {"p": 0.3}},
     {"dims": [2], "kind": "named", "name": "identity"},
     {"dims": [2, 2], "kind": "kraus", "kraus": [IDENTITY4]},
+    SHIFT_SPEC,
 ]
 
 
@@ -139,6 +143,7 @@ def run_main(spec_path, spec, argv):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(spec=channel_specs, argv=invocations())
+@example(spec=SHIFT_SPEC, argv=["detect-npt"])
 def test_cli_contract(spec_path, spec, argv):
     code, out = run_main(spec_path, spec, argv)
     if code == EXIT_OK:
@@ -147,6 +152,7 @@ def test_cli_contract(spec_path, spec, argv):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(spec=channel_specs, argv=invocations())
+@example(spec=SHIFT_SPEC, argv=["detect-npt"])
 def test_cli_contract_text(spec_path, spec, argv):
     code, out = run_main(spec_path, spec, argv + ["--format", "text"])
     if code == EXIT_OK:

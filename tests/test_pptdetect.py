@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chandet.channels import (
     ATOL,
@@ -23,7 +25,7 @@ from chandet.pptdetect import (
 )
 from chandet.qmath import haar_unitary, kron, partial_trace, partial_transpose
 from support import apply, choi_of_superoperator, is_unital, max_entangled, random_channel
-from support import random_sru_channel, superoperator
+from support import random_ket, random_sru_channel, superoperator
 
 
 def product_of_depolarizing(p):
@@ -36,6 +38,37 @@ def product_of_depolarizing(p):
 def swap_channel(d):
     u = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
     return unitary_channel(u, (d, d))
+
+
+def controlled_shift(dims):
+    """|0><0| kron Id_3 + |1><1| kron X_3 on [2, 3], its mirror image on [3, 2]: an NPT unitary."""
+    terms = [(np.diag([1.0, 0.0]), np.eye(3)), (np.diag([0.0, 1.0]), np.roll(np.eye(3), 1, axis=0))]
+    return unitary_channel(sum(np.kron(*(t if dims == (2, 3) else t[::-1])) for t in terms), dims)
+
+
+def product_channel(dims, seed):
+    a, b = random_channel([dims[0]], seed), random_channel([dims[1]], seed + 1)
+    return Channel([np.kron(x, y) for x in a.kraus for y in b.kraus], dims)
+
+
+def measure_and_prepare(dims, seed):
+    """Measure A and B in Haar bases, then prepare a product state picked by both outcomes."""
+    rng = np.random.default_rng(seed)
+    a, b = haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)
+    kraus = []
+    for i in range(dims[0]):
+        for j in range(dims[1]):
+            prepared = np.kron(random_ket(dims[0], rng), random_ket(dims[1], rng))
+            kraus.append(np.outer(prepared, np.kron(a[:, i], b[:, j]).conj()))
+    return Channel(kraus, dims)
+
+
+# channels whose Choi matrix is separable across A|B, hence PPT
+PPT_ENSEMBLES = {
+    "sru": lambda dims, seed: random_sru_channel(dims, seed=seed),
+    "product": product_channel,
+    "measure-prepare": measure_and_prepare,
+}
 
 
 def choi_by_definition(phi, dims):
@@ -56,6 +89,11 @@ def definition_cases():
             yield f"random{d}-rank{rank}", random_channel([d, d], 40 + rank, kraus_count=rank)
         yield f"sru{d}", random_sru_channel((d, d), seed=d)
         yield f"swap{d}", swap_channel(d)
+    for dims in ((2, 3), (3, 2)):
+        for rank in (1, 36):
+            yield f"random{dims[0]}{dims[1]}-rank{rank}", random_channel(dims, 50 + rank, kraus_count=rank)
+        yield f"sru{dims[0]}{dims[1]}", random_sru_channel(dims, seed=7)
+        yield f"shift{dims[0]}{dims[1]}", controlled_shift(dims)
 
 
 class TestPptConjugate:
@@ -77,38 +115,57 @@ class TestPptConjugate:
         np.testing.assert_allclose(choi.matrix, np.eye(16) / 16, atol=1e-12)
 
     def test_dims_validated(self):
-        with pytest.raises(ValueError, match="d, d"):
-            ppt_conjugate(depolarizing_channel(0.1))
+        # every entry point refuses all but two factors of at least 2 each
+        for ch in (depolarizing_channel(0.1), *map(identity_channel, ([4], [2, 2, 2], [1, 4], [2, 1]))):
+            for call in (ppt_conjugate, lambda ch: spa_composite(ch, 0.5), detect_npt):
+                with pytest.raises(ValueError) as exc:
+                    call(ch)
+                dims = list(ch.dims)
+                assert str(exc.value) == f"NPT detection needs dims [d_A, d_B] with d_A, d_B >= 2, got {dims}"
 
 
 class TestSpaTranspose:
     def test_noise_weight_qubits(self):
-        assert spa_noise_weight(2) == 8 / 9
+        assert spa_noise_weight((2, 2)) == 8 / 9
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4), (4, 2)])
+    def test_noise_weight_from_the_transpose_spectrum(self, dims):
+        # (1-p) lambda_min + p/D^2 = 0 with lambda_min of the Choi matrix of T_A kron id_B
+        dim, p = math.prod(dims), spa_noise_weight(dims)
+        lam = np.linalg.eigvalsh(choi_by_definition(lambda x: partial_transpose(x, dims, 0), dims))[0]
+        assert abs(lam + 1 / dims[0]) <= 1e-12
+        assert abs(-lam / (1 / dim**2 - lam) - p) <= 1e-15
+        assert np.linalg.eigvalsh(spa_composite(identity_channel(dims), p).matrix)[0] >= -1e-12
+        assert np.linalg.eigvalsh(spa_composite(identity_channel(dims), p - 0.01).matrix)[0] < -1e-4
+
+    def test_noise_weight_on_square_pairs_keeps_its_float(self):
+        for d in range(2, 7):
+            assert spa_noise_weight((d, d)) == d**3 / (d**3 + 1.0)
 
     def test_channel_is_cp(self):
-        choi = spa_composite(identity_channel((2, 2)), spa_noise_weight(2))
+        choi = spa_composite(identity_channel((2, 2)), spa_noise_weight((2, 2)))
         assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
         # trace preserving: tracing out the outputs leaves Id/D, the Kraus form's TP deficit
         reduced = partial_trace(choi.matrix, choi.dims, keep=(2, 3))
         assert float(np.max(np.abs(4 * reduced - np.eye(4)))) <= ATOL
 
     def test_noise_is_minimal(self):
-        p = spa_noise_weight(2) - 0.01
+        p = spa_noise_weight((2, 2)) - 0.01
         choi = spa_composite(identity_channel((2, 2)), p)
         assert np.linalg.eigvalsh(choi.matrix)[0] < -1e-4
 
     def test_qutrit_weight_and_cp(self):
-        assert spa_noise_weight(3) == 27 / 28
-        choi = spa_composite(identity_channel((3, 3)), spa_noise_weight(3))
+        assert spa_noise_weight((3, 3)) == 27 / 28
+        choi = spa_composite(identity_channel((3, 3)), spa_noise_weight((3, 3)))
         assert np.linalg.eigvalsh(choi.matrix)[0] >= -1e-10
 
     def test_composition_with_cp_channel_stays_cp(self):
         for seed in range(5):
             ch = random_channel([2, 2], seed, kraus_count=3)
-            spa = spa_composite(identity_channel((2, 2)), spa_noise_weight(2))
+            spa = spa_composite(identity_channel((2, 2)), spa_noise_weight((2, 2)))
             choi = choi_of_superoperator(superoperator(ch.choi.matrix) @ superoperator(spa.matrix))
             assert np.linalg.eigvalsh(choi)[0] >= -1e-10
-            closed = spa_composite(ch, spa_noise_weight(2))
+            closed = spa_composite(ch, spa_noise_weight((2, 2)))
             np.testing.assert_allclose(closed.matrix, choi, atol=1e-12)
 
 
@@ -211,10 +268,39 @@ class TestDetectNpt:
 
 
 
+class TestUnequalDims:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_controlled_shift_is_detected(self, dims):
+        rep = detect_npt(controlled_shift(dims))
+        p = spa_noise_weight(dims)
+        assert rep.noise_p == p and rep.unital and rep.threshold == p / 36
+        assert rep.lambda_minus == pytest.approx(-0.5, abs=1e-12)
+        # the unital closed form: 0 on [2, 3], -1/78 on [3, 2]
+        assert rep.expectation == pytest.approx((1 - p) * -0.5 + p / 36, abs=1e-12)
+        assert rep.verdict == NPT_DETECTED
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(PPT_ENSEMBLES)),
+        dims=st.sampled_from([(2, 3), (3, 2)]),
+        seed=st.integers(0, 2**32 - 2),
+    )
+    def test_ppt_channels_are_not_detected(self, kind, dims, seed):
+        ch = PPT_ENSEMBLES[kind](dims, seed)
+        assert detect_npt(ch).verdict == NOT_DETECTED
+        reference = detect_npt(controlled_shift(dims)).witness
+        assert detect_npt(ch, witness=reference).verdict == NOT_DETECTED
+
+
 class TestAgainstDefinition:
     """The closed forms in Choi matrices against Choi states built map by map."""
 
-    REFERENCE = {2: cnot_channel, 3: lambda: swap_channel(3)}
+    REFERENCE = {
+        (2, 2): cnot_channel,
+        (3, 3): lambda: swap_channel(3),
+        (2, 3): lambda: controlled_shift((2, 3)),
+        (3, 2): lambda: controlled_shift((3, 2)),
+    }
 
     @pytest.mark.parametrize("name, ch", list(definition_cases()))
     def test_closed_forms_match_the_definition(self, name, ch):
@@ -233,7 +319,7 @@ class TestAgainstDefinition:
 
         rep = detect_npt(ch)
         if rep.witness is None:  # PPT: measure a reference gate's witness instead
-            rep = detect_npt(ch, witness=detect_npt(self.REFERENCE[dims[0]]()).witness)
+            rep = detect_npt(ch, witness=detect_npt(self.REFERENCE[dims]()).witness)
         np.testing.assert_allclose(rep.composite.matrix, composite(rep.noise_p), atol=1e-12)
         assert rep.unital == is_unital(ch)
         proj = partial_transpose(rep.witness.operator, rep.witness.dims, 0)
