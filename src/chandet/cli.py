@@ -15,7 +15,9 @@ A request runs in one order: the options are checked, then the channel is
 built, then the command runs. Every witness the CLI measures (eb, sru,
 stabilizer, ppt) comes from one step, ``_witness``, which picks it from the
 reference gate, returns the Choi state it is measured on and the facts the
-report states; refusals name the command that was run.
+report states. Every witness but eb, and ``schmidt``, takes a channel on two
+systems [d_A, d_B] with d_A, d_B >= 2, the one two-party rule of the package
+(``qmath._require_bipartite``); refusals name the command that was run.
 
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,
@@ -64,7 +66,8 @@ from .detect import (
     stabilizer_witness,
 )
 from .measure import estimate_witness, group_settings, pauli_decompose
-from .pptdetect import detect_npt, _require_bipartite
+from .pptdetect import detect_npt
+from .qmath import _require_bipartite
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -292,12 +295,6 @@ def _single_operator(ch: Channel, what: str) -> np.ndarray:
     return ch.kraus[0]
 
 
-def _require_dims(ch: Channel, allowed, command: str) -> None:
-    if ch.dims not in allowed:
-        opts = " or ".join(str(list(a)) for a in allowed)
-        raise SpecError(f"{command} needs channel dims {opts}, got {list(ch.dims)}")
-
-
 def _require_measurable(ch: Channel, what: str) -> None:
     """Refuse, before any work, a channel whose Choi state the measurement layer does not serve."""
     if ch.dims not in _MEASURED_DIMS:
@@ -324,22 +321,17 @@ def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str) -
 
     The facts are ``(Schmidt data, alpha source)`` for sru, the ``NptReport``
     for ppt and None otherwise; a PPT channel has no ppt witness, hence None.
-    Refusals name ``command``.
+    Every kind but eb needs a bipartite channel. Refusals name ``command``.
     """
     if kind == "eb":
         try:
             return eb_witness(channel.dims), channel.choi, None
         except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-    if kind == "ppt":
-        try:
-            _require_bipartite(channel)
-        except ValueError as exc:
             raise SpecError(f"{command}: {exc}") from exc
+    _require_bipartite(channel.dims, command, SpecError)
+    if kind == "ppt":
         report = detect_npt(channel)
         return report.witness, report.composite, report
-    if kind == "sru":
-        _require_dims(channel, [(2, 2), (3, 3)], command)
     u = _target_gate(channel, opts, command)
     if kind == "stabilizer":
         # the minimum -1 is reached on the gate's Choi state exactly when the
@@ -389,10 +381,8 @@ def _run_choi(channel: Channel, opts: PipelineOptions) -> dict:
 
 
 def _run_schmidt(channel: Channel, opts: PipelineOptions) -> dict:
-    if len(channel.dims) != 2:
-        raise SpecError(f"schmidt needs a bipartite channel, got dims {list(channel.dims)}")
-    op = _single_operator(channel, "schmidt")
-    sd = operator_schmidt(op, channel.dims[0], channel.dims[1])
+    _require_bipartite(channel.dims, "schmidt", SpecError)
+    sd = operator_schmidt(_single_operator(channel, "schmidt"), *channel.dims)
     return {
         "sigmas": [float(s) for s in sd.sigmas],
         "rank": sd.rank,
@@ -409,10 +399,7 @@ def _chosen_witness(command: str, channel: Channel, opts: PipelineOptions) -> tu
     The default is eb on one qubit and sru on two; every other kind needs two qubits.
     """
     kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
-    what = f"simulate --witness {kind}" if command == "simulate" else "witness decomposition"
-    if kind != "eb":
-        _require_dims(channel, [(2, 2)], what)
-    w, state, facts = _witness(kind, channel, opts, what)
+    w, state, facts = _witness(kind, channel, opts, f"{command} --witness {kind}")
     payload = {"witness": kind}
     if kind == "sru":
         payload.update(alpha_sru_sq=w.alpha_sq, alpha_s_sq=w.alpha_s_sq, alpha_source=facts[1])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
 from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary
-from .qmath import pauli_string, _as_dims, _haar_stack
+from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
 
@@ -163,9 +163,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     stream ``[seed, k]``), all in one batched ascent, and keeps the first best.
     Returns ``(alpha_sru, ua, ub)`` with the maximizing local pair.
     """
-    dims = _as_dims(dims)
-    if len(dims) != 2:
-        raise ValueError(f"expected a bipartite dimension list, got {dims}")
+    dims = _require_bipartite(dims, "SRU detection")
     da, db = dims
     u = _check_unitary(u, "target unitary")
     if u.shape[0] != da * db:
@@ -199,9 +197,7 @@ def build_sru_witness(
     squared) is read from ``schmidt``, the gate's operator Schmidt
     decomposition, which is computed here when not given.
     """
-    dims = _as_dims(dims)
-    if len(dims) != 2:
-        raise ValueError(f"expected a bipartite dimension list, got {dims}")
+    dims = _require_bipartite(dims, "SRU detection")
     u = _check_unitary(u, "target unitary")
     sd = operator_schmidt(u, *dims) if schmidt is None else schmidt
     if sd.dims != dims:

@@ -1,14 +1,16 @@
 """Detection of NPT maps on bipartite systems, read off the Choi matrix.
 
 A CP map M on a bipartite system [d_A, d_B] is PPT when the transpose-conjugated
-composite T_A o M o T_A is still CP, i.e. when its Choi matrix stays positive. The
-witness here is the partial transpose of the projector onto the most negative
-eigenvector of that Choi matrix, measured on the Choi state of the physically
-implementable composite M o SPA(T_A). SPA(T_A) is the structural physical
-approximation of the partial transpose (Horodecki & Ekert, PRL 89, 127902
-(2002)): the partial transpose plus the minimal depolarizing noise that makes
-it CP. Both Choi matrices are closed forms in M's Choi matrix, whose
-subsystems are ordered (A out, B out, A anc, B anc).
+composite T_A o M o T_A is still CP, i.e. when its Choi matrix stays positive.
+Both factors must be at least 2, the package's one two-party rule
+(``qmath._require_bipartite``), which SRU detection shares. The witness here is
+the partial transpose of the projector onto the most negative eigenvector of
+that Choi matrix, measured on the Choi state of the physically implementable
+composite M o SPA(T_A). SPA(T_A) is the structural physical approximation of
+the partial transpose (Horodecki & Ekert, PRL 89, 127902 (2002)): the partial
+transpose plus the minimal depolarizing noise that makes it CP. Both Choi
+matrices are closed forms in M's Choi matrix, whose subsystems are ordered
+(A out, B out, A anc, B anc).
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import numpy as np
 
 from .channels import ATOL, Channel, ChoiMatrix, ValidationError, below_threshold
 from .detect import Witness, evaluate_witness
-from .qmath import partial_trace, partial_transpose
+from .qmath import partial_trace, partial_transpose, _require_bipartite
 
 NPT_DETECTED = "npt_detected"
 NOT_DETECTED = "not_detected"
@@ -50,17 +52,12 @@ class NptReport:
     composite: ChoiMatrix | None = None
 
 
-def _require_bipartite(ch: Channel) -> None:
-    if len(ch.dims) != 2 or min(ch.dims) < 2:  # a factor of 1 has no partial transpose to reveal
-        raise ValueError(f"NPT detection needs dims [d_A, d_B] with d_A, d_B >= 2, got {list(ch.dims)}")
-
-
 def ppt_conjugate(ch: Channel) -> ChoiMatrix:
     """Choi matrix of T_A o ch o T_A (Hermitian, possibly non-PSD).
 
     It is ch's Choi matrix with A's output and ancilla (subsystems 0 and 2) transposed.
     """
-    _require_bipartite(ch)
+    _require_bipartite(ch.dims, "NPT detection")
     c = ch.choi
     return ChoiMatrix(partial_transpose(c.matrix, c.dims, (0, 2)), c.dims, c.source_dims)
 
@@ -77,7 +74,7 @@ def spa_composite(ch: Channel, noise: float) -> ChoiMatrix:
     T_A on the input transposes the A ancilla; the depolarizing part adds
     M(Id/D) kron Id/D, where M(Id/D) is the Choi matrix with the ancillas traced out.
     """
-    _require_bipartite(ch)
+    _require_bipartite(ch.dims, "NPT detection")
     c = ch.choi
     m_of_id = partial_trace(c.matrix, c.dims, keep=(0, 1))
     mat = (1.0 - noise) * partial_transpose(c.matrix, c.dims, 2)

@@ -46,6 +46,17 @@ def _as_dims(dims) -> tuple[int, ...]:
     return out
 
 
+def _require_bipartite(dims, what: str, error=ValueError) -> tuple[int, int]:
+    """``dims`` as (d_A, d_B): two factors of at least 2 each, else ``error`` naming ``what``.
+
+    A factor of 1 has no partial transpose to reveal and no nonlocal gate to decompose.
+    """
+    dims = _as_dims(dims)
+    if len(dims) != 2 or min(dims) < 2:
+        raise error(f"{what} needs dims [d_A, d_B] with d_A, d_B >= 2, got {list(dims)}")
+    return dims
+
+
 def _check_square(m: np.ndarray, dims: tuple[int, ...]) -> None:
     side = math.prod(dims)
     if m.shape != (side, side):

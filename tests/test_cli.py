@@ -16,6 +16,13 @@ from chandet.cli import (
     matrix_to_pairs,
     parse_channel_spec,
 )
+from chandet.detect import (
+    alpha_sru_optimize,
+    build_sru_witness,
+    classify_violation,
+    evaluate_witness,
+    operator_schmidt,
+)
 from chandet.pptdetect import detect_npt
 from chandet.qmath import haar_unitary
 
@@ -33,6 +40,20 @@ def dep_spec(p=0.25):
 CNOT_SPEC = {"dims": [2, 2], "kind": "named", "name": "cnot"}
 Z3_SPEC = {"dims": [3, 3], "kind": "named", "name": "z3"}
 IDENTITY22_SPEC = {"dims": [2, 2], "kind": "named", "name": "identity"}
+# Every command that needs a channel on two systems, on each kind of dims it refuses; measurement
+# serves [2] and [2, 2] only, so [2] is what simulate and decompose-witness have left to refuse.
+TWO_PARTY_REFUSALS = [
+    *(
+        ([command], dims)
+        for command in ("detect-npt", "detect-sru", "detect-sep", "schmidt")
+        for dims in ([4], [2, 2, 2], [1, 4], [2, 1])
+    ),
+    *((["simulate", "--witness", kind], [2]) for kind in ("sru", "stabilizer", "ppt")),
+    *((["decompose-witness", "--witness", kind], [2]) for kind in ("sru", "stabilizer")),
+]
+# the refusal texts after the words that name what was run, given the dims
+TWO_PARTY_RULE = " needs dims [d_A, d_B] with d_A, d_B >= 2, got {}"
+EB_RULE = ": the eb witness needs prod(dims) >= 2, got dims {}"
 
 
 def unitary_spec(u):
@@ -258,7 +279,7 @@ class TestExitCodes:
         dep = write_spec(tmp_path, "dep.json", dep_spec())
         code, out, err = run(capsys, command, "--channel", dep)
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert err == f"input error: {command} needs channel dims [2, 2] or [3, 3], got [2]\n"
+        assert err == f"input error: {command} needs dims [d_A, d_B] with d_A, d_B >= 2, got [2]\n"
         noisy = {"dims": [2, 2], "kind": "kraus", "kraus": [matrix_to_pairs(np.sqrt(0.5) * CNOT)] * 2}
         path = write_spec(tmp_path, "noisy.json", noisy)
         code, out, err = run(capsys, command, "--channel", path)
@@ -268,8 +289,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, message",
         [
-            ("simulate", "simulate --witness sru needs channel dims [2, 2], got [2]"),
-            ("decompose-witness", "witness decomposition needs channel dims [2, 2], got [2]"),
+            ("simulate", "simulate --witness sru needs dims [d_A, d_B] with d_A, d_B >= 2, got [2]"),
+            (
+                "decompose-witness",
+                "decompose-witness --witness sru needs dims [d_A, d_B] with d_A, d_B >= 2, got [2]",
+            ),
         ],
         ids=["simulate", "decompose-witness"],
     )
@@ -289,15 +313,23 @@ class TestExitCodes:
             assert code == EXIT_INPUT_ERROR and out == ""
             assert "only for qubit systems" in err
 
-    @pytest.mark.parametrize("dims", [[4], [2, 2, 2], [1, 4], [2, 1]])
-    def test_npt_dims_refusal_names_the_command(self, tmp_path, capsys, monkeypatch, dims):
-        monkeypatch.setattr(cli, "detect_npt", refuse_work)
+    @pytest.mark.parametrize(
+        "argv, dims, rule",
+        [
+            *(
+                pytest.param(argv, dims, TWO_PARTY_RULE, id=f"{' '.join(argv)} {dims}")
+                for argv, dims in TWO_PARTY_REFUSALS
+            ),
+            pytest.param(["detect-eb"], [1], EB_RULE, id="detect-eb [1]"),
+        ],
+    )
+    def test_dims_refusal_names_the_command(self, tmp_path, capsys, monkeypatch, argv, dims, rule):
+        for name in ("detect_npt", "alpha_sru_optimize", "operator_schmidt", "_target_gate"):
+            monkeypatch.setattr(cli, name, refuse_work)
         path = write_spec(tmp_path, "id.json", {"dims": dims, "kind": "named", "name": "identity"})
-        code, out, err = run(capsys, "detect-npt", "--channel", path)
+        code, out, err = run(capsys, argv[0], "--channel", path, *argv[1:])
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert err == (
-            f"input error: detect-npt: NPT detection needs dims [d_A, d_B] with d_A, d_B >= 2, got {dims}\n"
-        )
+        assert err == f"input error: {' '.join(argv)}{rule.format(dims)}\n"
 
     def test_non_tp_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch):
         # detect-sep takes a non-TP map, but its Choi matrix (trace 0.81) is no state to sample
@@ -335,12 +367,6 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--channel", path)
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "only for qubit systems with channel dims [2] or [2, 2]" in err
-
-    def test_eb_witness_needs_dimension_two(self, tmp_path, capsys):
-        path = write_spec(tmp_path, "one.json", {"dims": [1], "kind": "kraus", "kraus": [[[[1, 0]]]]})
-        code, out, err = run(capsys, "detect-eb", "--channel", path)
-        assert code == EXIT_INPUT_ERROR and out == ""
-        assert "prod(dims) >= 2" in err
 
     @pytest.mark.parametrize("witness", ["sru", "stabilizer", "ppt"])
     def test_simulate_refuses_zero_shots_before_the_work(self, tmp_path, capsys, monkeypatch, witness):
@@ -462,6 +488,27 @@ class TestPipelines:
         shown = [f.name for f in fields(report) if f.name not in ("witness", "composite")]
         assert res == {name: getattr(report, name) for name in shown}
         assert res["verdict"] == "npt_detected"
+
+    @pytest.mark.parametrize("dims", [[2, 3], [3, 2], [2, 4]])
+    def test_sru_detection_on_unequal_dims(self, tmp_path, capsys, dims):
+        u = haar_unitary(int(np.prod(dims)), 3)
+        spec = {"dims": dims, "kind": "named", "name": "unitary", "params": {"matrix": matrix_to_pairs(u)}}
+        path = write_spec(tmp_path, "gate.json", spec)
+        sd = operator_schmidt(u, *dims)
+        alpha, _, _ = alpha_sru_optimize(u, dims)
+        w = build_sru_witness(u, dims, alpha**2, schmidt=sd)
+        value = evaluate_witness(w, parse_channel_spec(spec).choi)
+        for command in ("detect-sru", "detect-sep"):
+            res = run_json(capsys, command, "--channel", path)["results"]
+            assert res["alpha_source"] == "optimizer"
+            assert (res["alpha_sru_sq"], res["alpha_s_sq"]) == (w.alpha_sq, w.alpha_s_sq)
+            assert (res["expectation"], res["verdict"]) == (value, classify_violation(value, w).value)
+        # detect-sep, run last, also reports the gate's Schmidt coefficients
+        assert (res["sigmas"], res["rank"]) == (sd.sigmas.tolist(), sd.rank)
+        res = run_json(capsys, "schmidt", "--channel", path)["results"]
+        assert (res["sigmas"], res["rank"]) == (sd.sigmas.tolist(), sd.rank)
+        assert res["a_factors"] == [matrix_to_pairs(a) for a in sd.a_factors]
+        assert res["b_factors"] == [matrix_to_pairs(b) for b in sd.b_factors]
 
     def test_schmidt_z3(self, tmp_path, capsys):
         path = write_spec(tmp_path, "z3.json", Z3_SPEC)

@@ -144,6 +144,7 @@ def run_main(spec_path, spec, argv):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(spec=channel_specs, argv=invocations())
 @example(spec=SHIFT_SPEC, argv=["detect-npt"])
+@example(spec=SHIFT_SPEC, argv=["detect-sep"])
 def test_cli_contract(spec_path, spec, argv):
     code, out = run_main(spec_path, spec, argv)
     if code == EXIT_OK:
@@ -153,6 +154,7 @@ def test_cli_contract(spec_path, spec, argv):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(spec=channel_specs, argv=invocations())
 @example(spec=SHIFT_SPEC, argv=["detect-npt"])
+@example(spec=SHIFT_SPEC, argv=["detect-sep"])
 def test_cli_contract_text(spec_path, spec, argv):
     code, out = run_main(spec_path, spec, argv + ["--format", "text"])
     if code == EXIT_OK:

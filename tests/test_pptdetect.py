@@ -14,6 +14,7 @@ from chandet.channels import (
     identity_channel,
     unitary_channel,
 )
+from chandet.detect import alpha_sru_optimize, build_sru_witness
 from chandet.pptdetect import (
     NOT_DETECTED,
     NPT_DETECTED,
@@ -115,13 +116,20 @@ class TestPptConjugate:
         np.testing.assert_allclose(choi.matrix, np.eye(16) / 16, atol=1e-12)
 
     def test_dims_validated(self):
-        # every entry point refuses all but two factors of at least 2 each
+        # every NPT and SRU entry point refuses all but two factors of at least 2 each
         for ch in (depolarizing_channel(0.1), *map(identity_channel, ([4], [2, 2, 2], [1, 4], [2, 1]))):
-            for call in (ppt_conjugate, lambda ch: spa_composite(ch, 0.5), detect_npt):
+            u = np.eye(ch.dim)
+            for what, call in (
+                ("NPT detection", ppt_conjugate),
+                ("NPT detection", lambda ch: spa_composite(ch, 0.5)),
+                ("NPT detection", detect_npt),
+                ("SRU detection", lambda ch: alpha_sru_optimize(u, ch.dims)),
+                ("SRU detection", lambda ch: build_sru_witness(u, ch.dims, 0.5)),
+            ):
                 with pytest.raises(ValueError) as exc:
                     call(ch)
                 dims = list(ch.dims)
-                assert str(exc.value) == f"NPT detection needs dims [d_A, d_B] with d_A, d_B >= 2, got {dims}"
+                assert str(exc.value) == f"{what} needs dims [d_A, d_B] with d_A, d_B >= 2, got {dims}"
 
 
 class TestSpaTranspose:

@@ -3,7 +3,9 @@
 A mixture of product unitaries (``random_sru_channel``) is a separable random
 unitary channel, hence also separable and PPT. Whatever Haar gate the SRU
 witness is built from, the CLI must not report the mixture ``not_sru`` or
-``not_separable``, and the NPT pipeline must not detect it.
+``not_separable``, and the NPT pipeline must not detect it. The hardest such
+channel is the product pair at which the optimizer's overlap peaks: the
+witness of its gate reads it on the threshold, 0, and flags nothing.
 
 An entanglement-breaking channel has a separable Choi state, whose fidelity
 with the maximally entangled state is at most 1/D, so ``detect-eb`` must not
@@ -22,7 +24,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from chandet.channels import VERDICT_MARGIN  # noqa: E402
 from chandet.cli import EXIT_OK, main, matrix_to_pairs  # noqa: E402
+from chandet.detect import alpha_sru_optimize  # noqa: E402
 from chandet.qmath import haar_unitary  # noqa: E402
 from support import random_density_matrix, random_ket, random_sru_channel  # noqa: E402
 
@@ -39,24 +43,42 @@ def write_spec(path, dims, **fields):
     return str(path)
 
 
-def verdict(argv):
+def results(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == EXIT_OK, err.getvalue()
-    return json.loads(out.getvalue())["results"]["verdict"]
+    return json.loads(out.getvalue())["results"]
+
+
+def verdict(argv):
+    return results(argv)["verdict"]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(d=st.sampled_from([2, 3]), channel_seed=seeds, target_seed=seeds)
-def test_sru_mixtures_are_never_flagged(spec_dir, d, channel_seed, target_seed):
-    kraus = [matrix_to_pairs(k) for k in random_sru_channel((d, d), seed=channel_seed).kraus]
-    chan = write_spec(spec_dir / "chan.json", [d, d], kind="kraus", kraus=kraus)
-    gate = {"matrix": matrix_to_pairs(haar_unitary(d * d, target_seed))}
-    target = write_spec(spec_dir / "gate.json", [d, d], kind="named", name="unitary", params=gate)
+@given(dims=st.sampled_from([[2, 2], [3, 3], [2, 3], [3, 2], [2, 4]]), channel_seed=seeds, target_seed=seeds)
+def test_sru_mixtures_are_never_flagged(spec_dir, dims, channel_seed, target_seed):
+    kraus = [matrix_to_pairs(k) for k in random_sru_channel(dims, seed=channel_seed).kraus]
+    chan = write_spec(spec_dir / "chan.json", dims, kind="kraus", kraus=kraus)
+    gate = {"matrix": matrix_to_pairs(haar_unitary(dims[0] * dims[1], target_seed))}
+    target = write_spec(spec_dir / "gate.json", dims, kind="named", name="unitary", params=gate)
     for command in ("detect-sru", "detect-sep"):
         assert verdict([command, "--channel", chan, "--target", target]) == "undetected"
     assert verdict(["detect-npt", "--channel", chan]) == "not_detected"
+
+
+@pytest.mark.parametrize("dims", [[2, 3], [3, 2], [2, 4]])
+@pytest.mark.parametrize("seed", range(3))
+def test_best_product_unitary_sits_on_the_threshold(spec_dir, dims, seed):
+    # a weaker alpha than the 1000-start one, from the CLI's default starts, would flag this product
+    u = haar_unitary(dims[0] * dims[1], seed)
+    _, ua, ub = alpha_sru_optimize(u, dims, starts=1000, seed=seed)
+    best = {"matrix": matrix_to_pairs(np.kron(ua, ub))}
+    chan = write_spec(spec_dir / "best.json", dims, kind="named", name="unitary", params=best)
+    gate = {"matrix": matrix_to_pairs(u)}
+    target = write_spec(spec_dir / "gate.json", dims, kind="named", name="unitary", params=gate)
+    res = results(["detect-sru", "--channel", chan, "--target", target])
+    assert res["verdict"] == "undetected" and abs(res["expectation"]) <= VERDICT_MARGIN
 
 
 def measure_and_prepare_kraus(d, rng, boundary):
