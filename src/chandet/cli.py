@@ -12,12 +12,13 @@ against the spec's before the build. Any other key under ``params`` is an
 input error.
 
 A request runs in one order: the options are checked, then the channel is
-built, then the command runs. Every witness the CLI measures (eb, sru,
-stabilizer, ppt) comes from one step, ``_witness``, which picks it from the
-reference gate, returns the Choi state it is measured on and the facts the
-report states. Every witness but eb, and ``schmidt``, takes a channel on two
-systems [d_A, d_B] with d_A, d_B >= 2, the one two-party rule of the package
-(``qmath._require_bipartite``); refusals name the command that was run.
+built, then the command runs. Every witness command takes one path through
+``_run``: the kind is chosen, the measurement rule (``measure._require_measurable``)
+is applied, ``_witness`` builds the witness with its Choi state and facts,
+and the command's builder makes the results. Every witness but eb, and
+``schmidt``, takes a channel on two systems [d_A, d_B] with d_A, d_B >= 2,
+the one two-party rule (``qmath._require_bipartite``); refusals name the
+command that was run.
 
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,
@@ -65,7 +66,7 @@ from .detect import (
     robustness_bounds,
     stabilizer_witness,
 )
-from .measure import estimate_witness, group_settings, pauli_decompose
+from .measure import MAX_SHOTS, estimate_witness, group_settings, pauli_decompose, _require_measurable
 from .pptdetect import detect_npt
 from .qmath import _require_bipartite
 
@@ -76,13 +77,6 @@ EXIT_NUMERICAL_ERROR = 3
 # Largest prod(dims) a spec may declare. Each channel holds one D^4-entry
 # complex array, its Choi matrix, 27 MB at D = 36.
 MAX_CHANNEL_DIM = 36
-# Largest --starts. The optimizer holds a few (starts, d, d) arrays at once.
-MAX_STARTS = 10_000
-# Largest --shots: the sampler draws each setting's counts as one int64 multinomial.
-MAX_SHOTS = int(np.iinfo(np.int64).max)
-# Channel dims the measurement layer serves. Its Pauli tables hold 4^n x 2^n
-# entries for an n-qubit Choi state, so n stays at most 4.
-_MEASURED_DIMS = ((2,), (2, 2))
 # Shots per setting of simulate when --shots is not given.
 _SIMULATE_SHOTS = 100_000
 
@@ -295,15 +289,6 @@ def _single_operator(ch: Channel, what: str) -> np.ndarray:
     return ch.kraus[0]
 
 
-def _require_measurable(ch: Channel, what: str) -> None:
-    """Refuse, before any work, a channel whose Choi state the measurement layer does not serve."""
-    if ch.dims not in _MEASURED_DIMS:
-        raise SpecError(
-            f"{what} is available only for qubit systems with channel dims [2] or [2, 2], "
-            f"got {list(ch.dims)}"
-        )
-
-
 def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.ndarray:
     """Reference unitary for witness construction, defaulting to the channel itself."""
     gate, what = channel, command
@@ -352,7 +337,10 @@ def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str) -
         # rounding can put sigma_1 of a product gate a few ulp above 1
         alpha_sq, source = min(float(sd.sigmas[0] ** 2), 1.0), "sigma_1"
     else:
-        val, _, _ = alpha_sru_optimize(u, sd.dims, starts=opts.starts, seed=opts.seed)
+        try:  # u and the dims passed their checks, so only the work bound on --starts can refuse
+            val, _, _ = alpha_sru_optimize(u, sd.dims, starts=opts.starts, seed=opts.seed)
+        except ValueError as exc:
+            raise SpecError(f"{command}: {exc}") from exc
         alpha_sq, source = val**2, "optimizer"
     return build_sru_witness(u, sd.dims, alpha_sq, schmidt=sd), channel.choi, (sd, source)
 
@@ -393,37 +381,27 @@ def _run_schmidt(channel: Channel, opts: PipelineOptions) -> dict:
     }
 
 
-def _chosen_witness(command: str, channel: Channel, opts: PipelineOptions) -> tuple:
-    """simulate's or decompose-witness's --witness, its state, and the fields naming it.
-
-    The default is eb on one qubit and sru on two; every other kind needs two qubits.
-    """
-    kind = opts.witness or ("eb" if channel.dims == (2,) else "sru")
-    w, state, facts = _witness(kind, channel, opts, f"{command} --witness {kind}")
-    payload = {"witness": kind}
-    if kind == "sru":
-        payload.update(alpha_sru_sq=w.alpha_sq, alpha_s_sq=w.alpha_s_sq, alpha_source=facts[1])
-    elif kind == "stabilizer":
-        payload["generators"] = list(CNOT_STABILIZER_GENERATORS)
-    return w, state, payload
+def _witness_fields(w: Witness, facts) -> dict:
+    """The fields that name simulate's or decompose-witness's witness."""
+    if w.kind == "sru":
+        return {"witness": "sru", "alpha_sru_sq": w.alpha_sq, "alpha_s_sq": w.alpha_s_sq, "alpha_source": facts[1]}
+    if w.kind == "stabilizer":
+        return {"witness": "stabilizer", "generators": list(CNOT_STABILIZER_GENERATORS)}
+    return {"witness": w.kind}
 
 
-def _run_decompose_witness(channel: Channel, opts: PipelineOptions) -> dict:
-    _require_measurable(channel, "witness decomposition")
-    w, _, payload = _chosen_witness("decompose-witness", channel, opts)
+def _decompose_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
     terms = pauli_decompose(w.operator)
     settings = group_settings(terms)
-    payload.update(
-        terms=[{"string": t.string, "coefficient": t.coefficient} for t in terms],
-        settings=[{"bases": s.bases, "covered_terms": list(s.covered_terms)} for s in settings],
-        setting_count=len(settings),
-    )
-    return payload
+    return {
+        **_witness_fields(w, facts),
+        "terms": [{"string": t.string, "coefficient": t.coefficient} for t in terms],
+        "settings": [{"bases": s.bases, "covered_terms": list(s.covered_terms)} for s in settings],
+        "setting_count": len(settings),
+    }
 
 
-def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
-    _require_measurable(channel, "shot simulation")
-    w, state, payload = _chosen_witness("simulate", channel, opts)
+def _simulate_results(w: Witness | None, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
     if w is None:
         raise SpecError(
             f"the ppt witness needs an NPT channel; this one has lambda_minus >= "
@@ -431,11 +409,10 @@ def _run_simulate(channel: Channel, opts: PipelineOptions) -> dict:
         )
     exact = evaluate_witness(w, state)
     estimate, setting_count = _estimate(state, w, opts.shots or _SIMULATE_SHOTS, opts.seed)
-    payload.update(exact=exact, estimate=estimate, setting_count=setting_count)
-    return payload
+    return {**_witness_fields(w, facts), "exact": exact, "estimate": estimate, "setting_count": setting_count}
 
 
-def _eb_results(w: Witness, state: ChoiMatrix, facts) -> dict:
+def _eb_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
     value = evaluate_witness(w, state)
     return {
         "expectation": value,
@@ -445,7 +422,7 @@ def _eb_results(w: Witness, state: ChoiMatrix, facts) -> dict:
     }
 
 
-def _sru_results(w: Witness, state: ChoiMatrix, facts) -> dict:
+def _sru_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
     value = evaluate_witness(w, state)
     return {
         "alpha_sru": float(np.sqrt(w.alpha_sq)),
@@ -462,12 +439,12 @@ def _sru_results(w: Witness, state: ChoiMatrix, facts) -> dict:
     }
 
 
-def _sep_results(w: Witness, state: ChoiMatrix, facts) -> dict:
+def _sep_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
     sd = facts[0]
-    return {**_sru_results(w, state, facts), "sigmas": [float(s) for s in sd.sigmas], "rank": sd.rank}
+    return {**_sru_results(w, state, facts, opts), "sigmas": [float(s) for s in sd.sigmas], "rank": sd.rank}
 
 
-def _npt_results(w: Witness | None, state: ChoiMatrix, report) -> dict:
+def _npt_results(w: Witness | None, state: ChoiMatrix, report, opts: PipelineOptions) -> dict:
     """Every field of the ``NptReport``, in its order, but the witness and its state."""
     return {
         f.name: getattr(report, f.name)
@@ -480,9 +457,10 @@ def _npt_results(w: Witness | None, state: ChoiMatrix, report) -> dict:
 class _Command:
     """How one subcommand parses its channel, which options it takes and what it runs.
 
-    ``witnesses`` are the kinds of witness the command can build. A detect
-    command builds one, and its ``run`` maps that witness, its state and the
-    facts to results; every other ``run`` takes the channel and options.
+    ``witnesses`` are the kinds of witness the command can build, one for a
+    detect command. A witness command's ``run`` maps the witness, its state,
+    the facts and the options to results; every other ``run`` takes the
+    channel and options.
     """
 
     run: Callable[..., dict]
@@ -490,25 +468,22 @@ class _Command:
     witnesses: tuple[str, ...] = ()
     takes_shots: bool = True
 
-    @property
-    def takes_target(self) -> bool:
-        """A reference gate is taken exactly where an sru or stabilizer witness can be built."""
-        return not {"sru", "stabilizer"}.isdisjoint(self.witnesses)
-
 
 _WITNESSES = ("eb", "sru", "stabilizer")
+# The kinds built from a reference gate: --target is taken exactly where one can be built.
+_GATE_WITNESSES = {"sru", "stabilizer"}
 
 _COMMANDS = {
     "choi": _Command(_run_choi, require_tp=False, takes_shots=False),
     "schmidt": _Command(_run_schmidt, require_tp=False, takes_shots=False),
     "decompose-witness": _Command(
-        _run_decompose_witness, require_tp=False, witnesses=_WITNESSES, takes_shots=False
+        _decompose_results, require_tp=False, witnesses=_WITNESSES, takes_shots=False
     ),
     "detect-eb": _Command(_eb_results, require_tp=True, witnesses=("eb",)),
     "detect-sru": _Command(_sru_results, require_tp=True, witnesses=("sru",)),
     "detect-sep": _Command(_sep_results, require_tp=False, witnesses=("sru",)),
     "detect-npt": _Command(_npt_results, require_tp=True, witnesses=("ppt",)),
-    "simulate": _Command(_run_simulate, require_tp=True, witnesses=_WITNESSES + ("ppt",)),
+    "simulate": _Command(_simulate_results, require_tp=True, witnesses=_WITNESSES + ("ppt",)),
 }
 
 COMMANDS = tuple(_COMMANDS)
@@ -517,25 +492,34 @@ COMMANDS = tuple(_COMMANDS)
 def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
     """Results of ``command`` on ``channel``.
 
-    A detect command refuses --shots > 0 on a non-qubit channel, or on a
-    non-TP map (detect-sep takes one), before any work, and its results gain
-    the shot estimate of the witness on its state; a PPT channel has no NPT
-    witness, hence the estimate None.
+    The kind is a detect command's one kind, else --witness, else eb on [2]
+    and sru on other dims. Before any work, --target with an eb or ppt
+    witness is refused, and so is a Choi state that measurement does not
+    serve: simulate and decompose-witness always measure, a detect command
+    with --shots > 0, which also needs a TP map. A detect command's results
+    then gain the estimate; a PPT channel has no NPT witness, hence None.
     """
     cmd = _COMMANDS[command]
-    if len(cmd.witnesses) != 1:
+    if not cmd.witnesses:
         return cmd.run(channel, opts)
+    detect = len(cmd.witnesses) == 1
+    kind = cmd.witnesses[0] if detect else opts.witness or ("eb" if channel.dims == (2,) else "sru")
+    label = command if detect else f"{command} --witness {kind}"
+    if opts.target is not None and kind not in _GATE_WITNESSES:
+        raise SpecError(f"{label} takes no --target: the {kind} witness has no reference gate")
+    if not detect or opts.shots:
+        what = f"{command} --shots" if detect else command
+        _require_measurable(channel.choi.dims, f"{what}: the Choi state", SpecError)
     if opts.shots:
-        _require_measurable(channel, "shot simulation")
         with np.errstate(over="ignore", invalid="ignore"):
             deficit = float(np.max(np.abs(channel.tp_deficit())))
         if not deficit <= ATOL:  # the Choi matrix of a non-TP map is no state to sample
             raise SpecError(
                 f"{command} --shots needs a trace-preserving channel: max|sum A^dag A - I| = {deficit:.6g}"
             )
-    w, state, facts = _witness(cmd.witnesses[0], channel, opts, command)
-    results = cmd.run(w, state, facts)
-    if opts.shots:
+    w, state, facts = _witness(kind, channel, opts, label)
+    results = cmd.run(w, state, facts, opts)
+    if detect and opts.shots:
         results["estimate"] = None if w is None else _estimate(state, w, opts.shots, opts.seed)[0]
     return results
 
@@ -670,7 +654,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--starts", type=int, default=50, help="multistart count for the overlap optimizer")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if cmd.takes_target:
+        if not _GATE_WITNESSES.isdisjoint(cmd.witnesses):
             p.add_argument("--target", default=None, help="spec file of the reference unitary gate")
         if len(cmd.witnesses) > 1:
             p.add_argument("--witness", choices=cmd.witnesses, default=None)
@@ -688,8 +672,6 @@ def _options_from_args(args) -> PipelineOptions:
         raise SpecError("--seed must be non-negative")
     if args.starts < 1:
         raise SpecError("--starts must be >= 1")
-    if args.starts > MAX_STARTS:
-        raise SpecError(f"--starts {args.starts} is above the limit {MAX_STARTS}")
     if args.command == "simulate" and args.shots == 0:
         raise SpecError(
             "simulate needs at least 1 shot per setting; omit --shots for the default of "

@@ -23,6 +23,8 @@ from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermi
 from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
+# Most starts * D^3 (D = d_A d_B) of one optimizer run: 10 000 starts on [3, 3], 156 on [6, 6] or [2, 18].
+MAX_START_WORK = 10_000 * 9**3
 
 # Stabilizer generators of the CNOT Choi state, qubits ordered (A_out, B_out, A_in, B_in).
 CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
@@ -161,15 +163,16 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
 
     Climbs from ``starts`` Haar-random initial points (start k drawn from the
     stream ``[seed, k]``), all in one batched ascent, and keeps the first best.
-    Returns ``(alpha_sru, ua, ub)`` with the maximizing local pair.
+    Returns ``(alpha_sru, ua, ub)``; refuses ``starts * D^3 > MAX_START_WORK`` first.
     """
     dims = _require_bipartite(dims, "SRU detection")
     da, db = dims
     u = _check_unitary(u, "target unitary")
     if u.shape[0] != da * db:
         raise ValueError(f"unitary side {u.shape[0]} does not match dims {dims}")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    limit = MAX_START_WORK // (da * db) ** 3
+    if not 1 <= starts <= limit:
+        raise ValueError(f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {starts}")
     rngs = [np.random.default_rng([int(seed), k]) for k in range(int(starts))]
     val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, rngs))
     best = int(np.argmax(val))

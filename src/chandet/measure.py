@@ -16,7 +16,9 @@ coefficient is read off one gather of the operator (a Pauli string has one
 nonzero entry per row), grouping compares strings packed two bits per qubit,
 and one einsum gives the Born probabilities of every setting. Each number is
 bitwise the one the dense ``Tr[P W]`` and per-setting ``kron`` basis give, so
-the sampling streams and estimates are those of the dense path.
+the sampling streams and estimates are those of the dense path. Both entry
+points first apply the layer's one limit, :func:`_require_measurable`: at
+most ``MAX_QUBITS`` qubits, the Choi states of channels on [2] or [2, 2].
 """
 
 import itertools
@@ -26,6 +28,11 @@ import numpy as np
 
 from .channels import ATOL, STATE_ATOL, ZERO_CUTOFF, ChoiMatrix, ValidationError, _check_hermitian
 from .detect import Witness
+
+# Most qubits of a measured operator: its Pauli tables hold 4^n x 2^n entries, 4 MB at n = 4.
+MAX_QUBITS = 4
+# Most shots per setting: each setting's counts are drawn as one int64 multinomial.
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 _LETTERS = "IXYZ"  # a letter's index is its 2-bit code; I is 0
 _CODE = {ch: k for k, ch in enumerate(_LETTERS)}
@@ -67,6 +74,13 @@ class ShotEstimate:
     setting_count: int
 
 
+def _require_measurable(dims: tuple[int, ...], what: str, error=ValueError) -> int:
+    """The qubit count of ``dims``, at most ``MAX_QUBITS``, else ``error`` naming ``what``."""
+    if len(dims) > MAX_QUBITS or any(d != 2 for d in dims):
+        raise error(f"{what} needs dims of at most {MAX_QUBITS} qubits, got {list(dims)}")
+    return len(dims)
+
+
 def _pauli_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero entries of all 4^n Pauli strings, in ``itertools.product("IXYZ", repeat=n)`` order.
 
@@ -92,15 +106,15 @@ def _string_of(index: int, n: int) -> str:
 def pauli_decompose(w: np.ndarray, tol: float = ZERO_CUTOFF) -> list[PauliTerm]:
     """Expand a Hermitian qubit operator as sum of real Pauli-string coefficients.
 
-    Coefficients are Tr[P W] / 2^n; strings with |coefficient| <= tol are dropped.
-    The trace sums the 2^n products P[i, j] W[j, i] with P[i, j] != 0 in the
-    order ``np.trace(P @ W)`` does, so each coefficient is bitwise the dense one.
+    Coefficients are Tr[P W] / 2^n for n <= ``MAX_QUBITS``; strings with |coefficient| <= tol
+    are dropped. The trace sums the 2^n products P[i, j] W[j, i] with P[i, j] != 0 in
+    the order ``np.trace(P @ W)`` does, so each coefficient is bitwise the dense one.
     """
     w = np.asarray(w, dtype=complex)
     side = w.shape[0] if w.ndim == 2 and w.shape[0] == w.shape[1] else 0
     if side < 2 or side & (side - 1):
         raise ValueError(f"operator shape {w.shape} is not a square power of 2")
-    n = side.bit_length() - 1
+    n = _require_measurable((2,) * (side.bit_length() - 1), "the operator")
     _check_hermitian(w, ATOL, "operator")
     cols, phases = _pauli_tables(n)
     coeffs = (phases * w[cols, np.arange(side)]).sum(axis=-1) / side
@@ -219,24 +233,22 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     """Estimate Tr[W * choi] from simulated local measurements on the Choi state.
 
     The state is validated (Hermitian, unit trace, positive semidefinite) once,
-    before any setting is sampled; ``shots_per_setting`` must be at least 1
+    before any setting is sampled; ``shots_per_setting`` lies in [1, ``MAX_SHOTS``]
     (the exact value is :func:`chandet.detect.evaluate_witness`). Terms sharing
     a setting are evaluated from the same shots, and their covariance enters
     the standard error through the per-shot sample variance of the combined
     value.
     """
-    if any(d != 2 for d in choi.dims):
-        raise ValueError(f"shot simulation needs qubit subsystems, got dims {choi.dims}")
+    n = _require_measurable(choi.dims, "the Choi state")
     if w.dims != choi.dims:
         raise ValueError(f"witness dims {w.dims} do not match Choi dims {choi.dims}")
     shots = int(shots_per_setting)
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    n = len(choi.dims)
     state = _check_state(choi.matrix, n)
-    if shots < 1:
-        raise ValueError("shots_per_setting must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots_per_setting must be >= 1 and at most {MAX_SHOTS}, got {shots}")
     terms = pauli_decompose(w.operator)
     settings = group_settings(terms)
     identity = "I" * n

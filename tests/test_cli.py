@@ -55,6 +55,27 @@ TWO_PARTY_REFUSALS = [
 TWO_PARTY_RULE = " needs dims [d_A, d_B] with d_A, d_B >= 2, got {}"
 EB_RULE = ": the eb witness needs prod(dims) >= 2, got dims {}"
 
+# Every request that measures a Choi state: simulate and decompose-witness always, detect-* with --shots.
+MEASURING = [
+    ["simulate"],
+    ["decompose-witness"],
+    *([f"detect-{kind}", "--shots", "100"] for kind in ("eb", "sru", "sep", "npt")),
+]
+
+
+def measurement_refusal(argv, choi_dims):
+    what = argv[0] + (" --shots" if "--shots" in argv else "")
+    return f"{what}: the Choi state needs dims of at most 4 qubits, got {choi_dims}"
+
+
+def refuse_measurement(monkeypatch):
+    """Make every witness builder and the Pauli tables refuse work."""
+    from chandet import measure
+
+    monkeypatch.setattr(measure, "_pauli_tables", refuse_work)
+    for name in ("eb_witness", "stabilizer_witness", "build_sru_witness", "operator_schmidt", "detect_npt"):
+        monkeypatch.setattr(cli, name, refuse_work)
+
 
 def unitary_spec(u):
     return {"dims": [2, 2], "kind": "named", "name": "unitary", "params": {"matrix": matrix_to_pairs(u)}}
@@ -174,15 +195,19 @@ class TestSpecParsing:
             assert "above the limit 36" in err
 
     def test_starts_bound_precedes_the_optimizer(self, tmp_path, capsys, monkeypatch):
+        from chandet import detect
+
         def no_optimizer(*args, **kwargs):
             raise AssertionError("the optimizer must not run")
 
-        monkeypatch.setattr(cli, "alpha_sru_optimize", no_optimizer)
+        monkeypatch.setattr(detect, "_haar_stack", no_optimizer)
         path = write_spec(tmp_path, "z3.json", Z3_SPEC)
-        argv = ["detect-sep", "--channel", path, "--starts", str(cli.MAX_STARTS + 1)]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "detect-sep", "--channel", path, "--starts", "10001")
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert f"above the limit {cli.MAX_STARTS}" in err
+        assert err == "input error: detect-sep: starts must be >= 1 and at most 10000 on dims [3, 3], got 10001\n"
+        # the bound is on the optimizer's work, and two-qubit gates take sigma_1 without it
+        path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        assert run_json(capsys, "detect-sep", "--channel", path, "--starts", "10001")["results"]["verdict"]
 
     def test_shots_bound(self, tmp_path, capsys):
         # the sampler draws int64 multinomial counts; a larger --shots used to escape as OverflowError
@@ -303,15 +328,14 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR and out == ""
         assert err == f"input error: {message}\n"
 
-    @pytest.mark.parametrize("command", ["detect-sru", "detect-sep", "detect-npt"])
-    def test_non_qubit_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr(cli, "alpha_sru_optimize", refuse_work)
-        monkeypatch.setattr(cli, "detect_npt", refuse_work)
-        for spec in (Z3_SPEC, {"dims": [2, 3], "kind": "kraus", "kraus": [matrix_to_pairs(np.eye(6))]}):
-            path = write_spec(tmp_path, "spec.json", spec)
-            code, out, err = run(capsys, command, "--channel", path, "--shots", "100")
+    @pytest.mark.parametrize("argv", MEASURING, ids=" ".join)
+    def test_non_qubit_shots_refused_before_the_work(self, tmp_path, capsys, monkeypatch, argv):
+        refuse_measurement(monkeypatch)
+        for dims in ([3], [3, 3], [2, 3]):
+            path = write_spec(tmp_path, "spec.json", {"dims": dims, "kind": "named", "name": "identity"})
+            code, out, err = run(capsys, *argv, "--channel", path)
             assert code == EXIT_INPUT_ERROR and out == ""
-            assert "only for qubit systems" in err
+            assert err == f"input error: {measurement_refusal(argv, dims + dims)}\n"
 
     @pytest.mark.parametrize(
         "argv, dims, rule",
@@ -347,26 +371,37 @@ class TestExitCodes:
         assert err.startswith("input error: detect-sep --shots needs a trace-preserving channel")
 
     @pytest.mark.parametrize(
+        "argv", [*MEASURING, ["decompose-witness", "--witness", "eb"], ["simulate", "--witness", "eb"]], ids=" ".join
+    )
+    def test_measurement_refused_beyond_four_qubits(self, tmp_path, capsys, monkeypatch, argv):
+        refuse_measurement(monkeypatch)
+        specs = [{"dims": [2, 2, 2], "kind": "named", "name": "identity"}]
+        if argv[0] == "decompose-witness":  # the one measuring command that takes a non-TP map
+            specs.append({"dims": [1], "kind": "kraus", "kraus": [[[[1, 0]]]]})
+        for spec in specs:
+            code, out, err = run(capsys, *argv, "--channel", write_spec(tmp_path, "spec.json", spec))
+            assert code == EXIT_INPUT_ERROR and out == ""
+            assert err == f"input error: {measurement_refusal(argv, spec['dims'] * 2)}\n"
+
+    @pytest.mark.parametrize(
         "argv, spec",
         [
-            (["decompose-witness", "--witness", "eb"], {"dims": [1], "kind": "kraus", "kraus": [[[[1, 0]]]]}),
-            (["decompose-witness", "--witness", "eb"], {"dims": [3], "kind": "named", "name": "identity"}),
-            (["decompose-witness", "--witness", "eb"], {"dims": [2, 2, 2], "kind": "named", "name": "identity"}),
-            (["detect-eb", "--shots", "100"], {"dims": [2, 2, 2], "kind": "named", "name": "identity"}),
-            (["simulate", "--witness", "eb"], {"dims": [3], "kind": "named", "name": "identity"}),
+            (["simulate", "--witness", "eb"], dep_spec()),
+            (["simulate", "--witness", "ppt"], CNOT_SPEC),
+            (["decompose-witness"], dep_spec()),
         ],
+        ids=["simulate-eb", "simulate-ppt", "decompose-witness-default-eb"],
     )
-    def test_measurement_refused_beyond_four_qubits(self, tmp_path, capsys, monkeypatch, argv, spec):
-        from chandet import measure
-
-        def no_tables(*args, **kwargs):
-            raise AssertionError("the Pauli tables must not be built")
-
-        monkeypatch.setattr(measure, "_pauli_tables", no_tables)
-        path = write_spec(tmp_path, "spec.json", spec)
-        code, out, err = run(capsys, *argv, "--channel", path)
+    def test_target_refused_where_the_witness_has_no_gate(self, tmp_path, capsys, monkeypatch, argv, spec):
+        for name in ("_witness", "_target_gate", "detect_npt"):
+            monkeypatch.setattr(cli, name, refuse_work)
+        chan = write_spec(tmp_path, "chan.json", spec)
+        target = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        code, out, err = run(capsys, *argv, "--channel", chan, "--target", target)
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert "only for qubit systems with channel dims [2] or [2, 2]" in err
+        kind = "ppt" if "ppt" in argv else "eb"
+        message = f"{argv[0]} --witness {kind} takes no --target: the {kind} witness has no reference gate"
+        assert err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("witness", ["sru", "stabilizer", "ppt"])
     def test_simulate_refuses_zero_shots_before_the_work(self, tmp_path, capsys, monkeypatch, witness):

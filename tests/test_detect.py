@@ -9,7 +9,9 @@ from chandet.channels import (
     identity_channel,
     z3_channel,
 )
+from chandet import detect
 from chandet.detect import (
+    MAX_START_WORK,
     MAX_SWEEPS,
     SWEEP_TOL,
     Verdict,
@@ -197,6 +199,30 @@ class TestAlphaSruOptimize:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             alpha_sru_optimize(np.diag([1.0, 1.0, 1.0, 0.5]), (2, 2))
+
+    @pytest.mark.parametrize("dims, limit", [((3, 3), 10_000), ((6, 6), 156), ((2, 18), 156)])
+    def test_starts_budget_refuses_before_any_start_is_drawn(self, monkeypatch, dims, limit):
+        def no_starts(*args, **kwargs):
+            raise AssertionError("no start may be drawn")
+
+        assert MAX_START_WORK // (dims[0] * dims[1]) ** 3 == limit
+        monkeypatch.setattr(detect, "_haar_stack", no_starts)
+        u = np.eye(dims[0] * dims[1])
+        with pytest.raises(ValueError) as exc:
+            alpha_sru_optimize(u, dims, starts=limit + 1)
+        assert str(exc.value) == f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {limit + 1}"
+
+    def test_default_starts_run_on_the_largest_dims(self, monkeypatch):
+        climbed = []
+
+        def one_sweep(u, da, db, ub0):
+            climbed.append(ub0.shape)
+            return np.ones(len(ub0)), np.stack([np.eye(da)] * len(ub0)), ub0
+
+        monkeypatch.setattr(detect, "_alternating_ascent", one_sweep)
+        for starts in (50, 156):
+            assert alpha_sru_optimize(np.eye(36), (2, 18), starts=starts)[0] == 1.0
+        assert climbed == [(50, 18, 18), (156, 18, 18)]
 
     def test_seed_deterministic(self):
         v1 = alpha_sru_optimize(Z3, (3, 3), starts=5, seed=11)[0]

@@ -141,6 +141,32 @@ class TestGroupSettings:
         assert abs(total - np.trace(w.operator @ rho).real) < 1e-10
 
 
+class TestMeasurableDims:
+    """Above MAX_QUBITS qubits the layer refuses before any Pauli table is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_tables(self, monkeypatch):
+        from chandet import measure
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Pauli tables must not be built")
+
+        monkeypatch.setattr(measure, "_pauli_tables", refuse)
+
+    def test_pauli_decompose_beyond_four_qubits(self):
+        with pytest.raises(ValueError) as exc:
+            pauli_decompose(np.eye(32))
+        assert str(exc.value) == "the operator needs dims of at most 4 qubits, got [2, 2, 2, 2, 2]"
+
+    def test_estimate_witness_beyond_four_qubits(self):
+        from chandet.channels import identity_channel
+
+        choi = identity_channel([2, 2, 2]).choi
+        with pytest.raises(ValueError) as exc:
+            estimate_witness(choi, eb_witness((2, 2, 2)), 100, seed=0)
+        assert str(exc.value) == "the Choi state needs dims of at most 4 qubits, got [2, 2, 2, 2, 2, 2]"
+
+
 class TestEstimateWitness:
     def test_needs_a_shot(self):
         # the exact value is evaluate_witness; no request estimates from zero shots
@@ -232,6 +258,11 @@ class TestEstimateWitness:
         e1 = estimate_witness(ch.choi, w, 5_000, seed=9)
         e2 = estimate_witness(ch.choi, w, 5_000, seed=9)
         assert e1 == e2
+
+    def test_shots_beyond_int64_refused(self):
+        # the sampler draws each setting's counts as one int64 multinomial
+        with pytest.raises(ValueError, match="at most 9223372036854775807, got 9223372036854775808"):
+            estimate_witness(depolarizing_channel(0.25).choi, eb_witness(), 2**63, seed=3)
 
     def test_rejects_qutrits(self):
         from chandet.channels import z3_channel

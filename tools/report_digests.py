@@ -1,0 +1,76 @@
+"""Digest of every report the benchmark's request pools produce.
+
+    python3 tools/report_digests.py --seeds 101 102 103 > digests.txt
+
+Builds each pool with ``bench/workloads.build_pool`` and runs every request
+once through ``chandet.cli.main`` in-process, BLAS at one thread, with the
+program imported from this checkout's ``src/``. Spec files are written to a
+temporary directory that is the working directory of the run, so the paths in
+the argv, and so any message that names them, read the same in every
+checkout. Prints one line per request:
+
+    workload seed class exit sha256(stdout) sha256(stderr)
+
+A refactor that keeps every report leaves this output unchanged; compare a run
+on the parent commit with a run on the change by ``diff``. Nothing under
+``bench/`` is changed.
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from chandet import cli  # noqa: E402
+from workloads import WORKLOADS, build_pool  # noqa: E402
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest_lines(workload: str, seed: int):
+    """One line per request of the pool of ``workload`` at ``seed``, in pool order."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for req in build_pool(workload, seed, "."):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(req.argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    except Exception as exc:  # an uncaught error is an outcome too
+                        code = type(exc).__name__
+                yield f"{workload} {seed} {req.cls} {code} {_sha(out.getvalue())} {_sha(err.getvalue())}"
+        finally:
+            os.chdir(cwd)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
+    p.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=sorted(WORKLOADS))
+    args = p.parse_args(argv)
+    for workload in args.workloads:
+        for seed in args.seeds:
+            for line in digest_lines(workload, seed):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
