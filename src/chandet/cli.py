@@ -699,7 +699,8 @@ def main(argv=None) -> int:
         elapsed = time.perf_counter() - start
         payload = {
             "pipeline": args.command,
-            "inputs": {"channel": spec, "options": asdict(options)},
+            # shallow: asdict would deep-copy the --target spec, and the report only reads it
+            "inputs": {"channel": spec, "options": {f.name: getattr(options, f.name) for f in fields(options)}},
             "results": results,
         }
         text = render_report(payload, args.format, elapsed)

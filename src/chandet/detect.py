@@ -135,26 +135,45 @@ def _alternating_ascent(u, da, db, ub0, record=None):
     is |Tr[ua^dag F]| with F = Tr_B[(I kron ub^dag) u], maximized by the polar
     unitary of F at the value ||F||_1; likewise for ua with G = Tr_A[(ua^dag
     kron I) u]. Each start's objective is therefore non-decreasing sweep to
-    sweep, and a start stops after its first gain below ``SWEEP_TOL``. Returns
-    per-start values, ua and ub; ``record`` gets each sweep's values (NaN: stopped).
+    sweep, and a start stops after its first gain below ``SWEEP_TOL``.
+
+    Both partial traces are linear in the conjugated local unitary, so the gate
+    is rearranged once into the matrices taking vec(conj ub) to vec F and
+    vec(conj ua) to vec G: a half-step is one matrix product over the live
+    starts and one batched SVD. Only live starts are carried; each start's
+    value, ua and ub are written back once, when it stops or at ``MAX_SWEEPS``.
+    Returns per-start values, ua and ub; ``record`` gets each sweep's values
+    (NaN: stopped).
     """
     u4 = u.reshape(da, db, da, db)
+    to_f = u4.transpose(1, 3, 0, 2).reshape(db * db, da * da)
+    to_g = u4.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     n = ub0.shape[0]
-    ub = np.array(ub0, dtype=complex)
+    val = np.empty(n)
     ua = np.empty((n, da, da), dtype=complex)
-    val = np.full(n, -1.0)
-    live = np.ones(n, dtype=bool)
+    ub = np.empty((n, db, db), dtype=complex)
+    # the live starts: their indices, last values and current unitaries
+    live, prev, ub_live = np.arange(n), np.full(n, -1.0), np.array(ub0, dtype=complex)
     for _ in range(MAX_SWEEPS):
-        w, _, vh = np.linalg.svd(np.einsum("kcb,acdb->kad", ub[live].conj(), u4))
-        ua[live] = w @ vh
-        w, s, vh = np.linalg.svd(np.einsum("kca,cbae->kbe", ua[live].conj(), u4))
-        ub[live] = w @ vh
-        prev, val[live] = val[live], s.sum(axis=1) / (da * db)
+        w, _, vh = np.linalg.svd((ub_live.conj().reshape(-1, db * db) @ to_f).reshape(-1, da, da))
+        ua_live = w @ vh
+        w, s, vh = np.linalg.svd((ua_live.conj().reshape(-1, da * da) @ to_g).reshape(-1, db, db))
+        ub_live = w @ vh
+        cur = s.sum(axis=1) / (da * db)
         if record is not None:
-            record.append(np.where(live, val, np.nan))
-        live[live] = val[live] - prev >= SWEEP_TOL
-        if not live.any():
+            row = np.full(n, np.nan)
+            row[live] = cur
+            record.append(row)
+        going = cur - prev >= SWEEP_TOL
+        if not going.all():
+            stop = ~going
+            val[live[stop]], ua[live[stop]], ub[live[stop]] = cur[stop], ua_live[stop], ub_live[stop]
+            live, cur, ua_live, ub_live = live[going], cur[going], ua_live[going], ub_live[going]
+        prev = cur
+        if not live.size:
             break
+    # the starts still climbing at MAX_SWEEPS keep their last sweep
+    val[live], ua[live], ub[live] = prev, ua_live, ub_live
     return val, ua, ub
 
 

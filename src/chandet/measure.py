@@ -41,12 +41,15 @@ _CODE = {ch: k for k, ch in enumerate(_LETTERS)}
 _FLIP = np.array([0, 1, 1, 0])
 _PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
 
-# single-qubit eigenbases, columns ordered (+1 eigenvector, -1 eigenvector)
-_EIGENBASIS = {
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
-    "Z": np.eye(2, dtype=complex),
-}
+# single-qubit eigenbases of X, Y and Z, indexed by a letter's byte minus ord("X"),
+# columns ordered (+1 eigenvector, -1 eigenvector)
+_EIGENBASES = np.stack(
+    [
+        np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+        np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+        np.eye(2, dtype=complex),
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,9 @@ def group_settings(terms) -> list[MeasurementSetting]:
     exactly one setting.
 
     Strings are packed two bits per qubit, so ``a`` and ``b`` are compatible
-    exactly when ``(code_a ^ code_b) & mask_a & mask_b == 0``.
+    exactly when ``(code_a ^ code_b) & mask_a & mask_b == 0``, and a term fits
+    a setting exactly when ``bases & mask == code``: ``first[mask][bases & mask]``
+    is the first setting each term of that mask could join.
     """
     terms = list(terms)
     if len({len(t.string) for t in terms}) > 1:
@@ -164,31 +169,39 @@ def group_settings(terms) -> list[MeasurementSetting]:
         key=lambda i: (terms[i].string.count("I"), i),
     )
     settings: list[tuple[int, list[int]]] = []
+    first: dict[int, dict[int, int]] = {mask: {} for _, mask in packed}
     for pos, i in enumerate(order):
         code, mask = packed[i]
-        for bases, covered in settings:
-            if (code ^ bases) & mask == 0:
-                covered.append(i)
-                break
-        else:
-            for j in order[pos + 1 :]:
-                if mask == full:
-                    break  # no free slot left for a later term to fill
-                other, other_mask = packed[j]
-                if (code ^ other) & mask & other_mask == 0:
-                    code |= other
-                    mask |= other_mask
-            settings.append((code | x_fill & ~mask, [i]))
+        k = first[mask].get(code)
+        if k is not None:
+            settings[k][1].append(i)
+            continue
+        for j in order[pos + 1 :]:
+            if mask == full:
+                break  # no free slot left for a later term to fill
+            other, other_mask = packed[j]
+            if (code ^ other) & mask & other_mask == 0:
+                code |= other
+                mask |= other_mask
+        bases = code | x_fill & ~mask
+        for m, index in first.items():
+            index.setdefault(bases & m, len(settings))
+        settings.append((bases, [i]))
     return [MeasurementSetting(bases=_string_of(b, n), covered_terms=tuple(c)) for b, c in settings]
+
+
+def _letter_bytes(strings: list[str]) -> np.ndarray:
+    """``[string, qubit]`` ASCII bytes of equal-length Pauli strings."""
+    return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8).reshape(len(strings), -1)
 
 
 def _product_bases(bases: list[str]) -> np.ndarray:
     """Stacked ``kron`` of the eigenbases of each setting, multiplied left to right."""
-    out = np.stack([_EIGENBASIS[b[0]] for b in bases])
-    for q in range(1, len(bases[0])):
-        e = np.stack([_EIGENBASIS[b[q]] for b in bases])
+    e = _EIGENBASES[_letter_bytes(bases) - ord("X")]  # [setting, qubit, row, column]
+    out = e[:, 0]
+    for q in range(1, e.shape[1]):
         shape = (len(bases), 2 * out.shape[1], 2 * out.shape[2])
-        out = (out[:, :, None, :, None] * e[:, None, :, None, :]).reshape(shape)
+        out = (out[:, :, None, :, None] * e[:, q, None, :, None, :]).reshape(shape)
     return out
 
 
@@ -225,7 +238,7 @@ def _outcome_signs(strings: list[str]) -> np.ndarray:
     """``[outcome, term]`` product of the +-1 outcomes on each string's non-identity qubits."""
     n = len(strings[0])
     bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # [outcome, qubit]
-    support = np.array([[ch != "I" for ch in s] for s in strings], dtype=int)  # [term, qubit]
+    support = (_letter_bytes(strings) != ord("I")).astype(int)  # [term, qubit]
     return 1 - 2 * (bits @ support.T & 1)
 
 

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from chandet.channels import ATOL, Channel, sru_channel
+from chandet import detect
+from chandet.channels import ATOL, SWEEP_TOL, Channel, sru_channel
 from chandet.qmath import PAULI, dag, haar_unitary, kron
 
 CNOT = np.eye(4, dtype=complex)
@@ -81,6 +82,34 @@ def product_overlap(u: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> float:
     """|<ua kron ub | u>| = |Tr[(ua kron ub)^dag u]| / (da*db) on Choi vectors."""
     da, db = ua.shape[0], ub.shape[0]
     return float(abs(np.trace(dag(np.kron(ua, ub)) @ u))) / (da * db)
+
+
+def einsum_ascent(u, da, db, ub0, record=None):
+    """Reference for ``detect._alternating_ascent``: the same climbs, partial traces by ``einsum``.
+
+    Every sweep takes both partial traces of the live starts by one ``einsum``
+    each and gathers and scatters the starts through a boolean mask, so the
+    sums run in another order than the package's matrix products. Reads
+    ``detect.MAX_SWEEPS`` at call time, so a test can lower the cap.
+    """
+    u4 = u.reshape(da, db, da, db)
+    n = ub0.shape[0]
+    ub = np.array(ub0, dtype=complex)
+    ua = np.empty((n, da, da), dtype=complex)
+    val = np.full(n, -1.0)
+    live = np.ones(n, dtype=bool)
+    for _ in range(detect.MAX_SWEEPS):
+        w, _, vh = np.linalg.svd(np.einsum("kcb,acdb->kad", ub[live].conj(), u4))
+        ua[live] = w @ vh
+        w, s, vh = np.linalg.svd(np.einsum("kca,cbae->kbe", ua[live].conj(), u4))
+        ub[live] = w @ vh
+        prev, val[live] = val[live], s.sum(axis=1) / (da * db)
+        if record is not None:
+            record.append(np.where(live, val, np.nan))
+        live[live] = val[live] - prev >= SWEEP_TOL
+        if not live.any():
+            break
+    return val, ua, ub
 
 
 def superoperator(choi):

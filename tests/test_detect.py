@@ -28,7 +28,7 @@ from chandet.detect import (
 )
 from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, pauli_string
 from support import CNOT, max_entangled, product_overlap, random_separable_state, random_sru_channel
-from support import reconstruct
+from support import einsum_ascent, reconstruct
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 Z3 = np.diag([1.0] * 8 + [-1.0]).astype(complex)
@@ -36,6 +36,13 @@ SQRT17 = np.sqrt(17.0)
 Z3_SIGMA_1 = np.sqrt((9 + SQRT17) / 2) / 3
 Z3_SIGMA_2 = np.sqrt((9 - SQRT17) / 2) / 3
 HAAR9 = [haar_unitary(9, seed) for seed in (500, 501, 502)]
+HAAR_PAIRS = [
+    ((3, 3), haar_unitary(9, 609)),
+    ((2, 3), haar_unitary(6, 606)),
+    ((3, 2), haar_unitary(6, 607)),
+    ((2, 4), haar_unitary(8, 608)),
+]
+PAIR_IDS = ["haar33", "haar23", "haar32", "haar24"]
 
 
 def choi_ket(u):
@@ -175,6 +182,51 @@ class TestAlphaSruOptimize:
                 assert np.isnan(column[run.size :]).all()  # a stopped start stays stopped
                 assert np.all(np.diff(run) >= -1e-12)
                 assert run[-1] == val[k]
+
+    @pytest.mark.parametrize("dims, u", HAAR_PAIRS, ids=PAIR_IDS)
+    def test_every_start_reaches_its_value(self, dims, u):
+        da, db = dims
+        val, ua, ub = _alternating_ascent(u, da, db, start_points(db, 20, 5))
+        for k in range(20):
+            assert abs(product_overlap(u, ua[k], ub[k]) - val[k]) <= 1e-14
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_starts_live_at_the_sweep_cap_return_their_last_state(self, monkeypatch, cap):
+        u = HAAR9[0]
+        # three converged starts stop on their second sweep; five Haar starts are still climbing at the cap
+        ub0 = np.concatenate([_alternating_ascent(u, 3, 3, start_points(3, 3, 7))[2], start_points(3, 5, 8)])
+        monkeypatch.setattr(detect, "MAX_SWEEPS", cap)
+        history, ref_history = [], []
+        val, ua, ub = _alternating_ascent(u, 3, 3, ub0, record=history)
+        _, ref_ua, ref_ub = einsum_ascent(u, 3, 3, ub0, record=ref_history)
+        sweeps = np.array(history)
+        assert sweeps.shape == (cap, 8)
+        np.testing.assert_array_equal(np.isnan(sweeps), np.isnan(ref_history))
+        live_at_cap = []
+        for k, column in enumerate(sweeps.T):
+            run = column[~np.isnan(column)]
+            assert np.isnan(column[run.size :]).all()  # NaN only after the start stopped
+            gains = np.diff(np.concatenate([[-1.0], run]))
+            assert np.all(gains[:-1] >= SWEEP_TOL)  # it climbed on every sweep before its last
+            if run.size < cap:
+                assert gains[-1] < SWEEP_TOL
+            live_at_cap.append(run.size == cap and gains[-1] >= SWEEP_TOL)
+            assert val[k] == run[-1]
+            assert abs(product_overlap(u, ua[k], ub[k]) - val[k]) <= 1e-14
+        assert live_at_cap == [False] * 3 + [True] * 5
+        np.testing.assert_allclose(ua, ref_ua, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ub, ref_ub, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims, u", HAAR_PAIRS + [((3, 3), Z3)], ids=PAIR_IDS + ["z3"])
+    def test_alpha_within_16_eps_of_the_einsum_ascent(self, dims, u):
+        # the products round differently from einsum; a start may then stop one sweep apart, or a
+        # near-tie change winners: over 1 000 Haar gates on [3, 3], [2, 3], [3, 2], [2, 4] and
+        # [4, 2] at 50 starts alpha moved by at most 2.2e-15, and by more than 4 ulp of alpha on 3%
+        da, db = dims
+        for starts, seed in ((1, 0), (20, 3), (50, 1)):
+            ref = min(float(einsum_ascent(u, da, db, start_points(db, starts, seed))[0].max()), 1.0)
+            val = alpha_sru_optimize(u, dims, starts=starts, seed=seed)[0]
+            assert abs(val - ref) <= 16 * np.finfo(float).eps
 
     @pytest.mark.parametrize("u", [Z3] + HAAR9, ids=["z3", "haar0", "haar1", "haar2"])
     def test_batch_matches_per_start_loop(self, u):
