@@ -1,4 +1,4 @@
-"""Quantum channels in Kraus form with a cached Choi matrix, the tolerance table and the verdict test.
+"""Quantum channels as one Kraus array with a cached Choi matrix, the tolerance table and the verdict test.
 
 Choi matrices follow the trace-normalized state convention
 ``C = (M kron Id)[|alpha><alpha|]`` with subsystem order (outputs..., ancillas...),
@@ -63,21 +63,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def kraus_to_choi_matrix(kraus, dim: int) -> np.ndarray:
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a in kraus:
-        w = np.asarray(a).reshape(-1)  # row-major: w[i*dim + m] = A[i, m]
-        c += np.outer(w, w.conj())
-    return c / dim
-
-
 class Channel:
-    """Completely positive map on ``prod(dims)`` dimensions, stored in Kraus form.
+    """Completely positive map on ``prod(dims)`` dimensions, stored as one Kraus array.
 
-    The Choi matrix is computed eagerly at construction and frozen, so
-    instances are safe to share across threads. Set ``require_tp=False`` for
-    maps that are intentionally not trace preserving (separable-map analysis
-    allows them).
+    ``kraus`` is a read-only ``(K, D, D)`` array, D = prod(dims): ``len``,
+    iteration, indexing and slicing give its operators. The Choi matrix is one
+    product of the stacked vectorized operators with their conjugates, computed
+    eagerly at construction and frozen, so instances are safe to share across
+    threads. Set ``require_tp=False`` for maps that are intentionally not trace
+    preserving (separable-map analysis allows them).
     """
 
     def __init__(self, kraus, dims, require_tp: bool = True):
@@ -93,27 +87,28 @@ class Channel:
                 )
             if not np.isfinite(a).all():
                 raise ValueError(f"kraus[{i}] has a non-finite entry")
-        self.kraus = tuple(_frozen(a) for a in ops)
+        self.kraus = _frozen(ops)
         self.require_tp = bool(require_tp)
-        # huge finite entries overflow to inf/nan here; the TP and finiteness
-        # checks turn that into a ValidationError, so numpy need not warn
+        if self.require_tp:
+            deficit = self.tp_deficit()
+            if not deficit <= ATOL:
+                raise ValidationError(
+                    f"Kraus operators are not trace preserving: max|sum A^dag A - I| = {deficit:.6g}"
+                )
+        # row k is vec A_k, row-major: vecs[k, i*D + m] = A_k[i, m]
+        vecs = self.kraus.reshape(len(ops), -1)
+        # huge finite entries overflow to inf/nan here; the finiteness check
+        # turns that into a ValidationError, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.require_tp:
-                deficit = float(np.max(np.abs(self.tp_deficit())))
-                if not deficit <= ATOL:
-                    raise ValidationError(
-                        f"Kraus operators are not trace preserving: max|sum A^dag A - I| = {deficit:.6g}"
-                    )
-            self.choi = ChoiMatrix(
-                _frozen(kraus_to_choi_matrix(self.kraus, self.dim)),
-                self.dims + self.dims,
-                self.dims,
-            )
+            self.choi = ChoiMatrix(_frozen(vecs.T @ vecs.conj() / self.dim), self.dims + self.dims, self.dims)
         if not np.isfinite(self.choi.matrix).all():
             raise ValidationError("Kraus entries overflow: the Choi matrix is not finite")
 
-    def tp_deficit(self) -> np.ndarray:
-        return sum(dag(a) @ a for a in self.kraus) - np.eye(self.dim)
+    def tp_deficit(self) -> float:
+        """max|sum_k A_k^dag A_k - I|, inf or NaN when the sum overflows (numpy does not warn)."""
+        rows = self.kraus.reshape(-1, self.dim)  # the operators stacked row-wise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max(np.abs(rows.conj().T @ rows - np.eye(self.dim))))
 
     def __repr__(self):
         return f"Channel(dims={self.dims}, kraus_count={len(self.kraus)}, require_tp={self.require_tp})"

@@ -511,8 +511,7 @@ def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
         what = f"{command} --shots" if detect else command
         _require_measurable(channel.choi.dims, f"{what}: the Choi state", SpecError)
     if opts.shots:
-        with np.errstate(over="ignore", invalid="ignore"):
-            deficit = float(np.max(np.abs(channel.tp_deficit())))
+        deficit = channel.tp_deficit()
         if not deficit <= ATOL:  # the Choi matrix of a non-TP map is no state to sample
             raise SpecError(
                 f"{command} --shots needs a trace-preserving channel: max|sum A^dag A - I| = {deficit:.6g}"

@@ -251,7 +251,7 @@ def evaluate_witness(w: Witness, choi: ChoiMatrix) -> float:
     """Exact witness expectation Tr[W * choi] on the measured Choi state."""
     if w.dims != choi.dims:
         raise ValueError(f"witness dims {w.dims} do not match Choi dims {choi.dims}")
-    val = complex(np.trace(w.operator @ choi.matrix))
+    val = complex(np.einsum("ij,ji->", w.operator, choi.matrix))
     if abs(val.imag) > ATOL:
         raise ValidationError(f"witness expectation has imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -144,13 +144,14 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     expectation = evaluate_witness(witness, choi_comp)
 
     # Two-term split: the witness is proj^{T_A}, so traces against partially
-    # transposed states turn into plain projector overlaps.
+    # transposed states turn into plain projector overlaps; the noise terms are
+    # Tr[proj (X kron Id/D)] = Tr[Tr_anc(proj) X] / D.
     proj = partial_transpose(witness.operator, witness.dims, 0)
-    term_transpose = float(np.real(np.trace(proj @ choi_mt.matrix)))
+    term_transpose = float(np.einsum("ij,ji->", proj, choi_mt.matrix).real)
+    proj_out = partial_trace(proj, witness.dims, keep=(0, 1))
     mt_of_id = partial_transpose(m_of_id, ch.dims, 0)
-    eye_anc = np.eye(dim) / dim
-    term_noise_mt = float(np.real(np.trace(proj @ np.kron(mt_of_id, eye_anc))))
-    term_noise_m = float(np.real(np.trace(proj @ np.kron(m_of_id, eye_anc))))
+    term_noise_mt = float(np.einsum("ij,ji->", proj_out, mt_of_id).real) / dim
+    term_noise_m = float(np.einsum("ij,ji->", proj_out, m_of_id).real) / dim
     split = (1.0 - p) * term_transpose + p * term_noise_mt
     if not abs(expectation - split) <= ATOL:
         raise ValidationError(

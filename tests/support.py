@@ -112,6 +112,15 @@ def einsum_ascent(u, da, db, ub0, record=None):
     return val, ua, ub
 
 
+def kraus_to_choi_loop(kraus, dim: int) -> np.ndarray:
+    """Reference for ``Channel.choi``: one ``np.outer`` of vec A_k per Kraus operator, summed, over D."""
+    c = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for a in kraus:
+        w = np.asarray(a).reshape(-1)  # row-major: w[i*dim + m] = A[i, m]
+        c += np.outer(w, w.conj())
+    return c / dim
+
+
 def superoperator(choi):
     """Superoperator on column-stacked matrices, reshuffled from a trace-normalized Choi matrix."""
     d = int(round(np.sqrt(choi.shape[0])))

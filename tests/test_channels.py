@@ -17,7 +17,7 @@ from chandet.channels import (
 from chandet.cli import SpecError, parse_channel_spec
 from chandet.pptdetect import ppt_conjugate
 from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, partial_transpose
-from support import CNOT, apply, choi_of_superoperator, is_unital, kraus_from_choi, max_entangled
+from support import CNOT, apply, choi_of_superoperator, is_unital, kraus_from_choi, kraus_to_choi_loop, max_entangled
 from support import permute_subsystems, random_channel, random_density_matrix, random_sru_channel, superoperator
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
@@ -116,6 +116,22 @@ class TestChoi:
         proj_acbd = np.outer(acbd, acbd.conj())
         expected = permute_subsystems(proj_acbd, [2, 2, 2, 2], [0, 2, 1, 3])
         np.testing.assert_allclose(cnot_channel().choi.matrix, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("count, d", [(1, 9), (5, 9), (81, 9), (256, 16)])
+    def test_matches_the_per_kraus_loop(self, count, d):
+        ch = random_channel([d], seed=count, kraus_count=count)
+        assert ch.kraus.shape == (count, d, d)
+        np.testing.assert_allclose(ch.choi.matrix, kraus_to_choi_loop(ch.kraus, d), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 16])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_depolarizing_closed_form(self, d, p):
+        # the d^2 Weyl-conjugated Bell states are an orthonormal basis, so the
+        # d^2 - 1 error operators fill Id - Phi
+        phi = max_entangled(d)
+        bell = np.outer(phi, phi.conj())
+        expected = (1 - p) * bell + p / (d * d - 1) * (np.eye(d * d) - bell)
+        np.testing.assert_allclose(depolarizing_channel(p, d).choi.matrix, expected, rtol=0, atol=1e-14)
 
     def test_tp_choi_properties(self):
         for ch in (depolarizing_channel(0.3), cnot_channel(), z3_channel(), random_channel([2, 2], 5)):
@@ -284,6 +300,27 @@ class TestClassify:
         k1 = np.array([[0, 1], [0, 0]], dtype=complex)
         ch = Channel([k0, k1], [2])
         assert is_cp(ch) and is_tp(ch) and not is_unital(ch)
+
+    def test_kraus_is_one_read_only_array(self):
+        ch = depolarizing_channel(0.3, 3)
+        ops = ch.kraus
+        assert isinstance(ops, np.ndarray) and ops.shape == (9, 3, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            ops[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ops[1][0, 0] = 0.0
+        assert len(ops) == 9
+        assert [k.shape for k in ops] == [(3, 3)] * 9
+        np.testing.assert_array_equal(ops[0], np.sqrt(0.7) * np.eye(3))
+        reordered = Channel(ops[::-1], ch.dims)
+        np.testing.assert_array_equal(reordered.kraus, ops[::-1])
+        np.testing.assert_allclose(reordered.choi.matrix, ch.choi.matrix, rtol=0, atol=1e-15)
+
+    def test_tp_deficit_is_one_float(self):
+        ch = Channel([np.sqrt(0.9) * I2, np.sqrt(0.05) * X], [2], require_tp=False)
+        deficit = ch.tp_deficit()
+        assert type(deficit) is float and deficit == pytest.approx(0.05, abs=1e-15)
+        assert depolarizing_channel(0.3, 3).tp_deficit() <= ATOL
 
     def test_tp_validation_reports_deficit(self):
         with pytest.raises(ValidationError, match="trace preserving"):

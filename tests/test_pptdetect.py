@@ -95,6 +95,9 @@ def definition_cases():
             yield f"random{dims[0]}{dims[1]}-rank{rank}", random_channel(dims, 50 + rank, kraus_count=rank)
         yield f"sru{dims[0]}{dims[1]}", random_sru_channel(dims, seed=7)
         yield f"shift{dims[0]}{dims[1]}", controlled_shift(dims)
+    for dims in ((2, 4), (4, 2)):  # the ancilla-traced split on pairs with a factor of 4
+        for rank in (1, 3):
+            yield f"random{dims[0]}{dims[1]}-rank{rank}", random_channel(dims, 60 + rank, kraus_count=rank)
 
 
 class TestPptConjugate:
