@@ -6,6 +6,7 @@ so a trace-preserving channel has ``Tr[C] = 1`` and the partial trace of C over
 the output subsystems equals ``Id / prod(dims)``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,9 +59,26 @@ class ChoiMatrix:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
+    """``a`` made read-only in place: a fresh array that nothing else holds, so no copy is needed."""
     a.setflags(write=False)
     return a
+
+
+def _kraus_array(kraus, dims: tuple[int, ...], dim: int) -> np.ndarray:
+    """The operators of ``kraus`` checked and stacked into one fresh ``(K, D, D)`` array.
+
+    The list of operators dies with this call, so operators that only the
+    iterable held are freed once they are stacked.
+    """
+    ops = [np.asarray(a, dtype=complex) for a in kraus]
+    if not ops:
+        raise ValueError("a channel needs at least one Kraus operator")
+    for i, a in enumerate(ops):
+        if a.shape != (dim, dim):
+            raise ValueError(f"kraus[{i}] has shape {a.shape}, expected {(dim, dim)} for dims {dims}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"kraus[{i}] has a non-finite entry")
+    return np.array(ops)
 
 
 class Channel:
@@ -77,17 +95,7 @@ class Channel:
     def __init__(self, kraus, dims, require_tp: bool = True):
         self.dims = _as_dims(dims)
         self.dim = math.prod(self.dims)
-        ops = [np.asarray(a, dtype=complex) for a in kraus]
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        for i, a in enumerate(ops):
-            if a.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"kraus[{i}] has shape {a.shape}, expected {(self.dim, self.dim)} for dims {self.dims}"
-                )
-            if not np.isfinite(a).all():
-                raise ValueError(f"kraus[{i}] has a non-finite entry")
-        self.kraus = _frozen(ops)
+        self.kraus = _frozen(_kraus_array(kraus, self.dims, self.dim))
         self.require_tp = bool(require_tp)
         if self.require_tp:
             deficit = self.tp_deficit()
@@ -96,11 +104,13 @@ class Channel:
                     f"Kraus operators are not trace preserving: max|sum A^dag A - I| = {deficit:.6g}"
                 )
         # row k is vec A_k, row-major: vecs[k, i*D + m] = A_k[i, m]
-        vecs = self.kraus.reshape(len(ops), -1)
+        vecs = self.kraus.reshape(len(self.kraus), -1)
         # huge finite entries overflow to inf/nan here; the finiteness check
         # turns that into a ValidationError, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            self.choi = ChoiMatrix(_frozen(vecs.T @ vecs.conj() / self.dim), self.dims + self.dims, self.dims)
+            choi = vecs.T @ vecs.conj()
+            choi /= self.dim
+        self.choi = ChoiMatrix(_frozen(choi), self.dims + self.dims, self.dims)
         if not np.isfinite(self.choi.matrix).all():
             raise ValidationError("Kraus entries overflow: the Choi matrix is not finite")
 
@@ -148,17 +158,15 @@ def unitary_channel(u: np.ndarray, dims=None) -> Channel:
 
 
 def _weyl_operators(d: int):
-    """Shift/clock products X^a Z^b for a, b in 0..d-1, excluding the identity."""
+    """Shift/clock products X^a Z^b for a, b in 0..d-1, excluding the identity, one at a time."""
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
-    ops = []
     for a in range(d):
         for b in range(d):
             if a == 0 and b == 0:
                 continue
-            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return ops
+            yield np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
 
 
 def depolarizing_channel(p: float, d: int = 2) -> Channel:
@@ -167,6 +175,8 @@ def depolarizing_channel(p: float, d: int = 2) -> Channel:
     For qubits the Kraus set is {sqrt(1-p) I, sqrt(p/3) X, sqrt(p/3) Y, sqrt(p/3) Z};
     for d > 2 the Pauli set is replaced by the d^2 - 1 Weyl operators. A
     one-dimensional system has no error operator to carry p, so d < 2 is refused.
+    The operators are scaled as they are generated, so no list of them is held
+    beside the Kraus array.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
@@ -174,14 +184,9 @@ def depolarizing_channel(p: float, d: int = 2) -> Channel:
     d = int(d)
     if d < 2:
         raise ValueError(f"the depolarizing channel needs dimension d >= 2, got {d}")
-    if d == 2:
-        errs = [PAULI["X"], PAULI["Y"], PAULI["Z"]]
-    else:
-        errs = _weyl_operators(d)
-    weighted = [(1.0 - p, np.eye(d, dtype=complex))]
-    weighted += [(p / len(errs), e) for e in errs]
-    kraus = [np.sqrt(wt) * op for wt, op in weighted if wt > 0.0]
-    return Channel(kraus, (d,))
+    errs = (PAULI[ch] for ch in "XYZ") if d == 2 else _weyl_operators(d)
+    weighted = itertools.chain([(1.0 - p, np.eye(d, dtype=complex))], ((p / (d * d - 1), e) for e in errs))
+    return Channel((np.sqrt(wt) * op for wt, op in weighted if wt > 0.0), (d,))
 
 
 def fully_depolarizing_channel(dims, sigma: np.ndarray | None = None) -> Channel:

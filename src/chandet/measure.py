@@ -3,46 +3,53 @@
 A qubit witness is expanded in the Pauli basis, the non-identity strings are
 grouped into product measurement settings (strings sharing a setting are
 estimated from the same shots), and outcomes are sampled from the exact Born
-distribution of the Choi state being measured. :func:`estimate_witness` is the
-one sampler: setting k draws its counts from the stream ``[seed, k]``, and one
-pass over ``[setting, outcome]`` arrays turns all the counts into the
-estimate. One sign table serves every term; each setting's terms are padded
-to the widest setting with a zero term, and every sum runs left to right, so
-each outcome value and each setting's moments are bitwise those of a loop
-over settings, outcomes and terms.
+distribution of the Choi state being measured.
 
-No step builds a dense 2^n x 2^n product per string or per setting: every
-coefficient is read off one gather of the operator (a Pauli string has one
-nonzero entry per row), grouping compares strings packed two bits per qubit,
-and one einsum gives the Born probabilities of every setting. Each number is
-bitwise the one the dense ``Tr[P W]`` and per-setting ``kron`` basis give, so
-the sampling streams and estimates are those of the dense path. Both entry
-points first apply the layer's one limit, :func:`_require_measurable`: at
-most ``MAX_QUBITS`` qubits, the Choi states of channels on [2] or [2, 2].
+Every step runs on packed codes: a string's index in
+``itertools.product("IXYZ", repeat=n)``, two bits per qubit, I = 0. Letters
+appear only at the report boundary, in :func:`pauli_decompose` and
+:func:`group_settings`, thin adapters over the path :func:`estimate_witness`
+runs. What depends only on the qubit count n is built once per process, on
+first use, by :func:`_pauli_tables`: the gather tables (a Pauli string has one
+nonzero entry per row, so every coefficient is read off one gather of the
+operator), the product eigenbases of all 3^n settings and the
+``[outcome, code]`` sign table, read-only and 0.5 MB for n = 1..4 together.
+Setting k draws its counts from the stream ``[seed, k]``, one einsum gives the
+Born probabilities of every setting, and one pass over ``[setting, outcome]``
+arrays forms the estimate, each setting's terms padded to the widest with a
+zero term and every sum running left to right. So each number is bitwise the
+one of a dense ``Tr[P W]``, a per-setting ``kron`` basis and a loop over
+settings, outcomes and terms. Both entry points first apply the layer's one
+limit, :func:`_require_measurable` (at most ``MAX_QUBITS`` qubits: the Choi
+states of channels on [2] or [2, 2]); no table is built before it refuses.
 """
 
-import itertools
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import ATOL, STATE_ATOL, ZERO_CUTOFF, ChoiMatrix, ValidationError, _check_hermitian
 from .detect import Witness
 
-# Most qubits of a measured operator: its Pauli tables hold 4^n x 2^n entries, 4 MB at n = 4.
+# Most qubits of a measured operator: its tables, built once, take 0.46 MB at n = 4.
 MAX_QUBITS = 4
 # Most shots per setting: each setting's counts are drawn as one int64 multinomial.
 MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 _LETTERS = "IXYZ"  # a letter's index is its 2-bit code; I is 0
-_CODE = {ch: k for k, ch in enumerate(_LETTERS)}
+_LETTER_SET = frozenset(_LETTERS)
+_LETTER_BYTES = np.frombuffer(_LETTERS.encode("ascii"), dtype=np.uint8)
+_DIGIT = np.zeros(256, dtype=np.int64)  # [ASCII byte] code of a Pauli letter
+_DIGIT[_LETTER_BYTES] = np.arange(4)
 # Row r of the one-qubit Pauli with code c holds its nonzero entry _PHASE[c, r]
 # at column r ^ _FLIP[c].
 _FLIP = np.array([0, 1, 1, 0])
 _PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
 
-# single-qubit eigenbases of X, Y and Z, indexed by a letter's byte minus ord("X"),
-# columns ordered (+1 eigenvector, -1 eigenvector)
+# single-qubit eigenbases of X, Y and Z, indexed by code - 1, columns ordered
+# (+1 eigenvector, -1 eigenvector)
 _EIGENBASES = np.stack(
     [
         np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -84,63 +91,151 @@ def _require_measurable(dims: tuple[int, ...], what: str, error=ValueError) -> i
     return len(dims)
 
 
-def _pauli_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero entries of all 4^n Pauli strings, in ``itertools.product("IXYZ", repeat=n)`` order.
+class _Tables(NamedTuple):
+    """What the layer needs of n qubits, indexed by packed code; every array is read-only."""
 
-    Row i of string s holds its one nonzero entry ``phases[s, i]`` at column
-    ``cols[s, i]``. The tables grow one qubit at a time, leftmost qubit most
-    significant, as ``qmath.kron`` orders a product.
+    gather: np.ndarray  # [code, row] flat index of the row's one nonzero entry in a 2^n x 2^n matrix
+    phases: np.ndarray  # [code, row] that entry
+    signs: np.ndarray  # [outcome, code] product of the +-1 outcomes on the code's non-identity qubits
+    setting_row: np.ndarray  # [code] row of ``bases`` for a code with no identity slot, else -1
+    bases: np.ndarray  # [setting, 2^n, 2^n] product eigenbases of the 3^n settings, in code order
+
+
+@functools.cache
+def _pauli_tables(n: int) -> _Tables:
+    """The tables of n qubits, 1 <= n <= ``MAX_QUBITS``, built on the first call for n.
+
+    The gather tables grow one qubit at a time, leftmost qubit most
+    significant, as ``qmath.kron`` orders a product. Each product eigenbasis is
+    the ``kron`` of its one-qubit bases multiplied left to right.
     """
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"Pauli tables cover 1 to {MAX_QUBITS} qubits, not {n}")
     cols = np.zeros((1, 1), dtype=np.intp)
     phases = np.ones((1, 1), dtype=complex)
     flips = np.arange(2) ^ _FLIP[:, None]  # [letter, bit]
     for _ in range(n):
-        # [string, row] x [letter, bit] -> [string, letter, row, bit]
+        # [code, row] x [letter, bit] -> [code, letter, row, bit]
         shape = (4 * cols.shape[0], 2 * cols.shape[1])
         cols = (2 * cols[:, None, :, None] + flips[None, :, None, :]).reshape(shape)
         phases = (phases[:, None, :, None] * _PHASE[None, :, None, :]).reshape(shape)
-    return cols, phases
+    side = 2**n
+    digits = np.arange(4**n)[:, None] >> 2 * np.arange(n - 1, -1, -1) & 3  # [code, qubit]
+    bits = np.arange(side)[:, None] >> np.arange(n - 1, -1, -1) & 1  # [outcome, qubit]
+    settings = np.flatnonzero((digits != 0).all(axis=1))  # ascending, i.e. product("XYZ") order
+    setting_row = np.full(4**n, -1)
+    setting_row[settings] = np.arange(settings.size)
+    e = _EIGENBASES[digits[settings] - 1]  # [setting, qubit, row, column]
+    bases = e[:, 0]
+    for q in range(1, n):
+        shape = (settings.size, 2 * bases.shape[1], 2 * bases.shape[2])
+        bases = (bases[:, :, None, :, None] * e[:, q, None, :, None, :]).reshape(shape)
+    tables = _Tables(
+        gather=cols * side + np.arange(side),
+        phases=phases,
+        signs=1 - 2 * (bits @ (digits != 0).T & 1),
+        setting_row=setting_row,
+        bases=bases,
+    )
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
-def _string_of(index: int, n: int) -> str:
-    return "".join(_LETTERS[(index >> 2 * (n - 1 - q)) & 3] for q in range(n))
+def _names(codes, n: int) -> list[str]:
+    """The n-letter Pauli string of each packed code."""
+    digits = np.asarray(codes, dtype=np.int64)[:, None] >> 2 * np.arange(n - 1, -1, -1) & 3
+    text = _LETTER_BYTES[digits].tobytes().decode("ascii")
+    return [text[n * i : n * (i + 1)] for i in range(len(digits))]
+
+
+def _codes_of(strings: list[str]) -> tuple[np.ndarray, int]:
+    """The packed codes of equal-length Pauli strings, and their qubit count."""
+    if len({len(s) for s in strings}) > 1:
+        raise ValueError("Pauli strings of different lengths cannot share settings")
+    n = len(strings[0]) if strings else 0
+    if 2 * n >= np.iinfo(np.int64).bits:
+        raise ValueError(f"Pauli strings of {n} qubits do not fit a 64-bit code")
+    text = "".join(strings)
+    if not set(text) <= _LETTER_SET:
+        string = next(s for s in strings if not set(s) <= _LETTER_SET)
+        letter = next(ch for ch in string if ch not in _LETTER_SET)
+        raise ValueError(f"unknown Pauli letter {letter!r} in {string!r}")
+    digits = _DIGIT[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].reshape(len(strings), n)
+    return digits @ 4 ** np.arange(n - 1, -1, -1), n
+
+
+def _expand(w: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending codes of the strings of Hermitian ``w`` with |coefficient| > ``tol``, and their coefficients.
+
+    A coefficient is Tr[P W] / 2^n. The trace sums the 2^n products P[i, j] W[j, i]
+    with P[i, j] != 0 in the order ``np.trace(P @ W)`` does, so each is bitwise the dense one.
+    """
+    _check_hermitian(w, ATOL, "operator")
+    tables = _pauli_tables(n)
+    coeffs = (tables.phases * np.take(w, tables.gather)).sum(axis=-1) / 2**n
+    bad = np.flatnonzero(np.abs(coeffs.imag) > ZERO_CUTOFF)
+    if bad.size:
+        raise ValueError(f"coefficient of {_names(bad[:1], n)[0]} has imaginary part {coeffs[bad[0]].imag:.3e}")
+    kept = np.flatnonzero(np.abs(coeffs.real) > tol)
+    return kept, coeffs.real[kept]
 
 
 def pauli_decompose(w: np.ndarray, tol: float = ZERO_CUTOFF) -> list[PauliTerm]:
     """Expand a Hermitian qubit operator as sum of real Pauli-string coefficients.
 
-    Coefficients are Tr[P W] / 2^n for n <= ``MAX_QUBITS``; strings with |coefficient| <= tol
-    are dropped. The trace sums the 2^n products P[i, j] W[j, i] with P[i, j] != 0 in
-    the order ``np.trace(P @ W)`` does, so each coefficient is bitwise the dense one.
+    Coefficients are Tr[P W] / 2^n for n <= ``MAX_QUBITS``, bitwise the dense
+    ones; strings with |coefficient| <= tol are dropped.
     """
     w = np.asarray(w, dtype=complex)
     side = w.shape[0] if w.ndim == 2 and w.shape[0] == w.shape[1] else 0
     if side < 2 or side & (side - 1):
         raise ValueError(f"operator shape {w.shape} is not a square power of 2")
     n = _require_measurable((2,) * (side.bit_length() - 1), "the operator")
-    _check_hermitian(w, ATOL, "operator")
-    cols, phases = _pauli_tables(n)
-    coeffs = (phases * w[cols, np.arange(side)]).sum(axis=-1) / side
-    names = ["".join(p) for p in itertools.product(_LETTERS, repeat=n)]  # the tables' string order
-    bad = np.flatnonzero(np.abs(coeffs.imag) > ZERO_CUTOFF)
-    if bad.size:
-        s = bad[0]
-        raise ValueError(f"coefficient of {names[s]} has imaginary part {coeffs[s].imag:.3e}")
-    kept = np.flatnonzero(np.abs(coeffs.real) > tol)
-    return [PauliTerm(names[s], c) for s, c in zip(kept.tolist(), coeffs.real[kept].tolist())]
+    codes, coeffs = _expand(w, n, tol)
+    return [PauliTerm(s, c) for s, c in zip(_names(codes, n), coeffs.tolist())]
 
 
-def _pack(string: str) -> tuple[int, int]:
-    """``(code, mask)``: two bits per qubit, leftmost most significant; mask is 0b11 off identity."""
-    code = mask = 0
-    for ch in string:
-        try:
-            c = _CODE[ch]
-        except KeyError:
-            raise ValueError(f"unknown Pauli letter {ch!r} in {string!r}") from None
-        code = code << 2 | c
-        mask = mask << 2 | (3 if c else 0)
-    return code, mask
+def _group(codes: np.ndarray, n: int) -> tuple[list[int], list[list[int]]]:
+    """The greedy covering of :func:`group_settings` on packed codes: each setting's code and the positions it covers.
+
+    With ``mask`` 0b11 in every non-identity slot, ``a`` and ``b`` are compatible
+    exactly when ``(code_a ^ code_b) & mask_a & mask_b == 0``, and a code fits a
+    setting exactly when ``setting & mask == code``. A code fixes its mask, so
+    ``first[setting & mask]`` is the first setting each code of that mask could join.
+    """
+    full = (1 << 2 * n) - 1
+    x_fill = full // 3  # code 0b01 (X) in every slot
+    busy = (codes | codes >> 1) & x_fill  # the low bit of every non-identity slot
+    masks = (3 * busy).tolist()
+    weights = (busy[:, None] >> 2 * np.arange(n) & 1).sum(axis=1)
+    order = np.flatnonzero(busy)
+    order = order[np.argsort(-weights[order], kind="stable")].tolist()
+    codes = codes.tolist()
+    term_masks = set(masks) - {0}
+    bases: list[int] = []
+    covered: list[list[int]] = []
+    first: dict[int, int] = {}
+    for pos, i in enumerate(order):
+        code, mask = codes[i], masks[i]
+        k = first.get(code)
+        if k is not None:
+            covered[k].append(i)
+            continue
+        if mask != full:  # else no free slot is left for a later code to fill
+            for j in order[pos + 1 :]:
+                if (code ^ codes[j]) & mask & masks[j] == 0:
+                    code |= codes[j]
+                    mask |= masks[j]
+                    if mask == full:
+                        break
+        setting = code | x_fill & ~mask
+        k = len(bases)
+        for m in term_masks:
+            first.setdefault(setting & m, k)
+        bases.append(setting)
+        covered.append([i])
+    return bases, covered
 
 
 def group_settings(terms) -> list[MeasurementSetting]:
@@ -150,69 +245,28 @@ def group_settings(terms) -> list[MeasurementSetting]:
     compatible existing setting; otherwise it opens a new setting whose free
     (identity) slots are filled by merging the remaining compatible terms in
     order, then padded with X. Every non-identity term ends up covered by
-    exactly one setting.
-
-    Strings are packed two bits per qubit, so ``a`` and ``b`` are compatible
-    exactly when ``(code_a ^ code_b) & mask_a & mask_b == 0``, and a term fits
-    a setting exactly when ``bases & mask == code``: ``first[mask][bases & mask]``
-    is the first setting each term of that mask could join.
+    exactly one setting. The grouping is :func:`estimate_witness`'s, on the
+    terms' packed codes.
     """
-    terms = list(terms)
-    if len({len(t.string) for t in terms}) > 1:
-        raise ValueError("Pauli strings of different lengths cannot share settings")
-    n = len(terms[0].string) if terms else 0
-    full = (1 << 2 * n) - 1
-    x_fill = full // 3  # code 0b01 (X) in every slot
-    packed = [_pack(t.string) for t in terms]
-    order = sorted(
-        (i for i, (_, mask) in enumerate(packed) if mask),
-        key=lambda i: (terms[i].string.count("I"), i),
-    )
-    settings: list[tuple[int, list[int]]] = []
-    first: dict[int, dict[int, int]] = {mask: {} for _, mask in packed}
-    for pos, i in enumerate(order):
-        code, mask = packed[i]
-        k = first[mask].get(code)
-        if k is not None:
-            settings[k][1].append(i)
-            continue
-        for j in order[pos + 1 :]:
-            if mask == full:
-                break  # no free slot left for a later term to fill
-            other, other_mask = packed[j]
-            if (code ^ other) & mask & other_mask == 0:
-                code |= other
-                mask |= other_mask
-        bases = code | x_fill & ~mask
-        for m, index in first.items():
-            index.setdefault(bases & m, len(settings))
-        settings.append((bases, [i]))
-    return [MeasurementSetting(bases=_string_of(b, n), covered_terms=tuple(c)) for b, c in settings]
+    codes, n = _codes_of([t.string for t in terms])
+    bases, covered = _group(codes, n)
+    return [MeasurementSetting(bases=b, covered_terms=tuple(c)) for b, c in zip(_names(bases, n), covered)]
 
 
-def _letter_bytes(strings: list[str]) -> np.ndarray:
-    """``[string, qubit]`` ASCII bytes of equal-length Pauli strings."""
-    return np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8).reshape(len(strings), -1)
-
-
-def _product_bases(bases: list[str]) -> np.ndarray:
-    """Stacked ``kron`` of the eigenbases of each setting, multiplied left to right."""
-    e = _EIGENBASES[_letter_bytes(bases) - ord("X")]  # [setting, qubit, row, column]
-    out = e[:, 0]
-    for q in range(1, e.shape[1]):
-        shape = (len(bases), 2 * out.shape[1], 2 * out.shape[2])
-        out = (out[:, :, None, :, None] * e[:, q, None, :, None, :]).reshape(shape)
-    return out
-
-
-def _setting_probabilities(state: np.ndarray, bases: list[str]) -> np.ndarray:
+def _setting_probabilities(state: np.ndarray, bases) -> np.ndarray:
     """Born probabilities of the 2^n product-basis outcomes of each setting, outcome bit 0 <-> +1.
 
-    Row k belongs to ``bases[k]``. One einsum covers every setting; its
-    per-setting summation order is that of the single-setting contraction, so
-    an outcome the state cannot produce keeps probability exactly 0.
+    Row k belongs to ``bases[k]``, a setting's packed code or its string. One
+    einsum covers every setting; its per-setting summation order is that of
+    the single-setting contraction, so an outcome the state cannot produce
+    keeps probability exactly 0.
     """
-    b = _product_bases(bases)
+    n = state.shape[0].bit_length() - 1
+    codes = np.asarray(bases)
+    if codes.dtype.kind == "U":
+        codes, _ = _codes_of(list(bases))
+    tables = _pauli_tables(n)
+    b = tables.bases[tables.setting_row[codes]]
     probs = np.real(np.einsum("sij,jk,ski->si", b.conj().transpose(0, 2, 1), state, b))
     probs = np.clip(probs, 0.0, None)
     totals = probs.sum(axis=1)
@@ -232,14 +286,6 @@ def _check_state(state: np.ndarray, n: int) -> np.ndarray:
     if float(np.linalg.eigvalsh((state + state.conj().T) / 2)[0]) < -STATE_ATOL:
         raise ValidationError("state has a negative eigenvalue")
     return state
-
-
-def _outcome_signs(strings: list[str]) -> np.ndarray:
-    """``[outcome, term]`` product of the +-1 outcomes on each string's non-identity qubits."""
-    n = len(strings[0])
-    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # [outcome, qubit]
-    support = (_letter_bytes(strings) != ord("I")).astype(int)  # [term, qubit]
-    return 1 - 2 * (bits @ support.T & 1)
 
 
 def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed: int = 0) -> ShotEstimate:
@@ -262,21 +308,20 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     state = _check_state(choi.matrix, n)
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots_per_setting must be >= 1 and at most {MAX_SHOTS}, got {shots}")
-    terms = pauli_decompose(w.operator)
-    settings = group_settings(terms)
-    identity = "I" * n
-    value = sum(t.coefficient for t in terms if t.string == identity)
+    codes, coeffs = _expand(np.asarray(w.operator, dtype=complex), n, ZERO_CUTOFF)
+    bases, covered = _group(codes, n)
+    value = float(coeffs[0]) if codes.size and codes[0] == 0 else 0.0  # the identity's coefficient
     variance = 0.0
-    if settings:
-        probs = _setting_probabilities(state, [s.bases for s in settings])
+    if bases:
+        probs = _setting_probabilities(state, bases)
         # [setting, outcome] counts; setting k draws from the stream [seed, k]
         counts = np.stack([np.random.default_rng([seed, k]).multinomial(shots, p) for k, p in enumerate(probs)])
         # [term, outcome] signed coefficients; one more term, 0.0 * identity, pads every setting to the widest
-        strings = [t.string for t in terms] + [identity]
-        signed = np.array([t.coefficient for t in terms] + [0.0])[:, None] * _outcome_signs(strings).T
-        slots = np.full((len(settings), max(len(s.covered_terms) for s in settings)), len(terms))
-        for k, setting in enumerate(settings):
-            slots[k, : len(setting.covered_terms)] = setting.covered_terms
+        signs = _pauli_tables(n).signs[:, np.append(codes, 0)]
+        signed = np.append(coeffs, 0.0)[:, None] * signs.T
+        slots = np.full((len(bases), max(map(len, covered))), codes.size)
+        for k, c in enumerate(covered):
+            slots[k, : len(c)] = c
         # [setting, outcome] values, each adding its setting's terms left to right (x + 0.0 == x)
         v = np.zeros(counts.shape)
         for column in slots.T:
@@ -284,8 +329,8 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
         # per setting, count * v and count * v * v summed over outcomes in ascending order;
         # a zero count adds +-0.0, which changes no sum
         weighted = counts * v
-        mean_acc = np.zeros(len(settings))
-        sq_acc = np.zeros(len(settings))
+        mean_acc = np.zeros(len(bases))
+        sq_acc = np.zeros(len(bases))
         for o in range(counts.shape[1]):
             mean_acc += weighted[:, o]
             sq_acc += weighted[:, o] * v[:, o]
@@ -300,5 +345,5 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
         std_error=float(np.sqrt(variance)),
         shots_per_setting=shots,
         seed=seed,
-        setting_count=len(settings),
+        setting_count=len(bases),
     )

@@ -76,9 +76,14 @@ def spa_composite(ch: Channel, noise: float) -> ChoiMatrix:
     """
     _require_bipartite(ch.dims, "NPT detection")
     c = ch.choi
-    m_of_id = partial_trace(c.matrix, c.dims, keep=(0, 1))
+    return _composite(c, partial_trace(c.matrix, c.dims, keep=(0, 1)), noise)
+
+
+def _composite(c: ChoiMatrix, m_of_id: np.ndarray, noise: float) -> ChoiMatrix:
+    """:func:`spa_composite` from the channel's Choi matrix ``c`` and its ancilla trace ``m_of_id`` = M(Id/D)."""
+    dim = m_of_id.shape[0]
     mat = (1.0 - noise) * partial_transpose(c.matrix, c.dims, 2)
-    mat += noise * np.kron(m_of_id, np.eye(ch.dim) / ch.dim)
+    mat += noise * np.kron(m_of_id, np.eye(dim) / dim)
     return ChoiMatrix(mat, c.dims, c.source_dims)
 
 
@@ -140,7 +145,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
                 "(1, 2, ..., N)/N onto its eigenspace"
             )
 
-    choi_comp = spa_composite(ch, p)
+    choi_comp = _composite(ch.choi, m_of_id, p)
     expectation = evaluate_witness(witness, choi_comp)
 
     # Two-term split: the witness is proj^{T_A}, so traces against partially

@@ -133,6 +133,24 @@ class TestChoi:
         expected = (1 - p) * bell + p / (d * d - 1) * (np.eye(d * d) - bell)
         np.testing.assert_allclose(depolarizing_channel(p, d).choi.matrix, expected, rtol=0, atol=1e-14)
 
+    def test_construction_holds_no_full_size_copy(self):
+        # the Choi product is divided in place and frozen without a copy; the
+        # depolarizing operators are scaled as generated and stacked once, so
+        # the peak is the Kraus array, the conjugate operand and the product
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ch = identity_channel((6, 6))
+            assert tracemalloc.get_traced_memory()[1] <= 1.2 * ch.choi.matrix.nbytes
+            del ch
+            tracemalloc.reset_peak()
+            ch = depolarizing_channel(0.1, 36)
+            assert tracemalloc.get_traced_memory()[1] <= 4 * ch.kraus.nbytes
+        finally:
+            tracemalloc.stop()
+
     def test_tp_choi_properties(self):
         for ch in (depolarizing_channel(0.3), cnot_channel(), z3_channel(), random_channel([2, 2], 5)):
             choi = ch.choi

@@ -689,15 +689,15 @@ class TestPipelines:
     def test_simulate_decomposes_the_witness_once(self, tmp_path, capsys, monkeypatch, witness):
         from chandet import measure
 
+        # every Pauli expansion, pauli_decompose's included, is one call of measure._expand
         calls = []
-        real = measure.pauli_decompose
+        real = measure._expand
 
         def counting(op, *args, **kwargs):
             calls.append(op.shape)
             return real(op, *args, **kwargs)
 
-        monkeypatch.setattr(measure, "pauli_decompose", counting)
-        monkeypatch.setattr(cli, "pauli_decompose", counting)
+        monkeypatch.setattr(measure, "_expand", counting)
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         argv = ["simulate", "--channel", path, "--witness", witness, "--shots", "200"]
         res = run_json(capsys, *argv)["results"]

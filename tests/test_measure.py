@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -167,6 +168,44 @@ class TestMeasurableDims:
         assert str(exc.value) == "the Choi state needs dims of at most 4 qubits, got [2, 2, 2, 2, 2, 2]"
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The qubit counts the Pauli tables are built for, in order, behind a fresh cache."""
+    from chandet import measure
+
+    builds = []
+    build = measure._pauli_tables.__wrapped__
+
+    def counting_build(n):
+        builds.append(n)
+        return build(n)
+
+    monkeypatch.setattr(measure, "_pauli_tables", functools.cache(counting_build))
+    return builds
+
+
+class TestTables:
+    """Everything that depends only on the qubit count is built once per process and is read-only."""
+
+    def test_built_once_per_qubit_count(self, table_builds):
+        from chandet import measure
+
+        channels = {2: depolarizing_channel(0.25), 4: cnot_channel()}
+        witnesses = {1: Witness(PAULI["Z"] + PAULI["X"] / 2, "hermitian", (2,)), 2: eb_witness()}
+        witnesses[4] = _sru_witness_of(haar_unitary(4, 3))
+        for n in (2, 4, 2, 1, 4, 1, 2):
+            w = witnesses[n]
+            for _ in range(2):
+                assert group_settings(pauli_decompose(w.operator))
+                if n in channels:
+                    estimate_witness(channels[n].choi, w, 100, seed=n)
+        assert table_builds == [2, 4, 1]
+        for n in table_builds:
+            for table in measure._pauli_tables(n):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[(0,) * table.ndim] = table[(0,) * table.ndim]
+
+
 class TestEstimateWitness:
     def test_needs_a_shot(self):
         # the exact value is evaluate_witness; no request estimates from zero shots
@@ -223,17 +262,14 @@ class TestEstimateWitness:
             ratios.append(e4.std_error / e1.std_error)
         assert 0.35 <= np.mean(ratios) <= 0.65
 
-    def test_one_sign_table_and_one_stream_per_setting(self, monkeypatch):
+    def test_one_sign_table_and_one_stream_per_setting(self, monkeypatch, table_builds):
         # the sampling contract: setting k draws from default_rng([seed, k]), in setting order,
-        # and the outcome signs of every term come from one table
+        # and the outcome signs of every term are read from the one [outcome, code] table of
+        # its qubit count, built once however many estimates read it
         from chandet import measure
 
-        tables, streams = [], []
-        real_signs, real_rng = measure._outcome_signs, np.random.default_rng
-
-        def counting_signs(strings):
-            tables.append(list(strings))
-            return real_signs(strings)
+        streams = []
+        real_rng = np.random.default_rng
 
         def counting_rng(seed=None):
             streams.append(seed)
@@ -243,14 +279,18 @@ class TestEstimateWitness:
             (cnot_channel().choi, _sru_witness_of(haar_unitary(4, 3))),
             (depolarizing_channel(0.25).choi, eb_witness()),
         ]
-        monkeypatch.setattr(measure, "_outcome_signs", counting_signs)
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        for choi, w in cases:
-            tables.clear()
+        for choi, w in cases * 2:
             streams.clear()
             est = estimate_witness(choi, w, 1000, seed=11)
-            assert len(tables) == 1 and {t.string for t in pauli_decompose(w.operator)} <= set(tables[0])
             assert streams == [[11, k] for k in range(est.setting_count)]
+        assert table_builds == [4, 2]
+        for n in table_builds:
+            signs = measure._pauli_tables(n).signs
+            for code, string in enumerate(itertools.product("IXYZ", repeat=n)):
+                for outcome in range(2**n):
+                    bits = [(outcome >> (n - 1 - q)) & 1 for q in range(n)]
+                    assert signs[outcome, code] == math.prod(1 - 2 * b for b, ch in zip(bits, string) if ch != "I")
 
     def test_seed_reproducible(self):
         ch = depolarizing_channel(0.25)

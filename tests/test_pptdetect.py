@@ -209,6 +209,25 @@ class TestDetectNpt:
         assert abs(rep.term_noise_mt - 1 / 16) < 1e-10
         assert abs(rep.term_noise_m - 1 / 16) < 1e-10
 
+    def test_one_ancilla_trace_of_the_choi_matrix(self, monkeypatch):
+        # M(Id/D) is traced once and serves both the unital test and the composite;
+        # the other keep=(0, 1) trace is the split's trace of the projector
+        from chandet import pptdetect
+
+        calls = []
+
+        def counting_trace(m, dims, keep):
+            calls.append((m, tuple(keep)))
+            return partial_trace(m, dims, keep)
+
+        monkeypatch.setattr(pptdetect, "partial_trace", counting_trace)
+        ch = cnot_channel()
+        rep = detect_npt(ch)
+        ancilla_traces = [m for m, keep in calls if keep == (0, 1)]
+        assert len(ancilla_traces) == 2
+        assert sum(m is ch.choi.matrix for m in ancilla_traces) == 1
+        assert np.array_equal(rep.composite.matrix, spa_composite(ch, rep.noise_p).matrix)
+
     def test_identity_not_detected_with_note(self):
         rep = detect_npt(identity_channel([2, 2]))
         assert rep.verdict == NOT_DETECTED

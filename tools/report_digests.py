@@ -40,24 +40,37 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digest_lines(workload: str, seed: int):
-    """One line per request of the pool of ``workload`` at ``seed``, in pool order."""
+@contextlib.contextmanager
+def pool(workload: str, seed: int):
+    """The requests of the pool of ``workload`` at ``seed``, run from the temporary directory of their specs."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
-            for req in build_pool(workload, seed, "."):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = cli.main(req.argv)
-                    except SystemExit as exc:
-                        code = exc.code
-                    except Exception as exc:  # an uncaught error is an outcome too
-                        code = type(exc).__name__
-                yield f"{workload} {seed} {req.cls} {code} {_sha(out.getvalue())} {_sha(err.getvalue())}"
+            yield build_pool(workload, seed, ".")
         finally:
             os.chdir(cwd)
+
+
+def run(argv: list) -> tuple:
+    """Exit code (or the name of an uncaught error), stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an uncaught error is an outcome too
+            code = type(exc).__name__
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest_lines(workload: str, seed: int):
+    """One line per request of the pool of ``workload`` at ``seed``, in pool order."""
+    with pool(workload, seed) as requests:
+        for req in requests:
+            code, out, err = run(req.argv)
+            yield f"{workload} {seed} {req.cls} {code} {_sha(out)} {_sha(err)}"
 
 
 def main(argv=None) -> int:
