@@ -245,6 +245,7 @@ def sru_channel(probs, a_unitaries, b_unitaries, dims=None) -> Channel:
     if dims is None:
         dims = (va[0].shape[0], wb[0].shape[0])
     dims = _as_dims(dims)
-    if len(dims) != 2 or (va[0].shape[0], wb[0].shape[0]) != dims:
+    # each pair: a 1 x 1 V_k beside a D x D W_k has the right kron shape but is no local unitary
+    if len(dims) != 2 or any((v.shape[0], w.shape[0]) != dims for v, w in zip(va, wb)):
         raise ValueError(f"local unitary shapes do not match dims {dims}")
     return Channel([np.sqrt(pk) * kron(v, w) for pk, v, w in zip(p, va, wb)], dims)

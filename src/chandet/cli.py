@@ -20,6 +20,11 @@ and the command's builder makes the results. Every witness but eb, and
 the one two-party rule (``qmath._require_bipartite``); refusals name the
 command that was run.
 
+A report echoes its input specs under ``inputs`` by one rule, ``_echo``:
+every scalar field as it is, and each matrix or list of matrices (a kraus
+spec's ``kraus``, a param parsed by ``_complex_matrix`` or ``_matrix_list``) as
+its shape and the sha256 of its [re, im] nest's little-endian float64 bytes.
+
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,
 3 = numerical validation failure; a non-finite number in a report is a
@@ -27,6 +32,7 @@ numerical failure in either format.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -40,6 +46,7 @@ import numpy as np
 
 from .channels import (
     ATOL,
+    ZERO_CUTOFF,
     Channel,
     ChoiMatrix,
     ValidationError,
@@ -66,7 +73,7 @@ from .detect import (
     robustness_bounds,
     stabilizer_witness,
 )
-from .measure import MAX_SHOTS, estimate_witness, group_settings, pauli_decompose, _require_measurable
+from .measure import MAX_SHOTS, estimate_witness, _expand, _group, _names, _require_measurable
 from .pptdetect import detect_npt
 from .qmath import _require_bipartite
 
@@ -194,6 +201,32 @@ NAMED_SPECS = {
 }
 
 
+def _named_matrix(pairs: np.ndarray) -> dict:
+    """The shape of a float64 [re, im] nest and the sha256 of its little-endian bytes in row-major order."""
+    pairs = np.ascontiguousarray(pairs, dtype="<f8")
+    return {"shape": list(pairs.shape), "sha256": hashlib.sha256(pairs).hexdigest()}
+
+
+def _echo(spec: dict, kraus: np.ndarray | None = None) -> dict:
+    """Parsed ``spec`` as a report states it: each matrix or matrix list named by :func:`_named_matrix`.
+
+    The digest equals ``hashlib.sha256(np.asarray(value, dtype="<f8").tobytes())``.
+    ``kraus``, the Kraus array of the spec's channel, holds the parsed values of
+    ``spec["kraus"]``, so that nest is not converted a second time.
+    """
+    echo = dict(spec)
+    if spec["kind"] == "kraus":
+        pairs = spec["kraus"] if kraus is None else kraus.view(float).reshape(*kraus.shape, 2)
+        echo["kraus"] = _named_matrix(pairs)
+    elif "params" in spec:
+        takes = NAMED_SPECS[spec["name"]].takes
+        echo["params"] = {
+            key: _named_matrix(val) if takes[key] in (_complex_matrix, _matrix_list) else val
+            for key, val in spec["params"].items()
+        }
+    return echo
+
+
 def parse_channel_spec(spec: dict, require_tp: bool = True) -> Channel:
     """Validate a parsed channel-spec dict and construct the channel.
 
@@ -274,7 +307,11 @@ def _read_spec_file(path: str) -> dict:
 
 @dataclass
 class PipelineOptions:
-    """The request's options, echoed under ``inputs.options``; ``target`` is the --target spec."""
+    """The request's options, echoed under ``inputs.options``.
+
+    ``target`` is the --target spec; like the channel spec it is echoed by
+    ``_echo``, each matrix named by its shape and sha256.
+    """
 
     seed: int = 0
     shots: int | None = None
@@ -391,13 +428,15 @@ def _witness_fields(w: Witness, facts) -> dict:
 
 
 def _decompose_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
-    terms = pauli_decompose(w.operator)
-    settings = group_settings(terms)
+    """The terms and settings of ``pauli_decompose`` and ``group_settings``, each code named once, here."""
+    n = len(w.dims)  # ``_run`` has applied the measurement rule: every site is a qubit
+    codes, coeffs = _expand(np.asarray(w.operator, dtype=complex), n, ZERO_CUTOFF)
+    bases, covered = _group(codes, n)
     return {
         **_witness_fields(w, facts),
-        "terms": [{"string": t.string, "coefficient": t.coefficient} for t in terms],
-        "settings": [{"bases": s.bases, "covered_terms": list(s.covered_terms)} for s in settings],
-        "setting_count": len(settings),
+        "terms": [{"string": s, "coefficient": c} for s, c in zip(_names(codes, n), coeffs.tolist())],
+        "settings": [{"bases": b, "covered_terms": c} for b, c in zip(_names(bases, n), covered)],
+        "setting_count": len(bases),
     }
 
 
@@ -696,10 +735,12 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         results = _run(args.command, channel, options)
         elapsed = time.perf_counter() - start
+        echoed = {f.name: getattr(options, f.name) for f in fields(options)}
+        if options.target is not None:
+            echoed["target"] = _echo(options.target)
         payload = {
             "pipeline": args.command,
-            # shallow: asdict would deep-copy the --target spec, and the report only reads it
-            "inputs": {"channel": spec, "options": {f.name: getattr(options, f.name) for f in fields(options)}},
+            "inputs": {"channel": _echo(spec, channel.kraus), "options": echoed},
             "results": results,
         }
         text = render_report(payload, args.format, elapsed)

@@ -80,6 +80,12 @@ class TestNamedChannels:
         with pytest.raises(ValidationError):
             sru_channel([1.0], [np.array([[1, 0], [0, 0.5]])], [I2])
 
+    def test_sru_needs_every_local_unitary_on_its_site(self):
+        # kron(1 x 1, 4 x 4) is 4 x 4, but a global unitary is no local one on [2, 2]
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        with pytest.raises(ValueError, match="local unitary shapes do not match dims"):
+            sru_channel([0.5, 0.5], [I2, np.eye(1)], [I2, cnot], dims=(2, 2))
+
     def test_fully_depolarizing_action(self):
         rng = np.random.default_rng(0)
         sigma = random_density_matrix(2, rng)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 
@@ -25,6 +26,7 @@ from chandet.detect import (
 )
 from chandet.pptdetect import detect_npt
 from chandet.qmath import haar_unitary
+from support import random_channel, random_density_matrix
 
 
 def write_spec(tmp_path, name, payload):
@@ -594,6 +596,27 @@ class TestPipelines:
         assert strings["IIII"] == pytest.approx(7 / 16)
         assert strings["XXXI"] == pytest.approx(-1 / 16)
 
+    @pytest.mark.parametrize("witness", ["eb", "sru", "stabilizer"])
+    def test_decompose_witness_matches_the_public_adapters(self, tmp_path, capsys, witness):
+        from chandet.detect import eb_witness, stabilizer_witness
+        from chandet.measure import group_settings, pauli_decompose
+
+        # the report names the codes itself; its terms and settings are the adapters' own
+        spec = CNOT_SPEC if witness != "eb" else dep_spec(0.1)
+        path = write_spec(tmp_path, "spec.json", spec)
+        res = run_json(capsys, "decompose-witness", "--channel", path, "--witness", witness)["results"]
+        channel = parse_channel_spec(spec, require_tp=False)
+        w = {
+            "eb": lambda: eb_witness(channel.dims),
+            "sru": lambda: build_sru_witness(channel.kraus[0], (2, 2), res["alpha_sru_sq"]),
+            "stabilizer": stabilizer_witness,
+        }[witness]()
+        terms = pauli_decompose(w.operator)
+        settings = group_settings(terms)
+        assert res["terms"] == [{"string": t.string, "coefficient": t.coefficient} for t in terms]
+        assert res["settings"] == [{"bases": s.bases, "covered_terms": list(s.covered_terms)} for s in settings]
+        assert res["setting_count"] == len(settings)
+
     def test_decompose_witness_stabilizer(self, tmp_path, capsys):
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         res = run_json(capsys, "decompose-witness", "--channel", path, "--witness", "stabilizer")[
@@ -913,6 +936,107 @@ class TestRendering:
         path = write_spec(tmp_path, "dep.json", dep_spec(0.3))
         res = run_json(capsys, "detect-eb", "--channel", path)["results"]
         assert res["expectation"] == evaluate_witness(eb_witness(), depolarizing_channel(0.3).choi)
+
+
+def named_by_digest(value):
+    """The README's one-liner: the shape and sha256 of an [re, im] nest as a report names it."""
+    pairs = np.asarray(value, dtype="<f8")
+    return {"shape": list(pairs.shape), "sha256": hashlib.sha256(pairs.tobytes()).hexdigest()}
+
+
+def kraus_spec(channel):
+    return {"dims": list(channel.dims), "kind": "kraus", "kraus": [matrix_to_pairs(a) for a in channel.kraus]}
+
+
+def haar_pairs(d, *seeds):
+    return [matrix_to_pairs(haar_unitary(d, s)) for s in seeds]
+
+
+# A valid spec for each param that NAMED_SPECS parses as a matrix or a matrix list.
+MATRIX_PARAM_SPECS = {
+    ("fully_depolarizing", "sigma"): {
+        "dims": [2], "kind": "named", "name": "fully_depolarizing",
+        "params": {"sigma": matrix_to_pairs(random_density_matrix(2, 5))},
+    },
+    ("unitary", "matrix"): unitary_spec(haar_unitary(4, 6)),
+    ("random_unitary", "unitaries"): {
+        "dims": [3], "kind": "named", "name": "random_unitary",
+        "params": {"probs": [0.25, 0.75], "unitaries": haar_pairs(3, 7, 8)},
+    },
+    **{
+        ("sru", key): {
+            "dims": [2, 3], "kind": "named", "name": "sru",
+            "params": {"probs": [0.5, 0.5], "a_unitaries": haar_pairs(2, 9, 10), "b_unitaries": haar_pairs(3, 11, 12)},
+        }
+        for key in ("a_unitaries", "b_unitaries")
+    },
+}
+
+
+class TestEcho:
+    """A report echoes its specs' scalar fields and names each matrix by its shape and sha256."""
+
+    def test_every_matrix_param_has_a_spec(self):
+        params = {
+            (name, key)
+            for name, schema in cli.NAMED_SPECS.items()
+            for key, parser in schema.takes.items()
+            if parser in (cli._complex_matrix, cli._matrix_list)
+        }
+        assert params == set(MATRIX_PARAM_SPECS)
+
+    @pytest.mark.parametrize("name, key", list(MATRIX_PARAM_SPECS), ids=[f"{n}-{k}" for n, k in MATRIX_PARAM_SPECS])
+    def test_matrix_param(self, tmp_path, capsys, name, key):
+        spec = MATRIX_PARAM_SPECS[name, key]
+        echo = run_json(capsys, "choi", "--channel", write_spec(tmp_path, "spec.json", spec))["inputs"]["channel"]
+        value = spec["params"][key]
+        parsed = np.array(cli.NAMED_SPECS[name].takes[key](value, key))
+        assert echo["params"][key] == named_by_digest(value)
+        assert echo["params"][key]["shape"] == [*parsed.shape, 2]
+        # every other field is echoed as it is, in the spec's order
+        params = {k: named_by_digest(v) if (name, k) in MATRIX_PARAM_SPECS else v for k, v in spec["params"].items()}
+        assert echo == {**spec, "params": params}
+        assert list(echo) == list(spec) and list(echo["params"]) == list(spec["params"])
+
+    def test_kraus_spec(self, tmp_path, capsys):
+        spec = {**kraus_spec(random_channel((2,), 13, kraus_count=3)), "note": [1.5, "kept"]}
+        echo = run_json(capsys, "detect-eb", "--channel", write_spec(tmp_path, "k.json", spec))["inputs"]["channel"]
+        assert echo == {**spec, "kraus": named_by_digest(spec["kraus"])}
+        assert echo["kraus"]["shape"] == [3, 2, 2, 2]
+
+    @pytest.mark.parametrize("target", CNOT_SPELLINGS, ids=["named", "unitary", "kraus"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_target_spec(self, tmp_path, capsys, target, fmt):
+        chan = write_spec(tmp_path, "id.json", IDENTITY22_SPEC)
+        argv = ["detect-sru", "--channel", chan, "--target", write_spec(tmp_path, "t.json", target), "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        expected = {
+            **target,
+            **({"kraus": named_by_digest(target["kraus"])} if "kraus" in target else {}),
+            **({"params": {"matrix": named_by_digest(target["params"]["matrix"])}} if "params" in target else {}),
+        }
+        if fmt == "json":
+            assert json.loads(out)["inputs"]["options"]["target"] == expected
+        else:
+            assert f"target: {json.dumps(expected)}\n" in out
+
+    def test_text_channel_line_names_the_kraus_array(self, tmp_path, capsys):
+        spec = kraus_spec(random_channel((2, 2), 14, kraus_count=2))
+        path = write_spec(tmp_path, "k.json", spec)
+        code, out, err = run(capsys, "detect-eb", "--channel", path, "--format", "text")
+        assert code == EXIT_OK, err
+        line = next(line for line in out.splitlines() if line.startswith("channel: "))
+        assert json.loads(line[len("channel: ") :]) == {**spec, "kraus": named_by_digest(spec["kraus"])}
+        floats = np.asarray(spec["kraus"]).ravel()
+        assert not [x for x in floats if repr(float(x)) in out and x not in (0.0, 1.0)]
+
+    def test_rank_81_qutrit_report_stays_small(self, tmp_path, capsys):
+        # a full echo of the 13 122 floats of the spec would take about 340 kB
+        spec = kraus_spec(random_channel((3, 3), 15, kraus_count=81))
+        code, out, err = run(capsys, "detect-npt", "--channel", write_spec(tmp_path, "k.json", spec))
+        assert code == EXIT_OK, err
+        assert len(out.encode()) < 4096
 
 
 class TestEntryPoint:

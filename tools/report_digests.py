@@ -9,11 +9,13 @@ temporary directory that is the working directory of the run, so the paths in
 the argv, and so any message that names them, read the same in every
 checkout. Prints one line per request:
 
-    workload seed class exit sha256(stdout) sha256(stderr)
+    workload seed class exit sha256(stdout) sha256(stderr) sha256(results)
 
-A refactor that keeps every report leaves this output unchanged; compare a run
-on the parent commit with a run on the change by ``diff``. Nothing under
-``bench/`` is changed.
+The last column digests ``json.dumps(json.loads(stdout)["results"])``, or is
+``-`` when stdout is not a JSON report. A refactor that keeps every report
+leaves this output unchanged; compare a run on the parent commit with a run on
+the change by ``diff``. A change of report format that leaves the results as
+they are moves only the stdout column. Nothing under ``bench/`` is changed.
 """
 
 import os
@@ -26,6 +28,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -38,6 +41,15 @@ from workloads import WORKLOADS, build_pool  # noqa: E402
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _results_sha(stdout: str) -> str:
+    """The sha256 of the results of a JSON report, ``-`` for any other stdout."""
+    try:
+        results = json.loads(stdout)["results"]
+    except (ValueError, TypeError, KeyError):
+        return "-"
+    return _sha(json.dumps(results))
 
 
 @contextlib.contextmanager
@@ -70,7 +82,7 @@ def digest_lines(workload: str, seed: int):
     with pool(workload, seed) as requests:
         for req in requests:
             code, out, err = run(req.argv)
-            yield f"{workload} {seed} {req.cls} {code} {_sha(out)} {_sha(err)}"
+            yield f"{workload} {seed} {req.cls} {code} {_sha(out)} {_sha(err)} {_results_sha(out)}"
 
 
 def main(argv=None) -> int:
