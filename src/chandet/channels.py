@@ -64,6 +64,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# the tile of _mirror_lower, and the strict upper triangle of one
+_MIRROR_TILE = 64
+_TILE_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
+
+
+def _mirror_lower(m: np.ndarray) -> np.ndarray:
+    """Square complex ``m`` made exactly Hermitian in place: its strict lower triangle conjugated into the upper one.
+
+    The lower triangle and the real diagonal are kept; the diagonal's imaginary
+    parts become +0.0. Each row block of the upper triangle is written from the
+    column block below it, which does not overlap it, so the only temporary is
+    numpy's copy of one diagonal tile.
+    """
+    n = len(m)
+    for i in range(0, n, _MIRROR_TILE):
+        j = min(i + _MIRROR_TILE, n)
+        block = m[i:j, i:j]
+        np.conjugate(block.T, out=block, where=_TILE_UPPER[: j - i, : j - i])
+        np.conjugate(m[j:, i:j].T, out=m[i:j, j:])
+    np.fill_diagonal(m.imag, 0.0)
+    return m
+
+
 def _kraus_array(kraus, dims: tuple[int, ...], dim: int) -> np.ndarray:
     """The operators of ``kraus`` checked and stacked into one fresh ``(K, D, D)`` array.
 
@@ -88,8 +111,11 @@ class Channel:
     iteration, indexing and slicing give its operators. The Choi matrix is one
     product of the stacked vectorized operators with their conjugates, computed
     eagerly at construction and frozen, so instances are safe to share across
-    threads. Set ``require_tp=False`` for maps that are intentionally not trace
-    preserving (separable-map analysis allows them).
+    threads. It is exactly Hermitian: the computed lower triangle, the one
+    ``eigh`` and ``eigvalsh`` read, is kept, its conjugate is written into the
+    upper triangle, and the diagonal's imaginary parts are +0.0. Set
+    ``require_tp=False`` for maps that are intentionally not trace preserving
+    (separable-map analysis allows them).
     """
 
     def __init__(self, kraus, dims, require_tp: bool = True):
@@ -110,7 +136,7 @@ class Channel:
         with np.errstate(over="ignore", invalid="ignore"):
             choi = vecs.T @ vecs.conj()
             choi /= self.dim
-        self.choi = ChoiMatrix(_frozen(choi), self.dims + self.dims, self.dims)
+        self.choi = ChoiMatrix(_frozen(_mirror_lower(choi)), self.dims + self.dims, self.dims)
         if not np.isfinite(self.choi.matrix).all():
             raise ValidationError("Kraus entries overflow: the Choi matrix is not finite")
 

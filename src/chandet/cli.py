@@ -24,6 +24,9 @@ A report echoes its input specs under ``inputs`` by one rule, ``_echo``:
 every scalar field as it is, and each matrix or list of matrices (a kraus
 spec's ``kraus``, a param parsed by ``_complex_matrix`` or ``_matrix_list``) as
 its shape and the sha256 of its [re, im] nest's little-endian float64 bytes.
+A Choi matrix or a stack of Schmidt factors reaches the JSON writer as a
+float64 [re, im] array; a square one whose upper triangle is the conjugate of
+its lower one, bit for bit, is written with one repr per conjugate pair.
 
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,
@@ -166,9 +169,10 @@ def _matrix_list(obj, where: str) -> list:
     return [_complex_matrix(m, f"{where}[{i}]") for i, m in enumerate(obj)]
 
 
-def matrix_to_pairs(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+def _pairs(m: np.ndarray) -> np.ndarray:
+    """The float64 [re, im] array of complex ``m``, shape ``m.shape + (2,)``: a view when ``m`` is contiguous."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2)
 
 
 @dataclass(frozen=True)
@@ -216,7 +220,7 @@ def _echo(spec: dict, kraus: np.ndarray | None = None) -> dict:
     """
     echo = dict(spec)
     if spec["kind"] == "kraus":
-        pairs = spec["kraus"] if kraus is None else kraus.view(float).reshape(*kraus.shape, 2)
+        pairs = spec["kraus"] if kraus is None else _pairs(kraus)
         echo["kraus"] = _named_matrix(pairs)
     elif "params" in spec:
         takes = NAMED_SPECS[spec["name"]].takes
@@ -401,7 +405,7 @@ def _run_choi(channel: Channel, opts: PipelineOptions) -> dict:
         "choi_dims": list(choi.dims),
         "trace": float(np.trace(choi.matrix).real),
         "eigenvalues": [float(x) for x in eigs],
-        "matrix": matrix_to_pairs(choi.matrix),
+        "matrix": _pairs(choi.matrix),
     }
 
 
@@ -413,8 +417,8 @@ def _run_schmidt(channel: Channel, opts: PipelineOptions) -> dict:
         "rank": sd.rank,
         "sum_sigma_sq": float(np.sum(sd.sigmas**2)),
         "alpha_s": float(sd.sigmas[0]),
-        "a_factors": [matrix_to_pairs(a) for a in sd.a_factors],
-        "b_factors": [matrix_to_pairs(b) for b in sd.b_factors],
+        "a_factors": _pairs(sd.a_factors),
+        "b_factors": _pairs(sd.b_factors),
     }
 
 
@@ -566,15 +570,8 @@ def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
 # rendering
 
 
-def _float_block(o, level: int) -> str | None:
-    """``_json`` of a nested list of finite floats of one shape, written in one join.
-
-    None for any other value; for a non-finite float the recursion raises.
-    """
-    found = _uniform(o, {list, tuple}, {float, np.float64})
-    if found is None or not all(map(math.isfinite, found[1])):
-        return None
-    shape, leaves = found
+def _block(shape: list | tuple, strings, level: int, out: list) -> None:
+    """Append to ``out`` the text of a nested list of ``shape`` whose leaves print as ``strings``, row-major."""
     k = len(shape)
     pad = ["\n" + "  " * (level + j) for j in range(k + 1)]
 
@@ -590,47 +587,95 @@ def _float_block(o, level: int) -> str | None:
     for r, n in enumerate(reversed(shape)):
         seps = (seps + [closes(r) + "," + opens(r)]) * n
         del seps[-1]
-    parts = [""] * (2 * len(leaves) - 1)
-    parts[::2] = map(float.__repr__, leaves)
+    parts = [""] * (2 * len(seps) + 1)
+    parts[::2] = strings
     parts[1::2] = seps
-    return "[" + opens(k - 1) + "".join(parts) + closes(k)
+    out.append("[" + opens(k - 1))
+    out += parts
+    out.append(closes(k))
 
 
-def _json(o, level: int = 0) -> str:
-    """``json.dumps(o, indent=2, allow_nan=False)`` for a value with str keys, same text and same errors.
+# XOR of the bits of an [re, im] entry with its conjugate's
+_CONJUGATE_BITS = np.array([0, 1 << 63], dtype=np.uint64)
 
-    json's indenting encoder is pure Python; here a nested list of floats of
-    one shape (a Choi matrix, a list of Kraus operators) is one join, and every
-    other value recurses the way that encoder does.
+
+def _conjugate_pair_strings(a: np.ndarray) -> list | None:
+    """``float.__repr__`` of every leaf of an (n, n, 2) [re, im] block, or None unless it mirrors itself.
+
+    The block mirrors itself when its strict upper triangle is the conjugate of
+    its strict lower one, bit for bit, signed zeros included. Then repr runs on
+    the lower triangle and the diagonal only; an upper entry takes its mirror's
+    real string and, with the sign flipped, its imaginary one.
+    """
+    if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 2:
+        return None
+    upper = np.triu_indices(len(a), 1)
+    mirror = upper[::-1]
+    bits = a.view(np.uint64)
+    if not np.array_equal(bits[upper], bits[mirror] ^ _CONJUGATE_BITS):
+        return None
+    strings = np.empty(a.shape, dtype=object)
+    lower = np.tril_indices(len(a))
+    strings[lower] = np.array(list(map(float.__repr__, a[lower].ravel().tolist())), dtype=object).reshape(-1, 2)
+    strings[upper] = strings[mirror]
+    strings[upper + (1,)] = [s[1:] if s[0] == "-" else "-" + s for s in strings[upper + (1,)]]
+    return strings.ravel().tolist()
+
+
+def _items(pairs, brackets: str, level: int, out: list) -> None:
+    """Append to ``out`` a list or object of (prefix, value) ``pairs``, one per line, as json's indent=2 writes it."""
+    pad = "\n" + "  " * (level + 1)
+    sep = brackets[0] + pad
+    for prefix, value in pairs:
+        out.append(sep + prefix)
+        _json(value, level + 1, out)
+        sep = "," + pad
+    out.append(pad[:-2] + brackets[1])
+
+
+def _json(o, level: int, out: list) -> None:
+    """Append to ``out`` the text of ``json.dumps(o, indent=2, allow_nan=False)``, raising its errors.
+
+    ``o`` has str keys. json's indenting encoder is pure Python; here a nested
+    list of floats of one shape, or a float64 ndarray (written as its
+    ``tolist()``), is one run of leaf strings, and every other value recurses
+    the way that encoder does.
     """
     if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
         if not math.isfinite(o):
             raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        return float.__repr__(o)
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(o, (list, tuple)):
+        out.append(float.__repr__(o))
+    elif isinstance(o, np.ndarray):
+        if o.dtype != np.float64 or o.ndim == 0 or o.size == 0 or not np.isfinite(o).all():
+            _json(o.tolist(), level, out)  # the nest's text, or its error
+        else:
+            strings = _conjugate_pair_strings(o) or map(float.__repr__, o.ravel().tolist())
+            _block(o.shape, strings, level, out)
+    elif isinstance(o, (list, tuple)):
+        found = _uniform(o, {list, tuple}, {float, np.float64})
+        if found is not None and all(map(math.isfinite, found[1])):
+            _block(found[0], map(float.__repr__, found[1]), level, out)
+        elif o:
+            _items((("", v) for v in o), "[]", level, out)
+        else:
+            out.append("[]")
+    elif isinstance(o, dict):
         if not o:
-            return "[]"
-        block = _float_block(o, level)
-        if block is not None:
-            return block
-        return "[" + pad + ("," + pad).join(_json(v, level + 1) for v in o) + pad[:-2] + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = (encode_basestring_ascii(k) + ": " + _json(v, level + 1) for k, v in o.items())
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            out.append("{}")
+        else:
+            _items(((encode_basestring_ascii(k) + ": ", v) for k, v in o.items()), "{}", level, out)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str:
@@ -642,11 +687,16 @@ def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str
         raise SpecError(f"unknown format {fmt!r}")
 
     def show(val):
+        if isinstance(val, np.ndarray):
+            val = val.tolist()
         return val if isinstance(val, str) else json.dumps(val, allow_nan=False)
 
     try:
         if fmt == "json":
-            return _json(payload) + "\n"
+            out = []
+            _json(payload, 0, out)
+            out.append("\n")
+            return "".join(out)
         lines = [f"pipeline: {payload['pipeline']}"]
         lines.append(f"channel: {show(payload['inputs']['channel'])}")
         for key, val in payload["inputs"]["options"].items():

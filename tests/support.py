@@ -112,6 +112,12 @@ def einsum_ascent(u, da, db, ub0, record=None):
     return val, ua, ub
 
 
+def matrix_to_pairs(m) -> list:
+    """The [re, im] nest of complex ``m``, as a channel spec gives a matrix."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
+
+
 def kraus_to_choi_loop(kraus, dim: int) -> np.ndarray:
     """Reference for ``Channel.choi``: one ``np.outer`` of vec A_k per Kraus operator, summed, over D."""
     c = np.zeros((dim * dim, dim * dim), dtype=complex)

@@ -157,6 +157,42 @@ class TestChoi:
         finally:
             tracemalloc.stop()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: identity_channel((2, 3)), id="identity-2x3"),
+            pytest.param(lambda: depolarizing_channel(0.3, 3), id="depolarizing-3"),
+            pytest.param(cnot_channel, id="cnot"),
+            pytest.param(z3_channel, id="z3"),
+            pytest.param(lambda: fully_depolarizing_channel((2,), random_density_matrix(2, 4)), id="fully-dep"),
+            pytest.param(
+                lambda: random_unitary_channel([0.5, 0.5], [haar_unitary(4, 1), haar_unitary(4, 2)]), id="mixture"
+            ),
+            pytest.param(lambda: random_sru_channel((3, 3), seed=5), id="sru-3x3"),
+            *(
+                pytest.param(
+                    lambda dims=dims, count=count: random_channel(dims, seed=count, kraus_count=count),
+                    id=f"kraus{count}-{'x'.join(map(str, dims))}",
+                )
+                for dims, count in [([2], 3), ([2, 2], 16), ([3, 3], 81), ([3, 3], 2), ([2, 3], 7), ([6, 6], 2)]
+            ),
+        ],
+    )
+    def test_choi_is_hermitian_by_construction(self, build):
+        ch = build()
+        m = ch.choi.matrix
+        vecs = ch.kraus.reshape(len(ch.kraus), -1)
+        product = vecs.T @ vecs.conj() / ch.dim
+        lower = np.tril_indices(len(m), -1)
+        upper = lower[::-1]
+        # the computed strict lower triangle and real diagonal, bit for bit
+        assert m[lower].tobytes() == product[lower].tobytes()
+        assert m.diagonal().real.tobytes() == product.diagonal().real.tobytes()
+        # the strict upper triangle is its conjugate, bit for bit, and the diagonal's imaginary parts are +0.0
+        assert m[upper].tobytes() == m[lower].conj().tobytes()
+        assert not m.diagonal().imag.view(np.uint64).any()
+        assert np.array_equal(m, m.conj().T)
+
     def test_tp_choi_properties(self):
         for ch in (depolarizing_channel(0.3), cnot_channel(), z3_channel(), random_channel([2, 2], 5)):
             choi = ch.choi

@@ -14,7 +14,6 @@ from chandet.cli import (
     SpecError,
     build_parser,
     main,
-    matrix_to_pairs,
     parse_channel_spec,
 )
 from chandet.detect import (
@@ -26,7 +25,7 @@ from chandet.detect import (
 )
 from chandet.pptdetect import detect_npt
 from chandet.qmath import haar_unitary
-from support import random_channel, random_density_matrix
+from support import matrix_to_pairs, random_channel, random_density_matrix
 
 
 def write_spec(tmp_path, name, payload):

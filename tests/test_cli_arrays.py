@@ -1,11 +1,14 @@
 """The CLI's whole-array paths against their per-entry references.
 
-``render_report`` writes a nested list of floats of one shape in one join; it
-must give exactly the text and the errors of ``json.dumps(indent=2,
-allow_nan=False)``. ``_complex_matrix`` accepts a well-formed matrix through
-one array check; it must return exactly the array of the per-entry walk below
-(the parser as it was before that check), and name the same fault on
-malformed input.
+``render_report`` writes a nested list of floats of one shape, or a float64
+ndarray, as one run of leaf strings; it must give exactly the text and the
+errors of ``json.dumps(indent=2, allow_nan=False)`` of the list (of the
+array's ``tolist()``), in both formats. A square [re, im] block whose upper
+triangle mirrors its lower one bit for bit takes one repr per conjugate pair.
+
+``_complex_matrix`` accepts a well-formed matrix through one array check; it
+must return exactly the array of the per-entry walk below (the parser as it
+was before that check), and name the same fault on malformed input.
 """
 
 import json
@@ -21,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from chandet import cli  # noqa: E402
 from chandet.channels import ValidationError  # noqa: E402
 from chandet.cli import SpecError, parse_channel_spec, render_report  # noqa: E402
+from support import random_channel  # noqa: E402
 
 
 def per_entry_number(obj, where):
@@ -135,6 +139,110 @@ def test_writer_error_names_the_first_non_finite_float():
     with pytest.raises(ValidationError) as exc:
         render_report({"results": {"matrix": [[0.0, 1.0], [np.float64("nan"), math.inf]]}})
     assert str(exc.value.__cause__) == "Out of range float values are not JSON compliant: np.float64(nan)"
+
+
+# ---------------------------------------------------------------------------
+# ndarray blocks: a report hands the writer float64 [re, im] arrays
+
+
+def both_formats(block):
+    """The JSON and text renderings of a report holding ``block``, or the errors they raise."""
+    payload = {"pipeline": "choi", "inputs": {"channel": {"dims": [2]}, "options": {}}, "results": {"matrix": block}}
+    texts = []
+    for fmt in ("json", "text"):
+        try:
+            texts.append(render_report(payload, fmt))
+        except ValidationError as exc:
+            texts.append((type(exc.__cause__), str(exc.__cause__)))
+    return texts
+
+
+def assert_renders_as_its_list(block):
+    assert both_formats(block) == both_formats(block.tolist())
+    assert rendered_text(block) == reference_text(block.tolist())
+
+
+ARRAY_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7e308, 1 / 3, -2.0]
+
+
+@st.composite
+def hermitian_blocks(draw, floats, min_n=1):
+    """An (n, n, 2) [re, im] block whose strict upper triangle is the conjugate of its strict lower one."""
+    n = draw(st.integers(min_n, 6))
+    block = np.array(draw(st.lists(floats, min_size=2 * n * n, max_size=2 * n * n))).reshape(n, n, 2)
+    upper = np.triu_indices(n, 1)
+    block[upper] = block[upper[::-1]] * [1.0, -1.0]  # a +0.0 imaginary part mirrors to -0.0
+    return block
+
+
+edge_or_plain = st.one_of(plain_floats, st.sampled_from(ARRAY_EDGE_FLOATS))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hermitian_blocks(edge_or_plain))
+@example(np.array([[[0.0, -0.0]]]))
+@example(np.array([[[1e308, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [5e-324, -0.0]]]))
+def test_hermitian_block_writes_each_conjugate_pair_once(block):
+    assert cli._conjugate_pair_strings(block) is not None
+    assert_renders_as_its_list(block)
+
+
+def test_choi_matrix_takes_the_conjugate_pair_path():
+    block = cli._pairs(random_channel([3, 3], 8, kraus_count=81).choi.matrix)
+    assert cli._conjugate_pair_strings(block) == list(map(float.__repr__, block.ravel().tolist()))
+    assert_renders_as_its_list(block)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hermitian_blocks(edge_or_plain, min_n=2), st.data())
+def test_one_bit_of_asymmetry_falls_back(block, data):
+    i = data.draw(st.integers(1, len(block) - 1))
+    j = data.draw(st.integers(0, i - 1))
+    part, bit = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 63))
+    where = data.draw(st.sampled_from([(i, j, part), (j, i, part)]))
+    bits = block.view(np.uint64)
+    bits[where] ^= np.uint64(1 << bit)
+    if not np.isfinite(block).all():
+        return  # the bit made an exponent of all ones
+    assert cli._conjugate_pair_strings(block) is None
+    assert_renders_as_its_list(block)
+
+
+def test_zeros_of_one_sign_on_both_sides_fall_back():
+    block = np.zeros((2, 2, 2))  # +0.0 imaginary parts on both sides: a conjugate would hold -0.0
+    assert cli._conjugate_pair_strings(block) is None
+    assert_renders_as_its_list(block)
+    block[0, 1, 1] = -0.0
+    assert cli._conjugate_pair_strings(block) is not None
+    assert_renders_as_its_list(block)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.arange(12.0).reshape(2, 3, 2),  # not square
+        np.arange(18.0).reshape(3, 3, 2) * -0.5,  # square, not Hermitian
+        np.arange(27.0).reshape(3, 3, 3),  # square, not [re, im]
+        np.arange(16.0).reshape(2, 2, 2, 2) - 7.5,  # a stack of Schmidt factors
+        np.array([1e308, -0.0, 5e-324]),
+        np.arange(4).reshape(2, 2),  # not float64
+        np.array(2.5),
+        np.zeros((0, 2)),
+        np.zeros((2, 0)),
+    ],
+    ids=lambda b: f"{b.dtype}{list(b.shape)}",
+)
+def test_other_blocks_write_their_lists(block):
+    assert_renders_as_its_list(block)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0, 0), (1, 0, 1), (0, 1, 0), (2, 2, 1)])
+def test_non_finite_entry_raises_what_json_dumps_raises(bad, where):
+    block = cli._pairs(random_channel([3], 2, kraus_count=1).choi.matrix[:3, :3])
+    block[where] = bad
+    assert rendered_text(block)[0] is ValueError
+    assert_renders_as_its_list(block)
 
 
 # ---------------------------------------------------------------------------

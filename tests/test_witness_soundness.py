@@ -25,10 +25,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chandet.channels import VERDICT_MARGIN  # noqa: E402
-from chandet.cli import EXIT_OK, main, matrix_to_pairs  # noqa: E402
+from chandet.cli import EXIT_OK, main  # noqa: E402
 from chandet.detect import alpha_sru_optimize  # noqa: E402
 from chandet.qmath import haar_unitary  # noqa: E402
-from support import random_density_matrix, random_ket, random_sru_channel  # noqa: E402
+from support import matrix_to_pairs, random_density_matrix, random_ket, random_sru_channel  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
 

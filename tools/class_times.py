@@ -10,8 +10,12 @@ Prints one line per request class:
 
     workload class requests median_ms
 
-The median runs over every timed call of every request of the class, across
-all seeds. To compare two commits, run the script in a checkout of each.
+As in ``bench/run.py``, the yardstick of ``bench/yardstick.py`` runs before
+every call, outside the timed region, and each timed call is scaled by its
+``scales`` factor, so the times read as milliseconds at the yardstick's
+reference speed and a slow stretch of a shared host moves them less. The
+median runs over every timed call of every request of the class, across all
+seeds. To compare two commits, run the script in a checkout of each.
 Nothing under ``bench/`` is changed.
 """
 
@@ -21,19 +25,28 @@ import sys
 import time
 
 from report_digests import WORKLOADS, pool, run
+from yardstick import WARMUP, scales, yardstick  # on the path report_digests sets
 
 
 def class_times(workload: str, seeds: list, repeats: int) -> dict:
-    """Seconds of every timed call, per request class, in pool order of first appearance."""
-    times = {}
+    """Scaled seconds of every timed call, per request class, in pool order of first appearance."""
+    calls, yard = [], []  # (class, seconds) of each timed call, the yardstick's seconds before it
+    for _ in range(WARMUP):
+        yardstick()
     for seed in seeds:
         with pool(workload, seed) as requests:
             for timed in [False] + [True] * repeats:
                 for req in requests:
                     start = time.perf_counter()
+                    yardstick()
+                    middle = time.perf_counter()
                     run(req.argv)
                     if timed:
-                        times.setdefault(req.cls, []).append(time.perf_counter() - start)
+                        calls.append((req.cls, time.perf_counter() - middle))
+                        yard.append(middle - start)
+    times = {}
+    for (cls, seconds), factor in zip(calls, scales(yard)):
+        times.setdefault(cls, []).append(seconds * factor)
     return times
 
 
