@@ -228,15 +228,12 @@ def fully_depolarizing_channel(dims, sigma: np.ndarray | None = None) -> Channel
     w, v = np.linalg.eigh((sigma + dag(sigma)) / 2)
     if w[0] < -ATOL or abs(float(w.sum()) - 1.0) > ATOL:
         raise ValidationError("sigma is not a density matrix (PSD, trace 1)")
-    kraus = []
-    for i, lam in enumerate(w):
-        if lam <= SIGMA_RANK_CUTOFF:
-            continue
-        for j in range(d):
-            k = np.zeros((d, d), dtype=complex)
-            k[:, j] = np.sqrt(lam) * v[:, i]
-            kraus.append(k)
-    return Channel(kraus, dims)
+    keep = w > SIGMA_RANK_CUTOFF
+    cols = np.sqrt(w[keep]) * v[:, keep]  # column i is sqrt(lambda_i) v_i
+    # operator (i, j), at index i * d + j, is zero but for column i of ``cols`` as its column j
+    kraus = np.zeros((cols.shape[1], d, d, d), dtype=complex)
+    kraus[:, np.arange(d), :, np.arange(d)] = cols.T
+    return Channel(kraus.reshape(-1, d, d), dims)
 
 
 def cnot_channel() -> Channel:

@@ -24,9 +24,11 @@ A report echoes its input specs under ``inputs`` by one rule, ``_echo``:
 every scalar field as it is, and each matrix or list of matrices (a kraus
 spec's ``kraus``, a param parsed by ``_complex_matrix`` or ``_matrix_list``) as
 its shape and the sha256 of its [re, im] nest's little-endian float64 bytes.
-A Choi matrix or a stack of Schmidt factors reaches the JSON writer as a
-float64 [re, im] array; a square one whose upper triangle is the conjugate of
-its lower one, bit for bit, is written with one repr per conjugate pair.
+One writer, ``_json``, writes a JSON report as json's indent=2 text and each
+field of a text report as json's one-line text. Every array of a report
+reaches it as a float64 ndarray, a complex one as [re, im] pairs; a square one
+whose upper triangle is the conjugate of its lower one, bit for bit, is
+written with one repr per conjugate pair.
 
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,
@@ -118,24 +120,23 @@ def _number_list(obj, where: str) -> list:
     return [_number(x, f"{where}[{i}]") for i, x in enumerate(obj)]
 
 
-def _uniform(obj, containers: set, leaves: set):
-    """``(shape, leaves in row-major order)`` of a nest of ``containers``, or None.
+def _uniform(obj):
+    """``(shape, leaves in row-major order)`` of a nest of lists of ints and floats, or None.
 
-    The containers must be non-empty and of one shape, and the type of every
-    leaf must be in ``leaves``; a leaf at the top gives the shape [].
+    The lists must be non-empty and of one shape; a leaf at the top gives the shape [].
     """
     shape, items = [], [obj]
-    while (types := set(map(type, items))) <= containers:
+    while (types := set(map(type, items))) <= {list}:
         lengths = set(map(len, items))
         if len(lengths) != 1 or 0 in lengths:
             return None
         shape.append(lengths.pop())
         items = list(chain.from_iterable(items))
-    return (shape, items) if types <= leaves else None
+    return (shape, items) if types <= {int, float} else None
 
 
 def _complex_matrix(obj, where: str) -> np.ndarray:
-    found = _uniform(obj, {list}, {int, float})
+    found = _uniform(obj)
     if found is not None and len(found[0]) == 3 and found[0][2] == 2:
         try:
             pairs = np.array(found[1], dtype=float)
@@ -399,12 +400,11 @@ def _estimate(state: ChoiMatrix, w: Witness, shots: int, seed: int) -> tuple[dic
 
 def _run_choi(channel: Channel, opts: PipelineOptions) -> dict:
     choi = channel.choi
-    eigs = np.linalg.eigvalsh(choi.matrix)
     return {
         "source_dims": list(choi.source_dims),
         "choi_dims": list(choi.dims),
         "trace": float(np.trace(choi.matrix).real),
-        "eigenvalues": [float(x) for x in eigs],
+        "eigenvalues": np.linalg.eigvalsh(choi.matrix),
         "matrix": _pairs(choi.matrix),
     }
 
@@ -413,7 +413,7 @@ def _run_schmidt(channel: Channel, opts: PipelineOptions) -> dict:
     _require_bipartite(channel.dims, "schmidt", SpecError)
     sd = operator_schmidt(_single_operator(channel, "schmidt"), *channel.dims)
     return {
-        "sigmas": [float(s) for s in sd.sigmas],
+        "sigmas": sd.sigmas,
         "rank": sd.rank,
         "sum_sigma_sq": float(np.sum(sd.sigmas**2)),
         "alpha_s": float(sd.sigmas[0]),
@@ -484,7 +484,7 @@ def _sru_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) ->
 
 def _sep_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
     sd = facts[0]
-    return {**_sru_results(w, state, facts, opts), "sigmas": [float(s) for s in sd.sigmas], "rank": sd.rank}
+    return {**_sru_results(w, state, facts, opts), "sigmas": sd.sigmas, "rank": sd.rank}
 
 
 def _npt_results(w: Witness | None, state: ChoiMatrix, report, opts: PipelineOptions) -> dict:
@@ -570,22 +570,23 @@ def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
 # rendering
 
 
-def _block(shape: list | tuple, strings, level: int, out: list) -> None:
-    """Append to ``out`` the text of a nested list of ``shape`` whose leaves print as ``strings``, row-major."""
+def _block(shape: tuple, strings, pad: str, out: list) -> None:
+    """Append to ``out`` a nested list of ``shape`` whose leaves are ``strings``, row-major; ``pad`` as in _json."""
     k = len(shape)
-    pad = ["\n" + "  " * (level + j) for j in range(k + 1)]
+    comma = "," if pad else ", "
+    pads = [pad and pad + "  " * j for j in range(k + 1)]
 
     def closes(r):  # end the r innermost lists
-        return "".join(pad[k - 1 - j] + "]" for j in range(r))
+        return "".join(pads[k - 1 - j] + "]" for j in range(r))
 
     def opens(r):  # start r innermost lists, up to the first leaf
-        return "".join(pad[k - r + j] + "[" for j in range(r)) + pad[k]
+        return "".join(pads[k - r + j] + "[" for j in range(r)) + pads[k]
 
     # the separator between two neighbouring leaves ends and starts as many
     # lists as there are trailing indices that wrap around between them
     seps = []
     for r, n in enumerate(reversed(shape)):
-        seps = (seps + [closes(r) + "," + opens(r)]) * n
+        seps = (seps + [closes(r) + comma + opens(r)]) * n
         del seps[-1]
     parts = [""] * (2 * len(seps) + 1)
     parts[::2] = strings
@@ -622,24 +623,24 @@ def _conjugate_pair_strings(a: np.ndarray) -> list | None:
     return strings.ravel().tolist()
 
 
-def _items(pairs, brackets: str, level: int, out: list) -> None:
-    """Append to ``out`` a list or object of (prefix, value) ``pairs``, one per line, as json's indent=2 writes it."""
-    pad = "\n" + "  " * (level + 1)
-    sep = brackets[0] + pad
+def _items(pairs, brackets: str, pad: str, out: list) -> None:
+    """Append to ``out`` a list or object of (prefix, value) ``pairs``, ``pad`` as in :func:`_json`."""
+    inner = pad and pad + "  "
+    sep = brackets[0] + inner
     for prefix, value in pairs:
         out.append(sep + prefix)
-        _json(value, level + 1, out)
-        sep = "," + pad
-    out.append(pad[:-2] + brackets[1])
+        _json(value, inner, out)
+        sep = ("," if pad else ", ") + inner
+    out.append(pad + brackets[1])
 
 
-def _json(o, level: int, out: list) -> None:
-    """Append to ``out`` the text of ``json.dumps(o, indent=2, allow_nan=False)``, raising its errors.
+def _json(o, pad: str, out: list) -> None:
+    """Append to ``out`` the text of ``json.dumps(o, allow_nan=False)``, raising its errors.
 
-    ``o`` has str keys. json's indenting encoder is pure Python; here a nested
-    list of floats of one shape, or a float64 ndarray (written as its
-    ``tolist()``), is one run of leaf strings, and every other value recurses
-    the way that encoder does.
+    ``pad`` is a line break and the indent of ``o``'s level (a bare line break
+    at the top) for the text of ``indent=2``, or ``""`` for json's one-line
+    form. ``o`` has str keys. A float64 ndarray (written as its ``tolist()``)
+    is one run of leaf strings; every other value recurses as json's does.
     """
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
@@ -657,23 +658,20 @@ def _json(o, level: int, out: list) -> None:
         out.append(float.__repr__(o))
     elif isinstance(o, np.ndarray):
         if o.dtype != np.float64 or o.ndim == 0 or o.size == 0 or not np.isfinite(o).all():
-            _json(o.tolist(), level, out)  # the nest's text, or its error
+            _json(o.tolist(), pad, out)  # the nest's text, or its error
         else:
             strings = _conjugate_pair_strings(o) or map(float.__repr__, o.ravel().tolist())
-            _block(o.shape, strings, level, out)
+            _block(o.shape, strings, pad, out)
     elif isinstance(o, (list, tuple)):
-        found = _uniform(o, {list, tuple}, {float, np.float64})
-        if found is not None and all(map(math.isfinite, found[1])):
-            _block(found[0], map(float.__repr__, found[1]), level, out)
-        elif o:
-            _items((("", v) for v in o), "[]", level, out)
+        if o:
+            _items((("", v) for v in o), "[]", pad, out)
         else:
             out.append("[]")
     elif isinstance(o, dict):
         if not o:
             out.append("{}")
         else:
-            _items(((encode_basestring_ascii(k) + ": ", v) for k, v in o.items()), "{}", level, out)
+            _items(((encode_basestring_ascii(k) + ": ", v) for k, v in o.items()), "{}", pad, out)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
@@ -687,14 +685,16 @@ def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str
         raise SpecError(f"unknown format {fmt!r}")
 
     def show(val):
-        if isinstance(val, np.ndarray):
-            val = val.tolist()
-        return val if isinstance(val, str) else json.dumps(val, allow_nan=False)
+        if isinstance(val, str):
+            return val
+        out = []
+        _json(val, "", out)
+        return "".join(out)
 
     try:
         if fmt == "json":
             out = []
-            _json(payload, 0, out)
+            _json(payload, "\n", out)
             out.append("\n")
             return "".join(out)
         lines = [f"pipeline: {payload['pipeline']}"]

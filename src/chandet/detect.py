@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
-from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary
+from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary, _frozen
 from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
@@ -40,13 +40,15 @@ class Verdict(enum.Enum):
 class SchmidtDecomposition:
     """Operator Schmidt data: O = sum_i sigmas[i] * kron(a_factors[i], b_factors[i]).
 
-    Factors are normalized to Tr[A_i^dag A_j] = dA * delta_ij (same with dB for B),
-    which for a unitary input forces sum(sigmas**2) == 1.
+    ``a_factors`` and ``b_factors`` are read-only ``(rank, dA, dA)`` and
+    ``(rank, dB, dB)`` stacks. Factors are normalized to Tr[A_i^dag A_j] =
+    dA * delta_ij (same with dB for B), which for a unitary input forces
+    sum(sigmas**2) == 1.
     """
 
     sigmas: np.ndarray
-    a_factors: tuple[np.ndarray, ...]
-    b_factors: tuple[np.ndarray, ...]
+    a_factors: np.ndarray
+    b_factors: np.ndarray
     rank: int
     dims: tuple[int, int]
 
@@ -95,8 +97,9 @@ def operator_schmidt(o: np.ndarray, da: int, db: int) -> SchmidtDecomposition:
 
     The operator is realigned into a da^2 x db^2 matrix (row index pairs the A
     indices, column index pairs the B indices) and decomposed by SVD. Phases
-    are fixed so each A factor's first nonzero entry (row-major) is real and
-    positive, with the compensating phase pushed onto the B factor.
+    are fixed so each A factor's first entry above ``ZERO_CUTOFF`` (row-major)
+    is real and positive, with the compensating phase pushed onto the B
+    factor; a factor with no such entry keeps phase 1.
     """
     o = np.asarray(o, dtype=complex)
     da, db = int(da), int(db)
@@ -107,22 +110,17 @@ def operator_schmidt(o: np.ndarray, da: int, db: int) -> SchmidtDecomposition:
     sigmas = sv / np.sqrt(da * db)
     rank = int(np.sum(sigmas > ZERO_CUTOFF))
     rank = max(rank, 1)
-    a_factors, b_factors = [], []
-    for i in range(rank):
-        a = np.sqrt(da) * u[:, i].reshape(da, da)
-        b = np.sqrt(db) * vh[i, :].reshape(db, db)
-        flat = a.reshape(-1)
-        nz = np.flatnonzero(np.abs(flat) > ZERO_CUTOFF)
-        if nz.size:
-            phase = flat[nz[0]] / abs(flat[nz[0]])
-            a = a / phase
-            b = b * phase
-        a_factors.append(a)
-        b_factors.append(b)
+    a = np.sqrt(da) * u[:, :rank].T.reshape(rank, da, da)
+    b = np.sqrt(db) * vh[:rank].reshape(rank, db, db)
+    flat = a.reshape(rank, -1)
+    big = np.abs(flat) > ZERO_CUTOFF
+    lead = np.where(big.any(axis=1), flat[np.arange(rank), big.argmax(axis=1)], 1.0)
+    # hypot is the scalar abs bit for bit; a vectorized complex abs can differ by an ulp
+    phase = (lead / np.hypot(lead.real, lead.imag))[:, None, None]
     return SchmidtDecomposition(
         sigmas=sigmas[:rank],
-        a_factors=tuple(a_factors),
-        b_factors=tuple(b_factors),
+        a_factors=_frozen(a / phase),
+        b_factors=_frozen(b * phase),
         rank=rank,
         dims=(da, db),
     )

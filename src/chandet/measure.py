@@ -256,17 +256,14 @@ def group_settings(terms) -> list[MeasurementSetting]:
 def _setting_probabilities(state: np.ndarray, bases) -> np.ndarray:
     """Born probabilities of the 2^n product-basis outcomes of each setting, outcome bit 0 <-> +1.
 
-    Row k belongs to ``bases[k]``, a setting's packed code or its string. One
-    einsum covers every setting; its per-setting summation order is that of
-    the single-setting contraction, so an outcome the state cannot produce
-    keeps probability exactly 0.
+    Row k belongs to ``bases[k]``, a setting's packed code. One einsum covers
+    every setting; its per-setting summation order is that of the
+    single-setting contraction, so an outcome the state cannot produce keeps
+    probability exactly 0.
     """
     n = state.shape[0].bit_length() - 1
-    codes = np.asarray(bases)
-    if codes.dtype.kind == "U":
-        codes, _ = _codes_of(list(bases))
     tables = _pauli_tables(n)
-    b = tables.bases[tables.setting_row[codes]]
+    b = tables.bases[tables.setting_row[bases]]
     probs = np.real(np.einsum("sij,jk,ski->si", b.conj().transpose(0, 2, 1), state, b))
     probs = np.clip(probs, 0.0, None)
     totals = probs.sum(axis=1)

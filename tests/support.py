@@ -154,6 +154,28 @@ def permute_subsystems(m, dims, perm):
     return m.reshape(list(dims) * 2).transpose(axes).reshape(m.shape)
 
 
+def operator_schmidt_loop(o, da: int, db: int) -> detect.SchmidtDecomposition:
+    """Reference for ``detect.operator_schmidt``: the same SVD, then one term at a time, factors as tuples."""
+    o = np.asarray(o, dtype=complex)
+    realigned = o.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    u, sv, vh = np.linalg.svd(realigned)
+    sigmas = sv / np.sqrt(da * db)
+    rank = max(int(np.sum(sigmas > detect.ZERO_CUTOFF)), 1)
+    a_factors, b_factors = [], []
+    for i in range(rank):
+        a = np.sqrt(da) * u[:, i].reshape(da, da)
+        b = np.sqrt(db) * vh[i, :].reshape(db, db)
+        flat = a.reshape(-1)
+        nz = np.flatnonzero(np.abs(flat) > detect.ZERO_CUTOFF)
+        if nz.size:
+            phase = flat[nz[0]] / abs(flat[nz[0]])
+            a = a / phase
+            b = b * phase
+        a_factors.append(a)
+        b_factors.append(b)
+    return detect.SchmidtDecomposition(sigmas[:rank], tuple(a_factors), tuple(b_factors), rank, (da, db))
+
+
 def reconstruct(sd):
     """The operator sum_i sigma_i A_i kron B_i of operator Schmidt data ``sd``."""
     return sum(s * np.kron(a, b) for s, a, b in zip(sd.sigmas, sd.a_factors, sd.b_factors))

@@ -94,6 +94,23 @@ class TestNamedChannels:
         np.testing.assert_allclose(apply(ch, rho), sigma, atol=1e-12)
         assert is_tp(ch)
 
+    @pytest.mark.parametrize("dims", [[2], [3], [2, 2], [3, 3]])
+    @pytest.mark.parametrize("rank", [None, 1, 2, "full"])
+    def test_fully_depolarizing_kraus_layout(self, dims, rank):
+        """Operator (i, j) is zero but for column j, sqrt(lambda_i) v_i, over sigma's kept eigenpairs."""
+        d = int(np.prod(dims))
+        sigma = None if rank is None else random_density_matrix(d, 40 + d, rank=d if rank == "full" else rank)
+        s = np.eye(d, dtype=complex) / d if sigma is None else sigma
+        w, v = np.linalg.eigh((s + s.conj().T) / 2)
+        ref = []
+        for lam, col in zip(w, v.T):
+            if lam > 1e-14:
+                for j in range(d):
+                    k = np.zeros((d, d), dtype=complex)
+                    k[:, j] = np.sqrt(lam) * col
+                    ref.append(k)
+        assert fully_depolarizing_channel(dims, sigma).kraus.tobytes() == np.array(ref).tobytes()
+
 
 class TestChoi:
     def test_identity_choi_is_bell_projector(self):

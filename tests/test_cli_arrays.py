@@ -1,10 +1,12 @@
 """The CLI's whole-array paths against their per-entry references.
 
-``render_report`` writes a nested list of floats of one shape, or a float64
-ndarray, as one run of leaf strings; it must give exactly the text and the
-errors of ``json.dumps(indent=2, allow_nan=False)`` of the list (of the
-array's ``tolist()``), in both formats. A square [re, im] block whose upper
-triangle mirrors its lower one bit for bit takes one repr per conjugate pair.
+``render_report`` writes every value through one writer, a float64 ndarray
+as one run of leaf strings; it must give exactly the text of
+``json.dumps(indent=2, allow_nan=False)`` of the value (of the array's
+``tolist()``) in the JSON format, that of ``json.dumps(allow_nan=False)`` in
+the text format, and raise a ValueError where they do. A square [re, im]
+block whose upper triangle mirrors its lower one bit for bit takes one repr
+per conjugate pair, in both formats.
 
 ``_complex_matrix`` accepts a well-formed matrix through one array check; it
 must return exactly the array of the per-entry walk below (the parser as it
@@ -119,12 +121,31 @@ def rendered_text(value):
         return type(exc.__cause__), str(exc.__cause__)
 
 
+def reference_line(value):
+    """``json.dumps([value])``, one line, or the type of its error."""
+    try:
+        return json.dumps([value], allow_nan=False)
+    except ValueError:
+        return ValueError
+
+
+def rendered_line(value):
+    """The text format's line of ``[value]``, or the type of the writer's error."""
+    payload = {"pipeline": "choi", "inputs": {"channel": [value], "options": {}}, "results": {}}
+    try:
+        return render_report(payload, "text").split("\n")[1].removeprefix("channel: ")
+    except ValidationError as exc:
+        assert str(exc) == f"report holds a non-finite number: {exc.__cause__}"
+        return type(exc.__cause__)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(json_values(finite_floats))
 @example([[[-0.0, 5e-324], [1.7e308, 0.0]]])
 @example({"matrix": [[np.float64(1.5)]], "empty": [[], {}], "tuple": (1.0, (2.0,)), "mixed": [1, 1.0, True]})
 def test_writer_matches_json_dumps(value):
     assert rendered_text(value) == reference_text(value)
+    assert rendered_line(value) == reference_line(value)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -133,6 +154,7 @@ def test_writer_matches_json_dumps(value):
 @example({"a": [1.0, np.float64("-inf")], "b": math.nan})
 def test_writer_raises_what_json_dumps_raises(value):
     assert rendered_text(value) == reference_text(value)
+    assert rendered_line(value) == reference_line(value)
 
 
 def test_writer_error_names_the_first_non_finite_float():
@@ -191,6 +213,21 @@ def test_choi_matrix_takes_the_conjugate_pair_path():
     block = cli._pairs(random_channel([3, 3], 8, kraus_count=81).choi.matrix)
     assert cli._conjugate_pair_strings(block) == list(map(float.__repr__, block.ravel().tolist()))
     assert_renders_as_its_list(block)
+
+
+def test_text_choi_report_writes_each_conjugate_pair_once(monkeypatch):
+    results = cli._run_choi(random_channel([3, 3], 9, kraus_count=81), cli.PipelineOptions())
+    payload = {"pipeline": "choi", "inputs": {"channel": {"dims": [3, 3]}, "options": {}}, "results": results}
+    real, found = cli._conjugate_pair_strings, []
+
+    def recording(a):
+        found.append((a.shape, real(a) is not None))
+        return real(a)
+
+    monkeypatch.setattr(cli, "_conjugate_pair_strings", recording)
+    lines = render_report(payload, "text").split("\n")
+    assert [shape for shape, mirrored in found if mirrored] == [(81, 81, 2)]
+    assert f"  matrix: {json.dumps(results['matrix'].tolist())}" in lines
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

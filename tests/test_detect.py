@@ -28,7 +28,7 @@ from chandet.detect import (
 )
 from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, pauli_string
 from support import CNOT, max_entangled, product_overlap, random_separable_state, random_sru_channel
-from support import einsum_ascent, reconstruct
+from support import einsum_ascent, operator_schmidt_loop, reconstruct
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 Z3 = np.diag([1.0] * 8 + [-1.0]).astype(complex)
@@ -133,6 +133,33 @@ class TestOperatorSchmidt:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             operator_schmidt(np.eye(4), 2, 3)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2), (6, 6), (2, 18)])
+    def test_matches_the_per_term_loop_bitwise(self, dims):
+        da, db = dims
+        d = da * db
+        rng = np.random.default_rng(da * 100 + db)
+        ops = [haar_unitary(d, seed) for seed in range(6)] + [
+            kron(haar_unitary(da, 7), haar_unitary(db, 8)),
+            np.eye(d),
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+            np.zeros((d, d)),
+        ]
+        if dims == (3, 3):
+            ops.append(Z3)
+        for o in ops:
+            got, ref = operator_schmidt(o, da, db), operator_schmidt_loop(o, da, db)
+            assert (got.rank, got.dims) == (ref.rank, ref.dims)
+            assert got.sigmas.tobytes() == ref.sigmas.tobytes()
+            for stack, factors, side in ((got.a_factors, ref.a_factors, da), (got.b_factors, ref.b_factors, db)):
+                assert stack.shape == (ref.rank, side, side)
+                assert stack.tobytes() == np.array(factors).tobytes()
+
+    def test_factor_stacks_are_read_only(self):
+        sd = operator_schmidt(Z3, 3, 3)
+        for stack in (sd.a_factors, sd.b_factors):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0.0
 
 
 class TestAlphaSruOptimize:

@@ -13,6 +13,7 @@ from chandet.measure import (
     MeasurementSetting,
     PauliTerm,
     ShotEstimate,
+    _codes_of,
     _setting_probabilities,
     estimate_witness,
     group_settings,
@@ -504,7 +505,7 @@ class TestMatchesDenseReference:
         state = QUBIT_PAIR_CHANNELS[name].choi.matrix
         bases = ["".join(p) for p in itertools.product("XYZ", repeat=4)]
         expected = np.array([kron_probabilities(state, b) for b in bases])
-        assert np.array_equal(_setting_probabilities(state, bases), expected)
+        assert np.array_equal(_setting_probabilities(state, _codes_of(bases)[0]), expected)
         if name in ("cnot", "bit-flipped-cnot"):
             assert np.count_nonzero(expected == 0) > 0  # outcomes the state cannot produce
 

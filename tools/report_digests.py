@@ -9,13 +9,15 @@ temporary directory that is the working directory of the run, so the paths in
 the argv, and so any message that names them, read the same in every
 checkout. Prints one line per request:
 
-    workload seed class exit sha256(stdout) sha256(stderr) sha256(results)
+    workload seed class exit sha256(stdout) sha256(stderr) sha256(results) sha256(text)
 
-The last column digests ``json.dumps(json.loads(stdout)["results"])``, or is
-``-`` when stdout is not a JSON report. A refactor that keeps every report
-leaves this output unchanged; compare a run on the parent commit with a run on
-the change by ``diff``. A change of report format that leaves the results as
-they are moves only the stdout column. Nothing under ``bench/`` is changed.
+The results column digests ``json.dumps(json.loads(stdout)["results"])``, or
+is ``-`` when stdout is not a JSON report. The last column digests the stdout
+of the same request run again with ``--format text``, its ``elapsed_seconds``
+line dropped. A refactor that keeps every report leaves this output
+unchanged; compare a run on the parent commit with a run on the change by
+``diff``. A change of report format that leaves the results as they are moves
+only the stdout columns. Nothing under ``bench/`` is changed.
 """
 
 import os
@@ -77,12 +79,19 @@ def run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def _text_sha(argv: list) -> str:
+    """The sha256 of the ``--format text`` stdout of ``argv``, its timing line dropped."""
+    _, out, _ = run(argv + ["--format", "text"])
+    return _sha("".join(line for line in out.splitlines(True) if not line.startswith("elapsed_seconds: ")))
+
+
 def digest_lines(workload: str, seed: int):
     """One line per request of the pool of ``workload`` at ``seed``, in pool order."""
     with pool(workload, seed) as requests:
         for req in requests:
             code, out, err = run(req.argv)
-            yield f"{workload} {seed} {req.cls} {code} {_sha(out)} {_sha(err)} {_results_sha(out)}"
+            text = _text_sha(req.argv)
+            yield f"{workload} {seed} {req.cls} {code} {_sha(out)} {_sha(err)} {_results_sha(out)} {text}"
 
 
 def main(argv=None) -> int:
