@@ -30,6 +30,13 @@ reaches it as a float64 ndarray, a complex one as [re, im] pairs; a square one
 whose upper triangle is the conjugate of its lower one, bit for bit, is
 written with one repr per conjugate pair.
 
+Work that no request changes is done once per process, on first use, and
+nothing is built at import: ``main`` keeps one argument parser per command
+(and one for any other first argument), and the SRU optimizer keeps its last
+stack of Haar starts (``detect._starts``). Nothing that depends on a request's
+spec, matrices or target is kept. A list of matrices is converted in one
+array check, as one matrix is (``_complex_array``).
+
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,
 3 = numerical validation failure; a non-finite number in a report is a
@@ -37,6 +44,7 @@ numerical failure in either format.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -135,17 +143,25 @@ def _uniform(obj):
     return (shape, items) if types <= {int, float} else None
 
 
-def _complex_matrix(obj, where: str) -> np.ndarray:
+def _complex_array(obj, ndim: int) -> np.ndarray | None:
+    """``obj`` as an ``ndim``-dimensional complex array if it is a uniform nest of finite [re, im] pairs, else None."""
     found = _uniform(obj)
-    if found is not None and len(found[0]) == 3 and found[0][2] == 2:
-        try:
-            pairs = np.array(found[1], dtype=float)
-        except OverflowError:
-            pass  # an int beyond the float range: the walk below names it
-        else:
-            if np.isfinite(pairs).all():
-                # the [re, im] pairs are the complex entries' memory layout, signed zeros included
-                return pairs.view(complex).reshape(found[0][:2])
+    if found is None or len(found[0]) != ndim + 1 or found[0][-1] != 2:
+        return None
+    try:
+        pairs = np.array(found[1], dtype=float)
+    except OverflowError:
+        return None  # an int beyond the float range: the walk names it
+    if not np.isfinite(pairs).all():
+        return None
+    # the [re, im] pairs are the complex entries' memory layout, signed zeros included
+    return pairs.view(complex).reshape(found[0][:-1])
+
+
+def _complex_matrix(obj, where: str) -> np.ndarray:
+    m = _complex_array(obj, 2)
+    if m is not None:
+        return m
     # any other input, entry by entry, naming the first fault
     if not isinstance(obj, list) or not obj:
         raise SpecError(f"{where} must be a non-empty nested list of [re, im] pairs")
@@ -164,7 +180,15 @@ def _complex_matrix(obj, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _matrix_list(obj, where: str) -> list:
+def _matrix_list(obj, where: str) -> np.ndarray | list:
+    """The matrices of ``obj``: one ``(K, rows, cols)`` array, or a list of them when their shapes differ.
+
+    A list whose every matrix would pass ``_complex_matrix``'s array check is
+    converted at once; any other input goes matrix by matrix, naming the first fault.
+    """
+    mats = _complex_array(obj, 3)
+    if mats is not None:
+        return mats
     if not isinstance(obj, list):
         raise SpecError(f"{where} must be a list of matrices")
     return [_complex_matrix(m, f"{where}[{i}]") for i, m in enumerate(obj)]
@@ -279,8 +303,7 @@ def parse_channel_spec(spec: dict, require_tp: bool = True) -> Channel:
         ops = spec.get("kraus")
         if not isinstance(ops, list) or not ops:
             raise SpecError("kraus must be a non-empty list of matrices")
-        mats = [_complex_matrix(m, f"kraus[{i}]") for i, m in enumerate(ops)]
-        build, args = Channel, {"kraus": mats, "dims": dims, "require_tp": require_tp}
+        build, args = Channel, {"kraus": _matrix_list(ops, "kraus"), "dims": dims, "require_tp": require_tp}
     else:
         raise SpecError("kind must be 'named' or 'kraus'")
     try:
@@ -749,6 +772,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built on first use and kept; ``main`` keys it by a known command or None."""
+    return build_parser(command)
+
+
 def _options_from_args(args) -> PipelineOptions:
     if args.shots is not None and not _COMMANDS[args.command].takes_shots:
         raise SpecError(f"{args.command} takes no --shots: it samples nothing")
@@ -777,7 +806,7 @@ def _options_from_args(args) -> PipelineOptions:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         options = _options_from_args(args)
         spec = _read_spec_file(args.channel)

@@ -13,6 +13,7 @@ witness has exactly one builder here.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -175,12 +176,25 @@ def _alternating_ascent(u, da, db, ub0, record=None):
     return val, ua, ub
 
 
+@functools.lru_cache(maxsize=1)
+def _starts(db: int, starts: int, seed: int) -> np.ndarray:
+    """The read-only ``(starts, db, db)`` stack of Haar starts, start k drawn from the stream ``[seed, k]``.
+
+    The last stack is kept, so back-to-back runs with one seed and start count
+    draw it once. It takes starts * db^2 * 16 bytes, which the work bound keeps
+    at or below 7.3 MB (on [2, 2]; 1.44 MB for 10 000 starts on [3, 3]).
+    """
+    return _frozen(_haar_stack(db, [np.random.default_rng([seed, k]) for k in range(starts)]))
+
+
 def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     """Maximal overlap of a unitary's Choi state with product-unitary Choi states.
 
     Climbs from ``starts`` Haar-random initial points (start k drawn from the
     stream ``[seed, k]``), all in one batched ascent, and keeps the first best.
     Returns ``(alpha_sru, ua, ub)``; refuses ``starts * D^3 > MAX_START_WORK`` first.
+    The stack of starts depends on ``(d_B, starts, seed)`` alone, and the last
+    one drawn is kept for the next call (``_starts``).
     """
     dims = _require_bipartite(dims, "SRU detection")
     da, db = dims
@@ -190,8 +204,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     limit = MAX_START_WORK // (da * db) ** 3
     if not 1 <= starts <= limit:
         raise ValueError(f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {starts}")
-    rngs = [np.random.default_rng([int(seed), k]) for k in range(int(starts))]
-    val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, rngs))
+    val, ua, ub = _alternating_ascent(u, da, db, _starts(db, int(starts), int(seed)))
     best = int(np.argmax(val))
     # an overlap of unit vectors is at most 1; product gates reach it up to rounding
     return min(float(val[best]), 1.0), ua[best], ub[best]

@@ -201,6 +201,7 @@ class TestSpecParsing:
         def no_optimizer(*args, **kwargs):
             raise AssertionError("the optimizer must not run")
 
+        detect._starts.cache_clear()  # a kept stack would be read without drawing
         monkeypatch.setattr(detect, "_haar_stack", no_optimizer)
         path = write_spec(tmp_path, "z3.json", Z3_SPEC)
         code, out, err = run(capsys, "detect-sep", "--channel", path, "--starts", "10001")
@@ -1045,14 +1046,39 @@ class TestEcho:
 class TestEntryPoint:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_one_subparser_reads_as_all_of_them(self, capsys, command):
-        # main builds only the subparser of the command it is given
+        # main builds only the subparser of the command it is given, on its first call, and keeps it
+        cli._parser.cache_clear()
         for tail in (["--help"], [], ["--channel", "x", "--format", "xml"], ["--channel", "x", "--bogus"]):
             outcomes = []
-            for parser in (build_parser(), build_parser(command)):
+            for parse in (build_parser().parse_args, build_parser(command).parse_args, main, main):
                 with pytest.raises(SystemExit) as exc:
-                    parser.parse_args([command, *tail])
+                    parse([command, *tail])
                 outcomes.append((exc.value.code, *capsys.readouterr()))
-            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        assert cli._parser.cache_info().currsize == 1
+
+    def test_unknown_commands_share_one_parser(self, capsys):
+        cli._parser.cache_clear()
+        for command in COMMANDS:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+        for i in range(200):
+            with pytest.raises(SystemExit) as exc:
+                main([f"no-such-command-{i}", "--channel", "x"])
+            assert exc.value.code == EXIT_INPUT_ERROR
+        capsys.readouterr()
+        assert cli._parser.cache_info().currsize == len(COMMANDS) + 1
+
+    def test_import_builds_nothing(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, chandet.cli as c; d = sys.modules['chandet.detect']; "
+            "print(c._parser.cache_info().currsize, d._starts.cache_info().currsize)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
 
     def test_module_invocation(self, tmp_path):
         import subprocess

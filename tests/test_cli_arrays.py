@@ -11,6 +11,9 @@ per conjugate pair, in both formats.
 ``_complex_matrix`` accepts a well-formed matrix through one array check; it
 must return exactly the array of the per-entry walk below (the parser as it
 was before that check), and name the same fault on malformed input.
+``_matrix_list`` does the same for a whole list of matrices at once: its array
+must be that of the matrices walked one by one, and a list it cannot convert
+must be refused with the text of the matrix-by-matrix path.
 """
 
 import json
@@ -378,3 +381,78 @@ def test_python_only_faults_are_named_as_the_walk_names_them(field, obj, fault):
     with pytest.raises(SpecError) as got:
         parse_channel_spec(spec(obj))
     assert str(got.value) == where + fault
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_valid_matrix_list_matches_the_walk_bitwise(count, rows, cols, data):
+    obj = [[[[data.draw(numbers), data.draw(numbers)] for _ in range(cols)] for _ in range(rows)] for _ in range(count)]
+    ref = np.array([per_entry_complex_matrix(m, f"m[{i}]") for i, m in enumerate(obj)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_number", None)  # the whole-list path reads no entry
+        mp.setattr(cli, "_complex_matrix", None)  # and no matrix on its own
+        got = cli._matrix_list(obj, "m")
+    assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+    assert got.tobytes() == ref.tobytes()
+
+
+ONE = "[[[1, 0]]]"
+# each list holds one fault, read from JSON text as a spec file gives it
+MALFORMED_LISTS = {
+    "bad entry in matrix 2": f"[{ONE}, {ONE}, [[[1, [0]]]]]",
+    "two shapes": f"[{ONE}, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], {ONE}]",
+    "empty matrix": f"[{ONE}, [], {ONE}]",
+    "true": f"[{ONE}, {ONE}, [[[true, 0]]]]",
+    "string": f'[{ONE}, [[["0.5", 0]]], {ONE}]',
+    "401-digit int": f"[{ONE}, {ONE}, [[[0, 1{'0' * 400}]]]]",
+    "1e400": f"[[[[1e400, 0]]], {ONE}, {ONE}]",
+    "non-list entry": f"[{ONE}, 1, {ONE}]",
+}
+# the spec that holds a list of three 1 x 1 matrices in each field a matrix list is parsed from
+LIST_FIELDS = {
+    "kraus": lambda ms: {"dims": [1], "kind": "kraus", "kraus": ms},
+    "unitaries": lambda ms: {
+        "dims": [1], "kind": "named", "name": "random_unitary", "params": {"probs": [0.5, 0.25, 0.25], "unitaries": ms}
+    },
+    "a_unitaries": lambda ms: {
+        "dims": [1, 1],
+        "kind": "named",
+        "name": "sru",
+        "params": {"probs": [0.5, 0.25, 0.25], "a_unitaries": ms, "b_unitaries": json.loads(f"[{ONE}, {ONE}, {ONE}]")},
+    },
+    "b_unitaries": lambda ms: {
+        "dims": [1, 1],
+        "kind": "named",
+        "name": "sru",
+        "params": {"probs": [0.5, 0.25, 0.25], "a_unitaries": json.loads(f"[{ONE}, {ONE}, {ONE}]"), "b_unitaries": ms},
+    },
+}
+
+
+def matrix_by_matrix_error(spec):
+    """The refusal of ``spec`` with every list of matrices parsed one matrix at a time."""
+    array_check = cli._complex_array
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_complex_array", lambda obj, ndim: array_check(obj, ndim) if ndim == 2 else None)
+        with pytest.raises(SpecError) as exc:
+            parse_channel_spec(spec)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("field", LIST_FIELDS)
+@pytest.mark.parametrize("fault", MALFORMED_LISTS)
+def test_malformed_matrix_list_is_named_as_the_walk_names_it(field, fault):
+    mats = json.loads(MALFORMED_LISTS[fault])
+    spec = LIST_FIELDS[field](mats)
+    with pytest.raises(SpecError) as got:
+        parse_channel_spec(spec)
+    assert str(got.value) == matrix_by_matrix_error(spec)
+    where = field if field == "kraus" else f"params.{field}"
+    for i, m in enumerate(mats):  # a fault inside a matrix is the per-entry walk's
+        try:
+            per_entry_complex_matrix(m, f"{where}[{i}]")
+        except SpecError as ref:
+            assert str(got.value) == str(ref)
+            break
+    else:
+        assert fault == "two shapes"

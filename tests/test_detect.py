@@ -26,7 +26,7 @@ from chandet.detect import (
     robustness_bounds,
     stabilizer_witness,
 )
-from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, pauli_string
+from chandet.qmath import PAULI, _haar_stack, haar_unitary, kron, partial_trace, pauli_string
 from support import CNOT, max_entangled, product_overlap, random_separable_state, random_sru_channel
 from support import einsum_ascent, operator_schmidt_loop, reconstruct
 
@@ -285,6 +285,7 @@ class TestAlphaSruOptimize:
             raise AssertionError("no start may be drawn")
 
         assert MAX_START_WORK // (dims[0] * dims[1]) ** 3 == limit
+        detect._starts.cache_clear()  # a kept stack would be read without drawing
         monkeypatch.setattr(detect, "_haar_stack", no_starts)
         u = np.eye(dims[0] * dims[1])
         with pytest.raises(ValueError) as exc:
@@ -307,6 +308,39 @@ class TestAlphaSruOptimize:
         v1 = alpha_sru_optimize(Z3, (3, 3), starts=5, seed=11)[0]
         v2 = alpha_sru_optimize(Z3, (3, 3), starts=5, seed=11)[0]
         assert v1 == v2
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 18])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_kept_start_stack_is_the_draw(self, d, seed):
+        expected = _haar_stack(d, [np.random.default_rng([seed, k]) for k in range(5)])
+        detect._starts.cache_clear()
+        for _ in range(2):  # drawn, then kept
+            stack = detect._starts(d, 5, seed)
+            assert stack.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0.0
+        assert detect._starts.cache_info().hits == 1
+
+    @pytest.mark.parametrize(
+        "dims, u", [((3, 3), Z3), ((3, 3), HAAR9[0]), *HAAR_PAIRS[:2]], ids=["z3", "haar0", *PAIR_IDS[:2]]
+    )
+    def test_kept_starts_give_the_fresh_result(self, dims, u):
+        def drawn(seed):  # the ascent from a stack drawn for this call alone
+            val, ua, ub = _alternating_ascent(u, *dims, start_points(dims[1], 12, seed))
+            best = int(np.argmax(val))
+            return min(float(val[best]), 1.0), ua[best], ub[best]
+
+        def assert_same(got, ref):
+            assert got[0] == ref[0]
+            assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes()
+
+        ref = {seed: drawn(seed) for seed in (3, 4)}
+        for seed in (3, 4):
+            detect._starts.cache_clear()
+            assert_same(alpha_sru_optimize(u, dims, starts=12, seed=seed), ref[seed])  # fresh
+            assert_same(alpha_sru_optimize(u, dims, starts=12, seed=seed), ref[seed])  # kept
+        for seed in (3, 4, 4, 3):
+            assert_same(alpha_sru_optimize(u, dims, starts=12, seed=seed), ref[seed])
 
 
 class TestSruWitness:
