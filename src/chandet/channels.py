@@ -253,8 +253,11 @@ def random_unitary_channel(probs, unitaries, dims=None) -> Channel:
     us = [_check_unitary(u, f"unitaries[{k}]") for k, u in enumerate(unitaries)]
     if len(us) != p.size:
         raise ValueError(f"{p.size} probabilities but {len(us)} unitaries")
-    if dims is None:
-        dims = (us[0].shape[0],)
+    dims = _as_dims((us[0].shape[0],) if dims is None else dims)
+    shape = (math.prod(dims),) * 2
+    for k, u in enumerate(us):
+        if u.shape != shape:
+            raise ValueError(f"unitaries[{k}] has shape {u.shape}, expected {shape} for dims {dims}")
     return Channel([np.sqrt(pk) * u for pk, u in zip(p, us)], dims)
 
 

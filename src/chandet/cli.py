@@ -24,18 +24,19 @@ A report echoes its input specs under ``inputs`` by one rule, ``_echo``:
 every scalar field as it is, and each matrix or list of matrices (a kraus
 spec's ``kraus``, a param parsed by ``_complex_matrix`` or ``_matrix_list``) as
 its shape and the sha256 of its [re, im] nest's little-endian float64 bytes.
-One writer, ``_json``, writes a JSON report as json's indent=2 text and each
-field of a text report as json's one-line text. Every array of a report
+Both formats write every value but a dict through one writer, ``_line``, as
+json's own encoder writes it on one line: a JSON report indents its dicts two
+spaces a level, a text report has one line per field. Every array of a report
 reaches it as a float64 ndarray, a complex one as [re, im] pairs; a square one
 whose upper triangle is the conjugate of its lower one, bit for bit, is
 written with one repr per conjugate pair.
 
 Work that no request changes is done once per process, on first use, and
-nothing is built at import: ``main`` keeps one argument parser per command
-(and one for any other first argument), and the SRU optimizer keeps its last
-stack of Haar starts (``detect._starts``). Nothing that depends on a request's
-spec, matrices or target is kept. A list of matrices is converted in one
-array check, as one matrix is (``_complex_array``).
+nothing is built at import: ``main`` keeps one argument parser, the writer
+one encoder, and the SRU optimizer its last stack of Haar starts
+(``detect._starts``). Nothing that depends on a request's spec, matrices or
+target is kept. A list of matrices is converted in one array check, as one
+matrix is (``_complex_array``).
 
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,
@@ -53,7 +54,7 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -134,13 +135,14 @@ def _uniform(obj):
     The lists must be non-empty and of one shape; a leaf at the top gives the shape [].
     """
     shape, items = [], [obj]
-    while (types := set(map(type, items))) <= {list}:
+    # items is never empty, so neither is types
+    while (types := set(map(type, items))) and all(issubclass(t, list) for t in types):
         lengths = set(map(len, items))
         if len(lengths) != 1 or 0 in lengths:
             return None
         shape.append(lengths.pop())
         items = list(chain.from_iterable(items))
-    return (shape, items) if types <= {int, float} else None
+    return (shape, items) if all(issubclass(t, (int, float)) and t is not bool for t in types) else None
 
 
 def _complex_array(obj, ndim: int) -> np.ndarray | None:
@@ -162,22 +164,18 @@ def _complex_matrix(obj, where: str) -> np.ndarray:
     m = _complex_array(obj, 2)
     if m is not None:
         return m
-    # any other input, entry by entry, naming the first fault
+    # any other input is refused: entry by entry, naming the first fault
     if not isinstance(obj, list) or not obj:
         raise SpecError(f"{where} must be a non-empty nested list of [re, im] pairs")
-    rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or not row:
             raise SpecError(f"{where}[{i}] must be a non-empty list")
-        entries = []
         for j, pair in enumerate(row):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SpecError(f"{where}[{i}][{j}] must be an [re, im] pair of numbers")
-            entries.append(complex(*(_number(x, f"{where}[{i}][{j}]") for x in pair)))
-        rows.append(entries)
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise SpecError(f"{where} rows have unequal lengths")
-    return np.array(rows, dtype=complex)
+            for x in pair:
+                _number(x, f"{where}[{i}][{j}]")
+    raise SpecError(f"{where} rows have unequal lengths")
 
 
 def _matrix_list(obj, where: str) -> np.ndarray | list:
@@ -593,30 +591,17 @@ def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
 # rendering
 
 
-def _block(shape: tuple, strings, pad: str, out: list) -> None:
-    """Append to ``out`` a nested list of ``shape`` whose leaves are ``strings``, row-major; ``pad`` as in _json."""
-    k = len(shape)
-    comma = "," if pad else ", "
-    pads = [pad and pad + "  " * j for j in range(k + 1)]
-
-    def closes(r):  # end the r innermost lists
-        return "".join(pads[k - 1 - j] + "]" for j in range(r))
-
-    def opens(r):  # start r innermost lists, up to the first leaf
-        return "".join(pads[k - r + j] + "[" for j in range(r)) + pads[k]
-
-    # the separator between two neighbouring leaves ends and starts as many
-    # lists as there are trailing indices that wrap around between them
+def _block(shape: tuple, strings: list) -> str:
+    """json's one-line text of a nested list of ``shape`` whose leaves, row-major, are ``strings``."""
+    # between two neighbouring leaves, as many lists end and start as trailing indices wrap around
     seps = []
     for r, n in enumerate(reversed(shape)):
-        seps = (seps + [closes(r) + comma + opens(r)]) * n
+        seps = (seps + ["]" * r + ", " + "[" * r]) * n
         del seps[-1]
-    parts = [""] * (2 * len(seps) + 1)
+    parts = [""] * (2 * len(strings) - 1)
     parts[::2] = strings
     parts[1::2] = seps
-    out.append("[" + opens(k - 1))
-    out += parts
-    out.append(closes(k))
+    return "[" * len(shape) + "".join(parts) + "]" * len(shape)
 
 
 # XOR of the bits of an [re, im] entry with its conjugate's
@@ -646,57 +631,50 @@ def _conjugate_pair_strings(a: np.ndarray) -> list | None:
     return strings.ravel().tolist()
 
 
-def _items(pairs, brackets: str, pad: str, out: list) -> None:
-    """Append to ``out`` a list or object of (prefix, value) ``pairs``, ``pad`` as in :func:`_json`."""
-    inner = pad and pad + "  "
-    sep = brackets[0] + inner
-    for prefix, value in pairs:
-        out.append(sep + prefix)
-        _json(value, inner, out)
-        sep = ("," if pad else ", ") + inner
-    out.append(pad + brackets[1])
+@functools.cache
+def _encoder() -> Callable[[object], str]:
+    """json's one-line writer, ``allow_nan=False``, an ndarray as its ``tolist()``; built on first use and kept.
 
-
-def _json(o, pad: str, out: list) -> None:
-    """Append to ``out`` the text of ``json.dumps(o, allow_nan=False)``, raising its errors.
-
-    ``pad`` is a line break and the indent of ``o``'s level (a bare line break
-    at the top) for the text of ``indent=2``, or ``""`` for json's one-line
-    form. ``o`` has str keys. A float64 ndarray (written as its ``tolist()``)
-    is one run of leaf strings; every other value recurses as json's does.
+    Its C encoder where the interpreter has one, kept with no circular-reference
+    memo, which a raised error would leave holding stale ids.
     """
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        out.append(float.__repr__(o))
-    elif isinstance(o, np.ndarray):
-        if o.dtype != np.float64 or o.ndim == 0 or o.size == 0 or not np.isfinite(o).all():
-            _json(o.tolist(), pad, out)  # the nest's text, or its error
-        else:
-            strings = _conjugate_pair_strings(o) or map(float.__repr__, o.ravel().tolist())
-            _block(o.shape, strings, pad, out)
-    elif isinstance(o, (list, tuple)):
-        if o:
-            _items((("", v) for v in o), "[]", pad, out)
-        else:
-            out.append("[]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-        else:
-            _items(((encode_basestring_ascii(k) + ": ", v) for k, v in o.items()), "{}", pad, out)
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if c_make_encoder is None:
+        return json.JSONEncoder(allow_nan=False, default=np.ndarray.tolist).encode
+    encode = c_make_encoder(None, np.ndarray.tolist, encode_basestring_ascii, None, ": ", ", ", False, False, False)
+    return lambda o: "".join(encode(o, 0))
+
+
+def _line(o) -> str:
+    """The text of ``json.dumps(o, allow_nan=False)``, raising its errors.
+
+    A float64 ndarray whose upper triangle mirrors its lower one takes one repr
+    per conjugate pair. A non-finite float is refused by a ValueError that names
+    it, as json's Python encoder names it.
+    """
+    if isinstance(o, np.ndarray) and o.size and o.dtype == np.float64 and np.isfinite(o).all():
+        strings = _conjugate_pair_strings(o)
+        if strings is not None:
+            return _block(o.shape, strings)
+    try:
+        return _encoder()(o)
+    except ValueError:
+        # the C encoder names no value; json's Python encoder raises again, naming the first non-finite float
+        "".join(json.JSONEncoder(allow_nan=False, default=np.ndarray.tolist).iterencode(o))
+        raise
+
+
+def _indented(o, pad: str, out: list) -> None:
+    """Append to ``out`` the text of ``o``: a non-empty dict one key a line at ``pad`` + 2 spaces, else one _line."""
+    if not isinstance(o, dict) or not o:
+        out.append(_line(o))
+        return
+    inner = pad + "  "
+    sep = "{" + inner
+    for key, val in o.items():
+        out.append(sep + encode_basestring_ascii(key) + ": ")
+        _indented(val, inner, out)
+        sep = "," + inner
+    out.append(pad + "}")
 
 
 def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str:
@@ -708,16 +686,12 @@ def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str
         raise SpecError(f"unknown format {fmt!r}")
 
     def show(val):
-        if isinstance(val, str):
-            return val
-        out = []
-        _json(val, "", out)
-        return "".join(out)
+        return val if isinstance(val, str) else _line(val)
 
     try:
         if fmt == "json":
             out = []
-            _json(payload, "\n", out)
+            _indented(payload, "\n", out)
             out.append("\n")
             return "".join(out)
         lines = [f"pipeline: {payload['pipeline']}"]
@@ -743,22 +717,14 @@ def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str
 # entry point
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; given a known ``command``, only its subparser is built.
-
-    Every message and help text reads the same either way. ``main`` passes its
-    first argument, so ``chandet -h`` and an unknown command get every subparser.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh argument parser of every command."""
     parser = argparse.ArgumentParser(
         prog="chandet",
         description="Detect properties of quantum channels via Choi-state witnesses.",
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # with one subparser built, the metavar keeps every command in the usage line
-    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        cmd = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--channel", required=True, help="path to a channel-spec JSON file")
         p.add_argument("--shots", type=int, default=None, help="shots per measurement setting")
@@ -773,9 +739,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """``build_parser(command)``, built on first use and kept; ``main`` keys it by a known command or None."""
-    return build_parser(command)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and kept for every later ``main``."""
+    return build_parser()
 
 
 def _options_from_args(args) -> PipelineOptions:
@@ -805,8 +771,7 @@ def _options_from_args(args) -> PipelineOptions:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         options = _options_from_args(args)
         spec = _read_spec_file(args.channel)

@@ -1045,16 +1045,16 @@ class TestEcho:
 
 class TestEntryPoint:
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_one_subparser_reads_as_all_of_them(self, capsys, command):
-        # main builds only the subparser of the command it is given, on its first call, and keeps it
+    def test_kept_parser_reads_as_a_fresh_one(self, capsys, command):
+        # main builds the parser on its first call and keeps it
         cli._parser.cache_clear()
         for tail in (["--help"], [], ["--channel", "x", "--format", "xml"], ["--channel", "x", "--bogus"]):
             outcomes = []
-            for parse in (build_parser().parse_args, build_parser(command).parse_args, main, main):
+            for parse in (build_parser().parse_args, main, main):
                 with pytest.raises(SystemExit) as exc:
                     parse([command, *tail])
                 outcomes.append((exc.value.code, *capsys.readouterr()))
-            assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+            assert outcomes[0] == outcomes[1] == outcomes[2]
         assert cli._parser.cache_info().currsize == 1
 
     def test_unknown_commands_share_one_parser(self, capsys):
@@ -1067,7 +1067,7 @@ class TestEntryPoint:
                 main([f"no-such-command-{i}", "--channel", "x"])
             assert exc.value.code == EXIT_INPUT_ERROR
         capsys.readouterr()
-        assert cli._parser.cache_info().currsize == len(COMMANDS) + 1
+        assert cli._parser.cache_info().currsize == 1
 
     def test_import_builds_nothing(self):
         import subprocess
@@ -1075,10 +1075,10 @@ class TestEntryPoint:
 
         probe = (
             "import sys, chandet.cli as c; d = sys.modules['chandet.detect']; "
-            "print(c._parser.cache_info().currsize, d._starts.cache_info().currsize)"
+            "print(c._parser.cache_info().currsize, d._starts.cache_info().currsize, c._encoder.cache_info().currsize)"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0\n", "")
 
     def test_module_invocation(self, tmp_path):
         import subprocess

@@ -1,12 +1,14 @@
 """The CLI's whole-array paths against their per-entry references.
 
-``render_report`` writes every value through one writer, a float64 ndarray
-as one run of leaf strings; it must give exactly the text of
-``json.dumps(indent=2, allow_nan=False)`` of the value (of the array's
-``tolist()``) in the JSON format, that of ``json.dumps(allow_nan=False)`` in
-the text format, and raise a ValueError where they do. A square [re, im]
-block whose upper triangle mirrors its lower one bit for bit takes one repr
-per conjugate pair, in both formats.
+``render_report`` writes every value through one writer. A JSON report
+indents its dicts by two spaces a level and writes every other value, every
+list and array included, on its key's line; read back with ``json.load`` it
+must be the value of ``json.dumps(value)`` (of an array's ``tolist()``),
+signed zeros included. A text report writes each field as
+``json.dumps(allow_nan=False)`` does, byte for byte. Both raise a ValueError
+where json does, naming the first non-finite float as json's Python encoder
+names it. A square [re, im] block whose upper triangle mirrors its lower one
+bit for bit takes one repr per conjugate pair, in both formats.
 
 ``_complex_matrix`` accepts a well-formed matrix through one array check; it
 must return exactly the array of the per-entry walk below (the parser as it
@@ -107,21 +109,61 @@ def json_values(floats):
     )
 
 
-def reference_text(value):
-    """``json.dumps(indent=2)`` as ``render_report`` prints it, or the ValueError's text."""
-    try:
-        return json.dumps(value, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        return ValueError, str(exc)
+def first_non_finite(value):
+    """The first float of ``value``, in json's order, that is not finite; None if there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else value
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else ()
+    return next((x for x in map(first_non_finite, items) if x is not None), None)
 
 
-def rendered_text(value):
+def reference_value(value):
+    """``json.loads(json.dumps(value))``, or json's ValueError and the text that names the first non-finite float."""
     try:
-        return render_report(value)
+        return json.loads(json.dumps(value, allow_nan=False))
+    except ValueError:
+        return ValueError, f"Out of range float values are not JSON compliant: {first_non_finite(value)!r}"
+
+
+def assert_layout(text):
+    """A non-empty dict one key a line, two spaces deeper a level; any other value whole on its key's line."""
+    decode = json.JSONDecoder().raw_decode
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    depth = 0
+    for line in lines:
+        body = line.lstrip(" ")
+        if body.startswith("}"):
+            depth -= 1
+            assert body in ("}", "},") and line == "  " * depth + body
+            continue
+        assert line == "  " * depth + body
+        if depth:
+            key, end = decode(body)
+            assert isinstance(key, str) and body[end : end + 2] == ": "
+            body = body[end + 2 :]
+        if body == "{":
+            depth += 1
+        else:
+            json.loads(body.removesuffix(","))  # the whole value on this one line
+    assert depth == 0
+
+
+def rendered_value(value):
+    """``json.loads`` of the JSON report of ``value``, its layout checked, or the writer's error and its text."""
+    try:
+        text = render_report(value)
     except ValidationError as exc:
         # the writer's ValueError, raised as a numerical failure
         assert str(exc) == f"report holds a non-finite number: {exc.__cause__}"
         return type(exc.__cause__), str(exc.__cause__)
+    assert_layout(text)
+    return json.loads(text)
+
+
+def assert_same_value(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # == takes -0.0 for 0.0
 
 
 def reference_line(value):
@@ -147,7 +189,7 @@ def rendered_line(value):
 @example([[[-0.0, 5e-324], [1.7e308, 0.0]]])
 @example({"matrix": [[np.float64(1.5)]], "empty": [[], {}], "tuple": (1.0, (2.0,)), "mixed": [1, 1.0, True]})
 def test_writer_matches_json_dumps(value):
-    assert rendered_text(value) == reference_text(value)
+    assert_same_value(rendered_value(value), reference_value(value))
     assert rendered_line(value) == reference_line(value)
 
 
@@ -156,7 +198,7 @@ def test_writer_matches_json_dumps(value):
 @example([[0.5, math.nan], [math.inf, 1.0]])
 @example({"a": [1.0, np.float64("-inf")], "b": math.nan})
 def test_writer_raises_what_json_dumps_raises(value):
-    assert rendered_text(value) == reference_text(value)
+    assert_same_value(rendered_value(value), reference_value(value))
     assert rendered_line(value) == reference_line(value)
 
 
@@ -164,6 +206,14 @@ def test_writer_error_names_the_first_non_finite_float():
     with pytest.raises(ValidationError) as exc:
         render_report({"results": {"matrix": [[0.0, 1.0], [np.float64("nan"), math.inf]]}})
     assert str(exc.value.__cause__) == "Out of range float values are not JSON compliant: np.float64(nan)"
+
+
+def test_a_refused_report_leaves_its_lists_writable():
+    payload = {"results": {"rows": [[0.5, math.nan]]}}
+    with pytest.raises(ValidationError):
+        render_report(payload)
+    payload["results"]["rows"][0][1] = 1.5  # the same lists, now finite
+    assert json.loads(render_report(payload)) == {"results": {"rows": [[0.5, 1.5]]}}
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +234,7 @@ def both_formats(block):
 
 def assert_renders_as_its_list(block):
     assert both_formats(block) == both_formats(block.tolist())
-    assert rendered_text(block) == reference_text(block.tolist())
+    assert_same_value(rendered_value(block), reference_value(block.tolist()))
 
 
 ARRAY_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7e308, 1 / 3, -2.0]
@@ -233,6 +283,33 @@ def test_text_choi_report_writes_each_conjugate_pair_once(monkeypatch):
     assert f"  matrix: {json.dumps(results['matrix'].tolist())}" in lines
 
 
+@pytest.mark.parametrize("command", ["choi", "schmidt", "decompose-witness", "detect-sep"])
+def test_json_report_writes_each_list_on_one_line(command):
+    cnot = parse_channel_spec({"dims": [2, 2], "kind": "named", "name": "cnot"})
+    channel = random_channel([2, 2], 11, kraus_count=16) if command == "choi" else cnot
+    results = cli._run(command, channel, cli.PipelineOptions())
+    payload = {"pipeline": command, "inputs": {"channel": {"dims": [2, 2]}, "options": {}}, "results": results}
+    text = render_report(payload)
+    assert_layout(text)
+    lines = [line.removesuffix(",") for line in text.split("\n")]
+    listed = [key for key, val in results.items() if isinstance(val, (list, tuple, np.ndarray))]
+    assert listed
+    for key in listed:
+        assert f'    "{key}": {json.dumps(results[key], default=np.ndarray.tolist)}' in lines
+
+
+def test_writer_without_the_c_encoder_writes_the_same(monkeypatch):
+    results = cli._run_choi(random_channel([3], 12, kraus_count=9), cli.PipelineOptions())
+    payloads = [{"results": results}, {"results": {**results, "trace": math.inf}}, [np.float64("nan")]]
+    texts = [both_formats(p) for p in payloads]
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    cli._encoder.cache_clear()
+    try:
+        assert [both_formats(p) for p in payloads] == texts
+    finally:
+        cli._encoder.cache_clear()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(hermitian_blocks(edge_or_plain, min_n=2), st.data())
 def test_one_bit_of_asymmetry_falls_back(block, data):
@@ -269,6 +346,7 @@ def test_zeros_of_one_sign_on_both_sides_fall_back():
         np.array(2.5),
         np.zeros((0, 2)),
         np.zeros((2, 0)),
+        np.zeros((0, 0, 2)),
     ],
     ids=lambda b: f"{b.dtype}{list(b.shape)}",
 )
@@ -281,7 +359,7 @@ def test_other_blocks_write_their_lists(block):
 def test_non_finite_entry_raises_what_json_dumps_raises(bad, where):
     block = cli._pairs(random_channel([3], 2, kraus_count=1).choi.matrix[:3, :3])
     block[where] = bad
-    assert rendered_text(block)[0] is ValueError
+    assert rendered_value(block)[0] is ValueError
     assert_renders_as_its_list(block)
 
 
@@ -304,6 +382,15 @@ def test_valid_matrix_matches_the_walk_bitwise(rows, cols, data):
         mp.setattr(cli, "_number", None)  # the whole-array path reads no entry on its own
         got = cli._complex_matrix(obj, "m")
     assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_number_subclass_entries_take_the_array_check():
+    obj = [[[np.float64(0.5), 1], [np.float64(-0.0), 2.5]]]
+    ref = per_entry_complex_matrix(obj, "m")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_number", None)
+        got = cli._complex_matrix(obj, "m")
     assert got.tobytes() == ref.tobytes()
 
 
@@ -456,3 +543,5 @@ def test_malformed_matrix_list_is_named_as_the_walk_names_it(field, fault):
             break
     else:
         assert fault == "two shapes"
+        if field == "unitaries":  # the field the spec has, not the Kraus operators built from it
+            assert str(got.value).startswith("unitaries[1] has shape (2, 2)")
