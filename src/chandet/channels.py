@@ -184,15 +184,16 @@ def unitary_channel(u: np.ndarray, dims=None) -> Channel:
 
 
 def _weyl_operators(d: int):
-    """Shift/clock products X^a Z^b for a, b in 0..d-1, excluding the identity, one at a time."""
-    omega = np.exp(2j * np.pi / d)
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    clock = np.diag(omega ** np.arange(d))
+    """X^a Z^b for a, b in 0..d-1, not both 0, one at a time: omega^(b j) at row (j + a) mod d, column j."""
+    j = np.arange(d)
+    roots = np.exp(2j * np.pi * j / d)
     for a in range(d):
         for b in range(d):
             if a == 0 and b == 0:
                 continue
-            yield np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            op = np.zeros((d, d), dtype=complex)
+            op[(j + a) % d, j] = roots[b * j % d]
+            yield op
 
 
 def depolarizing_channel(p: float, d: int = 2) -> Channel:

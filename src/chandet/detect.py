@@ -24,8 +24,9 @@ from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermi
 from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
-# Most starts * D^3 (D = d_A d_B) of one optimizer run: 10 000 starts on [3, 3], 156 on [6, 6] or [2, 18].
-MAX_START_WORK = 10_000 * 9**3
+# Most starts * (d_A^3 + d_B^3 + D^2) (D = d_A d_B; a sweep's two SVDs and its product) of one optimizer
+# run: 8 246 starts on [3, 3], 644 on [6, 6], 156 on [2, 18].
+MAX_START_WORK = 156 * (2**3 + 18**3 + 36**2)
 
 # Stabilizer generators of the CNOT Choi state, qubits ordered (A_out, B_out, A_in, B_in).
 CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
@@ -182,7 +183,7 @@ def _starts(db: int, starts: int, seed: int) -> np.ndarray:
 
     The last stack is kept, so back-to-back runs with one seed and start count
     draw it once. It takes starts * db^2 * 16 bytes, which the work bound keeps
-    at or below 7.3 MB (on [2, 2]; 1.44 MB for 10 000 starts on [3, 3]).
+    at or below 2.3 MB (on [2, 3]; 1.19 MB for 8 246 starts on [3, 3]).
     """
     return _frozen(_haar_stack(db, [np.random.default_rng([seed, k]) for k in range(starts)]))
 
@@ -192,7 +193,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
 
     Climbs from ``starts`` Haar-random initial points (start k drawn from the
     stream ``[seed, k]``), all in one batched ascent, and keeps the first best.
-    Returns ``(alpha_sru, ua, ub)``; refuses ``starts * D^3 > MAX_START_WORK`` first.
+    Returns ``(alpha_sru, ua, ub)``; refuses ``starts * (d_A^3 + d_B^3 + D^2) > MAX_START_WORK`` first.
     The stack of starts depends on ``(d_B, starts, seed)`` alone, and the last
     one drawn is kept for the next call (``_starts``).
     """
@@ -201,7 +202,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     u = _check_unitary(u, "target unitary")
     if u.shape[0] != da * db:
         raise ValueError(f"unitary side {u.shape[0]} does not match dims {dims}")
-    limit = MAX_START_WORK // (da * db) ** 3
+    limit = MAX_START_WORK // (da**3 + db**3 + (da * db) ** 2)
     if not 1 <= starts <= limit:
         raise ValueError(f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {starts}")
     val, ua, ub = _alternating_ascent(u, da, db, _starts(db, int(starts), int(seed)))

@@ -117,25 +117,17 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     m_of_id = partial_trace(ch.choi.matrix, ch.choi.dims, keep=(0, 1))
     unital = float(np.max(np.abs(dim * m_of_id - np.eye(dim)))) <= ATOL
     p = spa_noise_weight(ch.dims)
-    threshold = p / dim**2 if unital else 0.0
     lam, vector, degenerate = _negative_eigenpair(*np.linalg.eigh(choi_mt.matrix))
+    # the facts both exits report, stated once
+    facts = dict(
+        lambda_minus=lam, noise_p=p, unital=unital, threshold=p / dim**2 if unital else 0.0, degenerate=degenerate
+    )
 
     note = None
     if witness is None:
         if lam >= -ATOL:
-            return NptReport(
-                lambda_minus=lam,
-                expectation=None,
-                noise_p=p,
-                threshold=threshold,
-                unital=unital,
-                verdict=NOT_DETECTED,
-                degenerate=degenerate,
-                note=(
-                    "transpose-conjugated Choi matrix is positive (min eigenvalue >= "
-                    f"-{ATOL:g}); witness unavailable"
-                ),
-            )
+            note = f"transpose-conjugated Choi matrix is positive (min eigenvalue >= -{ATOL:g}); witness unavailable"
+            return NptReport(**facts, expectation=None, verdict=NOT_DETECTED, note=note)
         # the partial transpose acts on the first output qudit of the Choi space
         op = partial_transpose(np.outer(vector, vector.conj()), choi_mt.dims, 0)
         witness = Witness(operator=(op + op.conj().T) / 2, kind="ppt", dims=choi_mt.dims)
@@ -159,22 +151,15 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     term_noise_m = float(np.einsum("ij,ji->", proj_out, m_of_id).real) / dim
     split = (1.0 - p) * term_transpose + p * term_noise_mt
     if not abs(expectation - split) <= ATOL:
-        raise ValidationError(
-            f"two-term split {split!r} disagrees with direct expectation {expectation!r}"
-        )
+        raise ValidationError(f"two-term split {split!r} disagrees with direct expectation {expectation!r}")
 
-    verdict = NPT_DETECTED if below_threshold(expectation, threshold) else NOT_DETECTED
     return NptReport(
-        lambda_minus=lam,
+        **facts,
         expectation=expectation,
-        noise_p=p,
-        threshold=threshold,
-        unital=unital,
-        verdict=verdict,
+        verdict=NPT_DETECTED if below_threshold(expectation, facts["threshold"]) else NOT_DETECTED,
         term_transpose=term_transpose,
         term_noise_mt=term_noise_mt,
         term_noise_m=term_noise_m,
-        degenerate=degenerate,
         note=note,
         witness=witness,
         composite=choi_comp,

@@ -112,6 +112,19 @@ def einsum_ascent(u, da, db, ub0, record=None):
     return val, ua, ub
 
 
+def weyl_operators_matrix_power(d: int) -> list:
+    """Reference for ``channels._weyl_operators``: each X^a Z^b as a product of two ``matrix_power`` calls."""
+    omega = np.exp(2j * np.pi / d)
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(omega ** np.arange(d))
+    return [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(d)
+        for b in range(d)
+        if (a, b) != (0, 0)
+    ]
+
+
 def matrix_to_pairs(m) -> list:
     """The [re, im] nest of complex ``m``, as a channel spec gives a matrix."""
     m = np.asarray(m, dtype=complex)

@@ -5,6 +5,7 @@ from chandet.channels import (
     ATOL,
     Channel,
     ValidationError,
+    _weyl_operators,
     cnot_channel,
     depolarizing_channel,
     fully_depolarizing_channel,
@@ -19,6 +20,7 @@ from chandet.pptdetect import ppt_conjugate
 from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, partial_transpose
 from support import CNOT, apply, choi_of_superoperator, is_unital, kraus_from_choi, kraus_to_choi_loop, max_entangled
 from support import permute_subsystems, random_channel, random_density_matrix, random_sru_channel, superoperator
+from support import weyl_operators_matrix_power
 
 I2, X, Y, Z = PAULI["I"], PAULI["X"], PAULI["Y"], PAULI["Z"]
 
@@ -155,6 +157,14 @@ class TestChoi:
         bell = np.outer(phi, phi.conj())
         expected = (1 - p) * bell + p / (d * d - 1) * (np.eye(d * d) - bell)
         np.testing.assert_allclose(depolarizing_channel(p, d).choi.matrix, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_weyl_operators_match_the_matrix_power_products(self, d):
+        got = list(_weyl_operators(d))
+        ref = weyl_operators_matrix_power(d)
+        assert len(got) == len(ref) == d * d - 1
+        for op, want in zip(got, ref):  # the same (a, b) order
+            np.testing.assert_allclose(op, want, rtol=0, atol=1e-14)
 
     def test_construction_holds_no_full_size_copy(self):
         # the Choi product is divided in place and frozen without a copy; the

@@ -204,12 +204,12 @@ class TestSpecParsing:
         detect._starts.cache_clear()  # a kept stack would be read without drawing
         monkeypatch.setattr(detect, "_haar_stack", no_optimizer)
         path = write_spec(tmp_path, "z3.json", Z3_SPEC)
-        code, out, err = run(capsys, "detect-sep", "--channel", path, "--starts", "10001")
+        code, out, err = run(capsys, "detect-sep", "--channel", path, "--starts", "8247")
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert err == "input error: detect-sep: starts must be >= 1 and at most 10000 on dims [3, 3], got 10001\n"
+        assert err == "input error: detect-sep: starts must be >= 1 and at most 8246 on dims [3, 3], got 8247\n"
         # the bound is on the optimizer's work, and two-qubit gates take sigma_1 without it
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
-        assert run_json(capsys, "detect-sep", "--channel", path, "--starts", "10001")["results"]["verdict"]
+        assert run_json(capsys, "detect-sep", "--channel", path, "--starts", "8247")["results"]["verdict"]
 
     def test_shots_bound(self, tmp_path, capsys):
         # the sampler draws int64 multinomial counts; a larger --shots used to escape as OverflowError

@@ -11,7 +11,6 @@ from chandet.channels import (
 )
 from chandet import detect
 from chandet.detect import (
-    MAX_START_WORK,
     MAX_SWEEPS,
     SWEEP_TOL,
     Verdict,
@@ -279,18 +278,23 @@ class TestAlphaSruOptimize:
         with pytest.raises(ValidationError):
             alpha_sru_optimize(np.diag([1.0, 1.0, 1.0, 0.5]), (2, 2))
 
-    @pytest.mark.parametrize("dims, limit", [((3, 3), 10_000), ((6, 6), 156), ((2, 18), 156)])
+    @pytest.mark.parametrize("dims, limit", [((3, 3), 8_246), ((6, 6), 644), ((2, 18), 156), ((2, 3), 15_679)])
     def test_starts_budget_refuses_before_any_start_is_drawn(self, monkeypatch, dims, limit):
         def no_starts(*args, **kwargs):
             raise AssertionError("no start may be drawn")
 
-        assert MAX_START_WORK // (dims[0] * dims[1]) ** 3 == limit
         detect._starts.cache_clear()  # a kept stack would be read without drawing
         monkeypatch.setattr(detect, "_haar_stack", no_starts)
         u = np.eye(dims[0] * dims[1])
         with pytest.raises(ValueError) as exc:
             alpha_sru_optimize(u, dims, starts=limit + 1)
         assert str(exc.value) == f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {limit + 1}"
+        # the limit itself is admitted: identity starts and one sweep stand in for the draw and the climb
+        drawn = []
+        monkeypatch.setattr(detect, "_starts", lambda db, n, seed: drawn.append(n) or np.stack([np.eye(db)] * n))
+        monkeypatch.setattr(detect, "_alternating_ascent", lambda u, da, db, ub0: (np.ones(len(ub0)), ub0, ub0))
+        assert alpha_sru_optimize(u, dims, starts=limit)[0] == 1.0
+        assert drawn == [limit]
 
     def test_default_starts_run_on_the_largest_dims(self, monkeypatch):
         climbed = []

@@ -289,6 +289,17 @@ class TestDetectNpt:
             rep = detect_npt(ch, witness=w)
             assert rep.expectation >= -1e-10
 
+    def test_both_exits_report_the_same_shared_facts(self):
+        # the PPT exit and the measured exit take lambda_-, p, unital, the threshold and degenerate from one statement
+        ch = random_sru_channel((2, 2), seed=3)
+        ppt = detect_npt(ch)
+        measured = detect_npt(ch, witness=detect_npt(cnot_channel()).witness)
+        assert ppt.expectation is None and measured.expectation is not None
+        assert ppt.unital and ppt.threshold > 0.0
+        for field in ("lambda_minus", "noise_p", "unital", "threshold", "degenerate"):
+            got, want = getattr(measured, field), getattr(ppt, field)
+            assert type(got) is type(want) and repr(got) == repr(want), field  # float repr round-trips every bit
+
     def test_external_witness_dims_checked(self):
         w = detect_npt(cnot_channel()).witness
         from chandet.channels import z3_channel
