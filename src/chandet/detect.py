@@ -25,7 +25,8 @@ from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
 # Most starts * (d_A^3 + d_B^3 + D^2) (D = d_A d_B; a sweep's two SVDs and its product) of one optimizer
-# run: 8 246 starts on [3, 3], 644 on [6, 6], 156 on [2, 18].
+# run: 8 246 starts on [3, 3], 644 on [6, 6], 156 on [2, 18]. It prices the climb, not the draw: each start's
+# own default_rng([seed, k]) takes about 20 us, 0.7-0.8 s of a 3.5-4.2 s run on [2, 2] at its 34 788-start limit.
 MAX_START_WORK = 156 * (2**3 + 18**3 + 36**2)
 
 # Stabilizer generators of the CNOT Choi state, qubits ordered (A_out, B_out, A_in, B_in).
@@ -183,7 +184,10 @@ def _starts(db: int, starts: int, seed: int) -> np.ndarray:
 
     The last stack is kept, so back-to-back runs with one seed and start count
     draw it once. It takes starts * db^2 * 16 bytes, which the work bound keeps
-    at or below 2.3 MB (on [2, 3]; 1.19 MB for 8 246 starts on [3, 3]).
+    at or below 2.3 MB (on [2, 3]; 1.19 MB for 8 246 starts on [3, 3]). The
+    bound does not price the draw: one ``default_rng([seed, k])`` per start,
+    about 20 us each, is 0.7-0.8 s of a 3.5-4.2 s run on [2, 2] at its limit of
+    34 788 starts.
     """
     return _frozen(_haar_stack(db, [np.random.default_rng([seed, k]) for k in range(starts)]))
 

@@ -14,14 +14,20 @@ first use, by :func:`_pauli_tables`: the gather tables (a Pauli string has one
 nonzero entry per row, so every coefficient is read off one gather of the
 operator), the product eigenbases of all 3^n settings and the
 ``[outcome, code]`` sign table, read-only and 0.5 MB for n = 1..4 together.
-Setting k draws its counts from the stream ``[seed, k]``, one einsum gives the
-Born probabilities of every setting, and one pass over ``[setting, outcome]``
-arrays forms the estimate, each setting's terms padded to the widest with a
-zero term and every sum running left to right. So each number is bitwise the
-one of a dense ``Tr[P W]``, a per-setting ``kron`` basis and a loop over
-settings, outcomes and terms. Both entry points first apply the layer's one
-limit, :func:`_require_measurable` (at most ``MAX_QUBITS`` qubits: the Choi
-states of channels on [2] or [2, 2]); no table is built before it refuses.
+One batched product over the gathered bases gives the Born probabilities of
+every setting, each row bitwise the product on its setting alone and every
+probability <= ``ZERO_CUTOFF`` exactly 0. Setting k draws its counts from the
+stream ``[seed, k]``, and one pass over ``[setting, outcome]`` arrays forms the
+estimate, each setting's terms padded to the widest with a zero term and every
+sum running left to right. So each number is bitwise the one of a dense
+``Tr[P W]``, the same product on a per-setting ``kron`` basis and a loop over
+settings, outcomes and terms. A probability lies within 8 eps of the former
+three-operand einsum but follows the BLAS build, and one ulp can move a
+BTPE binomial draw (p = 1/18 on the CNOT NPT composite, setting YYXZ, 1 000
+shots, seed 1), so counts may differ between BLAS builds. Both entry points
+first apply the layer's one limit, :func:`_require_measurable` (at most
+``MAX_QUBITS`` qubits: the Choi states of channels on [2] or [2, 2]); no table
+is built before it refuses.
 """
 
 import functools
@@ -256,16 +262,24 @@ def group_settings(terms) -> list[MeasurementSetting]:
 def _setting_probabilities(state: np.ndarray, bases) -> np.ndarray:
     """Born probabilities of the 2^n product-basis outcomes of each setting, outcome bit 0 <-> +1.
 
-    Row k belongs to ``bases[k]``, a setting's packed code. One einsum covers
-    every setting; its per-setting summation order is that of the
-    single-setting contraction, so an outcome the state cannot produce keeps
-    probability exactly 0.
+    Row k belongs to ``bases[k]``, a setting's packed code, and outcome j is
+    ``sum_i conj(b[i, j]) (state @ b)[i, j]`` on its basis b. One batched
+    product covers every setting, and row k is bitwise the product on
+    ``bases[k:k+1]`` alone, so a setting's counts do not depend on which other
+    settings a witness needs. Every probability <= ``ZERO_CUTOFF`` is set to 0,
+    so an outcome the state cannot produce is exactly 0 whatever the summation
+    order. Each probability lies within 8 eps of the former three-operand
+    einsum (1.5 eps at worst over 300 random states of ranks 1 to 16) but
+    follows the BLAS build, and numpy's BTPE binomial takes floor((n + 1) p),
+    so one ulp of a small-denominator rational p can move a count.
     """
     n = state.shape[0].bit_length() - 1
     tables = _pauli_tables(n)
-    b = tables.bases[tables.setting_row[bases]]
-    probs = np.real(np.einsum("sij,jk,ski->si", b.conj().transpose(0, 2, 1), state, b))
-    probs = np.clip(probs, 0.0, None)
+    b = tables.bases[tables.setting_row[bases]]  # a fresh gather: the tables stay read-only
+    m = state @ b
+    m *= np.conjugate(b, out=b)  # in place: two (settings, 2^n, 2^n) arrays live, not four
+    probs = m.sum(axis=1).real
+    probs[probs <= ZERO_CUTOFF] = 0.0
     totals = probs.sum(axis=1)
     bad = np.flatnonzero(np.abs(totals - 1.0) > STATE_ATOL)
     if bad.size:

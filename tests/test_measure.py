@@ -1,13 +1,14 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chandet.channels import STATE_ATOL, Channel, cnot_channel, depolarizing_channel
+from chandet.channels import STATE_ATOL, ZERO_CUTOFF, Channel, cnot_channel, depolarizing_channel
 from chandet.detect import Witness, build_sru_witness, eb_witness, evaluate_witness, stabilizer_witness
 from chandet.measure import (
     MeasurementSetting,
@@ -337,7 +338,8 @@ class TestEstimateWitness:
 # ---------------------------------------------------------------------------
 # Reference copies of the dense measurement layer that the tabulated one
 # replaced: one kron per Pauli string, a character-wise greedy grouping and one
-# kron basis per setting. The fast layer must agree with them bit for bit,
+# kron basis per setting, whose probabilities are the single-setting form of the
+# package's product formula. The fast layer must agree with them bit for bit,
 # because the probabilities seed multinomial streams and the reports print
 # every digit.
 
@@ -392,10 +394,17 @@ def greedy_group(terms):
 
 def kron_probabilities(state, bases):
     b = kron(*(EIGENBASIS[ch] for ch in bases))
-    probs = np.clip(np.real(np.einsum("ij,jk,ki->i", b.conj().T, state, b)), 0.0, None)
+    probs = ((state @ b) * b.conj()).sum(axis=0).real
+    probs[probs <= ZERO_CUTOFF] = 0.0
     total = float(probs.sum())
     assert abs(total - 1.0) <= STATE_ATOL
     return probs / total
+
+
+def einsum_probabilities(state, strings):
+    """The three-operand einsum the batched product replaced, unclipped and unnormalized."""
+    b = np.stack([kron(*(EIGENBASIS[ch] for ch in s)) for s in strings])
+    return np.real(np.einsum("sij,jk,ski->si", b.conj().transpose(0, 2, 1), state, b))
 
 
 def dense_estimate(choi, w, shots, seed):
@@ -509,6 +518,19 @@ class TestMatchesDenseReference:
         if name in ("cnot", "bit-flipped-cnot"):
             assert np.count_nonzero(expected == 0) > 0  # outcomes the state cannot produce
 
+    def test_probabilities_near_the_einsum(self):
+        # the einsum clipped at 0 and normalized, as the package took it:
+        # every probability within 8 eps of it, and the same outcomes exactly 0
+        states = [ch.choi.matrix for ch in QUBIT_PAIR_CHANNELS.values()]
+        states += [random_density_matrix(16, seed, rank=1 + seed % 16) for seed in range(50)]
+        bases = ["".join(p) for p in itertools.product("XYZ", repeat=4)]
+        for state in states:
+            old = np.clip(einsum_probabilities(state, bases), 0.0, None)
+            old /= old.sum(axis=1)[:, None]
+            probs = _setting_probabilities(state, _codes_of(bases)[0])
+            assert np.abs(probs - old).max() <= 8 * np.finfo(float).eps
+            assert np.array_equal(probs == 0, old == 0)
+
     @pytest.mark.parametrize(
         "name", ["cnot", "bit-flipped-cnot", "noisy-cnot", "haar-0", "kraus-rank-2", "kraus-rank-16"]
     )
@@ -553,3 +575,48 @@ class TestMatchesDenseReference:
         w = Witness(a + a.conj().T, "hermitian", (2, 2, 2, 2))
         choi = random_channel((2, 2), seed, kraus_count=kraus_count).choi
         assert_bitwise(estimate_witness(choi, w, shots, seed), dense_estimate(choi, w, shots, seed))
+
+
+class TestSettingProbabilities:
+    """The Born probabilities of a setting depend on the state and that setting alone."""
+
+    CODES = _codes_of(["".join(p) for p in itertools.product("XYZ", repeat=4)])[0]
+
+    @pytest.mark.parametrize("name", ["cnot", "noisy-cnot", "haar-1", "kraus-rank-16"])
+    def test_row_is_the_single_setting_product(self, name):
+        # a setting's counts must not depend on which other settings a witness needs
+        state = QUBIT_PAIR_CHANNELS[name].choi.matrix
+        rng = np.random.default_rng(0)
+        for size in (81, 40, 9, 2):
+            codes = rng.permutation(self.CODES)[:size]
+            probs = _setting_probabilities(state, codes)
+            for k in range(size):
+                assert probs[k].tobytes() == _setting_probabilities(state, codes[k : k + 1])[0].tobytes()
+
+    def test_outcome_below_the_cutoff_draws_no_counts(self):
+        # 1e-13 of I/16 gives each outcome the CNOT state cannot produce 6.25e-15 <= ZERO_CUTOFF
+        choi = cnot_channel().choi
+        mixed = replace(choi, matrix=(1 - 1e-13) * choi.matrix + 1e-13 * np.eye(16) / 16)
+        codes = _codes_of(sorted(W_CNOT_SETTINGS))[0]
+        probs = _setting_probabilities(mixed.matrix, codes)
+        assert np.array_equal(probs == 0, _setting_probabilities(choi.matrix, codes) == 0)
+        assert np.count_nonzero(probs == 0) > 0
+        exact = einsum_probabilities(mixed.matrix, sorted(W_CNOT_SETTINGS))
+        assert (0 < exact[probs == 0]).all() and (exact[probs == 0] <= ZERO_CUTOFF).all()
+        for seed in range(3):
+            est = estimate_witness(mixed, stabilizer_witness(), 10**12, seed)
+            assert est.std_error == 0.0  # every drawn parity is the stabilizer's
+
+    def test_peak_memory(self):
+        # the product and the bases it conjugates in place: two (81, 16, 16) complex arrays
+        import tracemalloc
+
+        state = QUBIT_PAIR_CHANNELS["haar-0"].choi.matrix
+        _setting_probabilities(state, self.CODES)  # the tables are built before tracing
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _setting_probabilities(state, self.CODES)
+            assert tracemalloc.get_traced_memory()[1] < 3 * 81 * 16 * 16 * 16
+        finally:
+            tracemalloc.stop()
