@@ -33,10 +33,11 @@ written with one repr per conjugate pair.
 
 Work that no request changes is done once per process, on first use, and
 nothing is built at import: ``main`` keeps one argument parser, the writer
-one encoder, and the SRU optimizer its last stack of Haar starts
-(``detect._starts``). Nothing that depends on a request's spec, matrices or
-target is kept. A list of matrices is converted in one array check, as one
-matrix is (``_complex_array``).
+one encoder, the SRU optimizer its last stack of Haar starts
+(``detect._starts``), and ``detect.stabilizer_witness`` its one witness.
+Nothing that depends on a request's spec, matrices or target is kept. A
+list of matrices is converted in one array check, as one matrix is
+(``_complex_array``).
 
 Reports go to stdout (JSON or text), diagnostics to stderr. Exit codes:
 0 = pipeline ran (the verdict is data, not an exit code), 2 = input error,

@@ -252,15 +252,17 @@ def eb_witness(dims=(2,)) -> Witness:
     return _fidelity_witness(np.eye(d), 1.0 / d, "eb", dims)
 
 
+@functools.cache
 def stabilizer_witness() -> Witness:
-    """Two-setting witness 3*Id - 2*(P1 P2 + P3 P4) of the CNOT Choi state.
+    """Two-setting witness 3*Id - 2*(P1 P2 + P3 P4) of the CNOT Choi state, built on the first call and kept.
 
     P_i = (Id + g_i)/2 for the i-th of ``CNOT_STABILIZER_GENERATORS``, four
-    commuting, independent generators of the stabilizer of that state.
+    commuting, independent generators of the stabilizer of that state. Every
+    call returns the one witness; its operator is read-only.
     """
     eye = np.eye(16)
     p = [(eye + pauli_string(g)) / 2 for g in CNOT_STABILIZER_GENERATORS]
-    return Witness(3 * eye - 2 * (p[0] @ p[1] + p[2] @ p[3]), "stabilizer", (2, 2, 2, 2))
+    return Witness(_frozen(3 * eye - 2 * (p[0] @ p[1] + p[2] @ p[3])), "stabilizer", (2, 2, 2, 2))
 
 
 def evaluate_witness(w: Witness, choi: ChoiMatrix) -> float:

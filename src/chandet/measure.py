@@ -16,16 +16,19 @@ operator), the product eigenbases of all 3^n settings and the
 ``[outcome, code]`` sign table, read-only and 0.5 MB for n = 1..4 together.
 One batched product over the gathered bases gives the Born probabilities of
 every setting, each row bitwise the product on its setting alone and every
-probability <= ``ZERO_CUTOFF`` exactly 0. Setting k draws its counts from the
-stream ``[seed, k]``, and one pass over ``[setting, outcome]`` arrays forms the
-estimate, each setting's terms padded to the widest with a zero term and every
-sum running left to right. So each number is bitwise the one of a dense
-``Tr[P W]``, the same product on a per-setting ``kron`` basis and a loop over
-settings, outcomes and terms. A probability lies within 8 eps of the former
-three-operand einsum but follows the BLAS build, and one ulp can move a
-BTPE binomial draw (p = 1/18 on the CNOT NPT composite, setting YYXZ, 1 000
-shots, seed 1), so counts may differ between BLAS builds. Both entry points
-first apply the layer's one limit, :func:`_require_measurable` (at most
+probability <= ``ZERO_CUTOFF`` exactly 0. One stream, ``default_rng(seed)``,
+draws the counts of every setting in setting order: setting k's are its k-th
+multinomial draw, and setting 0's are those the stream ``[seed, 0]`` drew
+(numpy pads the entropy with zeros). One pass over ``[setting, outcome]``
+arrays forms the estimate, each setting's terms padded to the widest with a
+zero term and every sum running left to right. So each number is bitwise the
+one of a dense ``Tr[P W]``, the same product on a per-setting ``kron`` basis
+and a loop over settings, outcomes and terms. A probability lies within 8 eps
+of the former three-operand einsum but follows the BLAS build, and one ulp can
+move a BTPE binomial draw (p = 1/18 on the CNOT NPT composite, setting YYXZ,
+1 000 shots, seed 1). A draw that moves in setting j can shift the counts of
+every later setting too, so counts may differ between BLAS builds. Both entry
+points first apply the layer's one limit, :func:`_require_measurable` (at most
 ``MAX_QUBITS`` qubits: the Choi states of channels on [2] or [2, 2]); no table
 is built before it refuses.
 """
@@ -41,7 +44,7 @@ from .detect import Witness
 
 # Most qubits of a measured operator: its tables, built once, take 0.46 MB at n = 4.
 MAX_QUBITS = 4
-# Most shots per setting: each setting's counts are drawn as one int64 multinomial.
+# Most shots per setting: every setting's counts are int64 multinomial draws of one stream.
 MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 _LETTERS = "IXYZ"  # a letter's index is its 2-bit code; I is 0
@@ -265,13 +268,14 @@ def _setting_probabilities(state: np.ndarray, bases) -> np.ndarray:
     Row k belongs to ``bases[k]``, a setting's packed code, and outcome j is
     ``sum_i conj(b[i, j]) (state @ b)[i, j]`` on its basis b. One batched
     product covers every setting, and row k is bitwise the product on
-    ``bases[k:k+1]`` alone, so a setting's counts do not depend on which other
-    settings a witness needs. Every probability <= ``ZERO_CUTOFF`` is set to 0,
-    so an outcome the state cannot produce is exactly 0 whatever the summation
-    order. Each probability lies within 8 eps of the former three-operand
-    einsum (1.5 eps at worst over 300 random states of ranks 1 to 16) but
-    follows the BLAS build, and numpy's BTPE binomial takes floor((n + 1) p),
-    so one ulp of a small-denominator rational p can move a count.
+    ``bases[k:k+1]`` alone, so a setting's probabilities do not depend on which
+    other settings a witness needs. Every probability <= ``ZERO_CUTOFF`` is set
+    to 0, so an outcome the state cannot produce is exactly 0 whatever the
+    summation order. Each probability lies within 8 eps of the former
+    three-operand einsum (1.5 eps at worst over 300 random states of ranks 1 to
+    16) but follows the BLAS build, and numpy's BTPE binomial takes
+    floor((n + 1) p), so one ulp of a small-denominator rational p can move a
+    count.
     """
     n = state.shape[0].bit_length() - 1
     tables = _pauli_tables(n)
@@ -325,8 +329,10 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     variance = 0.0
     if bases:
         probs = _setting_probabilities(state, bases)
-        # [setting, outcome] counts; setting k draws from the stream [seed, k]
-        counts = np.stack([np.random.default_rng([seed, k]).multinomial(shots, p) for k, p in enumerate(probs)])
+        # [setting, outcome] counts, setting k's the k-th draw of the one stream seed: setting 0
+        # draws what the stream [seed, 0] drew, and a draw that moves shifts every later one
+        rng = np.random.default_rng(seed)
+        counts = np.stack([rng.multinomial(shots, p) for p in probs])
         # [term, outcome] signed coefficients; one more term, 0.0 * identity, pads every setting to the widest
         signs = _pauli_tables(n).signs[:, np.append(codes, 0)]
         signed = np.append(coeffs, 0.0)[:, None] * signs.T

@@ -471,6 +471,13 @@ class TestStabilizerWitness:
         reference = generic_stabilizer_witness(("XXXI", "IXIX", "ZIZI", "ZZIZ"))
         assert np.array_equal(stabilizer_witness().operator, reference)
 
+    def test_built_once_and_read_only(self):
+        w = stabilizer_witness()
+        assert stabilizer_witness() is w
+        assert not w.operator.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w.operator[0, 0] = 0.0
+
 
 class TestVerdicts:
     def _z3_witness(self, alpha_sq=0.786**2):

@@ -264,10 +264,10 @@ class TestEstimateWitness:
             ratios.append(e4.std_error / e1.std_error)
         assert 0.35 <= np.mean(ratios) <= 0.65
 
-    def test_one_sign_table_and_one_stream_per_setting(self, monkeypatch, table_builds):
-        # the sampling contract: setting k draws from default_rng([seed, k]), in setting order,
-        # and the outcome signs of every term are read from the one [outcome, code] table of
-        # its qubit count, built once however many estimates read it
+    def test_one_sign_table_and_one_stream_per_estimate(self, monkeypatch, table_builds):
+        # the sampling contract: every setting draws from the one stream default_rng(seed), in
+        # setting order, and the outcome signs of every term are read from the one
+        # [outcome, code] table of its qubit count, built once however many estimates read it
         from chandet import measure
 
         streams = []
@@ -285,7 +285,7 @@ class TestEstimateWitness:
         for choi, w in cases * 2:
             streams.clear()
             est = estimate_witness(choi, w, 1000, seed=11)
-            assert streams == [[11, k] for k in range(est.setting_count)]
+            assert est.setting_count > 1 and streams == [11]
         assert table_builds == [4, 2]
         for n in table_builds:
             signs = measure._pauli_tables(n).signs
@@ -293,6 +293,47 @@ class TestEstimateWitness:
                 for outcome in range(2**n):
                     bits = [(outcome >> (n - 1 - q)) & 1 for q in range(n)]
                     assert signs[outcome, code] == math.prod(1 - 2 * b for b, ch in zip(bits, string) if ch != "I")
+
+    def test_stream_draws_are_the_two_dimensional_draw(self):
+        # one stream's per-setting draws are bitwise numpy's draw on the [setting, outcome] array
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            p = rng.random((int(rng.integers(1, 82)), 2 ** int(rng.integers(1, 5))))
+            p[rng.random(p.shape) < 0.3] = 0.0
+            p[:, 0] += 1e-3  # no row all zeros
+            p /= p.sum(axis=1)[:, None]
+            shots = int(rng.choice([1, 2, 1000, 50_000, 10**12]))
+            seed = int(rng.integers(2**32))
+            g = np.random.default_rng(seed)
+            rows = np.stack([g.multinomial(shots, q) for q in p])
+            assert np.array_equal(rows, np.random.default_rng(seed).multinomial(shots, p))
+
+    def test_one_setting_keeps_its_former_stream(self, monkeypatch):
+        # default_rng(seed) is the former stream [seed, 0] of setting 0 (numpy pads the entropy
+        # with zeros), so an estimate of one setting draws the counts it drew before
+        z = PAULI["Z"]
+        w = Witness(kron(z, z) + 0.5 * kron(z, I2) - 0.25 * kron(I2, z), "zz", (2, 2))
+        choi = random_channel((2,), 3, kraus_count=2).choi
+        estimates = [estimate_witness(choi, w, shots, seed) for shots in (1, 1000, 10**12) for seed in (0, 11)]
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: real_rng([seed, 0]))
+        for est in estimates:
+            assert est.setting_count == 1
+            assert_bitwise(est, estimate_witness(choi, w, est.shots_per_setting, est.seed))
+
+    def test_z_scores_calibrated_on_81_settings(self):
+        # one stream feeds every setting, and the estimate and its standard error stay calibrated:
+        # z = (estimate - exact) / std_error has mean near 0 and spread near 1
+        report = detect_npt(random_channel((2, 2), 0, kraus_count=4))
+        exact = evaluate_witness(report.witness, report.composite)
+        z = []
+        for seed in range(200):
+            est = estimate_witness(report.composite, report.witness, 2_000, seed)
+            assert est.setting_count == 81
+            z.append((est.value - exact) / est.std_error)
+        assert abs(np.mean(z)) <= 0.25
+        assert 0.8 <= np.std(z, ddof=1) <= 1.2
+        assert np.abs(z).max() <= 5
 
     def test_seed_reproducible(self):
         ch = depolarizing_channel(0.25)
@@ -414,8 +455,9 @@ def dense_estimate(choi, w, shots, seed):
     settings = greedy_group(terms)
     value = sum(t.coefficient for t in terms if t.string == "I" * n)
     variance = 0.0
-    for k, setting in enumerate(settings):
-        counts = np.random.default_rng([seed, k]).multinomial(shots, kron_probabilities(state, setting.bases))
+    g = np.random.default_rng(seed)
+    for setting in settings:
+        counts = g.multinomial(shots, kron_probabilities(state, setting.bases))
         mean_acc = sq_acc = 0.0
         for idx, cnt in enumerate(counts):
             if cnt == 0:
@@ -584,7 +626,7 @@ class TestSettingProbabilities:
 
     @pytest.mark.parametrize("name", ["cnot", "noisy-cnot", "haar-1", "kraus-rank-16"])
     def test_row_is_the_single_setting_product(self, name):
-        # a setting's counts must not depend on which other settings a witness needs
+        # a setting's probabilities must not depend on which other settings a witness needs
         state = QUBIT_PAIR_CHANNELS[name].choi.matrix
         rng = np.random.default_rng(0)
         for size in (81, 40, 9, 2):
