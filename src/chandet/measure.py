@@ -11,23 +11,26 @@ appear only at the report boundary, in :func:`pauli_decompose` and
 :func:`group_settings`, thin adapters over the path :func:`estimate_witness`
 runs. What depends only on the qubit count n is built once per process, on
 first use, by :func:`_pauli_tables`: the gather tables (a Pauli string has one
-nonzero entry per row, so every coefficient is read off one gather of the
-operator), the product eigenbases of all 3^n settings and the
-``[outcome, code]`` sign table, read-only and 0.5 MB for n = 1..4 together.
-One batched product over the gathered bases gives the Born probabilities of
-every setting, each row bitwise the product on its setting alone and every
-probability <= ``ZERO_CUTOFF`` exactly 0. One stream, ``default_rng(seed)``,
-draws the counts of every setting in setting order: setting k's are its k-th
+nonzero entry per row, so every Tr[P op] is read off one gather of the
+operator), the ``[outcome, code]`` sign table and the 2^n subset masks,
+read-only and 150 000 bytes for n = 1..4 together. The Born probabilities of
+a setting are the Walsh-Hadamard transform of the state's Pauli traces on the
+2^n sub-strings of its string, applied by n butterfly stages; the stage makes
+no BLAS call and the butterfly fixes its order of summation, so each row is
+bitwise the row of its setting alone, and every probability <=
+``ZERO_CUTOFF`` is exactly 0. One stream, ``default_rng(seed)``, draws the
+counts of every setting in setting order: setting k's are its k-th
 multinomial draw, and setting 0's are those the stream ``[seed, 0]`` drew
 (numpy pads the entropy with zeros). One pass over ``[setting, outcome]``
 arrays forms the estimate, each setting's terms padded to the widest with a
 zero term and every sum running left to right. So each number is bitwise the
-one of a dense ``Tr[P W]``, the same product on a per-setting ``kron`` basis
-and a loop over settings, outcomes and terms. A probability lies within 8 eps
-of the former three-operand einsum but follows the BLAS build, and one ulp can
-move a BTPE binomial draw (p = 1/18 on the CNOT NPT composite, setting YYXZ,
-1 000 shots, seed 1). A draw that moves in setting j can shift the counts of
-every later setting too, so counts may differ between BLAS builds. Both entry
+one of a dense ``Tr[P W]``, the same transform on dense traces, one scalar
+butterfly at a time, and a loop over settings, outcomes and terms. A
+probability lies within 8 eps of the former three-operand einsum, and one ulp
+can move a BTPE binomial draw (p = 1/18 on the CNOT NPT composite, setting
+YYXZ, 1 000 shots, seed 1). A draw that moves in setting j can shift the
+counts of every later setting too. The Choi state itself is one BLAS product
+(``Channel``), so counts may still differ between BLAS builds. Both entry
 points first apply the layer's one limit, :func:`_require_measurable` (at most
 ``MAX_QUBITS`` qubits: the Choi states of channels on [2] or [2, 2]); no table
 is built before it refuses.
@@ -42,7 +45,7 @@ import numpy as np
 from .channels import ATOL, STATE_ATOL, ZERO_CUTOFF, ChoiMatrix, ValidationError, _check_hermitian
 from .detect import Witness
 
-# Most qubits of a measured operator: its tables, built once, take 0.46 MB at n = 4.
+# Most qubits of a measured operator: its tables, built once, take 131 200 bytes at n = 4.
 MAX_QUBITS = 4
 # Most shots per setting: every setting's counts are int64 multinomial draws of one stream.
 MAX_SHOTS = int(np.iinfo(np.int64).max)
@@ -56,17 +59,6 @@ _DIGIT[_LETTER_BYTES] = np.arange(4)
 # at column r ^ _FLIP[c].
 _FLIP = np.array([0, 1, 1, 0])
 _PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
-
-# single-qubit eigenbases of X, Y and Z, indexed by code - 1, columns ordered
-# (+1 eigenvector, -1 eigenvector)
-_EIGENBASES = np.stack(
-    [
-        np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-        np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
-        np.eye(2, dtype=complex),
-    ]
-)
-
 
 @dataclass(frozen=True)
 class PauliTerm:
@@ -106,8 +98,7 @@ class _Tables(NamedTuple):
     gather: np.ndarray  # [code, row] flat index of the row's one nonzero entry in a 2^n x 2^n matrix
     phases: np.ndarray  # [code, row] that entry
     signs: np.ndarray  # [outcome, code] product of the +-1 outcomes on the code's non-identity qubits
-    setting_row: np.ndarray  # [code] row of ``bases`` for a code with no identity slot, else -1
-    bases: np.ndarray  # [setting, 2^n, 2^n] product eigenbases of the 3^n settings, in code order
+    masks: np.ndarray  # [subset] 0b11 in the slot of each qubit whose bit is set in the subset's index
 
 
 @functools.cache
@@ -115,8 +106,8 @@ def _pauli_tables(n: int) -> _Tables:
     """The tables of n qubits, 1 <= n <= ``MAX_QUBITS``, built on the first call for n.
 
     The gather tables grow one qubit at a time, leftmost qubit most
-    significant, as ``qmath.kron`` orders a product. Each product eigenbasis is
-    the ``kron`` of its one-qubit bases multiplied left to right.
+    significant, as ``qmath.kron`` orders a product; outcomes and subsets index
+    their qubits the same way.
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"Pauli tables cover 1 to {MAX_QUBITS} qubits, not {n}")
@@ -131,24 +122,23 @@ def _pauli_tables(n: int) -> _Tables:
     side = 2**n
     digits = np.arange(4**n)[:, None] >> 2 * np.arange(n - 1, -1, -1) & 3  # [code, qubit]
     bits = np.arange(side)[:, None] >> np.arange(n - 1, -1, -1) & 1  # [outcome, qubit]
-    settings = np.flatnonzero((digits != 0).all(axis=1))  # ascending, i.e. product("XYZ") order
-    setting_row = np.full(4**n, -1)
-    setting_row[settings] = np.arange(settings.size)
-    e = _EIGENBASES[digits[settings] - 1]  # [setting, qubit, row, column]
-    bases = e[:, 0]
-    for q in range(1, n):
-        shape = (settings.size, 2 * bases.shape[1], 2 * bases.shape[2])
-        bases = (bases[:, :, None, :, None] * e[:, q, None, :, None, :]).reshape(shape)
     tables = _Tables(
         gather=cols * side + np.arange(side),
         phases=phases,
         signs=1 - 2 * (bits @ (digits != 0).T & 1),
-        setting_row=setting_row,
-        bases=bases,
+        masks=3 * bits @ 4 ** np.arange(n - 1, -1, -1),
     )
     for a in tables:
         a.setflags(write=False)
     return tables
+
+
+def _traces(op: np.ndarray, tables: _Tables) -> np.ndarray:
+    """Tr[P op] of every code P, each the sum of the 2^n products P[i, j] op[j, i] with P[i, j] != 0.
+
+    The products are summed in the order ``np.trace(P @ op)`` takes, so each trace is bitwise the dense one.
+    """
+    return (tables.phases * np.take(op, tables.gather)).sum(axis=-1)
 
 
 def _names(codes, n: int) -> list[str]:
@@ -177,12 +167,10 @@ def _codes_of(strings: list[str]) -> tuple[np.ndarray, int]:
 def _expand(w: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The ascending codes of the strings of Hermitian ``w`` with |coefficient| > ``tol``, and their coefficients.
 
-    A coefficient is Tr[P W] / 2^n. The trace sums the 2^n products P[i, j] W[j, i]
-    with P[i, j] != 0 in the order ``np.trace(P @ W)`` does, so each is bitwise the dense one.
+    A coefficient is :func:`_traces`' Tr[P W] / 2^n, so each is bitwise the dense one.
     """
     _check_hermitian(w, ATOL, "operator")
-    tables = _pauli_tables(n)
-    coeffs = (tables.phases * np.take(w, tables.gather)).sum(axis=-1) / 2**n
+    coeffs = _traces(w, _pauli_tables(n)) / 2**n
     bad = np.flatnonzero(np.abs(coeffs.imag) > ZERO_CUTOFF)
     if bad.size:
         raise ValueError(f"coefficient of {_names(bad[:1], n)[0]} has imaginary part {coeffs[bad[0]].imag:.3e}")
@@ -265,24 +253,35 @@ def group_settings(terms) -> list[MeasurementSetting]:
 def _setting_probabilities(state: np.ndarray, bases) -> np.ndarray:
     """Born probabilities of the 2^n product-basis outcomes of each setting, outcome bit 0 <-> +1.
 
-    Row k belongs to ``bases[k]``, a setting's packed code, and outcome j is
-    ``sum_i conj(b[i, j]) (state @ b)[i, j]`` on its basis b. One batched
-    product covers every setting, and row k is bitwise the product on
-    ``bases[k:k+1]`` alone, so a setting's probabilities do not depend on which
-    other settings a witness needs. Every probability <= ``ZERO_CUTOFF`` is set
-    to 0, so an outcome the state cannot produce is exactly 0 whatever the
-    summation order. Each probability lies within 8 eps of the former
-    three-operand einsum (1.5 eps at worst over 300 random states of ranks 1 to
-    16) but follows the BLAS build, and numpy's BTPE binomial takes
-    floor((n + 1) p), so one ulp of a small-denominator rational p can move a
-    count.
+    Row k belongs to ``bases[k]``, a setting's packed code. Its outcome
+    projector is the product over qubits q of (I +- P_q)/2, so with
+    r[S] = Tr[state P_{k & mask_S}] over the 2^n subsets S of the qubits, the
+    row is H^n r / 2^n, H the +-1 Walsh-Hadamard matrix. Every Tr[P state] is
+    read off one gather (:func:`_traces`), each setting gathers its 2^n
+    sub-codes, and n butterfly stages, (a + b, a - b) on qubit 0 first, then
+    qubit 1 and so on, apply H^n. No BLAS call is made and the butterfly fixes
+    every sum's order, so row k is bitwise the row of ``bases[k:k+1]`` alone
+    and a setting's probabilities do not depend on which other settings a
+    witness needs. Every probability <= ``ZERO_CUTOFF`` is set to 0, so an
+    outcome the state cannot produce is exactly 0 whatever the rounding. Each
+    probability lies within 8 eps of the former three-operand einsum, and
+    numpy's BTPE binomial takes floor((n + 1) p), so one ulp of a
+    small-denominator rational p can move a count.
     """
     n = state.shape[0].bit_length() - 1
     tables = _pauli_tables(n)
-    b = tables.bases[tables.setting_row[bases]]  # a fresh gather: the tables stay read-only
-    m = state @ b
-    m *= np.conjugate(b, out=b)  # in place: two (settings, 2^n, 2^n) arrays live, not four
-    probs = m.sum(axis=1).real
+    traces = _traces(state, tables).real
+    terms = traces[np.asarray(bases)[:, None] & tables.masks]  # [setting, subset]
+    half = 2 ** (n - 1)
+    for _ in range(n):
+        # (a + b, a - b) on the leading bit, which then moves last: the n stages take
+        # qubits 0, 1, ... in turn and leave every bit in its place
+        a, b = terms[:, :half], terms[:, half:]
+        terms = np.empty_like(terms)
+        pairs = terms.reshape(len(terms), half, 2)
+        np.add(a, b, out=pairs[:, :, 0])
+        np.subtract(a, b, out=pairs[:, :, 1])
+    probs = terms / 2**n
     probs[probs <= ZERO_CUTOFF] = 0.0
     totals = probs.sum(axis=1)
     bad = np.flatnonzero(np.abs(totals - 1.0) > STATE_ATOL)
@@ -355,7 +354,8 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
             mean = m_acc / shots
             value += mean
             if shots > 1:
-                sample_var = (s_acc / shots - mean**2) * shots / (shots - 1)
+                # when all its shots land on one outcome, rounding can take a setting's variance below 0
+                sample_var = max((s_acc / shots - mean**2) * shots / (shots - 1), 0.0)
                 variance += sample_var / shots
     return ShotEstimate(
         value=float(value),

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -90,8 +91,11 @@ class TestPauliDecompose:
             pauli_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@functools.cache
 def _string_matrix(string):
-    return kron(*(PAULI[ch] for ch in string))
+    p = np.array(kron(*(PAULI[ch] for ch in string)))  # a read-only copy, shared by every caller
+    p.setflags(write=False)
+    return p
 
 
 class TestGroupSettings:
@@ -189,6 +193,13 @@ def table_builds(monkeypatch):
 class TestTables:
     """Everything that depends only on the qubit count is built once per process and is read-only."""
 
+    def test_size(self):
+        # the sizes that the MAX_QUBITS comment, the module docstring and README state
+        from chandet import measure
+
+        sizes = [sum(a.nbytes for a in measure._pauli_tables(n)) for n in range(1, measure.MAX_QUBITS + 1)]
+        assert (sizes[-1], sum(sizes)) == (131_200, 150_000)
+
     def test_built_once_per_qubit_count(self, table_builds):
         from chandet import measure
 
@@ -209,6 +220,18 @@ class TestTables:
 
 
 class TestEstimateWitness:
+    @pytest.mark.parametrize("c, shots", [(0.1, 3), (0.1, 1000), (0.1, 100_000), (0.3, 100_000)])
+    def test_one_outcome_settings_have_finite_error(self, c, shots):
+        # every shot of both settings lands on one outcome, and rounding took their sample
+        # variances below 0, so the root of the summed variance was NaN
+        choi = cnot_channel().choi
+        w = Witness(c * (_string_matrix("XXXI") + _string_matrix("ZIZI")), "h", (2, 2, 2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_witness(choi, w, shots, 1)
+        assert 0.0 <= est.std_error < 1e-7
+        assert_bitwise(est, dense_estimate(choi, w, shots, 1))
+
     def test_needs_a_shot(self):
         # the exact value is evaluate_witness; no request estimates from zero shots
         with pytest.raises(ValueError, match=">= 1"):
@@ -378,11 +401,12 @@ class TestEstimateWitness:
 
 # ---------------------------------------------------------------------------
 # Reference copies of the dense measurement layer that the tabulated one
-# replaced: one kron per Pauli string, a character-wise greedy grouping and one
-# kron basis per setting, whose probabilities are the single-setting form of the
-# package's product formula. The fast layer must agree with them bit for bit,
-# because the probabilities seed multinomial streams and the reports print
-# every digit.
+# replaced: one kron per Pauli string, a character-wise greedy grouping and,
+# per setting, the Walsh-Hadamard form of the package's probabilities on dense
+# traces, one scalar butterfly at a time. The fast layer must agree with them
+# bit for bit, because the probabilities seed the multinomial draws and the
+# reports print every digit. The einsum below, and the kron eigenbases it
+# rotates into, are the independent guard on the formula itself.
 
 EIGENBASIS = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -433,9 +457,22 @@ def greedy_group(terms):
     return [MeasurementSetting(bases="".join(b), covered_terms=tuple(c)) for b, c in settings]
 
 
-def kron_probabilities(state, bases):
-    b = kron(*(EIGENBASIS[ch] for ch in bases))
-    probs = ((state @ b) * b.conj()).sum(axis=0).real
+def walsh_probabilities(state, bases):
+    """H^n r / 2^n, r[j] = Tr[P_j state], P_j the setting's string with "I" at each qubit q whose bit n - 1 - q of j is 0.
+
+    The scalar butterflies take qubits 0, 1, ... in turn, as the package's stages do.
+    """
+    n = len(bases)
+    r = []
+    for j in range(2**n):
+        sub = "".join(ch if j >> (n - 1 - q) & 1 else "I" for q, ch in enumerate(bases))
+        r.append(complex(np.trace(_string_matrix(sub) @ state)).real)
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        for j in range(2**n):
+            if not j & bit:
+                r[j], r[j | bit] = r[j] + r[j | bit], r[j] - r[j | bit]
+    probs = np.array(r) / 2**n
     probs[probs <= ZERO_CUTOFF] = 0.0
     total = float(probs.sum())
     assert abs(total - 1.0) <= STATE_ATOL
@@ -443,7 +480,7 @@ def kron_probabilities(state, bases):
 
 
 def einsum_probabilities(state, strings):
-    """The three-operand einsum the batched product replaced, unclipped and unnormalized."""
+    """The three-operand einsum over the kron eigenbases, unclipped and unnormalized."""
     b = np.stack([kron(*(EIGENBASIS[ch] for ch in s)) for s in strings])
     return np.real(np.einsum("sij,jk,ski->si", b.conj().transpose(0, 2, 1), state, b))
 
@@ -457,7 +494,7 @@ def dense_estimate(choi, w, shots, seed):
     variance = 0.0
     g = np.random.default_rng(seed)
     for setting in settings:
-        counts = g.multinomial(shots, kron_probabilities(state, setting.bases))
+        counts = g.multinomial(shots, walsh_probabilities(state, setting.bases))
         mean_acc = sq_acc = 0.0
         for idx, cnt in enumerate(counts):
             if cnt == 0:
@@ -472,7 +509,7 @@ def dense_estimate(choi, w, shots, seed):
         mean = mean_acc / shots
         value += mean
         if shots > 1:
-            variance += (sq_acc / shots - mean**2) * shots / (shots - 1) / shots
+            variance += max((sq_acc / shots - mean**2) * shots / (shots - 1), 0.0) / shots
     return ShotEstimate(float(value), float(np.sqrt(variance)), shots, seed, len(settings))
 
 
@@ -555,7 +592,7 @@ class TestMatchesDenseReference:
     def test_probabilities(self, name):
         state = QUBIT_PAIR_CHANNELS[name].choi.matrix
         bases = ["".join(p) for p in itertools.product("XYZ", repeat=4)]
-        expected = np.array([kron_probabilities(state, b) for b in bases])
+        expected = np.array([walsh_probabilities(state, b) for b in bases])
         assert np.array_equal(_setting_probabilities(state, _codes_of(bases)[0]), expected)
         if name in ("cnot", "bit-flipped-cnot"):
             assert np.count_nonzero(expected == 0) > 0  # outcomes the state cannot produce
@@ -650,7 +687,8 @@ class TestSettingProbabilities:
             assert est.std_error == 0.0  # every drawn parity is the stabilizer's
 
     def test_peak_memory(self):
-        # the product and the bases it conjugates in place: two (81, 16, 16) complex arrays
+        # the trace gather's two (256, 16) complex arrays and a few (81, 16) float ones,
+        # below one (81, 16, 16) array of any float dtype
         import tracemalloc
 
         state = QUBIT_PAIR_CHANNELS["haar-0"].choi.matrix
@@ -659,6 +697,6 @@ class TestSettingProbabilities:
         try:
             tracemalloc.reset_peak()
             _setting_probabilities(state, self.CODES)
-            assert tracemalloc.get_traced_memory()[1] < 3 * 81 * 16 * 16 * 16
+            assert tracemalloc.get_traced_memory()[1] < 2 * 256 * 16 * 16 + 3 * 81 * 16 * 8
         finally:
             tracemalloc.stop()
