@@ -20,7 +20,8 @@ from .qmath import PAULI, dag, kron, _as_dims
 #
 # ATOL: rounding in exact equalities (TP, unital and unitary deficits, sums to 1,
 # sigma >= 0, imaginary parts, Pauli-expanded Hermiticity, the NPT cross-check);
-# lambda_- is negative below -ATOL, and eigenvalues within ATOL of it are degenerate.
+# lambda_- is negative below -ATOL, eigenvalues within ATOL of it are degenerate,
+# and its eigenvector's residual max|m x - lambda_- x| is at most ATOL.
 ATOL = 1e-10
 STATE_ATOL = 1e-9  # a state handed to the shot simulator: Hermitian, trace 1, PSD
 WITNESS_HERM_ATOL = 1e-12  # Hermiticity of a witness operator
@@ -96,12 +97,15 @@ def _kraus_array(kraus, dims: tuple[int, ...], dim: int) -> np.ndarray:
     ops = [np.asarray(a, dtype=complex) for a in kraus]
     if not ops:
         raise ValueError("a channel needs at least one Kraus operator")
-    for i, a in enumerate(ops):
+    if all(a.shape == (dim, dim) for a in ops):
+        stack = np.array(ops)
+        if np.isfinite(stack).all():
+            return stack
+    for i, a in enumerate(ops):  # name the first faulty operator in index order
         if a.shape != (dim, dim):
             raise ValueError(f"kraus[{i}] has shape {a.shape}, expected {(dim, dim)} for dims {dims}")
         if not np.isfinite(a).all():
             raise ValueError(f"kraus[{i}] has a non-finite entry")
-    return np.array(ops)
 
 
 class Channel:

@@ -6,11 +6,15 @@ Both factors must be at least 2, the package's one two-party rule
 (``qmath._require_bipartite``), which SRU detection shares. The witness here is
 the partial transpose of the projector onto the most negative eigenvector of
 that Choi matrix, measured on the Choi state of the physically implementable
-composite M o SPA(T_A). SPA(T_A) is the structural physical approximation of
-the partial transpose (Horodecki & Ekert, PRL 89, 127902 (2002)): the partial
-transpose plus the minimal depolarizing noise that makes it CP. Both Choi
-matrices are closed forms in M's Choi matrix, whose subsystems are ordered
-(A out, B out, A anc, B anc).
+composite M o SPA(T_A). Only that one eigenpair is computed: lambda_- from one
+``eigvalsh`` and, when it is simple, its vector from one inverse-iteration
+solve (Ipsen, SIAM Rev. 39, 254 (1997)), retried once just below an exactly
+singular shift and checked by its residual; only a degenerate lambda_- runs a
+full ``eigh``. SPA(T_A) is the structural physical approximation of the partial
+transpose (Horodecki & Ekert, PRL 89, 127902 (2002)): the partial transpose
+plus the minimal depolarizing noise that makes it CP. Both Choi matrices are
+closed forms in M's Choi matrix, whose subsystems are ordered (A out, B out,
+A anc, B anc).
 """
 
 from dataclasses import dataclass
@@ -87,18 +91,45 @@ def _composite(c: ChoiMatrix, m_of_id: np.ndarray, noise: float) -> ChoiMatrix:
     return ChoiMatrix(mat, c.dims, c.source_dims)
 
 
-def _negative_eigenpair(w: np.ndarray, v: np.ndarray):
-    """From eigh's output: lambda_-, a unit vector of its eigenspace, and whether it is degenerate.
+def _negative_eigenpair(m: np.ndarray):
+    """lambda_- of the Hermitian ``m``, a unit vector of its eigenspace, and whether it is degenerate.
 
-    The eigensolver's basis of a degenerate eigenspace is arbitrary, so there
-    the vector is the normalized projection of (1, 2, ..., N)/N onto the space.
+    lambda_- and the degeneracy (eigenvalues within ATOL of it) come from one
+    ``eigvalsh``. When lambda_- >= -ATOL no witness is built, so the vector is
+    None. A simple lambda_- takes its vector from one inverse-iteration solve
+    of (m - lambda_- I) x = b, b = (1, 2, ..., N)/N, normalized and accepted
+    only when max|m x - lambda_- x| <= ATOL; a second solve runs only when
+    that shift is exactly singular. The eigensolver's basis of a degenerate
+    eigenspace is arbitrary, so there the vector is the normalized projection
+    of b onto the space, which one solve cannot give: cluster members within
+    rounding of lambda_- get amplifications that differ by orders of magnitude.
     """
+    w = np.linalg.eigvalsh(m)
     lam = float(w[0])
-    block = v[:, w - lam <= ATOL]
-    if block.shape[1] == 1:
-        return lam, block[:, 0], False
-    x = block @ (block.conj().T @ (np.arange(1, w.size + 1) / w.size))
-    return lam, x / np.linalg.norm(x), True
+    k = int(np.count_nonzero(w - lam <= ATOL))
+    if lam >= -ATOL:
+        return lam, None, k > 1
+    b = np.arange(1, w.size + 1) / w.size
+    if k > 1:
+        block = np.linalg.eigh(m)[1][:, :k]
+        x = block @ (block.conj().T @ b)
+        return lam, x / np.linalg.norm(x), True
+    # A gate with entries such as 0 and +-1 can give an exact lambda_- and an
+    # exactly singular m - lambda_- I. Its retry shifts one eigvalsh error bound,
+    # N eps |m|, below lambda_-, where m - shift I is positive definite.
+    for shift in (lam, lam - w.size * np.finfo(float).eps * max(-lam, float(w[-1]))):
+        try:
+            x = np.linalg.solve(m - shift * np.eye(w.size), b)
+            break
+        except np.linalg.LinAlgError as exc:
+            error = exc
+    else:
+        raise ValidationError(f"inverse iteration at lambda_- = {lam!r} failed: {error}") from error
+    x /= np.linalg.norm(x)
+    residual = float(np.max(np.abs(m @ x - lam * x)))
+    if not residual <= ATOL:
+        raise ValidationError(f"eigenvector of lambda_- = {lam!r} has residual {residual:.3e} above {ATOL:g}")
+    return lam, x, False
 
 
 def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
@@ -117,7 +148,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     m_of_id = partial_trace(ch.choi.matrix, ch.choi.dims, keep=(0, 1))
     unital = float(np.max(np.abs(dim * m_of_id - np.eye(dim)))) <= ATOL
     p = spa_noise_weight(ch.dims)
-    lam, vector, degenerate = _negative_eigenpair(*np.linalg.eigh(choi_mt.matrix))
+    lam, vector, degenerate = _negative_eigenpair(choi_mt.matrix)
     # the facts both exits report, stated once
     facts = dict(
         lambda_minus=lam, noise_p=p, unital=unital, threshold=p / dim**2 if unital else 0.0, degenerate=degenerate

@@ -423,6 +423,19 @@ class TestClassify:
             with pytest.raises(ValueError, match="non-finite"):
                 Channel([k], [2], require_tp=require_tp)
 
+    def test_first_faulty_operator_is_named(self):
+        nan = np.full((2, 2), np.nan)
+        cases = [
+            ([I2, nan, np.eye(3)], "kraus[1] has a non-finite entry"),
+            ([I2, np.eye(3), nan], "kraus[1] has shape (3, 3), expected (2, 2) for dims (2,)"),
+            ([I2, X, nan], "kraus[2] has a non-finite entry"),
+            (np.stack([I2, X, nan, nan]), "kraus[2] has a non-finite entry"),
+        ]
+        for kraus, message in cases:
+            with pytest.raises(ValueError) as exc:
+                Channel(kraus, [2], require_tp=False)
+            assert str(exc.value) == message
+
     def test_overflowing_choi_rejected(self):
         with pytest.raises(ValidationError, match="not finite"):
             Channel([1e200 * I2], [2], require_tp=False)

@@ -13,6 +13,7 @@ from chandet.channels import (
     fully_depolarizing_channel,
     identity_channel,
     unitary_channel,
+    z3_channel,
 )
 from chandet.detect import alpha_sru_optimize, build_sru_witness
 from chandet.pptdetect import (
@@ -380,14 +381,14 @@ class TestDegenerateWitness:
             w, v = np.linalg.eigh(choi.matrix)
             k = int(np.sum(w - w[0] <= ATOL))
             assert k == d * d * (d * d - 1) // 2  # the antisymmetric subspace
-            lam, x, degenerate = _negative_eigenpair(w, v)
+            lam, x, degenerate = _negative_eigenpair(choi.matrix)
             assert degenerate
             np.testing.assert_allclose(choi.matrix @ x, lam * x, atol=1e-12)
-            for seed in range(3):
-                mixed = v.copy()
-                mixed[:, :k] = v[:, :k] @ haar_unitary(k, seed)
-                _, y, _ = _negative_eigenpair(w, mixed)
-                np.testing.assert_allclose(np.outer(y, y.conj()), np.outer(x, x.conj()), atol=1e-12)
+            b = np.arange(1, w.size + 1) / w.size
+            # the projection of b from any orthonormal basis of the eigenspace, Haar-mixed ones included
+            for basis in (v[:, :k], *(v[:, :k] @ haar_unitary(k, seed) for seed in range(3))):
+                y = basis @ (basis.conj().T @ b)
+                np.testing.assert_allclose(x, y / np.linalg.norm(y), atol=1e-12)
 
     def test_report_does_not_depend_on_the_kraus_basis(self):
         # a non-unital channel with a doubly degenerate lambda_-: amplitude damping after SWAP
@@ -400,3 +401,111 @@ class TestDegenerateWitness:
         assert a.degenerate and not a.unital
         np.testing.assert_allclose(a.witness.operator, b.witness.operator, atol=1e-12)
         assert a.expectation == pytest.approx(b.expectation, abs=1e-12)
+
+
+def singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+class TestNegativeEigenpair:
+    def test_matches_eigh_on_random_npt_channels(self):
+        simple = 0
+        for dims in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
+            for seed in range(50):
+                m = ppt_conjugate(random_channel(dims, 700 + seed)).matrix
+                lam, x, degenerate = _negative_eigenpair(m)
+                if x is None or degenerate:
+                    continue
+                simple += 1
+                w, v = np.linalg.eigh(m)
+                assert abs(lam - w[0]) <= 1e-14
+                np.testing.assert_allclose(np.outer(x, x.conj()), np.outer(v[:, 0], v[:, 0].conj()), atol=1e-12)
+                assert np.max(np.abs(m @ x - lam * x)) <= ATOL
+        assert simple >= 200
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            cnot_channel(),
+            unitary_channel(np.diag([1, 1, 1, -1]), (2, 2)),
+            z3_channel(),
+            controlled_shift((2, 3)),
+            controlled_shift((3, 2)),
+        ],
+        ids=["cnot", "cz", "z3", "shift23", "shift32"],
+    )
+    def test_exact_rational_channels_solve(self, ch):
+        # exact entries give an exact lambda_-, so the shifted matrix can be exactly singular (the CZ's is)
+        m = ppt_conjugate(ch).matrix
+        lam, x, degenerate = _negative_eigenpair(m)
+        assert lam < -ATOL and not degenerate
+        v = np.linalg.eigh(m)[1][:, 0]
+        np.testing.assert_allclose(np.outer(x, x.conj()), np.outer(v, v.conj()), atol=1e-12)
+        assert np.max(np.abs(m @ x - lam * x)) <= ATOL
+        assert detect_npt(ch).verdict == NPT_DETECTED
+
+    def test_singular_shift_is_retried_below_lambda(self, monkeypatch):
+        from chandet import pptdetect
+
+        m = ppt_conjugate(cnot_channel()).matrix
+        solve, shifted = np.linalg.solve, []
+
+        def singular_once(a, b):
+            shifted.append(a)
+            if len(shifted) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(pptdetect.np.linalg, "solve", singular_once)
+        lam, x, _ = _negative_eigenpair(m)
+        # the retry moves only the diagonal, by a positive nudge of rounding size
+        step = shifted[1] - shifted[0]
+        assert np.count_nonzero(step - np.diag(np.diag(step))) == 0
+        assert np.all(step.diagonal().real > 0) and np.max(step.diagonal().real) <= 1e-13
+        v = np.linalg.eigh(m)[1][:, 0]
+        np.testing.assert_allclose(np.outer(x, x.conj()), np.outer(v, v.conj()), atol=1e-12)
+        assert np.max(np.abs(m @ x - lam * x)) <= ATOL
+
+    @pytest.mark.parametrize(
+        "ch, calls",
+        [
+            (identity_channel([2, 2]), {"eigvalsh": 1}),
+            (random_sru_channel((3, 3), seed=5), {"eigvalsh": 1}),
+            (cnot_channel(), {"eigvalsh": 1, "solve": 1}),
+            (swap_channel(2), {"eigvalsh": 1, "eigh": 1}),
+        ],
+        ids=["identity", "sru-mix", "cnot", "swap"],
+    )
+    def test_eigensolver_calls(self, monkeypatch, ch, calls):
+        from chandet import pptdetect
+
+        counted = {}
+        for name in ("eigvalsh", "eigh", "solve"):
+
+            def counting(*args, _name=name, _call=getattr(np.linalg, name)):
+                counted[_name] = counted.get(_name, 0) + 1
+                return _call(*args)
+
+            monkeypatch.setattr(pptdetect.np.linalg, name, counting)
+        detect_npt(ch)
+        assert counted == calls
+
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (lambda a, b: b, "eigenvector of lambda_- = "),
+            (lambda a, b: np.full_like(b, np.nan), "eigenvector of lambda_- = "),
+            (singular_solve, "inverse iteration at lambda_- = "),
+        ],
+        ids=["not-an-eigenvector", "nan", "singular"],
+    )
+    def test_failed_solve_exits_numerical(self, monkeypatch, tmp_path, capsys, solve, message):
+        from chandet import cli, pptdetect
+
+        monkeypatch.setattr(pptdetect.np.linalg, "solve", solve)
+        path = tmp_path / "cnot.json"
+        path.write_text('{"dims": [2, 2], "kind": "named", "name": "cnot"}')
+        code = cli.main(["detect-npt", "--channel", str(path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL_ERROR and out == ""
+        assert err.startswith(f"validation error: {message}")

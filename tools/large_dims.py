@@ -1,0 +1,89 @@
+"""In-process times of the largest admitted requests (D = 36) through ``chandet.cli.main``.
+
+    python3 tools/large_dims.py --repeats 3
+
+Times four requests, each as the best of ``--repeats`` calls:
+
+- ``detect-npt`` on a Haar unitary on [6, 6];
+- ``detect-eb`` on depolarizing p = 0.1 on [36];
+- ``detect-sep`` and ``detect-sru`` on the same Haar unitary on [6, 6].
+
+BLAS runs at one thread, the program is imported from this checkout's
+``src/``, and the spec files are written to a temporary directory. Every call
+must exit 0. Prints one line per request:
+
+    command dims best_s
+
+To compare two commits, run the script in a checkout of each. Nothing under
+``bench/`` is changed.
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import io
+import json
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
+
+from chandet import cli  # noqa: E402
+from chandet.qmath import haar_unitary  # noqa: E402
+
+HAAR_SEED = 36
+
+
+def specs() -> dict:
+    """The two channel specs the requests read, by file name."""
+    u = haar_unitary(36, HAAR_SEED)
+    pairs = u.view(float).reshape(36, 36, 2).tolist()
+    return {
+        "haar66.json": {"dims": [6, 6], "kind": "named", "name": "unitary", "params": {"matrix": pairs}},
+        "dep36.json": {"dims": [36], "kind": "named", "name": "depolarizing", "params": {"p": 0.1}},
+    }
+
+
+REQUESTS = [
+    ("detect-npt", "haar66.json", "[6, 6]"),
+    ("detect-eb", "dep36.json", "[36]"),
+    ("detect-sep", "haar66.json", "[6, 6]"),
+    ("detect-sru", "haar66.json", "[6, 6]"),
+]
+
+
+def seconds(argv: list) -> float:
+    """Wall seconds of one in-process CLI call, which must exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}: {err.getvalue().strip()}")
+    return elapsed
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--repeats", type=int, default=3, help="calls per request; the best is printed")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, spec in specs().items():
+            Path(workdir, name).write_text(json.dumps(spec))
+        for command, name, dims in REQUESTS:
+            argv = [command, "--channel", str(Path(workdir, name))]
+            best = min(seconds(argv) for _ in range(args.repeats))
+            print(f"{command} {dims} {best:.3f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
