@@ -25,11 +25,10 @@ from .channels import (
 from .detect import (
     BoundReport,
     SchmidtDecomposition,
-    Verdict,
     Witness,
     alpha_sru_optimize,
     build_sru_witness,
-    classify_violation,
+    decide,
     eb_witness,
     evaluate_witness,
     operator_schmidt,

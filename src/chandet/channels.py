@@ -1,4 +1,4 @@
-"""Quantum channels as one Kraus array with a cached Choi matrix, the tolerance table and the verdict test.
+"""Quantum channels as one Kraus array with a cached Choi matrix, the tolerance table and the threshold test.
 
 Choi matrices follow the trace-normalized state convention
 ``C = (M kron Id)[|alpha><alpha|]`` with subsystem order (outputs..., ancillas...),
@@ -35,7 +35,7 @@ VERDICT_MARGIN = 1e-12
 
 
 def below_threshold(value: float, threshold: float) -> bool:
-    """The test of every verdict: ``value`` lies more than ``VERDICT_MARGIN`` below ``threshold``."""
+    """``value`` lies more than ``VERDICT_MARGIN`` below ``threshold``: the test of ``detect.decide``'s verdicts."""
     return value < threshold - VERDICT_MARGIN
 
 

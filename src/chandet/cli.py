@@ -65,7 +65,6 @@ from .channels import (
     Channel,
     ChoiMatrix,
     ValidationError,
-    below_threshold,
     cnot_channel,
     depolarizing_channel,
     fully_depolarizing_channel,
@@ -81,7 +80,7 @@ from .detect import (
     Witness,
     alpha_sru_optimize,
     build_sru_witness,
-    classify_violation,
+    decide,
     eb_witness,
     evaluate_witness,
     operator_schmidt,
@@ -482,13 +481,14 @@ def _eb_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> 
     return {
         "expectation": value,
         "threshold": 0.0,
-        "verdict": "not_entanglement_breaking" if below_threshold(value, 0.0) else "undetected",
+        "verdict": decide(w.kind, value, {"not_entanglement_breaking": 0.0}),
         "bounds": asdict(robustness_bounds(value, w)),
     }
 
 
 def _sru_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
     value = evaluate_witness(w, state)
+    thresholds = {"not_sru": 0.0, "not_separable": w.alpha_sq - w.alpha_s_sq}
     return {
         "alpha_sru": float(np.sqrt(w.alpha_sq)),
         "alpha_sru_sq": w.alpha_sq,
@@ -496,11 +496,8 @@ def _sru_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) ->
         "alpha_s_sq": w.alpha_s_sq,
         "alpha_source": facts[1],
         "expectation": value,
-        "thresholds": {
-            "not_sru": 0.0,
-            "not_separable": w.alpha_sq - w.alpha_s_sq,
-        },
-        "verdict": classify_violation(value, w).value,
+        "thresholds": thresholds,
+        "verdict": decide(w.kind, value, thresholds),
     }
 
 

@@ -10,9 +10,13 @@ target gate, EB takes U = Id_D and alpha^2 = 1/D in every dimension. The third
 witness is the two-setting stabilizer witness of the CNOT Choi state (Toth and
 Guehne, PRL 94, 060501), measured with the settings XXXX and ZZZZ. Each
 witness has exactly one builder here.
+
+Every detect command reaches its verdict the same way: ``VERDICTS`` lists each
+witness kind's verdicts, strongest claim first, and ``decide`` returns the
+first whose threshold the expectation lies below, by
+:func:`~chandet.channels.below_threshold`, or the kind's default.
 """
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -32,11 +36,12 @@ MAX_START_WORK = 156 * (2**3 + 18**3 + 36**2)
 # Stabilizer generators of the CNOT Choi state, qubits ordered (A_out, B_out, A_in, B_in).
 CNOT_STABILIZER_GENERATORS = ("XXXI", "IXIX", "ZIZI", "ZZIZ")
 
-
-class Verdict(enum.Enum):
-    UNDETECTED = "undetected"
-    NOT_SRU = "not_sru"
-    NOT_SEPARABLE = "not_separable"
+# Each witness kind's verdicts, strongest claim first, and its verdict when none fires.
+VERDICTS = {
+    "eb": (("not_entanglement_breaking",), "undetected"),
+    "sru": (("not_separable", "not_sru"), "undetected"),
+    "ppt": (("npt_detected",), "not_detected"),
+}
 
 
 @dataclass(frozen=True)
@@ -184,10 +189,7 @@ def _starts(db: int, starts: int, seed: int) -> np.ndarray:
 
     The last stack is kept, so back-to-back runs with one seed and start count
     draw it once. It takes starts * db^2 * 16 bytes, which the work bound keeps
-    at or below 2.3 MB (on [2, 3]; 1.19 MB for 8 246 starts on [3, 3]). The
-    bound does not price the draw: one ``default_rng([seed, k])`` per start,
-    about 20 us each, is 0.7-0.8 s of a 3.5-4.2 s run on [2, 2] at its limit of
-    34 788 starts.
+    at or below 2.3 MB (on [2, 3]; 1.19 MB for 8 246 starts on [3, 3]).
     """
     return _frozen(_haar_stack(db, [np.random.default_rng([seed, k]) for k in range(starts)]))
 
@@ -275,20 +277,20 @@ def evaluate_witness(w: Witness, choi: ChoiMatrix) -> float:
     return float(val.real)
 
 
-def classify_violation(value: float, w: Witness) -> Verdict:
-    """Tiered verdict from a witness expectation.
+def decide(kind: str, value: float, thresholds: dict[str, float]) -> str:
+    """The verdict of the expectation ``value`` of a ``kind`` witness, by its row of ``VERDICTS``.
 
-    Below alpha_sq - alpha_s_sq the map cannot be separable at all; below
-    zero it cannot be a separable random unitary; otherwise undetected. Each
-    threshold is tested with :func:`~chandet.channels.below_threshold`.
+    ``thresholds`` maps each of the kind's verdicts, and nothing else, to its
+    threshold. The first verdict, strongest first, whose threshold ``value``
+    lies below by :func:`~chandet.channels.below_threshold` is returned, else
+    the kind's default.
     """
-    if w.alpha_sq is None or w.alpha_s_sq is None:
-        raise ValueError("witness carries no reference overlap coefficients")
-    if below_threshold(value, w.alpha_sq - w.alpha_s_sq):
-        return Verdict.NOT_SEPARABLE
-    if below_threshold(value, 0.0):
-        return Verdict.NOT_SRU
-    return Verdict.UNDETECTED
+    if kind not in VERDICTS:
+        raise ValueError(f"no verdicts for witness kind {kind!r}")
+    tiers, default = VERDICTS[kind]
+    if set(thresholds) != set(tiers):
+        raise ValueError(f"the {kind} verdicts need thresholds for {list(tiers)}, got {list(thresholds)}")
+    return next((v for v in tiers if below_threshold(value, thresholds[v])), default)
 
 
 def robustness_bounds(c: float, w: Witness) -> BoundReport:

@@ -7,26 +7,25 @@ Both factors must be at least 2, the package's one two-party rule
 the partial transpose of the projector onto the most negative eigenvector of
 that Choi matrix, measured on the Choi state of the physically implementable
 composite M o SPA(T_A). Only that one eigenpair is computed: lambda_- from one
-``eigvalsh`` and, when it is simple, its vector from one inverse-iteration
-solve (Ipsen, SIAM Rev. 39, 254 (1997)), retried once just below an exactly
-singular shift and checked by its residual; only a degenerate lambda_- runs a
-full ``eigh``. SPA(T_A) is the structural physical approximation of the partial
-transpose (Horodecki & Ekert, PRL 89, 127902 (2002)): the partial transpose
-plus the minimal depolarizing noise that makes it CP. Both Choi matrices are
-closed forms in M's Choi matrix, whose subsystems are ordered (A out, B out,
-A anc, B anc).
+``eigvalsh`` and, when the witness is built here and lambda_- is simple, its
+vector from one inverse-iteration solve (Ipsen, SIAM Rev. 39, 254 (1997)),
+retried once just below an exactly singular shift and checked by its residual;
+only a degenerate lambda_- runs a full ``eigh``, and a supplied witness needs
+no vector at all. SPA(T_A) is the structural physical approximation of the
+partial transpose (Horodecki & Ekert, PRL 89, 127902 (2002)): the partial
+transpose plus the minimal depolarizing noise that makes it CP. Both Choi
+matrices are closed forms in M's Choi matrix, whose subsystems are ordered
+(A out, B out, A anc, B anc).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ATOL, Channel, ChoiMatrix, ValidationError, below_threshold
-from .detect import Witness, evaluate_witness
+from .channels import ATOL, Channel, ChoiMatrix, ValidationError
+from .detect import Witness, decide, evaluate_witness
 from .qmath import partial_trace, partial_transpose, _require_bipartite
-
-NPT_DETECTED = "npt_detected"
-NOT_DETECTED = "not_detected"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -91,29 +90,25 @@ def _composite(c: ChoiMatrix, m_of_id: np.ndarray, noise: float) -> ChoiMatrix:
     return ChoiMatrix(mat, c.dims, c.source_dims)
 
 
-def _negative_eigenpair(m: np.ndarray):
-    """lambda_- of the Hermitian ``m``, a unit vector of its eigenspace, and whether it is degenerate.
+def _negative_eigenvector(m: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """A unit vector of the eigenspace of lambda_- = w[0] < -ATOL of the Hermitian ``m``.
 
-    lambda_- and the degeneracy (eigenvalues within ATOL of it) come from one
-    ``eigvalsh``. When lambda_- >= -ATOL no witness is built, so the vector is
-    None. A simple lambda_- takes its vector from one inverse-iteration solve
-    of (m - lambda_- I) x = b, b = (1, 2, ..., N)/N, normalized and accepted
-    only when max|m x - lambda_- x| <= ATOL; a second solve runs only when
-    that shift is exactly singular. The eigensolver's basis of a degenerate
+    ``w`` is ``m``'s ascending ``eigvalsh`` spectrum and ``k`` the number of
+    its eigenvalues within ATOL of lambda_-, the eigenspace's dimension. A
+    simple lambda_- takes its vector from one inverse-iteration solve of
+    (m - lambda_- I) x = b, b = (1, 2, ..., N)/N, normalized and accepted only
+    when max|m x - lambda_- x| <= ATOL; a second solve runs only when that
+    shift is exactly singular. The eigensolver's basis of a degenerate
     eigenspace is arbitrary, so there the vector is the normalized projection
     of b onto the space, which one solve cannot give: cluster members within
     rounding of lambda_- get amplifications that differ by orders of magnitude.
     """
-    w = np.linalg.eigvalsh(m)
     lam = float(w[0])
-    k = int(np.count_nonzero(w - lam <= ATOL))
-    if lam >= -ATOL:
-        return lam, None, k > 1
     b = np.arange(1, w.size + 1) / w.size
     if k > 1:
         block = np.linalg.eigh(m)[1][:, :k]
         x = block @ (block.conj().T @ b)
-        return lam, x / np.linalg.norm(x), True
+        return x / np.linalg.norm(x)
     # A gate with entries such as 0 and +-1 can give an exact lambda_- and an
     # exactly singular m - lambda_- I. Its retry shifts one eigvalsh error bound,
     # N eps |m|, below lambda_-, where m - shift I is positive definite.
@@ -129,7 +124,7 @@ def _negative_eigenpair(m: np.ndarray):
     residual = float(np.max(np.abs(m @ x - lam * x)))
     if not residual <= ATOL:
         raise ValidationError(f"eigenvector of lambda_- = {lam!r} has residual {residual:.3e} above {ATOL:g}")
-    return lam, x, False
+    return x
 
 
 def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
@@ -148,21 +143,24 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     m_of_id = partial_trace(ch.choi.matrix, ch.choi.dims, keep=(0, 1))
     unital = float(np.max(np.abs(dim * m_of_id - np.eye(dim)))) <= ATOL
     p = spa_noise_weight(ch.dims)
-    lam, vector, degenerate = _negative_eigenpair(choi_mt.matrix)
+    spectrum = np.linalg.eigvalsh(choi_mt.matrix)
+    lam = float(spectrum[0])
+    k = int(np.count_nonzero(spectrum - lam <= ATOL))  # lambda_-'s multiplicity, to ATOL
+    thresholds = {"npt_detected": p / dim**2 if unital else 0.0}
     # the facts both exits report, stated once
-    facts = dict(
-        lambda_minus=lam, noise_p=p, unital=unital, threshold=p / dim**2 if unital else 0.0, degenerate=degenerate
-    )
+    facts = dict(lambda_minus=lam, noise_p=p, unital=unital, threshold=thresholds["npt_detected"], degenerate=k > 1)
 
     note = None
     if witness is None:
         if lam >= -ATOL:
             note = f"transpose-conjugated Choi matrix is positive (min eigenvalue >= -{ATOL:g}); witness unavailable"
-            return NptReport(**facts, expectation=None, verdict=NOT_DETECTED, note=note)
+            # nothing was measured, so no verdict fires
+            return NptReport(**facts, expectation=None, verdict=decide("ppt", math.inf, thresholds), note=note)
+        vector = _negative_eigenvector(choi_mt.matrix, spectrum, k)
         # the partial transpose acts on the first output qudit of the Choi space
         op = partial_transpose(np.outer(vector, vector.conj()), choi_mt.dims, 0)
         witness = Witness(operator=(op + op.conj().T) / 2, kind="ppt", dims=choi_mt.dims)
-        if degenerate:
+        if k > 1:
             note = (
                 "most negative eigenvalue is degenerate; witness uses the projection of "
                 "(1, 2, ..., N)/N onto its eigenspace"
@@ -187,7 +185,7 @@ def detect_npt(ch: Channel, witness: Witness | None = None) -> NptReport:
     return NptReport(
         **facts,
         expectation=expectation,
-        verdict=NPT_DETECTED if below_threshold(expectation, facts["threshold"]) else NOT_DETECTED,
+        verdict=decide("ppt", expectation, thresholds),
         term_transpose=term_transpose,
         term_noise_mt=term_noise_mt,
         term_noise_m=term_noise_m,

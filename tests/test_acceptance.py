@@ -15,10 +15,9 @@ from chandet.channels import (
     z3_channel,
 )
 from chandet.detect import (
-    Verdict,
     alpha_sru_optimize,
     build_sru_witness,
-    classify_violation,
+    decide,
     eb_witness,
     evaluate_witness,
     operator_schmidt,
@@ -27,7 +26,6 @@ from chandet.detect import (
 )
 from chandet.measure import estimate_witness, group_settings, pauli_decompose
 from chandet.pptdetect import (
-    NPT_DETECTED,
     detect_npt,
     spa_composite,
     spa_noise_weight,
@@ -133,7 +131,7 @@ def test_criterion_06_z3_analysis():
     gap = w.alpha_sq - w.alpha_s_sq
     assert abs(gap + 0.111) < 5e-3
     assert value < gap
-    assert classify_violation(value, w) is Verdict.NOT_SEPARABLE
+    assert decide("sru", value, {"not_sru": 0.0, "not_separable": gap}) == "not_separable"
     passed(6, f"Z3: sigmas at closed form, alpha_SRU = {alpha:.4f}, verdict not_separable")
 
 
@@ -144,7 +142,7 @@ def test_criterion_07_npt_pipeline_on_cnot():
     assert abs(rep.expectation) <= 1e-10
     assert rep.unital and abs(rep.threshold - 1 / 18) <= 1e-12
     assert abs(rep.threshold - 0.0556) < 1e-4
-    assert rep.verdict == NPT_DETECTED
+    assert rep.verdict == "npt_detected"
     closed = (1 - rep.noise_p) * rep.lambda_minus + rep.noise_p / 2**4
     assert abs(rep.expectation - closed) <= 1e-10
     passed(7, "CNOT NPT run: lambda=-1/2, p=8/9, expectation 0 below threshold 1/18")

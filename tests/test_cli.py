@@ -19,7 +19,7 @@ from chandet.cli import (
 from chandet.detect import (
     alpha_sru_optimize,
     build_sru_witness,
-    classify_violation,
+    decide,
     evaluate_witness,
     operator_schmidt,
 )
@@ -539,7 +539,8 @@ class TestPipelines:
             res = run_json(capsys, command, "--channel", path)["results"]
             assert res["alpha_source"] == "optimizer"
             assert (res["alpha_sru_sq"], res["alpha_s_sq"]) == (w.alpha_sq, w.alpha_s_sq)
-            assert (res["expectation"], res["verdict"]) == (value, classify_violation(value, w).value)
+            thresholds = {"not_sru": 0.0, "not_separable": w.alpha_sq - w.alpha_s_sq}
+            assert (res["expectation"], res["verdict"]) == (value, decide("sru", value, thresholds))
         # detect-sep, run last, also reports the gate's Schmidt coefficients
         assert (res["sigmas"], res["rank"]) == (sd.sigmas.tolist(), sd.rank)
         res = run_json(capsys, "schmidt", "--channel", path)["results"]

@@ -2,8 +2,9 @@
 
 Whatever the spec holds (finite numbers of any size, NaN, infinities, strings,
 booleans, wrong shapes), a run ends with exit code 0, 2 or 3, never with an
-escaping exception. A JSON report is RFC-8259 JSON, a text report holds no
-NaN or Infinity token, and a failed run prints nothing to stdout.
+escaping exception. A JSON report is RFC-8259 JSON, a detect command's
+verdict is one of its witness kind's row of ``detect.VERDICTS``, a text report
+holds no NaN or Infinity token, and a failed run prints nothing to stdout.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chandet.cli import COMMANDS, EXIT_INPUT_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK, NAMED_SPECS, main  # noqa: E402
+from chandet.detect import VERDICTS  # noqa: E402
 
 DIMS = ([1], [2], [3], [1, 2], [2, 1], [2, 2], [2, 3], [2, 2, 2])
 PARAM_KEYS = ["p", "d", "probs", "matrix", "sigma", "unitaries"]
@@ -97,6 +99,8 @@ TARGET_SPECS = {
     "target-malformed.json": {"dims": [2, 2], "kind": "kraus", "kraus": [[[1, 0]]]},
 }
 TARGET_COMMANDS = ("decompose-witness", "detect-sep", "detect-sru", "simulate")
+# the witness kind whose row of the verdict table each detect command reports from
+DETECT_KINDS = {"detect-eb": "eb", "detect-sru": "sru", "detect-sep": "sru", "detect-npt": "ppt"}
 
 
 @st.composite
@@ -148,7 +152,10 @@ def run_main(spec_path, spec, argv):
 def test_cli_contract(spec_path, spec, argv):
     code, out = run_main(spec_path, spec, argv)
     if code == EXIT_OK:
-        json.loads(out, parse_constant=reject_constant)
+        report = json.loads(out, parse_constant=reject_constant)
+        if argv[0] in DETECT_KINDS:
+            tiers, default = VERDICTS[DETECT_KINDS[argv[0]]]
+            assert report["results"]["verdict"] in (*tiers, default)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

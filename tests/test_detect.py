@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chandet.channels import (
+    VERDICT_MARGIN,
     Channel,
     ValidationError,
     cnot_channel,
@@ -13,12 +14,11 @@ from chandet import detect
 from chandet.detect import (
     MAX_SWEEPS,
     SWEEP_TOL,
-    Verdict,
     Witness,
     _alternating_ascent,
     alpha_sru_optimize,
     build_sru_witness,
-    classify_violation,
+    decide,
     eb_witness,
     evaluate_witness,
     operator_schmidt,
@@ -479,31 +479,58 @@ class TestStabilizerWitness:
             w.operator[0, 0] = 0.0
 
 
-class TestVerdicts:
-    def _z3_witness(self, alpha_sq=0.786**2):
-        return Witness(
-            operator=alpha_sq * np.eye(81) - np.outer(choi_ket(Z3), choi_ket(Z3).conj()),
-            kind="sru",
-            dims=(3, 3, 3, 3),
-            alpha_s_sq=Z3_SIGMA_1**2,
-            alpha_sq=alpha_sq,
-        )
+class TestDecide:
+    # Z3's SRU thresholds: alpha_SRU^2 - alpha_S^2 for alpha_SRU = 0.786, and zero
+    Z3_THRESHOLDS = {"not_separable": 0.786**2 - Z3_SIGMA_1**2, "not_sru": 0.0}
 
     def test_not_separable(self):
-        w = self._z3_witness()
         value = 0.786**2 - 1.0
-        assert value < w.alpha_sq - w.alpha_s_sq
-        assert classify_violation(value, w) is Verdict.NOT_SEPARABLE
+        assert value < self.Z3_THRESHOLDS["not_separable"]
+        assert decide("sru", value, self.Z3_THRESHOLDS) == "not_separable"
 
     def test_not_sru_between_thresholds(self):
-        assert classify_violation(-0.05, self._z3_witness()) is Verdict.NOT_SRU
+        assert decide("sru", -0.05, self.Z3_THRESHOLDS) == "not_sru"
 
     def test_undetected(self):
-        assert classify_violation(0.1, self._z3_witness()) is Verdict.UNDETECTED
+        assert decide("sru", 0.1, self.Z3_THRESHOLDS) == "undetected"
 
-    def test_missing_coefficients(self):
+    def test_below_both_sru_thresholds_is_not_separable(self):
+        # the strongest claim wins, whatever order the thresholds come in
+        reordered = dict(reversed(self.Z3_THRESHOLDS.items()))
+        assert decide("sru", -1.0, reordered) == "not_separable"
+
+    @pytest.mark.parametrize(
+        "kind, thresholds, tier, at_margin",
+        [
+            ("eb", {"not_entanglement_breaking": 0.0}, "not_entanglement_breaking", "undetected"),
+            ("sru", Z3_THRESHOLDS, "not_sru", "undetected"),
+            # alpha_SRU = alpha_S: both thresholds are zero and the stronger claim fires first
+            ("sru", {"not_separable": 0.0, "not_sru": 0.0}, "not_separable", "undetected"),
+            # below zero but not by the margin below the gap: the weaker tier
+            ("sru", Z3_THRESHOLDS, "not_separable", "not_sru"),
+            ("ppt", {"npt_detected": 1 / 18}, "npt_detected", "not_detected"),
+            ("ppt", {"npt_detected": 0.0}, "npt_detected", "not_detected"),
+        ],
+    )
+    def test_margin_edge(self, kind, thresholds, tier, at_margin):
+        edge = thresholds[tier] - VERDICT_MARGIN
+        assert decide(kind, edge, thresholds) == at_margin
+        assert decide(kind, np.nextafter(edge, -np.inf), thresholds) == tier
+
+    @pytest.mark.parametrize(
+        "kind, thresholds",
+        [
+            ("sru", {"not_sru": 0.0}),
+            ("sru", {"not_sru": 0.0, "not_separable": -0.1, "not_entanglement_breaking": 0.0}),
+            ("eb", {"not_sru": 0.0}),
+            ("ppt", {}),
+            ("stabilizer", {"not_sru": 0.0}),
+            ("npt_detected", {"npt_detected": 0.0}),
+        ],
+    )
+    def test_wrong_thresholds_or_kind_raise(self, kind, thresholds):
         with pytest.raises(ValueError):
-            classify_violation(-0.1, eb_witness())
+            decide(kind, -1.0, thresholds)
 
 
 class TestRobustnessBounds:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,13 +18,11 @@ from chandet.channels import (
 )
 from chandet.detect import alpha_sru_optimize, build_sru_witness
 from chandet.pptdetect import (
-    NOT_DETECTED,
-    NPT_DETECTED,
     detect_npt,
     ppt_conjugate,
     spa_composite,
     spa_noise_weight,
-    _negative_eigenpair,
+    _negative_eigenvector,
 )
 from chandet.qmath import haar_unitary, kron, partial_trace, partial_transpose
 from support import apply, choi_of_superoperator, is_unital, max_entangled, random_channel
@@ -203,7 +202,7 @@ class TestDetectNpt:
         assert rep.unital
         assert abs(rep.threshold - 1 / 18) < 1e-12
         assert abs(rep.expectation) < 1e-10
-        assert rep.verdict == NPT_DETECTED
+        assert rep.verdict == "npt_detected"
         # unital two-term form
         assert abs(rep.expectation - ((1 - rep.noise_p) * rep.lambda_minus + rep.noise_p / 16)) < 1e-10
         assert abs(rep.term_transpose - rep.lambda_minus) < 1e-10
@@ -231,7 +230,7 @@ class TestDetectNpt:
 
     def test_identity_not_detected_with_note(self):
         rep = detect_npt(identity_channel([2, 2]))
-        assert rep.verdict == NOT_DETECTED
+        assert rep.verdict == "not_detected"
         assert rep.expectation is None
         assert rep.note is not None and "positive" in rep.note
 
@@ -241,7 +240,7 @@ class TestDetectNpt:
         rep = detect_npt(ch, witness=w)
         assert rep.unital
         assert rep.expectation >= rep.noise_p / 16 - 1e-10
-        assert rep.verdict == NOT_DETECTED
+        assert rep.verdict == "not_detected"
 
     def test_two_term_split_on_random_channels(self):
         # consistency of the direct expectation with the (1-p)/p split is
@@ -319,7 +318,7 @@ class TestUnequalDims:
         assert rep.lambda_minus == pytest.approx(-0.5, abs=1e-12)
         # the unital closed form: 0 on [2, 3], -1/78 on [3, 2]
         assert rep.expectation == pytest.approx((1 - p) * -0.5 + p / 36, abs=1e-12)
-        assert rep.verdict == NPT_DETECTED
+        assert rep.verdict == "npt_detected"
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -329,9 +328,9 @@ class TestUnequalDims:
     )
     def test_ppt_channels_are_not_detected(self, kind, dims, seed):
         ch = PPT_ENSEMBLES[kind](dims, seed)
-        assert detect_npt(ch).verdict == NOT_DETECTED
+        assert detect_npt(ch).verdict == "not_detected"
         reference = detect_npt(controlled_shift(dims)).witness
-        assert detect_npt(ch, witness=reference).verdict == NOT_DETECTED
+        assert detect_npt(ch, witness=reference).verdict == "not_detected"
 
 
 class TestAgainstDefinition:
@@ -374,6 +373,16 @@ class TestAgainstDefinition:
             assert getattr(rep, field) == pytest.approx(value, abs=1e-12), field
 
 
+def negative_eigenpair(m):
+    """lambda_- of ``m``, the unit vector ``detect_npt`` builds its witness from, and whether lambda_- is degenerate.
+
+    The vector is None when lambda_- >= -ATOL, where no witness is built.
+    """
+    w = np.linalg.eigvalsh(m)
+    k = int(np.sum(w - w[0] <= ATOL))
+    return float(w[0]), None if w[0] >= -ATOL else _negative_eigenvector(m, w, k), k > 1
+
+
 class TestDegenerateWitness:
     def test_vector_depends_only_on_the_eigenspace(self):
         for d in (2, 3):
@@ -381,7 +390,7 @@ class TestDegenerateWitness:
             w, v = np.linalg.eigh(choi.matrix)
             k = int(np.sum(w - w[0] <= ATOL))
             assert k == d * d * (d * d - 1) // 2  # the antisymmetric subspace
-            lam, x, degenerate = _negative_eigenpair(choi.matrix)
+            lam, x, degenerate = negative_eigenpair(choi.matrix)
             assert degenerate
             np.testing.assert_allclose(choi.matrix @ x, lam * x, atol=1e-12)
             b = np.arange(1, w.size + 1) / w.size
@@ -413,7 +422,7 @@ class TestNegativeEigenpair:
         for dims in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
             for seed in range(50):
                 m = ppt_conjugate(random_channel(dims, 700 + seed)).matrix
-                lam, x, degenerate = _negative_eigenpair(m)
+                lam, x, degenerate = negative_eigenpair(m)
                 if x is None or degenerate:
                     continue
                 simple += 1
@@ -437,12 +446,12 @@ class TestNegativeEigenpair:
     def test_exact_rational_channels_solve(self, ch):
         # exact entries give an exact lambda_-, so the shifted matrix can be exactly singular (the CZ's is)
         m = ppt_conjugate(ch).matrix
-        lam, x, degenerate = _negative_eigenpair(m)
+        lam, x, degenerate = negative_eigenpair(m)
         assert lam < -ATOL and not degenerate
         v = np.linalg.eigh(m)[1][:, 0]
         np.testing.assert_allclose(np.outer(x, x.conj()), np.outer(v, v.conj()), atol=1e-12)
         assert np.max(np.abs(m @ x - lam * x)) <= ATOL
-        assert detect_npt(ch).verdict == NPT_DETECTED
+        assert detect_npt(ch).verdict == "npt_detected"
 
     def test_singular_shift_is_retried_below_lambda(self, monkeypatch):
         from chandet import pptdetect
@@ -457,7 +466,7 @@ class TestNegativeEigenpair:
             return solve(a, b)
 
         monkeypatch.setattr(pptdetect.np.linalg, "solve", singular_once)
-        lam, x, _ = _negative_eigenpair(m)
+        lam, x, _ = negative_eigenpair(m)
         # the retry moves only the diagonal, by a positive nudge of rounding size
         step = shifted[1] - shifted[0]
         assert np.count_nonzero(step - np.diag(np.diag(step))) == 0
@@ -489,6 +498,38 @@ class TestNegativeEigenpair:
             monkeypatch.setattr(pptdetect.np.linalg, name, counting)
         detect_npt(ch)
         assert counted == calls
+
+    @pytest.mark.parametrize(
+        "ch",
+        [*(random_channel((2, 2), seed) for seed in range(900, 905)), swap_channel(2)],
+        ids=[*(f"random-{seed}" for seed in range(900, 905)), "swap"],
+    )
+    def test_supplied_witness_needs_no_eigenvector(self, monkeypatch, ch):
+        from chandet import pptdetect
+
+        own = detect_npt(ch)
+        assert own.lambda_minus < -ATOL
+        reference = detect_npt(cnot_channel()).witness
+        counted = {}
+        for name in ("eigh", "solve"):
+
+            def counting(*args, _name=name, _call=getattr(np.linalg, name)):
+                counted[_name] = counted.get(_name, 0) + 1
+                return _call(*args)
+
+            monkeypatch.setattr(pptdetect.np.linalg, name, counting)
+        supplied = detect_npt(ch, witness=own.witness)
+        detect_npt(ch, witness=reference)
+        assert counted == {}
+        # the channel's own witness, supplied, gives the report that building it gave, but for the note
+        for f in fields(own):
+            a, b = getattr(supplied, f.name), getattr(own, f.name)
+            if f.name == "composite":
+                assert np.array_equal(a.matrix, b.matrix)
+            elif f.name == "note":
+                assert a is None
+            else:
+                assert a is b or a == b, f.name
 
     @pytest.mark.parametrize(
         "solve, message",

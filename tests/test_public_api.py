@@ -13,8 +13,8 @@ SRC = Path(chandet.__file__).parent
 # The library's surface; the linear-algebra helpers stay in chandet.qmath.
 PUBLIC_NAMES = """
     BoundReport Channel ChoiMatrix MeasurementSetting NptReport PauliTerm SchmidtDecomposition
-    ShotEstimate ValidationError Verdict Witness alpha_sru_optimize build_sru_witness
-    classify_violation cnot_channel depolarizing_channel detect_npt eb_witness estimate_witness
+    ShotEstimate ValidationError Witness alpha_sru_optimize build_sru_witness
+    cnot_channel decide depolarizing_channel detect_npt eb_witness estimate_witness
     evaluate_witness fully_depolarizing_channel group_settings identity_channel
     operator_schmidt pauli_decompose ppt_conjugate random_unitary_channel robustness_bounds
     spa_noise_weight sru_channel stabilizer_witness unitary_channel z3_channel
@@ -35,7 +35,7 @@ print(json.dumps(sorted(name for name in sys.modules if name.startswith("chandet
 
 def test_public_names():
     names = [n for n, v in vars(chandet).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)]
-    assert sorted(names) == PUBLIC_NAMES and len(names) == 33
+    assert sorted(names) == PUBLIC_NAMES and len(names) == 32
 
 
 def test_cli_reaches_every_module():
