@@ -321,7 +321,11 @@ def _read_spec_file(path: str) -> dict:
             return json.load(fh, parse_constant=reject_constant)
     except FileNotFoundError as exc:
         raise SpecError(f"channel spec file not found: {path}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except SpecError:  # reject_constant's, already worded
+        raise
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError or UnicodeDecodeError, an integer past sys.get_int_max_str_digits(),
+        # or nesting past the recursion limit
         raise SpecError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise SpecError(f"cannot read channel spec {path}: {exc}") from exc

@@ -12,20 +12,22 @@ appear only at the report boundary, in :func:`pauli_decompose` and
 runs. What depends only on the qubit count n is built once per process, on
 first use, by :func:`_pauli_tables`: the gather tables (a Pauli string has one
 nonzero entry per row, so every Tr[P op] is read off one gather of the
-operator), the ``[outcome, code]`` sign table and the 2^n subset masks,
+operator), the ``[code, outcome]`` sign table and the 2^n subset masks,
 read-only and 150 000 bytes for n = 1..4 together. The Born probabilities of
 a setting are the Walsh-Hadamard transform of the state's Pauli traces on the
 2^n sub-strings of its string, applied by n butterfly stages; the stage makes
 no BLAS call and the butterfly fixes its order of summation, so each row is
 bitwise the row of its setting alone, and every probability <=
-``ZERO_CUTOFF`` is exactly 0. One stream, ``default_rng(seed)``, draws the
-counts of every setting in setting order: setting k's are its k-th
-multinomial draw, and setting 0's are those the stream ``[seed, 0]`` drew
-(numpy pads the entropy with zeros). One pass over ``[setting, outcome]``
-arrays forms the estimate, each setting's terms padded to the widest with a
-zero term and every sum running left to right. So each number is bitwise the
-one of a dense ``Tr[P W]``, the same transform on dense traces, one scalar
-butterfly at a time, and a loop over settings, outcomes and terms. A
+``ZERO_CUTOFF`` is exactly 0. One ``multinomial(shots, probs)`` call of the
+stream ``default_rng(seed)`` on the ``[setting, outcome]`` array draws the
+counts of every setting: setting k's are its k-th multinomial draw, bitwise
+what a loop of one-row draws of that stream gives, and setting 0's are those
+the stream ``[seed, 0]`` drew (numpy pads the entropy with zeros). One pass
+over ``[setting, outcome]`` arrays forms the estimate, each setting's terms
+padded to the widest with a zero term, and its two sums over outcomes are
+accumulates, which run left to right. So each number is bitwise the one of a
+dense ``Tr[P W]``, the same transform on dense traces, one scalar butterfly
+at a time, and a loop over settings, outcomes and terms. A
 probability lies within 8 eps of the former three-operand einsum, and one ulp
 can move a BTPE binomial draw (p = 1/18 on the CNOT NPT composite, setting
 YYXZ, 1 000 shots, seed 1). A draw that moves in setting j can shift the
@@ -38,6 +40,7 @@ is built before it refuses.
 
 import functools
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -97,7 +100,7 @@ class _Tables(NamedTuple):
 
     gather: np.ndarray  # [code, row] flat index of the row's one nonzero entry in a 2^n x 2^n matrix
     phases: np.ndarray  # [code, row] that entry
-    signs: np.ndarray  # [outcome, code] product of the +-1 outcomes on the code's non-identity qubits
+    signs: np.ndarray  # [code, outcome] product of the +-1 outcomes on the code's non-identity qubits
     masks: np.ndarray  # [subset] 0b11 in the slot of each qubit whose bit is set in the subset's index
 
 
@@ -125,7 +128,7 @@ def _pauli_tables(n: int) -> _Tables:
     tables = _Tables(
         gather=cols * side + np.arange(side),
         phases=phases,
-        signs=1 - 2 * (bits @ (digits != 0).T & 1),
+        signs=1 - 2 * ((digits != 0) @ bits.T & 1),
         masks=3 * bits @ 4 ** np.arange(n - 1, -1, -1),
     )
     for a in tables:
@@ -328,28 +331,28 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     variance = 0.0
     if bases:
         probs = _setting_probabilities(state, bases)
-        # [setting, outcome] counts, setting k's the k-th draw of the one stream seed: setting 0
-        # draws what the stream [seed, 0] drew, and a draw that moves shifts every later one
-        rng = np.random.default_rng(seed)
-        counts = np.stack([rng.multinomial(shots, p) for p in probs])
+        # [setting, outcome] counts in one call on the whole array: setting k's are its k-th
+        # multinomial draw of the one stream seed, setting 0's what the stream [seed, 0] drew,
+        # and a draw that moves shifts every later one
+        counts = np.random.default_rng(seed).multinomial(shots, probs)
         # [term, outcome] signed coefficients; one more term, 0.0 * identity, pads every setting to the widest
-        signs = _pauli_tables(n).signs[:, np.append(codes, 0)]
-        signed = np.append(coeffs, 0.0)[:, None] * signs.T
-        slots = np.full((len(bases), max(map(len, covered))), codes.size)
-        for k, c in enumerate(covered):
-            slots[k, : len(c)] = c
-        # [setting, outcome] values, each adding its setting's terms left to right (x + 0.0 == x)
-        v = np.zeros(counts.shape)
-        for column in slots.T:
-            v += signed[column]
-        # per setting, count * v and count * v * v summed over outcomes in ascending order;
-        # a zero count adds +-0.0, which changes no sum
+        signed = np.append(coeffs, 0.0)[:, None] * _pauli_tables(n).signs[np.append(codes, 0)]
+        # [slot, setting, outcome] signed coefficients of each setting's slot-th term, gathered at once
+        slots = chain.from_iterable(zip_longest(*covered, fillvalue=codes.size))
+        terms = np.take(signed, list(slots), axis=0).reshape(-1, *counts.shape)
+        # [setting, outcome] values, each adding its setting's terms left to right; slot 0 is never
+        # padding and its coefficient is nonzero, so starting there is starting from 0.0
+        v = terms[0]
+        for term in terms[1:]:
+            v += term
+        # per setting, count * v and count * v * v summed over outcomes by an accumulate, which
+        # adds left to right; a zero count adds +-0.0, which changes no sum
         weighted = counts * v
-        mean_acc = np.zeros(len(bases))
-        sq_acc = np.zeros(len(bases))
-        for o in range(counts.shape[1]):
-            mean_acc += weighted[:, o]
-            sq_acc += weighted[:, o] * v[:, o]
+        mean_acc = np.cumsum(weighted, axis=1)[:, -1]
+        sq_acc = np.cumsum(weighted * v, axis=1)[:, -1]
+        # a Python loop, not numpy: mean**2 of a Python float is libm pow, which can differ from
+        # numpy's mean * mean by one ulp, and a numpy form of the variance moved std_error by one
+        # ulp on an 81-setting NPT witness at 3 shots
         for m_acc, s_acc in zip(mean_acc.tolist(), sq_acc.tolist()):
             mean = m_acc / shots
             value += mean

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -55,6 +56,8 @@ TWO_PARTY_REFUSALS = [
 # the refusal texts after the words that name what was run, given the dims
 TWO_PARTY_RULE = " needs dims [d_A, d_B] with d_A, d_B >= 2, got {}"
 EB_RULE = ": the eb witness needs prod(dims) >= 2, got dims {}"
+# the most digits json may parse as one int (sys.get_int_max_str_digits), 0 when there is no limit
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 # Every request that measures a Choi state: simulate and decompose-witness always, detect-* with --shots.
 MEASURING = [
@@ -235,11 +238,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "detect-eb", "--channel", "/nonexistent.json")
         assert code == EXIT_INPUT_ERROR and "not found" in err
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("{not json", id="syntax"),
+            pytest.param("[" * 100_000, id="nested_past_recursion_limit"),
+            pytest.param(
+                "1" * (INT_DIGIT_LIMIT + 1),
+                id="integer_past_digit_limit",
+                marks=pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="this Python parses ints of any length"),
+            ),
+        ],
+    )
+    def test_invalid_json(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, err = run(capsys, "detect-eb", "--channel", str(path))
-        assert code == EXIT_INPUT_ERROR and "invalid JSON" in err
+        path.write_text(text)
+        code, out, err = run(capsys, "detect-eb", "--channel", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith(f"input error: invalid JSON in {path}: ")
 
     @pytest.mark.parametrize("make", [lambda p: p.write_bytes(b"\xff\xfe{"), lambda p: p.mkdir()])
     def test_unreadable_spec_is_input_error(self, tmp_path, capsys, make):

@@ -288,34 +288,48 @@ class TestEstimateWitness:
         assert 0.35 <= np.mean(ratios) <= 0.65
 
     def test_one_sign_table_and_one_stream_per_estimate(self, monkeypatch, table_builds):
-        # the sampling contract: every setting draws from the one stream default_rng(seed), in
-        # setting order, and the outcome signs of every term are read from the one
-        # [outcome, code] table of its qubit count, built once however many estimates read it
+        # the sampling contract: every setting's counts come from one multinomial call of the one
+        # stream default_rng(seed), whatever the setting count, and the outcome signs of every
+        # term are read from the one [code, outcome] table of its qubit count, built once however
+        # many estimates read it
         from chandet import measure
 
         streams = []
+        draws = []
         real_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def multinomial(self, n, pvals):
+                draws.append(np.shape(pvals))
+                return self._rng.multinomial(n, pvals)
 
         def counting_rng(seed=None):
             streams.append(seed)
-            return real_rng(seed)
+            return CountingRng(seed)
 
+        npt = detect_npt(cnot_channel())
         cases = [
             (cnot_channel().choi, _sru_witness_of(haar_unitary(4, 3))),
             (depolarizing_channel(0.25).choi, eb_witness()),
+            (npt.composite, npt.witness),
         ]
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         for choi, w in cases * 2:
             streams.clear()
+            draws.clear()
             est = estimate_witness(choi, w, 1000, seed=11)
             assert est.setting_count > 1 and streams == [11]
+            assert len(draws) == 1 and draws[0][0] == est.setting_count
         assert table_builds == [4, 2]
         for n in table_builds:
             signs = measure._pauli_tables(n).signs
             for code, string in enumerate(itertools.product("IXYZ", repeat=n)):
                 for outcome in range(2**n):
                     bits = [(outcome >> (n - 1 - q)) & 1 for q in range(n)]
-                    assert signs[outcome, code] == math.prod(1 - 2 * b for b, ch in zip(bits, string) if ch != "I")
+                    assert signs[code, outcome] == math.prod(1 - 2 * b for b, ch in zip(bits, string) if ch != "I")
 
     def test_stream_draws_are_the_two_dimensional_draw(self):
         # one stream's per-setting draws are bitwise numpy's draw on the [setting, outcome] array
