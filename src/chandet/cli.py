@@ -368,12 +368,15 @@ def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.nd
     return _check_unitary(_single_operator(gate, what), f"{what} operator")
 
 
-def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str) -> tuple:
+def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str, measured: bool) -> tuple:
     """The ``kind`` witness, the Choi state it is measured on, and the facts the report states.
 
     The facts are ``(Schmidt data, alpha source)`` for sru, the ``NptReport``
-    for ppt and None otherwise; a PPT channel has no ppt witness, hence None.
-    Every kind but eb needs a bipartite channel. Refusals name ``command``.
+    for ppt and None otherwise. The ppt witness is None on a PPT channel,
+    which has none, and when the command is not ``measured``: the exact
+    numbers come from the report's vector, and only the Pauli layer reads the
+    dense matrix. Every kind but eb needs a bipartite channel. Refusals name
+    ``command``.
     """
     if kind == "eb":
         try:
@@ -383,7 +386,7 @@ def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str) -
     _require_bipartite(channel.dims, command, SpecError)
     if kind == "ppt":
         report = detect_npt(channel)
-        return report.witness, report.composite, report
+        return report.witness if measured else None, report.composite, report
     u = _target_gate(channel, opts, command)
     if kind == "stabilizer":
         # the minimum -1 is reached on the gate's Choi state exactly when the
@@ -511,11 +514,11 @@ def _sep_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) ->
 
 
 def _npt_results(w: Witness | None, state: ChoiMatrix, report, opts: PipelineOptions) -> dict:
-    """Every field of the ``NptReport``, in its order, but the witness and its state."""
+    """Every field of the ``NptReport``, in its order, but the witness's vector and its state."""
     return {
         f.name: getattr(report, f.name)
         for f in fields(report)
-        if f.name not in ("witness", "composite")
+        if f.name not in ("vector", "composite")
     }
 
 
@@ -573,7 +576,8 @@ def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
     label = command if detect else f"{command} --witness {kind}"
     if opts.target is not None and kind not in _GATE_WITNESSES:
         raise SpecError(f"{label} takes no --target: the {kind} witness has no reference gate")
-    if not detect or opts.shots:
+    measured = not detect or bool(opts.shots)
+    if measured:
         what = f"{command} --shots" if detect else command
         _require_measurable(channel.choi.dims, f"{what}: the Choi state", SpecError)
     if opts.shots:
@@ -582,7 +586,7 @@ def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
             raise SpecError(
                 f"{command} --shots needs a trace-preserving channel: max|sum A^dag A - I| = {deficit:.6g}"
             )
-    w, state, facts = _witness(kind, channel, opts, label)
+    w, state, facts = _witness(kind, channel, opts, label, measured)
     results = cmd.run(w, state, facts, opts)
     if detect and opts.shots:
         results["estimate"] = None if w is None else _estimate(state, w, opts.shots, opts.seed)[0]

@@ -165,9 +165,9 @@ def test_criterion_09_witness_soundness():
     for seed in range(500):
         rho = random_separable_state((2, 2), seed=seed)
         assert np.trace(w_eb.operator @ rho).real >= -1e-9
-    w_ppt = detect_npt(cnot_channel()).witness
+    v_ppt = detect_npt(cnot_channel()).vector
     for seed in range(20):
-        rep = detect_npt(random_sru_channel((2, 2), seed=seed), witness=w_ppt)
+        rep = detect_npt(random_sru_channel((2, 2), seed=seed), vector=v_ppt)
         assert rep.expectation >= -1e-10
     passed(9, "no false positives on 200 SRUs, 500 separable states, 20 PPT channels")
 

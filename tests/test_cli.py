@@ -538,7 +538,7 @@ class TestPipelines:
         spec = {"dims": dims, "kind": "kraus", "kraus": [matrix_to_pairs(k) for k in kraus]}
         res = run_json(capsys, "detect-npt", "--channel", write_spec(tmp_path, "ch.json", spec))["results"]
         report = detect_npt(parse_channel_spec(spec))
-        shown = [f.name for f in fields(report) if f.name not in ("witness", "composite")]
+        shown = [f.name for f in fields(report) if f.name not in ("vector", "composite")]
         assert res == {name: getattr(report, name) for name in shown}
         assert res["verdict"] == "npt_detected"
 
@@ -851,6 +851,28 @@ class TestPipelines:
         est = res["estimate"]
         assert abs(est["value"] - res["exact"]) <= 5 * max(est["std_error"], 1e-3)
 
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (["detect-npt"], 0),
+            (["detect-npt", "--shots", "100"], 1),
+            (["simulate", "--witness", "ppt", "--shots", "100"], 1),
+        ],
+        ids=["detect-npt", "detect-npt-shots", "simulate-ppt"],
+    )
+    def test_dense_ppt_witness_only_where_it_is_measured(self, tmp_path, capsys, monkeypatch, argv, builds):
+        from chandet import pptdetect
+
+        built, build = [], pptdetect._ppt_witness
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(pptdetect, "_ppt_witness", counting)
+        run_json(capsys, *argv, "--channel", write_spec(tmp_path, "cnot.json", CNOT_SPEC))
+        assert len(built) == builds
 
     def test_detect_npt_shots_on_ppt_channel(self, tmp_path, capsys):
         path = write_spec(tmp_path, "id.json", {"dims": [2, 2], "kind": "named", "name": "identity"})

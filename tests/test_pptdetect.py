@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from chandet.channels import (
     ATOL,
     Channel,
+    ChoiMatrix,
+    ValidationError,
     cnot_channel,
     depolarizing_channel,
     fully_depolarizing_channel,
@@ -16,7 +19,7 @@ from chandet.channels import (
     unitary_channel,
     z3_channel,
 )
-from chandet.detect import alpha_sru_optimize, build_sru_witness
+from chandet.detect import alpha_sru_optimize, build_sru_witness, evaluate_witness
 from chandet.pptdetect import (
     detect_npt,
     ppt_conjugate,
@@ -191,7 +194,75 @@ class TestPptWitness:
         assert eigs[0] >= -0.5 - 1e-10 and eigs[-1] <= 0.5 + 1e-10
 
     def test_positive_choi_rejected(self):
-        assert detect_npt(identity_channel([2, 2])).witness is None
+        rep = detect_npt(identity_channel([2, 2]))
+        assert rep.vector is None and rep.witness is None and rep.composite is None
+
+
+class TestWitnessVector:
+    """The witness is carried as its unit vector v; the dense (|v><v|)^{T_A} is built only on request."""
+
+    def test_dense_witness_is_built_from_the_vector(self):
+        rep = detect_npt(random_channel([2, 2], 11, kraus_count=2))
+        v = rep.vector
+        assert v.shape == (16,) and not v.flags.writeable
+        op = partial_transpose(np.outer(v, v.conj()), (2, 2, 2, 2), 0)
+        w = rep.witness
+        assert w.kind == "ppt" and w.dims == (2, 2, 2, 2)
+        assert w.operator.tobytes() == ((op + op.conj().T) / 2).tobytes()
+        assert rep.witness is w  # built once, then kept
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4)])
+    def test_expectation_is_the_dense_witness_on_the_composite(self, dims):
+        for seed in range(5):
+            rep = detect_npt(random_channel(dims, 300 + seed, kraus_count=seed % 3 + 1))
+            if rep.vector is None:
+                continue
+            assert rep.expectation == pytest.approx(evaluate_witness(rep.witness, rep.composite), abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            (np.ones(15) / np.sqrt(15), r"shape \(15,\) does not match the Choi space's side 16"),
+            (np.ones((4, 4)) / 4, r"shape \(4, 4\) does not match"),
+            (np.full(16, np.nan), "non-finite entry"),
+            (np.r_[np.inf, np.zeros(15)], "non-finite entry"),
+            (np.ones(16) / 4 * (1 + 3 * ATOL), "norm .* is not 1 within 1e-10"),
+            (np.zeros(16), "norm 0.0 is not 1 within 1e-10"),
+        ],
+        ids=["short", "matrix", "nan", "inf", "norm-off", "zero"],
+    )
+    def test_bad_vector_refused(self, vector, message):
+        with pytest.raises(ValueError, match=message):
+            detect_npt(cnot_channel(), vector=vector)
+
+    def test_vector_within_atol_of_unit_norm_is_measured_as_given(self):
+        v = np.ones(16) / 4 * (1 + ATOL / 2)
+        rep = detect_npt(cnot_channel(), vector=v)
+        assert rep.vector.tobytes() == v.astype(complex).tobytes()
+        assert rep.expectation is not None
+
+    def test_traced_peak_stays_within_four_choi_sized_arrays(self):
+        # the Choi matrix's transposed copy and the composite are the two D^4-entry arrays the
+        # pipeline keeps; no projector, dense witness or identity of that size is formed
+        ch = random_channel([4, 4], 17, kraus_count=2)
+        assert detect_npt(ch).lambda_minus < -ATOL
+        tracemalloc.start()
+        try:
+            detect_npt(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 256**2 * 16
+
+    def test_split_catches_a_composite_without_its_noise(self, monkeypatch):
+        from chandet import pptdetect
+
+        def noiseless(c, m_of_id, noise):
+            return ChoiMatrix((1.0 - noise) * partial_transpose(c.matrix, c.dims, 2), c.dims, c.source_dims)
+
+        monkeypatch.setattr(pptdetect, "_composite", noiseless)
+        with pytest.raises(ValidationError, match="two-term split .* disagrees with direct expectation"):
+            detect_npt(cnot_channel())
 
 
 class TestDetectNpt:
@@ -211,7 +282,7 @@ class TestDetectNpt:
 
     def test_one_ancilla_trace_of_the_choi_matrix(self, monkeypatch):
         # M(Id/D) is traced once and serves both the unital test and the composite;
-        # the other keep=(0, 1) trace is the split's trace of the projector
+        # the split traces the witness's projector as V V^dag, with no partial_trace
         from chandet import pptdetect
 
         calls = []
@@ -223,9 +294,8 @@ class TestDetectNpt:
         monkeypatch.setattr(pptdetect, "partial_trace", counting_trace)
         ch = cnot_channel()
         rep = detect_npt(ch)
-        ancilla_traces = [m for m, keep in calls if keep == (0, 1)]
-        assert len(ancilla_traces) == 2
-        assert sum(m is ch.choi.matrix for m in ancilla_traces) == 1
+        assert len(calls) == 1
+        assert calls[0][0] is ch.choi.matrix and calls[0][1] == (0, 1)
         assert np.array_equal(rep.composite.matrix, spa_composite(ch, rep.noise_p).matrix)
 
     def test_identity_not_detected_with_note(self):
@@ -235,9 +305,9 @@ class TestDetectNpt:
         assert rep.note is not None and "positive" in rep.note
 
     def test_unital_ppt_channel_stays_above_noise_floor(self):
-        w = detect_npt(cnot_channel()).witness
+        v = detect_npt(cnot_channel()).vector
         ch = fully_depolarizing_channel([2, 2])
-        rep = detect_npt(ch, witness=w)
+        rep = detect_npt(ch, vector=v)
         assert rep.unital
         assert rep.expectation >= rep.noise_p / 16 - 1e-10
         assert rep.verdict == "not_detected"
@@ -245,10 +315,10 @@ class TestDetectNpt:
     def test_two_term_split_on_random_channels(self):
         # consistency of the direct expectation with the (1-p)/p split is
         # asserted inside detect_npt; drive it across random CP-TP channels
-        w = detect_npt(cnot_channel()).witness
+        v = detect_npt(cnot_channel()).vector
         for seed in range(20):
             ch = random_channel([2, 2], seed, kraus_count=int(seed % 4) + 1)
-            rep = detect_npt(ch, witness=w)
+            rep = detect_npt(ch, vector=v)
             split = (1 - rep.noise_p) * rep.term_transpose + rep.noise_p * rep.term_noise_mt
             assert abs(rep.expectation - split) < 1e-10
 
@@ -283,29 +353,27 @@ class TestDetectNpt:
         assert "-1e-10" in notes[0]
 
     def test_soundness_on_ppt_channels(self):
-        w = detect_npt(cnot_channel()).witness
+        v = detect_npt(cnot_channel()).vector
         for seed in range(20):
             ch = random_sru_channel((2, 2), seed=seed)
-            rep = detect_npt(ch, witness=w)
+            rep = detect_npt(ch, vector=v)
             assert rep.expectation >= -1e-10
 
     def test_both_exits_report_the_same_shared_facts(self):
         # the PPT exit and the measured exit take lambda_-, p, unital, the threshold and degenerate from one statement
         ch = random_sru_channel((2, 2), seed=3)
         ppt = detect_npt(ch)
-        measured = detect_npt(ch, witness=detect_npt(cnot_channel()).witness)
+        measured = detect_npt(ch, vector=detect_npt(cnot_channel()).vector)
         assert ppt.expectation is None and measured.expectation is not None
         assert ppt.unital and ppt.threshold > 0.0
         for field in ("lambda_minus", "noise_p", "unital", "threshold", "degenerate"):
             got, want = getattr(measured, field), getattr(ppt, field)
             assert type(got) is type(want) and repr(got) == repr(want), field  # float repr round-trips every bit
 
-    def test_external_witness_dims_checked(self):
-        w = detect_npt(cnot_channel()).witness
-        from chandet.channels import z3_channel
-
-        with pytest.raises(ValueError, match="dims"):
-            detect_npt(z3_channel(), witness=w)
+    def test_external_vector_length_checked(self):
+        v = detect_npt(cnot_channel()).vector
+        with pytest.raises(ValueError, match="does not match the Choi space's side 81"):
+            detect_npt(z3_channel(), vector=v)
 
 
 
@@ -329,8 +397,8 @@ class TestUnequalDims:
     def test_ppt_channels_are_not_detected(self, kind, dims, seed):
         ch = PPT_ENSEMBLES[kind](dims, seed)
         assert detect_npt(ch).verdict == "not_detected"
-        reference = detect_npt(controlled_shift(dims)).witness
-        assert detect_npt(ch, witness=reference).verdict == "not_detected"
+        reference = detect_npt(controlled_shift(dims)).vector
+        assert detect_npt(ch, vector=reference).verdict == "not_detected"
 
 
 class TestAgainstDefinition:
@@ -359,8 +427,8 @@ class TestAgainstDefinition:
         np.testing.assert_allclose(spa_composite(ch, 0.3).matrix, composite(0.3), atol=1e-12)
 
         rep = detect_npt(ch)
-        if rep.witness is None:  # PPT: measure a reference gate's witness instead
-            rep = detect_npt(ch, witness=detect_npt(self.REFERENCE[dims]()).witness)
+        if rep.vector is None:  # PPT: measure a reference gate's witness instead
+            rep = detect_npt(ch, vector=detect_npt(self.REFERENCE[dims]()).vector)
         np.testing.assert_allclose(rep.composite.matrix, composite(rep.noise_p), atol=1e-12)
         assert rep.unital == is_unital(ch)
         proj = partial_transpose(rep.witness.operator, rep.witness.dims, 0)
@@ -504,12 +572,12 @@ class TestNegativeEigenpair:
         [*(random_channel((2, 2), seed) for seed in range(900, 905)), swap_channel(2)],
         ids=[*(f"random-{seed}" for seed in range(900, 905)), "swap"],
     )
-    def test_supplied_witness_needs_no_eigenvector(self, monkeypatch, ch):
+    def test_supplied_vector_needs_no_eigenvector(self, monkeypatch, ch):
         from chandet import pptdetect
 
         own = detect_npt(ch)
         assert own.lambda_minus < -ATOL
-        reference = detect_npt(cnot_channel()).witness
+        reference = detect_npt(cnot_channel()).vector
         counted = {}
         for name in ("eigh", "solve"):
 
@@ -518,15 +586,17 @@ class TestNegativeEigenpair:
                 return _call(*args)
 
             monkeypatch.setattr(pptdetect.np.linalg, name, counting)
-        supplied = detect_npt(ch, witness=own.witness)
-        detect_npt(ch, witness=reference)
+        supplied = detect_npt(ch, vector=own.vector)
+        detect_npt(ch, vector=reference)
         assert counted == {}
-        # the channel's own witness, supplied, gives the report that building it gave, but for the note
+        # the channel's own vector, supplied, gives the report that deriving it gave, but for a degenerate note
         for f in fields(own):
             a, b = getattr(supplied, f.name), getattr(own, f.name)
             if f.name == "composite":
-                assert np.array_equal(a.matrix, b.matrix)
-            elif f.name == "note":
+                assert a.matrix.tobytes() == b.matrix.tobytes()
+            elif f.name == "vector":
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable
+            elif f.name == "note" and own.degenerate:
                 assert a is None
             else:
                 assert a is b or a == b, f.name

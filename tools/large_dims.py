@@ -2,17 +2,21 @@
 
     python3 tools/large_dims.py --repeats 3
 
-Times four requests, each as the best of ``--repeats`` calls:
+Times five requests, each as the best of ``--repeats`` calls:
 
 - ``detect-npt`` on a Haar unitary on [6, 6];
+- ``detect-npt`` on the SWAP gate on [6, 6], whose lambda_- is 630-fold
+  degenerate, so the ``eigh`` path is run;
 - ``detect-eb`` on depolarizing p = 0.1 on [36];
 - ``detect-sep`` and ``detect-sru`` on the same Haar unitary on [6, 6].
 
-BLAS runs at one thread, the program is imported from this checkout's
-``src/``, and the spec files are written to a temporary directory. Every call
-must exit 0. Prints one line per request:
+Each request is then called once more under ``tracemalloc``, outside the
+timed calls, for the peak of the memory it traces (numpy's arrays included,
+LAPACK's workspace not). BLAS runs at one thread, the program is imported
+from this checkout's ``src/``, and the spec files are written to a temporary
+directory. Every call must exit 0. Prints one line per request:
 
-    command dims best_s
+    command spec dims best_s peak_mb
 
 To compare two commits, run the script in a checkout of each. Nothing under
 ``bench/`` is changed.
@@ -30,10 +34,13 @@ import io
 import json
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
+
+import numpy as np  # noqa: E402
 
 from chandet import cli  # noqa: E402
 from chandet.qmath import haar_unitary  # noqa: E402
@@ -42,17 +49,23 @@ HAAR_SEED = 36
 
 
 def specs() -> dict:
-    """The two channel specs the requests read, by file name."""
-    u = haar_unitary(36, HAAR_SEED)
-    pairs = u.view(float).reshape(36, 36, 2).tolist()
+    """The three channel specs the requests read, by file name."""
+    haar = haar_unitary(36, HAAR_SEED)
+    swap = np.eye(36).reshape(6, 6, 6, 6).transpose(1, 0, 2, 3).reshape(36, 36)
     return {
-        "haar66.json": {"dims": [6, 6], "kind": "named", "name": "unitary", "params": {"matrix": pairs}},
-        "dep36.json": {"dims": [36], "kind": "named", "name": "depolarizing", "params": {"p": 0.1}},
-    }
+        name: {"dims": [6, 6], "kind": "named", "name": "unitary", "params": {"matrix": pairs(u)}}
+        for name, u in (("haar66.json", haar), ("swap66.json", swap))
+    } | {"dep36.json": {"dims": [36], "kind": "named", "name": "depolarizing", "params": {"p": 0.1}}}
+
+
+def pairs(u: np.ndarray) -> list:
+    """The [re, im] nest of a complex matrix, as a spec writes it."""
+    return np.asarray(u, dtype=complex).view(float).reshape(*u.shape, 2).tolist()
 
 
 REQUESTS = [
     ("detect-npt", "haar66.json", "[6, 6]"),
+    ("detect-npt", "swap66.json", "[6, 6]"),
     ("detect-eb", "dep36.json", "[36]"),
     ("detect-sep", "haar66.json", "[6, 6]"),
     ("detect-sru", "haar66.json", "[6, 6]"),
@@ -71,6 +84,16 @@ def seconds(argv: list) -> float:
     return elapsed
 
 
+def peak_mb(argv: list) -> float:
+    """The traced peak, in MB, of one more in-process CLI call."""
+    tracemalloc.start()
+    try:
+        seconds(argv)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=3, help="calls per request; the best is printed")
@@ -81,7 +104,7 @@ def main(argv=None) -> int:
         for command, name, dims in REQUESTS:
             argv = [command, "--channel", str(Path(workdir, name))]
             best = min(seconds(argv) for _ in range(args.repeats))
-            print(f"{command} {dims} {best:.3f}", flush=True)
+            print(f"{command} {Path(name).stem} {dims} {best:.3f} {peak_mb(argv):.1f}", flush=True)
     return 0
 
 
