@@ -50,7 +50,7 @@ def _check_hermitian(m: np.ndarray, atol: float, what: str) -> None:
         raise ValidationError(f"{what} is not Hermitian within {atol:g} (deviation {dev:.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi state of a channel: matrix over the doubled subsystem list (outputs, ancillas)."""
 

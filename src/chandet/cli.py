@@ -33,9 +33,8 @@ written with one repr per conjugate pair.
 
 Work that no request changes is done once per process, on first use, and
 nothing is built at import: ``main`` keeps one argument parser, the writer
-one encoder, the SRU optimizer its last stack of Haar starts
-(``detect._starts``), and ``detect.stabilizer_witness`` its one witness.
-Nothing that depends on a request's spec, matrices or target is kept. A
+one encoder, and ``detect.stabilizer_witness`` its one witness. Nothing that
+depends on a request's spec, matrices, target, seed or start count is kept. A
 list of matrices is converted in one array check, as one matrix is
 (``_complex_array``).
 
@@ -61,7 +60,6 @@ import numpy as np
 
 from .channels import (
     ATOL,
-    ZERO_CUTOFF,
     Channel,
     ChoiMatrix,
     ValidationError,
@@ -87,7 +85,7 @@ from .detect import (
     robustness_bounds,
     stabilizer_witness,
 )
-from .measure import MAX_SHOTS, estimate_witness, _expand, _group, _names, _require_measurable
+from .measure import MAX_SHOTS, estimate_witness, group_settings, pauli_decompose, _require_measurable
 from .pptdetect import detect_npt
 from .qmath import _require_bipartite
 
@@ -356,8 +354,8 @@ def _single_operator(ch: Channel, what: str) -> np.ndarray:
     return ch.kraus[0]
 
 
-def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.ndarray:
-    """Reference unitary for witness construction, defaulting to the channel itself."""
+def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> tuple[Channel, np.ndarray]:
+    """The reference gate for witness construction, defaulting to the channel itself, and its unitary."""
     gate, what = channel, command
     if opts.target is not None:
         gate, what = parse_channel_spec(opts.target, require_tp=False), f"{command} target"
@@ -365,7 +363,7 @@ def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> np.nd
             raise SpecError(
                 f"target dims {list(gate.dims)} do not match channel dims {list(channel.dims)}"
             )
-    return _check_unitary(_single_operator(gate, what), f"{what} operator")
+    return gate, _check_unitary(_single_operator(gate, what), f"{what} operator")
 
 
 def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str, measured: bool) -> tuple:
@@ -387,12 +385,12 @@ def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str, m
     if kind == "ppt":
         report = detect_npt(channel)
         return report.witness if measured else None, report.composite, report
-    u = _target_gate(channel, opts, command)
+    gate, u = _target_gate(channel, opts, command)
     if kind == "stabilizer":
         # the minimum -1 is reached on the gate's Choi state exactly when the
         # generators stabilize it, i.e. when the gate is a CNOT up to a global phase
         w = stabilizer_witness()
-        value = evaluate_witness(w, Channel([u], channel.dims).choi)
+        value = evaluate_witness(w, gate.choi)
         if not abs(value + 1.0) <= ATOL:
             raise SpecError(
                 f"{command} needs a CNOT reference gate: its expectation on the "
@@ -460,15 +458,14 @@ def _witness_fields(w: Witness, facts) -> dict:
 
 
 def _decompose_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
-    """The terms and settings of ``pauli_decompose`` and ``group_settings``, each code named once, here."""
-    n = len(w.dims)  # ``_run`` has applied the measurement rule: every site is a qubit
-    codes, coeffs = _expand(np.asarray(w.operator, dtype=complex), n, ZERO_CUTOFF)
-    bases, covered = _group(codes, n)
+    """The terms of ``pauli_decompose`` and the settings of ``group_settings`` that cover them."""
+    terms = pauli_decompose(w.operator)  # ``_run`` has applied the measurement rule: every site is a qubit
+    settings = group_settings(terms)
     return {
         **_witness_fields(w, facts),
-        "terms": [{"string": s, "coefficient": c} for s, c in zip(_names(codes, n), coeffs.tolist())],
-        "settings": [{"bases": b, "covered_terms": c} for b, c in zip(_names(bases, n), covered)],
-        "setting_count": len(bases),
+        "terms": [{"string": t.string, "coefficient": t.coefficient} for t in terms],
+        "settings": [{"bases": s.bases, "covered_terms": list(s.covered_terms)} for s in settings],
+        "setting_count": len(settings),
     }
 
 

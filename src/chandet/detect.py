@@ -29,8 +29,7 @@ from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
 # Most starts * (d_A^3 + d_B^3 + D^2) (D = d_A d_B; a sweep's two SVDs and its product) of one optimizer
-# run: 8 246 starts on [3, 3], 644 on [6, 6], 156 on [2, 18]. It prices the climb, not the draw: each start's
-# own default_rng([seed, k]) takes about 20 us, 0.7-0.8 s of a 3.5-4.2 s run on [2, 2] at its 34 788-start limit.
+# run: 8 246 starts on [3, 3], 644 on [6, 6], 156 on [2, 18].
 MAX_START_WORK = 156 * (2**3 + 18**3 + 36**2)
 
 # Stabilizer generators of the CNOT Choi state, qubits ordered (A_out, B_out, A_in, B_in).
@@ -44,7 +43,7 @@ VERDICTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Operator Schmidt data: O = sum_i sigmas[i] * kron(a_factors[i], b_factors[i]).
 
@@ -61,7 +60,7 @@ class SchmidtDecomposition:
     dims: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Hermitian detection operator on a Choi space.
 
@@ -183,25 +182,14 @@ def _alternating_ascent(u, da, db, ub0, record=None):
     return val, ua, ub
 
 
-@functools.lru_cache(maxsize=1)
-def _starts(db: int, starts: int, seed: int) -> np.ndarray:
-    """The read-only ``(starts, db, db)`` stack of Haar starts, start k drawn from the stream ``[seed, k]``.
-
-    The last stack is kept, so back-to-back runs with one seed and start count
-    draw it once. It takes starts * db^2 * 16 bytes, which the work bound keeps
-    at or below 2.3 MB (on [2, 3]; 1.19 MB for 8 246 starts on [3, 3]).
-    """
-    return _frozen(_haar_stack(db, [np.random.default_rng([seed, k]) for k in range(starts)]))
-
-
 def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     """Maximal overlap of a unitary's Choi state with product-unitary Choi states.
 
-    Climbs from ``starts`` Haar-random initial points (start k drawn from the
-    stream ``[seed, k]``), all in one batched ascent, and keeps the first best.
-    Returns ``(alpha_sru, ua, ub)``; refuses ``starts * (d_A^3 + d_B^3 + D^2) > MAX_START_WORK`` first.
-    The stack of starts depends on ``(d_B, starts, seed)`` alone, and the last
-    one drawn is kept for the next call (``_starts``).
+    Climbs from ``starts`` Haar-random initial points, the first ``starts``
+    d_B x d_B Haar unitaries of ``default_rng(seed)``, all in one batched
+    ascent, and keeps the first best; a run's starts are the first of every
+    longer run's at that seed. Returns ``(alpha_sru, ua, ub)``; refuses
+    ``starts * (d_A^3 + d_B^3 + D^2) > MAX_START_WORK`` first.
     """
     dims = _require_bipartite(dims, "SRU detection")
     da, db = dims
@@ -211,7 +199,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     limit = MAX_START_WORK // (da**3 + db**3 + (da * db) ** 2)
     if not 1 <= starts <= limit:
         raise ValueError(f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {starts}")
-    val, ua, ub = _alternating_ascent(u, da, db, _starts(db, int(starts), int(seed)))
+    val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, np.random.default_rng(seed), int(starts)))
     best = int(np.argmax(val))
     # an overlap of unit vectors is at most 1; product gates reach it up to rounding
     return min(float(val[best]), 1.0), ua[best], ub[best]

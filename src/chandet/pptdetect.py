@@ -32,7 +32,7 @@ from .detect import Witness, decide
 from .qmath import partial_trace, partial_transpose, _require_bipartite
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class NptReport:
     """Outcome of the NPT detection pipeline for one channel.
 
@@ -70,6 +70,7 @@ def _ppt_witness(vector: np.ndarray, dims: tuple[int, ...]) -> Witness:
     """The ppt witness of the unit ``vector`` on the Choi space ``dims``: its projector, transposed on A's output."""
     # the partial transpose acts on the first output qudit of the Choi space
     op = partial_transpose(np.outer(vector, vector.conj()), dims, 0)
+    # numpy's complex outer product is not bitwise Hermitian, so the average moves bits and stays
     return Witness(operator=(op + op.conj().T) / 2, kind="ppt", dims=dims)
 
 

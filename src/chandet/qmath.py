@@ -109,16 +109,19 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return _haar_stack(d, [np.random.default_rng(seed)])[0]
+    return _haar_stack(d, np.random.default_rng(seed), 1)[0]
 
 
-def _haar_stack(d: int, rngs) -> np.ndarray:
-    """One d x d Haar unitary per Generator in ``rngs``, stacked; one batched QR for all.
+def _haar_stack(d: int, rng, count: int) -> np.ndarray:
+    """The next ``count`` d x d Haar unitaries of the Generator ``rng``, stacked; one batched QR for all.
 
-    Each Generator draws its real then its imaginary Gaussian part, so matrix k
-    is bitwise ``haar_unitary(d, rngs[k])``.
+    One Gaussian draw of shape (count, 2, d, d) takes each matrix's real then
+    its imaginary part, in the order successive ``haar_unitary(d, rng)`` calls
+    take them, so matrix k is bitwise the k-th of those draws and the first n
+    of ``count`` are the whole of a draw of n.
     """
-    a = np.stack([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs])
+    g = rng.standard_normal((count, 2, d, d))
+    a = g[:, 0] + 1j * g[:, 1]
     a /= np.sqrt(2)
     q, r = np.linalg.qr(a)
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()

@@ -204,7 +204,6 @@ class TestSpecParsing:
         def no_optimizer(*args, **kwargs):
             raise AssertionError("the optimizer must not run")
 
-        detect._starts.cache_clear()  # a kept stack would be read without drawing
         monkeypatch.setattr(detect, "_haar_stack", no_optimizer)
         path = write_spec(tmp_path, "z3.json", Z3_SPEC)
         code, out, err = run(capsys, "detect-sep", "--channel", path, "--starts", "8247")
@@ -1114,7 +1113,8 @@ class TestEntryPoint:
 
         probe = (
             "import sys, chandet.cli as c; d = sys.modules['chandet.detect']; "
-            "print(c._parser.cache_info().currsize, d._starts.cache_info().currsize, c._encoder.cache_info().currsize)"
+            "print(c._parser.cache_info().currsize, d.stabilizer_witness.cache_info().currsize, "
+            "c._encoder.cache_info().currsize)"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0\n", "")

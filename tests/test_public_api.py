@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import chandet
 
@@ -43,3 +46,22 @@ def test_cli_reaches_every_module():
     argv = [sys.executable, "-c", LOADED_BY_CLI, str(SRC)]
     proc = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=60)
     assert json.loads(proc.stdout) == modules
+
+
+# Every record that holds an array, built from the CNOT.
+ARRAY_RECORDS = {
+    "ChoiMatrix": lambda: chandet.cnot_channel().choi,
+    "SchmidtDecomposition": lambda: chandet.operator_schmidt(chandet.cnot_channel().kraus[0], 2, 2),
+    "Witness": lambda: chandet.build_sru_witness(chandet.cnot_channel().kraus[0], (2, 2), 0.5),
+    "NptReport": lambda: chandet.detect_npt(chandet.cnot_channel()),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_compare_and_hash_by_identity(name):
+    # a generated __eq__ would compare the arrays inside a tuple and raise; such records are equal only to themselves
+    record = ARRAY_RECORDS[name]()
+    assert type(record).__name__ == name
+    twin = replace(record)
+    assert record == record and not record == twin and record != twin
+    assert len({record, twin, record}) == 2 and hash(record) == hash(record)

@@ -199,15 +199,28 @@ class TestHaarUnitary:
                 np.testing.assert_array_equal(haar_unitary(d, rng), reference(d, ref_rng))
 
     def test_stack_matches_one_at_a_time(self):
-        def starts_of(seed, starts):
-            return [np.random.default_rng([seed, k]) for k in range(starts)]
-
-        # the optimizer's starts come from one batched QR; each is the per-start draw, bit for bit
+        # the optimizer's starts come from one Gaussian draw and one batched QR; each is the
+        # successive draw of the same stream, bit for bit, and a shorter stack is a prefix
         for d in (2, 3, 4, 6):
             for seed in (0, 1, 7, 12345):
+                rng = np.random.default_rng(seed)
+                expected = np.stack([haar_unitary(d, rng) for _ in range(64)])
                 for starts in (1, 2, 50, 64):
-                    expected = np.stack([haar_unitary(d, rng) for rng in starts_of(seed, starts)])
-                    assert _haar_stack(d, starts_of(seed, starts)).tobytes() == expected.tobytes()
+                    stack = _haar_stack(d, np.random.default_rng(seed), starts)
+                    assert stack.tobytes() == expected[:starts].tobytes()
+
+    def test_stack_draws_from_the_generator_in_place(self):
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for count in (2, 1, 5):
+            expected = np.stack([haar_unitary(3, ref_rng) for _ in range(count)])
+            assert _haar_stack(3, rng, count).tobytes() == expected.tobytes()
+
+    def test_first_start_is_the_seed_zero_stream(self):
+        # default_rng(seed) pads its entropy with zeros, so start 0 is the draw of the stream [seed, 0]
+        for d in (2, 3, 6):
+            for seed in (0, 7, 2**32 + 5, 2**40):
+                first = _haar_stack(d, np.random.default_rng(seed), 3)[0]
+                assert first.tobytes() == haar_unitary(d, [seed, 0]).tobytes()
 
     def test_trace_moment(self):
         # Haar moment: the mean of |Tr U|^2 over U(2) equals 1

@@ -1,14 +1,17 @@
-"""In-process times of the largest admitted requests (D = 36) through ``chandet.cli.main``.
+"""In-process times of the largest admitted requests through ``chandet.cli.main``.
 
     python3 tools/large_dims.py --repeats 3
 
-Times five requests, each as the best of ``--repeats`` calls:
+Times six requests, each as the best of ``--repeats`` calls, five at D = 36
+and one at the optimizer's start limit:
 
 - ``detect-npt`` on a Haar unitary on [6, 6];
 - ``detect-npt`` on the SWAP gate on [6, 6], whose lambda_- is 630-fold
   degenerate, so the ``eigh`` path is run;
 - ``detect-eb`` on depolarizing p = 0.1 on [36];
-- ``detect-sep`` and ``detect-sru`` on the same Haar unitary on [6, 6].
+- ``detect-sep`` and ``detect-sru`` on the same Haar unitary on [6, 6];
+- ``detect-sep --starts 8246`` on a Haar unitary on [3, 3], the most starts
+  ``detect.MAX_START_WORK`` admits there.
 
 Each request is then called once more under ``tracemalloc``, outside the
 timed calls, for the peak of the memory it traces (numpy's arrays included,
@@ -16,7 +19,7 @@ LAPACK's workspace not). BLAS runs at one thread, the program is imported
 from this checkout's ``src/``, and the spec files are written to a temporary
 directory. Every call must exit 0. Prints one line per request:
 
-    command spec dims best_s peak_mb
+    command spec dims [options] best_s peak_mb
 
 To compare two commits, run the script in a checkout of each. Nothing under
 ``bench/`` is changed.
@@ -49,12 +52,17 @@ HAAR_SEED = 36
 
 
 def specs() -> dict:
-    """The three channel specs the requests read, by file name."""
+    """The four channel specs the requests read, by file name."""
     haar = haar_unitary(36, HAAR_SEED)
     swap = np.eye(36).reshape(6, 6, 6, 6).transpose(1, 0, 2, 3).reshape(36, 36)
+    gates = (
+        ("haar66.json", [6, 6], haar),
+        ("swap66.json", [6, 6], swap),
+        ("haar33.json", [3, 3], haar_unitary(9, HAAR_SEED)),
+    )
     return {
-        name: {"dims": [6, 6], "kind": "named", "name": "unitary", "params": {"matrix": pairs(u)}}
-        for name, u in (("haar66.json", haar), ("swap66.json", swap))
+        name: {"dims": dims, "kind": "named", "name": "unitary", "params": {"matrix": pairs(u)}}
+        for name, dims, u in gates
     } | {"dep36.json": {"dims": [36], "kind": "named", "name": "depolarizing", "params": {"p": 0.1}}}
 
 
@@ -64,11 +72,12 @@ def pairs(u: np.ndarray) -> list:
 
 
 REQUESTS = [
-    ("detect-npt", "haar66.json", "[6, 6]"),
-    ("detect-npt", "swap66.json", "[6, 6]"),
-    ("detect-eb", "dep36.json", "[36]"),
-    ("detect-sep", "haar66.json", "[6, 6]"),
-    ("detect-sru", "haar66.json", "[6, 6]"),
+    ("detect-npt", "haar66.json", "[6, 6]", []),
+    ("detect-npt", "swap66.json", "[6, 6]", []),
+    ("detect-eb", "dep36.json", "[36]", []),
+    ("detect-sep", "haar66.json", "[6, 6]", []),
+    ("detect-sru", "haar66.json", "[6, 6]", []),
+    ("detect-sep", "haar33.json", "[3, 3]", ["--starts", "8246"]),
 ]
 
 
@@ -101,10 +110,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, spec in specs().items():
             Path(workdir, name).write_text(json.dumps(spec))
-        for command, name, dims in REQUESTS:
-            argv = [command, "--channel", str(Path(workdir, name))]
+        for command, name, dims, options in REQUESTS:
+            argv = [command, "--channel", str(Path(workdir, name)), *options]
             best = min(seconds(argv) for _ in range(args.repeats))
-            print(f"{command} {Path(name).stem} {dims} {best:.3f} {peak_mb(argv):.1f}", flush=True)
+            label = " ".join([command, Path(name).stem, dims, *options])
+            print(f"{label} {best:.3f} {peak_mb(argv):.1f}", flush=True)
     return 0
 
 
