@@ -199,7 +199,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     limit = MAX_START_WORK // (da**3 + db**3 + (da * db) ** 2)
     if not 1 <= starts <= limit:
         raise ValueError(f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {starts}")
-    val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, np.random.default_rng(seed), int(starts)))
+    val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, np.random.default_rng(int(seed)), int(starts)))
     best = int(np.argmax(val))
     # an overlap of unit vectors is at most 1; product gates reach it up to rounding
     return min(float(val[best]), 1.0), ua[best], ub[best]

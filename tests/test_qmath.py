@@ -208,12 +208,10 @@ class TestHaarUnitary:
                 for starts in (1, 2, 50, 64):
                     stack = _haar_stack(d, np.random.default_rng(seed), starts)
                     assert stack.tobytes() == expected[:starts].tobytes()
-
-    def test_stack_draws_from_the_generator_in_place(self):
-        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        for count in (2, 1, 5):
-            expected = np.stack([haar_unitary(3, ref_rng) for _ in range(count)])
-            assert _haar_stack(3, rng, count).tobytes() == expected.tobytes()
+                # a Generator is drawn from in place: successive stacks continue the stream
+                rng = np.random.default_rng(seed)
+                stacks = [_haar_stack(d, rng, count) for count in (2, 1, 5)]
+                assert np.concatenate(stacks).tobytes() == expected[:8].tobytes()
 
     def test_first_start_is_the_seed_zero_stream(self):
         # default_rng(seed) pads its entropy with zeros, so start 0 is the draw of the stream [seed, 0]
