@@ -11,6 +11,16 @@ and those params, and the dims of the channel it builds, which are checked
 against the spec's before the build. Any other key under ``params`` is an
 input error.
 
+Each command takes exactly the options it reads: ``--channel`` and
+``--format`` everywhere, ``--shots`` and ``--seed`` where it samples (the
+detect commands and simulate), ``--starts`` where it runs the optimizer
+(detect-sru and detect-sep; simulate and decompose-witness measure qubit
+pairs only, where alpha_SRU = sigma_1), ``--target`` where it can build a
+witness from a reference gate, and ``--witness`` where it can build more than
+one. The parser refuses any other option with exit 2. The defaults of the
+last five are ``PipelineOptions``'s, and ``inputs.options`` echoes all five of
+its fields, an option the command does not take at its default.
+
 A request runs in one order: the options are checked, then the channel is
 built, then the command runs. Every witness command takes one path through
 ``_run``: the kind is chosen, the measurement rule (``measure._require_measurable``)
@@ -526,7 +536,8 @@ class _Command:
     ``witnesses`` are the kinds of witness the command can build, one for a
     detect command. A witness command's ``run`` maps the witness, its state,
     the facts and the options to results; every other ``run`` takes the
-    channel and options.
+    channel and options. A command that ``takes_shots`` samples, so it takes
+    --shots and --seed.
     """
 
     run: Callable[..., dict]
@@ -721,7 +732,12 @@ def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh argument parser of every command."""
+    """A fresh argument parser of every command; each takes exactly the options it reads.
+
+    The pipeline options' defaults are ``PipelineOptions``'s, set on every
+    command: one it does not offer reads as its default, and giving it is a
+    usage error.
+    """
     parser = argparse.ArgumentParser(
         prog="chandet",
         description="Detect properties of quantum channels via Choi-state witnesses.",
@@ -730,14 +746,20 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--channel", required=True, help="path to a channel-spec JSON file")
-        p.add_argument("--shots", type=int, default=None, help="shots per measurement setting")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--starts", type=int, default=50, help="multistart count for the overlap optimizer")
+        # simulate and decompose-witness measure qubit pairs only, where alpha_SRU = sigma_1 with no optimizer
+        optimizes = cmd.witnesses == ("sru",)
+        if cmd.takes_shots:
+            p.add_argument("--shots", type=int, help="shots per measurement setting")
+            drawn = "the shot counts" + (", and of a second of the optimizer's starts" if optimizes else "")
+            p.add_argument("--seed", type=int, help=f"seed of the one default_rng(seed) stream of {drawn}")
+        if optimizes:
+            p.add_argument("--starts", type=int, help="multistart count for the overlap optimizer")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if not _GATE_WITNESSES.isdisjoint(cmd.witnesses):
-            p.add_argument("--target", default=None, help="spec file of the reference unitary gate")
+            p.add_argument("--target", help="spec file of the reference unitary gate")
         if len(cmd.witnesses) > 1:
-            p.add_argument("--witness", choices=cmd.witnesses, default=None)
+            p.add_argument("--witness", choices=cmd.witnesses)
+        p.set_defaults(**asdict(PipelineOptions()))
     return parser
 
 
@@ -748,8 +770,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _options_from_args(args) -> PipelineOptions:
-    if args.shots is not None and not _COMMANDS[args.command].takes_shots:
-        raise SpecError(f"{args.command} takes no --shots: it samples nothing")
     if args.shots is not None and args.shots < 0:
         raise SpecError("--shots must be non-negative")
     if args.shots is not None and args.shots > MAX_SHOTS:
@@ -763,13 +783,12 @@ def _options_from_args(args) -> PipelineOptions:
             "simulate needs at least 1 shot per setting; omit --shots for the default of "
             f"{_SIMULATE_SHOTS}"
         )
-    target = getattr(args, "target", None)
     return PipelineOptions(
         seed=args.seed,
         shots=args.shots,
         starts=args.starts,
-        witness=getattr(args, "witness", None),
-        target=_read_spec_file(target) if target else None,
+        witness=args.witness,
+        target=_read_spec_file(args.target) if args.target else None,
     )
 
 

@@ -47,8 +47,8 @@ VERDICTS = {
 class SchmidtDecomposition:
     """Operator Schmidt data: O = sum_i sigmas[i] * kron(a_factors[i], b_factors[i]).
 
-    ``a_factors`` and ``b_factors`` are read-only ``(rank, dA, dA)`` and
-    ``(rank, dB, dB)`` stacks. Factors are normalized to Tr[A_i^dag A_j] =
+    ``sigmas``, ``a_factors`` and ``b_factors`` are read-only: a ``(rank,)``
+    vector and ``(rank, dA, dA)`` and ``(rank, dB, dB)`` stacks. Factors are normalized to Tr[A_i^dag A_j] =
     dA * delta_ij (same with dB for B), which for a unitary input forces
     sum(sigmas**2) == 1.
     """
@@ -69,7 +69,7 @@ class Witness:
     target gate's Choi state with the product-unitary set. ``alpha_s_sq`` is
     the squared overlap with the larger single-product-Kraus set; when both
     are present the first never exceeds the second (product unitaries are a
-    subset).
+    subset). Every witness the package builds holds a read-only ``operator``.
     """
 
     operator: np.ndarray
@@ -114,7 +114,7 @@ def operator_schmidt(o: np.ndarray, da: int, db: int) -> SchmidtDecomposition:
         raise ValueError(f"operator shape {o.shape} does not match dims ({da}, {db})")
     realigned = o.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, sv, vh = np.linalg.svd(realigned)
-    sigmas = sv / np.sqrt(da * db)
+    sigmas = _frozen(sv / np.sqrt(da * db))
     rank = int(np.sum(sigmas > ZERO_CUTOFF))
     rank = max(rank, 1)
     a = np.sqrt(da) * u[:, :rank].T.reshape(rank, da, da)
@@ -212,7 +212,7 @@ def _fidelity_witness(u: np.ndarray, alpha_sq: float, kind: str, dims, alpha_s_s
         raise ValueError(f"alpha_sq={alpha_sq!r} outside (0, 1]")
     vec = np.asarray(u, dtype=complex).reshape(-1)
     op = alpha_sq * np.eye(vec.size) - np.outer(vec, vec.conj()) / len(u)
-    return Witness(op, kind, dims + dims, alpha_s_sq=alpha_s_sq, alpha_sq=alpha_sq)
+    return Witness(_frozen(op), kind, dims + dims, alpha_s_sq=alpha_s_sq, alpha_sq=alpha_sq)
 
 
 def build_sru_witness(

@@ -71,7 +71,7 @@ def _ppt_witness(vector: np.ndarray, dims: tuple[int, ...]) -> Witness:
     # the partial transpose acts on the first output qudit of the Choi space
     op = partial_transpose(np.outer(vector, vector.conj()), dims, 0)
     # numpy's complex outer product is not bitwise Hermitian, so the average moves bits and stays
-    return Witness(operator=(op + op.conj().T) / 2, kind="ppt", dims=dims)
+    return Witness(operator=_frozen((op + op.conj().T) / 2), kind="ppt", dims=dims)
 
 
 def ppt_conjugate(ch: Channel) -> ChoiMatrix:
@@ -81,7 +81,7 @@ def ppt_conjugate(ch: Channel) -> ChoiMatrix:
     """
     _require_bipartite(ch.dims, "NPT detection")
     c = ch.choi
-    return ChoiMatrix(partial_transpose(c.matrix, c.dims, (0, 2)), c.dims, c.source_dims)
+    return ChoiMatrix(_frozen(partial_transpose(c.matrix, c.dims, (0, 2))), c.dims, c.source_dims)
 
 
 def spa_noise_weight(dims) -> float:
@@ -109,7 +109,7 @@ def _composite(c: ChoiMatrix, m_of_id: np.ndarray, noise: float) -> ChoiMatrix:
     # noise * M(Id/D) kron Id/D is M(Id/D) * noise/D on the D diagonal ancilla blocks and 0 elsewhere
     blocks = mat.reshape(dim, dim, dim, dim)
     blocks[:, range(dim), :, range(dim)] += noise * (m_of_id * (1.0 / dim))
-    return ChoiMatrix(mat, c.dims, c.source_dims)
+    return ChoiMatrix(_frozen(mat), c.dims, c.source_dims)
 
 
 def _transposed_form(v: np.ndarray, x: np.ndarray, d_a: int) -> complex:

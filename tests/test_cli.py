@@ -1,7 +1,7 @@
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -53,6 +53,23 @@ TWO_PARTY_REFUSALS = [
     *((["simulate", "--witness", kind], [2]) for kind in ("sru", "stabilizer", "ppt")),
     *((["decompose-witness", "--witness", kind], [2]) for kind in ("sru", "stabilizer")),
 ]
+# The options each command offers besides --channel: exactly those it reads. --shots and --seed
+# go with sampling, --starts with the optimizer, which only a detect command on d >= 3 runs, and
+# --target with a witness built from a reference gate.
+OFFERED_OPTIONS = {
+    "choi": {"--format"},
+    "schmidt": {"--format"},
+    "decompose-witness": {"--format", "--target", "--witness"},
+    "detect-eb": {"--format", "--shots", "--seed"},
+    "detect-npt": {"--format", "--shots", "--seed"},
+    "detect-sru": {"--format", "--shots", "--seed", "--starts", "--target"},
+    "detect-sep": {"--format", "--shots", "--seed", "--starts", "--target"},
+    "simulate": {"--format", "--shots", "--seed", "--target", "--witness"},
+}
+# a value each option takes on every command that offers it
+OPTION_VALUES = {
+    "--format": "text", "--shots": "7", "--seed": "3", "--starts": "9", "--target": "cnot.json", "--witness": "eb"
+}
 # the refusal texts after the words that name what was run, given the dims
 TWO_PARTY_RULE = " needs dims [d_A, d_B] with d_A, d_B >= 2, got {}"
 EB_RULE = ": the eb witness needs prod(dims) >= 2, got dims {}"
@@ -100,6 +117,16 @@ def refuse_work(*args, **kwargs):
 
 def run(capsys, *argv):
     code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def run_to_exit(capsys, *argv):
+    """``run``, where a refusal by the parser, which exits, gives its exit code too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -271,21 +298,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["choi", "schmidt", "decompose-witness"])
     @pytest.mark.parametrize("shots", ["0", "100"])
     def test_shots_refused_where_nothing_is_sampled(self, tmp_path, capsys, monkeypatch, command, shots):
+        # the parser refuses it before any file is read
+        monkeypatch.setattr(cli, "_read_spec_file", refuse_work)
         monkeypatch.setattr(cli, "parse_channel_spec", refuse_work)
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
-        code, out, err = run(capsys, command, "--channel", path, "--shots", shots)
+        code, out, err = run_to_exit(capsys, command, "--channel", path, "--shots", shots)
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert f"{command} takes no --shots" in err
+        assert "unrecognized arguments: --shots" in err
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["choi", "--shots", "5"], "choi takes no --shots"),
+            (["choi", "--shots", "5"], "unrecognized arguments: --shots"),
+            (["choi", "--seed", "3"], "unrecognized arguments: --seed"),
+            (["choi", "--starts", "7", "--seed", "3"], "unrecognized arguments: --starts 7 --seed 3"),
+            (["detect-npt", "--starts", "9"], "unrecognized arguments: --starts"),
+            (["simulate", "--starts", "2"], "unrecognized arguments: --starts"),
             (["detect-eb", "--seed", "-1"], "--seed must be non-negative"),
             (["detect-sep", "--starts", "0"], "--starts must be >= 1"),
             (["simulate", "--shots", "0"], "omit --shots for the default of 100000"),
         ],
-        ids=["choi-shots", "detect-eb-seed", "detect-sep-starts", "simulate-zero-shots"],
+        ids=[
+            "choi-shots",
+            "choi-seed",
+            "choi-starts",
+            "detect-npt-starts",
+            "simulate-starts",
+            "detect-eb-seed",
+            "detect-sep-starts",
+            "simulate-zero-shots",
+        ],
     )
     def test_options_refused_before_the_channel_is_built(self, tmp_path, capsys, monkeypatch, argv, message):
         def no_build(*args, **kwargs):
@@ -293,7 +335,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "parse_channel_spec", no_build)
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
-        code, out, err = run(capsys, *argv, "--channel", path)
+        code, out, err = run_to_exit(capsys, *argv, "--channel", path)
         assert code == EXIT_INPUT_ERROR and out == ""
         assert message in err
 
@@ -305,16 +347,20 @@ class TestExitCodes:
         assert "omit --shots" in err
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_target_is_taken_exactly_where_a_gate_witness_can_be_built(self, capsys, command):
-        # --target names the reference gate of the sru and stabilizer witnesses
-        argv = [command, "--channel", "spec.json", "--target", "cnot.json"]
-        if command in ("decompose-witness", "detect-sep", "detect-sru", "simulate"):
-            assert build_parser().parse_args(argv).target == "cnot.json"
-        else:
-            with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(argv)
-            assert exc.value.code == EXIT_INPUT_ERROR
-            assert "unrecognized arguments: --target" in capsys.readouterr().err
+    def test_each_command_takes_exactly_the_options_it_reads(self, capsys, command):
+        offered = OFFERED_OPTIONS[command]
+        args = build_parser().parse_args([command, "--channel", "spec.json"])
+        # an option the command does not offer reads as its one default, PipelineOptions's
+        assert {f.name: getattr(args, f.name) for f in fields(cli.PipelineOptions)} == asdict(cli.PipelineOptions())
+        for option, value in OPTION_VALUES.items():
+            argv = [command, "--channel", "spec.json", option, value]
+            if option in offered:
+                assert str(getattr(build_parser().parse_args(argv), option[2:])) == value
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    build_parser().parse_args(argv)
+                assert exc.value.code == EXIT_INPUT_ERROR
+                assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["detect-sru", "detect-sep"])
     def test_refusals_name_the_command_run(self, tmp_path, capsys, command):

@@ -99,6 +99,8 @@ TARGET_SPECS = {
     "target-malformed.json": {"dims": [2, 2], "kind": "kraus", "kraus": [[[1, 0]]]},
 }
 TARGET_COMMANDS = ("decompose-witness", "detect-sep", "detect-sru", "simulate")
+# the commands that take --shots and --seed; of them, detect-sru and detect-sep take --starts too
+SAMPLING_COMMANDS = ("detect-eb", "detect-sru", "detect-sep", "detect-npt", "simulate")
 # the witness kind whose row of the verdict table each detect command reports from
 DETECT_KINDS = {"detect-eb": "eb", "detect-sru": "sru", "detect-sep": "sru", "detect-npt": "ppt"}
 
@@ -106,9 +108,13 @@ DETECT_KINDS = {"detect-eb": "eb", "detect-sru": "sru", "detect-sep": "sru", "de
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(COMMANDS))
-    argv = [command, "--starts", "2", "--seed", str(draw(st.integers(0, 3)))]
-    if draw(st.booleans()):
-        argv += ["--shots", str(draw(st.integers(0, 200)))]
+    argv = [command]
+    if command in SAMPLING_COMMANDS:
+        argv += ["--seed", str(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            argv += ["--shots", str(draw(st.integers(0, 200)))]
+    if command in ("detect-sru", "detect-sep"):
+        argv += ["--starts", "2"]
     if command in ("decompose-witness", "simulate"):
         kinds = ["eb", "sru", "stabilizer"] + (["ppt"] if command == "simulate" else [])
         argv += ["--witness", draw(st.sampled_from(kinds))]

@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 import types
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chandet
@@ -48,12 +49,19 @@ def test_cli_reaches_every_module():
     assert json.loads(proc.stdout) == modules
 
 
-# Every record that holds an array, built from the CNOT.
+# Every record that holds an array, each kind the package returns, built from the CNOT; a case is
+# named by the record's type and, after a dash, the builder when the type has more than one.
+CNOT = chandet.cnot_channel
 ARRAY_RECORDS = {
-    "ChoiMatrix": lambda: chandet.cnot_channel().choi,
-    "SchmidtDecomposition": lambda: chandet.operator_schmidt(chandet.cnot_channel().kraus[0], 2, 2),
-    "Witness": lambda: chandet.build_sru_witness(chandet.cnot_channel().kraus[0], (2, 2), 0.5),
-    "NptReport": lambda: chandet.detect_npt(chandet.cnot_channel()),
+    "ChoiMatrix-choi": lambda: CNOT().choi,
+    "ChoiMatrix-ppt_conjugate": lambda: chandet.ppt_conjugate(CNOT()),
+    "ChoiMatrix-composite": lambda: chandet.detect_npt(CNOT()).composite,
+    "SchmidtDecomposition": lambda: chandet.operator_schmidt(CNOT().kraus[0], 2, 2),
+    "Witness-sru": lambda: chandet.build_sru_witness(CNOT().kraus[0], (2, 2), 0.5),
+    "Witness-eb": lambda: chandet.eb_witness(),
+    "Witness-stabilizer": lambda: chandet.stabilizer_witness(),
+    "Witness-ppt": lambda: chandet.detect_npt(CNOT()).witness,
+    "NptReport": lambda: chandet.detect_npt(CNOT()),
 }
 
 
@@ -61,7 +69,24 @@ ARRAY_RECORDS = {
 def test_array_records_compare_and_hash_by_identity(name):
     # a generated __eq__ would compare the arrays inside a tuple and raise; such records are equal only to themselves
     record = ARRAY_RECORDS[name]()
-    assert type(record).__name__ == name
+    assert type(record).__name__ == name.partition("-")[0]
     twin = replace(record)
     assert record == record and not record == twin and record != twin
     assert len({record, twin, record}) == 2 and hash(record) == hash(record)
+
+
+def held_arrays(record):
+    """Every ndarray ``record`` holds, through the records it holds."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            yield f.name, value
+        elif is_dataclass(value):
+            yield from ((f"{f.name}.{name}", a) for name, a in held_arrays(value))
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_hold_read_only_arrays(name):
+    # a writable array would let a caller change a record that others, such as a kept witness, share
+    arrays = dict(held_arrays(ARRAY_RECORDS[name]()))
+    assert arrays and [key for key, a in arrays.items() if a.flags.writeable] == []

@@ -7,7 +7,12 @@ once through ``chandet.cli.main`` in-process, BLAS at one thread, with the
 program imported from this checkout's ``src/``. Spec files are written to a
 temporary directory that is the working directory of the run, so the paths in
 the argv, and so any message that names them, read the same in every
-checkout. Prints one line per request:
+checkout. Prints one line per command, the digest of its ``--help`` text, so
+that a change of the options shows beside any change of the reports:
+
+    help command exit sha256(stdout) sha256(stderr)
+
+and then one line per request:
 
     workload seed class exit sha256(stdout) sha256(stderr) sha256(results) sha256(text)
 
@@ -25,6 +30,8 @@ import sys
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# argparse wraps help text to the terminal's width
+os.environ["COLUMNS"] = "80"
 
 import argparse
 import contextlib
@@ -85,6 +92,13 @@ def _text_sha(argv: list) -> str:
     return _sha("".join(line for line in out.splitlines(True) if not line.startswith("elapsed_seconds: ")))
 
 
+def help_lines():
+    """One line per command: the digests of what ``chandet <command> --help`` prints."""
+    for command in cli.COMMANDS:
+        code, out, err = run([command, "--help"])
+        yield f"help {command} {code} {_sha(out)} {_sha(err)}"
+
+
 def digest_lines(workload: str, seed: int):
     """One line per request of the pool of ``workload`` at ``seed``, in pool order."""
     with pool(workload, seed) as requests:
@@ -99,6 +113,8 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
     p.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=sorted(WORKLOADS))
     args = p.parse_args(argv)
+    for line in help_lines():
+        print(line, flush=True)
     for workload in args.workloads:
         for seed in args.seeds:
             for line in digest_lines(workload, seed):
