@@ -12,14 +12,15 @@ against the spec's before the build. Any other key under ``params`` is an
 input error.
 
 Each command takes exactly the options it reads: ``--channel`` and
-``--format`` everywhere, ``--shots`` and ``--seed`` where it samples (the
-detect commands and simulate), ``--starts`` where it runs the optimizer
-(detect-sru and detect-sep; simulate and decompose-witness measure qubit
-pairs only, where alpha_SRU = sigma_1), ``--target`` where it can build a
-witness from a reference gate, and ``--witness`` where it can build more than
-one. The parser refuses any other option with exit 2. The defaults of the
-last five are ``PipelineOptions``'s, and ``inputs.options`` echoes all five of
-its fields, an option the command does not take at its default.
+``--format`` everywhere, and the pipeline options its ``_Command.options``
+names, each a flag of ``_OPTIONS``: ``--seed`` and ``--shots`` where it
+samples (the detect commands and simulate), ``--starts`` where it runs the
+optimizer (detect-sru and detect-sep; simulate and decompose-witness measure
+qubit pairs only, where alpha_SRU = sigma_1), ``--witness`` where it can
+build more than one witness and ``--target`` where it can build one from a
+reference gate. The parser refuses any other option, and any abbreviation,
+with exit 2. ``inputs.options`` echoes exactly the command's pipeline
+options.
 
 A request runs in one order: the options are checked, then the channel is
 built, then the command runs. Every witness command takes one path through
@@ -343,28 +344,13 @@ def _read_spec_file(path: str) -> dict:
 # pipelines
 
 
-@dataclass
-class PipelineOptions:
-    """The request's options, echoed under ``inputs.options``.
-
-    ``target`` is the --target spec; like the channel spec it is echoed by
-    ``_echo``, each matrix named by its shape and sha256.
-    """
-
-    seed: int = 0
-    shots: int | None = None
-    starts: int = 50
-    witness: str | None = None
-    target: dict | None = None
-
-
 def _single_operator(ch: Channel, what: str) -> np.ndarray:
     if len(ch.kraus) != 1:
         raise SpecError(f"{what} needs a single-Kraus channel, got {len(ch.kraus)} operators")
     return ch.kraus[0]
 
 
-def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> tuple[Channel, np.ndarray]:
+def _target_gate(channel: Channel, opts: argparse.Namespace, command: str) -> tuple[Channel, np.ndarray]:
     """The reference gate for witness construction, defaulting to the channel itself, and its unitary."""
     gate, what = channel, command
     if opts.target is not None:
@@ -376,7 +362,7 @@ def _target_gate(channel: Channel, opts: PipelineOptions, command: str) -> tuple
     return gate, _check_unitary(_single_operator(gate, what), f"{what} operator")
 
 
-def _witness(kind: str, channel: Channel, opts: PipelineOptions, command: str, measured: bool) -> tuple:
+def _witness(kind: str, channel: Channel, opts: argparse.Namespace, command: str, measured: bool) -> tuple:
     """The ``kind`` witness, the Choi state it is measured on, and the facts the report states.
 
     The facts are ``(Schmidt data, alpha source)`` for sru, the ``NptReport``
@@ -434,7 +420,7 @@ def _estimate(state: ChoiMatrix, w: Witness, shots: int, seed: int) -> tuple[dic
     }, est.setting_count
 
 
-def _run_choi(channel: Channel, opts: PipelineOptions) -> dict:
+def _run_choi(channel: Channel, opts: argparse.Namespace) -> dict:
     choi = channel.choi
     return {
         "source_dims": list(choi.source_dims),
@@ -445,7 +431,7 @@ def _run_choi(channel: Channel, opts: PipelineOptions) -> dict:
     }
 
 
-def _run_schmidt(channel: Channel, opts: PipelineOptions) -> dict:
+def _run_schmidt(channel: Channel, opts: argparse.Namespace) -> dict:
     _require_bipartite(channel.dims, "schmidt", SpecError)
     sd = operator_schmidt(_single_operator(channel, "schmidt"), *channel.dims)
     return {
@@ -467,7 +453,7 @@ def _witness_fields(w: Witness, facts) -> dict:
     return {"witness": w.kind}
 
 
-def _decompose_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
+def _decompose_results(w: Witness, state: ChoiMatrix, facts, opts: argparse.Namespace) -> dict:
     """The terms of ``pauli_decompose`` and the settings of ``group_settings`` that cover them."""
     terms = pauli_decompose(w.operator)  # ``_run`` has applied the measurement rule: every site is a qubit
     settings = group_settings(terms)
@@ -479,7 +465,7 @@ def _decompose_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptio
     }
 
 
-def _simulate_results(w: Witness | None, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
+def _simulate_results(w: Witness | None, state: ChoiMatrix, facts, opts: argparse.Namespace) -> dict:
     if w is None:
         raise SpecError(
             f"the ppt witness needs an NPT channel; this one has lambda_minus >= "
@@ -490,7 +476,7 @@ def _simulate_results(w: Witness | None, state: ChoiMatrix, facts, opts: Pipelin
     return {**_witness_fields(w, facts), "exact": exact, "estimate": estimate, "setting_count": setting_count}
 
 
-def _eb_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
+def _eb_results(w: Witness, state: ChoiMatrix, facts, opts: argparse.Namespace) -> dict:
     value = evaluate_witness(w, state)
     return {
         "expectation": value,
@@ -500,7 +486,7 @@ def _eb_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> 
     }
 
 
-def _sru_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
+def _sru_results(w: Witness, state: ChoiMatrix, facts, opts: argparse.Namespace) -> dict:
     value = evaluate_witness(w, state)
     thresholds = {"not_sru": 0.0, "not_separable": w.alpha_sq - w.alpha_s_sq}
     return {
@@ -515,12 +501,12 @@ def _sru_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) ->
     }
 
 
-def _sep_results(w: Witness, state: ChoiMatrix, facts, opts: PipelineOptions) -> dict:
+def _sep_results(w: Witness, state: ChoiMatrix, facts, opts: argparse.Namespace) -> dict:
     sd = facts[0]
     return {**_sru_results(w, state, facts, opts), "sigmas": sd.sigmas, "rank": sd.rank}
 
 
-def _npt_results(w: Witness | None, state: ChoiMatrix, report, opts: PipelineOptions) -> dict:
+def _npt_results(w: Witness | None, state: ChoiMatrix, report, opts: argparse.Namespace) -> dict:
     """Every field of the ``NptReport``, in its order, but the witness's vector and its state."""
     return {
         f.name: getattr(report, f.name)
@@ -536,37 +522,46 @@ class _Command:
     ``witnesses`` are the kinds of witness the command can build, one for a
     detect command. A witness command's ``run`` maps the witness, its state,
     the facts and the options to results; every other ``run`` takes the
-    channel and options. A command that ``takes_shots`` samples, so it takes
-    --shots and --seed.
+    channel and options. ``options`` are the pipeline options the command
+    takes, in ``_OPTIONS``'s order: its flags and its report's echo.
     """
 
     run: Callable[..., dict]
     require_tp: bool
     witnesses: tuple[str, ...] = ()
-    takes_shots: bool = True
+    options: tuple[str, ...] = ()
 
 
 _WITNESSES = ("eb", "sru", "stabilizer")
-# The kinds built from a reference gate: --target is taken exactly where one can be built.
+# The kinds built from a reference gate, the only ones --target serves.
 _GATE_WITNESSES = {"sru", "stabilizer"}
 
 _COMMANDS = {
-    "choi": _Command(_run_choi, require_tp=False, takes_shots=False),
-    "schmidt": _Command(_run_schmidt, require_tp=False, takes_shots=False),
+    "choi": _Command(_run_choi, require_tp=False),
+    "schmidt": _Command(_run_schmidt, require_tp=False),
     "decompose-witness": _Command(
-        _decompose_results, require_tp=False, witnesses=_WITNESSES, takes_shots=False
+        _decompose_results, require_tp=False, witnesses=_WITNESSES, options=("witness", "target")
     ),
-    "detect-eb": _Command(_eb_results, require_tp=True, witnesses=("eb",)),
-    "detect-sru": _Command(_sru_results, require_tp=True, witnesses=("sru",)),
-    "detect-sep": _Command(_sep_results, require_tp=False, witnesses=("sru",)),
-    "detect-npt": _Command(_npt_results, require_tp=True, witnesses=("ppt",)),
-    "simulate": _Command(_simulate_results, require_tp=True, witnesses=_WITNESSES + ("ppt",)),
+    "detect-eb": _Command(_eb_results, require_tp=True, witnesses=("eb",), options=("seed", "shots")),
+    "detect-sru": _Command(
+        _sru_results, require_tp=True, witnesses=("sru",), options=("seed", "shots", "starts", "target")
+    ),
+    "detect-sep": _Command(
+        _sep_results, require_tp=False, witnesses=("sru",), options=("seed", "shots", "starts", "target")
+    ),
+    "detect-npt": _Command(_npt_results, require_tp=True, witnesses=("ppt",), options=("seed", "shots")),
+    "simulate": _Command(
+        _simulate_results,
+        require_tp=True,
+        witnesses=_WITNESSES + ("ppt",),
+        options=("seed", "shots", "witness", "target"),
+    ),
 }
 
 COMMANDS = tuple(_COMMANDS)
 
 
-def _run(command: str, channel: Channel, opts: PipelineOptions) -> dict:
+def _run(command: str, channel: Channel, opts: argparse.Namespace) -> dict:
     """Results of ``command`` on ``channel``.
 
     The kind is a detect command's one kind, else --witness, else eb on [2]
@@ -731,35 +726,41 @@ def render_report(payload: dict, fmt: str = "json", elapsed: float = 0.0) -> str
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh argument parser of every command; each takes exactly the options it reads.
+# The pipeline options, in the order a report echoes them: each one's default and the keywords of
+# its flag. --witness takes its choices from the command's witnesses.
+_OPTIONS = {
+    "seed": (
+        0,
+        {"type": int, "help": "seed of the shot counts and, on detect-sru and detect-sep, of the optimizer's starts"},
+    ),
+    "shots": (None, {"type": int, "help": "shots per measurement setting"}),
+    "starts": (50, {"type": int, "help": "multistart count for the overlap optimizer"}),
+    "witness": (None, {}),
+    "target": (None, {"help": "spec file of the reference unitary gate"}),
+}
 
-    The pipeline options' defaults are ``PipelineOptions``'s, set on every
-    command: one it does not offer reads as its default, and giving it is a
-    usage error.
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh argument parser of every command; each takes exactly the options it reads, by their full names.
+
+    Every command's namespace holds each pipeline option, one the command
+    does not take at its ``_OPTIONS`` default.
     """
     parser = argparse.ArgumentParser(
         prog="chandet",
         description="Detect properties of quantum channels via Choi-state witnesses.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {name: default for name, (default, _) in _OPTIONS.items()}
     for name, cmd in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--channel", required=True, help="path to a channel-spec JSON file")
-        # simulate and decompose-witness measure qubit pairs only, where alpha_SRU = sigma_1 with no optimizer
-        optimizes = cmd.witnesses == ("sru",)
-        if cmd.takes_shots:
-            p.add_argument("--shots", type=int, help="shots per measurement setting")
-            drawn = "the shot counts" + (", and of a second of the optimizer's starts" if optimizes else "")
-            p.add_argument("--seed", type=int, help=f"seed of the one default_rng(seed) stream of {drawn}")
-        if optimizes:
-            p.add_argument("--starts", type=int, help="multistart count for the overlap optimizer")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if not _GATE_WITNESSES.isdisjoint(cmd.witnesses):
-            p.add_argument("--target", help="spec file of the reference unitary gate")
-        if len(cmd.witnesses) > 1:
-            p.add_argument("--witness", choices=cmd.witnesses)
-        p.set_defaults(**asdict(PipelineOptions()))
+        for option in cmd.options:
+            flag = {"choices": cmd.witnesses} if option == "witness" else _OPTIONS[option][1]
+            p.add_argument(f"--{option}", **flag)
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -769,7 +770,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _options_from_args(args) -> PipelineOptions:
+def _read_options(args: argparse.Namespace) -> None:
+    """Check the values of ``args``' pipeline options, and replace its --target path by the spec it names."""
     if args.shots is not None and args.shots < 0:
         raise SpecError("--shots must be non-negative")
     if args.shots is not None and args.shots > MAX_SHOTS:
@@ -783,27 +785,22 @@ def _options_from_args(args) -> PipelineOptions:
             "simulate needs at least 1 shot per setting; omit --shots for the default of "
             f"{_SIMULATE_SHOTS}"
         )
-    return PipelineOptions(
-        seed=args.seed,
-        shots=args.shots,
-        starts=args.starts,
-        witness=args.witness,
-        target=_read_spec_file(args.target) if args.target else None,
-    )
+    args.target = _read_spec_file(args.target) if args.target else None
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
     try:
-        options = _options_from_args(args)
+        _read_options(args)
         spec = _read_spec_file(args.channel)
-        channel = parse_channel_spec(spec, require_tp=_COMMANDS[args.command].require_tp)
+        channel = parse_channel_spec(spec, require_tp=cmd.require_tp)
         start = time.perf_counter()
-        results = _run(args.command, channel, options)
+        results = _run(args.command, channel, args)
         elapsed = time.perf_counter() - start
-        echoed = {f.name: getattr(options, f.name) for f in fields(options)}
-        if options.target is not None:
-            echoed["target"] = _echo(options.target)
+        echoed = {name: getattr(args, name) for name in cmd.options}
+        if args.target is not None:
+            echoed["target"] = _echo(args.target)
         payload = {
             "pipeline": args.command,
             "inputs": {"channel": _echo(spec, channel.kraus), "options": echoed},

@@ -28,7 +28,8 @@ padded to the widest with a zero term, and its two sums over outcomes are
 accumulates, which run left to right. So each number is bitwise the one of a
 dense ``Tr[P W]``, the same transform on dense traces, one scalar butterfly
 at a time, and a loop over settings, outcomes and terms. A
-probability lies within 8 eps of the former three-operand einsum, and one ulp
+probability lies within 8 eps of the three-operand einsum over the product
+eigenbases (``tests/test_measure.py::einsum_probabilities``), and one ulp
 can move a BTPE binomial draw (p = 1/18 on the CNOT NPT composite, setting
 YYXZ, 1 000 shots, seed 1). A draw that moves in setting j can shift the
 counts of every later setting too. The Choi state itself is one BLAS product
@@ -267,7 +268,8 @@ def _setting_probabilities(state: np.ndarray, bases) -> np.ndarray:
     and a setting's probabilities do not depend on which other settings a
     witness needs. Every probability <= ``ZERO_CUTOFF`` is set to 0, so an
     outcome the state cannot produce is exactly 0 whatever the rounding. Each
-    probability lies within 8 eps of the former three-operand einsum, and
+    probability lies within 8 eps of the three-operand einsum over the product
+    eigenbases (``tests/test_measure.py::einsum_probabilities``), and
     numpy's BTPE binomial takes floor((n + 1) p), so one ulp of a
     small-denominator rational p can move a count.
     """

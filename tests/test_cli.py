@@ -1,7 +1,10 @@
+import argparse
 import hashlib
 import json
+import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,19 +56,21 @@ TWO_PARTY_REFUSALS = [
     *((["simulate", "--witness", kind], [2]) for kind in ("sru", "stabilizer", "ppt")),
     *((["decompose-witness", "--witness", kind], [2]) for kind in ("sru", "stabilizer")),
 ]
-# The options each command offers besides --channel: exactly those it reads. --shots and --seed
-# go with sampling, --starts with the optimizer, which only a detect command on d >= 3 runs, and
-# --target with a witness built from a reference gate.
-OFFERED_OPTIONS = {
-    "choi": {"--format"},
-    "schmidt": {"--format"},
-    "decompose-witness": {"--format", "--target", "--witness"},
-    "detect-eb": {"--format", "--shots", "--seed"},
-    "detect-npt": {"--format", "--shots", "--seed"},
-    "detect-sru": {"--format", "--shots", "--seed", "--starts", "--target"},
-    "detect-sep": {"--format", "--shots", "--seed", "--starts", "--target"},
-    "simulate": {"--format", "--shots", "--seed", "--target", "--witness"},
+# The pipeline options each command takes, in the order its report echoes them; it offers these and
+# --format besides --channel. --seed and --shots go with sampling, --starts with the optimizer, which
+# only a detect command on d >= 3 runs, and --target with a witness built from a reference gate.
+PIPELINE_OPTIONS = {
+    "choi": (),
+    "schmidt": (),
+    "decompose-witness": ("witness", "target"),
+    "detect-eb": ("seed", "shots"),
+    "detect-npt": ("seed", "shots"),
+    "detect-sru": ("seed", "shots", "starts", "target"),
+    "detect-sep": ("seed", "shots", "starts", "target"),
+    "simulate": ("seed", "shots", "witness", "target"),
 }
+# the value of each pipeline option where it is not given
+OPTION_DEFAULTS = {"seed": 0, "shots": None, "starts": 50, "witness": None, "target": None}
 # a value each option takes on every command that offers it
 OPTION_VALUES = {
     "--format": "text", "--shots": "7", "--seed": "3", "--starts": "9", "--target": "cnot.json", "--witness": "eb"
@@ -348,10 +353,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_each_command_takes_exactly_the_options_it_reads(self, capsys, command):
-        offered = OFFERED_OPTIONS[command]
+        offered = {"--format", *(f"--{name}" for name in PIPELINE_OPTIONS[command])}
         args = build_parser().parse_args([command, "--channel", "spec.json"])
-        # an option the command does not offer reads as its one default, PipelineOptions's
-        assert {f.name: getattr(args, f.name) for f in fields(cli.PipelineOptions)} == asdict(cli.PipelineOptions())
+        # every pipeline option reads as its one default where it is not given, offered or not
+        assert {name: getattr(args, name) for name in OPTION_DEFAULTS} == OPTION_DEFAULTS
         for option, value in OPTION_VALUES.items():
             argv = [command, "--channel", "spec.json", option, value]
             if option in offered:
@@ -361,6 +366,26 @@ class TestExitCodes:
                     build_parser().parse_args(argv)
                 assert exc.value.code == EXIT_INPUT_ERROR
                 assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, prefix, option, value",
+        [
+            ("detect-sep", "--st", "--starts", "7"),
+            ("choi", "--f", "--format", "text"),
+            ("simulate", "--wit", "--witness", "eb"),
+        ],
+        ids=["detect-sep-st", "choi-f", "simulate-wit"],
+    )
+    def test_abbreviated_options_refused(self, capsys, monkeypatch, command, prefix, option, value):
+        # the full name parses, as two arguments or as one with "="
+        for given in ([option, value], [f"{option}={value}"]):
+            args = build_parser().parse_args([command, "--channel", "spec.json", *given])
+            assert str(getattr(args, option[2:])) == value
+        # a prefix of it is refused by the parser before any file is read
+        monkeypatch.setattr(cli, "_read_spec_file", refuse_work)
+        code, out, err = run_to_exit(capsys, command, "--channel", "spec.json", prefix, value)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert f"unrecognized arguments: {prefix} {value}" in err
 
     @pytest.mark.parametrize("command", ["detect-sru", "detect-sep"])
     def test_refusals_name_the_command_run(self, tmp_path, capsys, command):
@@ -1109,6 +1134,38 @@ class TestEcho:
         else:
             assert f"target: {json.dumps(expected)}\n" in out
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_options_echo_exactly_the_commands_own(self, tmp_path, capsys, command):
+        chan = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        target = unitary_spec(CNOT)
+        path = write_spec(tmp_path, "t.json", target)
+        given = {"seed": "3", "shots": "7", "starts": "9", "witness": "sru", "target": path}
+        # a given --target is echoed as its spec, each matrix named by its shape and sha256
+        echoed = {
+            "seed": 3,
+            "shots": 7,
+            "starts": 9,
+            "witness": "sru",
+            "target": {**target, "params": {"matrix": named_by_digest(target["params"]["matrix"])}},
+        }
+        names = PIPELINE_OPTIONS[command]
+        for argv, want in (
+            ([], {name: OPTION_DEFAULTS[name] for name in names}),
+            ([arg for name in names for arg in (f"--{name}", given[name])], {name: echoed[name] for name in names}),
+        ):
+            options = run_json(capsys, command, "--channel", chan, *argv)["inputs"]["options"]
+            # choi and schmidt echo {}
+            assert options == want and list(options) == list(names)
+            code, out, err = run(capsys, command, "--channel", chan, *argv, "--format", "text")
+            assert code == EXIT_OK, err
+            lines = out.split("\n")
+            # the text report lists the options that are not null, in the same order
+            assert lines[2 : lines.index("results:")] == [
+                f"{name}: {val if isinstance(val, str) else json.dumps(val)}"
+                for name, val in want.items()
+                if val is not None
+            ]
+
     def test_text_channel_line_names_the_kraus_array(self, tmp_path, capsys):
         spec = kraus_spec(random_channel((2, 2), 14, kraus_count=2))
         path = write_spec(tmp_path, "k.json", spec)
@@ -1140,6 +1197,24 @@ class TestEntryPoint:
                 outcomes.append((exc.value.code, *capsys.readouterr()))
             assert outcomes[0] == outcomes[1] == outcomes[2]
         assert cli._parser.cache_info().currsize == 1
+
+    def test_readme_synopsis_is_the_parsers(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        synopsis = readme.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+        # a line that does not start a command continues the one before
+        documented = {
+            line.split()[1]: re.findall(r"(--[a-z]+)(?: ([^\]\s]+))?", line)
+            for line in re.sub(r"\n\s+", " ", synopsis).splitlines()
+        }
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        offered = {
+            name: [(a.option_strings[0], tuple(a.choices or ())) for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items()
+        }
+        assert list(documented) == list(offered) == list(COMMANDS)
+        for name, flags in documented.items():
+            # each flag in order, with the choices of --format and --witness
+            assert [(flag, tuple(arg.split("|")) if "|" in arg else ()) for flag, arg in flags] == offered[name]
 
     def test_unknown_commands_share_one_parser(self, capsys):
         cli._parser.cache_clear()

@@ -268,8 +268,13 @@ def test_choi_matrix_takes_the_conjugate_pair_path():
     assert_renders_as_its_list(block)
 
 
+def default_options(command):
+    """The options ``main`` runs ``command`` with when none is given."""
+    return cli.build_parser().parse_args([command, "--channel", "unused.json"])
+
+
 def test_text_choi_report_writes_each_conjugate_pair_once(monkeypatch):
-    results = cli._run_choi(random_channel([3, 3], 9, kraus_count=81), cli.PipelineOptions())
+    results = cli._run_choi(random_channel([3, 3], 9, kraus_count=81), default_options("choi"))
     payload = {"pipeline": "choi", "inputs": {"channel": {"dims": [3, 3]}, "options": {}}, "results": results}
     real, found = cli._conjugate_pair_strings, []
 
@@ -287,7 +292,7 @@ def test_text_choi_report_writes_each_conjugate_pair_once(monkeypatch):
 def test_json_report_writes_each_list_on_one_line(command):
     cnot = parse_channel_spec({"dims": [2, 2], "kind": "named", "name": "cnot"})
     channel = random_channel([2, 2], 11, kraus_count=16) if command == "choi" else cnot
-    results = cli._run(command, channel, cli.PipelineOptions())
+    results = cli._run(command, channel, default_options(command))
     payload = {"pipeline": command, "inputs": {"channel": {"dims": [2, 2]}, "options": {}}, "results": results}
     text = render_report(payload)
     assert_layout(text)
@@ -299,7 +304,7 @@ def test_json_report_writes_each_list_on_one_line(command):
 
 
 def test_writer_without_the_c_encoder_writes_the_same(monkeypatch):
-    results = cli._run_choi(random_channel([3], 12, kraus_count=9), cli.PipelineOptions())
+    results = cli._run_choi(random_channel([3], 12, kraus_count=9), default_options("choi"))
     payloads = [{"results": results}, {"results": {**results, "trace": math.inf}}, [np.float64("nan")]]
     texts = [both_formats(p) for p in payloads]
     monkeypatch.setattr(cli, "c_make_encoder", None)
