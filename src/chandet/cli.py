@@ -23,7 +23,10 @@ with exit 2. ``inputs.options`` echoes exactly the command's pipeline
 options.
 
 A request runs in one order: the options are checked, then the channel is
-built, then the command runs. Every witness command takes one path through
+built, then the command runs. A request that samples (simulate, or a detect
+command with --shots > 0) builds its channel with ``require_tp``: the Choi
+matrix of a non-TP map is no state to sample, and ``Channel``'s one check
+refuses it with exit 3. Every witness command takes one path through
 ``_run``: the kind is chosen, the measurement rule (``measure._require_measurable``)
 is applied, ``_witness`` builds the witness with its Choi state and facts,
 and the command's builder makes the results. Every witness but eb, and
@@ -472,7 +475,7 @@ def _simulate_results(w: Witness | None, state: ChoiMatrix, facts, opts: argpars
             f"-{ATOL:g}, so no witness exists"
         )
     exact = evaluate_witness(w, state)
-    estimate, setting_count = _estimate(state, w, opts.shots or _SIMULATE_SHOTS, opts.seed)
+    estimate, setting_count = _estimate(state, w, opts.shots, opts.seed)
     return {**_witness_fields(w, facts), "exact": exact, "estimate": estimate, "setting_count": setting_count}
 
 
@@ -568,8 +571,8 @@ def _run(command: str, channel: Channel, opts: argparse.Namespace) -> dict:
     and sru on other dims. Before any work, --target with an eb or ppt
     witness is refused, and so is a Choi state that measurement does not
     serve: simulate and decompose-witness always measure, a detect command
-    with --shots > 0, which also needs a TP map. A detect command's results
-    then gain the estimate; a PPT channel has no NPT witness, hence None.
+    with --shots > 0. A detect command's results then gain the estimate; a
+    PPT channel has no NPT witness, hence None.
     """
     cmd = _COMMANDS[command]
     if not cmd.witnesses:
@@ -583,12 +586,6 @@ def _run(command: str, channel: Channel, opts: argparse.Namespace) -> dict:
     if measured:
         what = f"{command} --shots" if detect else command
         _require_measurable(channel.choi.dims, f"{what}: the Choi state", SpecError)
-    if opts.shots:
-        deficit = channel.tp_deficit()
-        if not deficit <= ATOL:  # the Choi matrix of a non-TP map is no state to sample
-            raise SpecError(
-                f"{command} --shots needs a trace-preserving channel: max|sum A^dag A - I| = {deficit:.6g}"
-            )
     w, state, facts = _witness(kind, channel, opts, label, measured)
     results = cmd.run(w, state, facts, opts)
     if detect and opts.shots:
@@ -771,7 +768,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _read_options(args: argparse.Namespace) -> None:
-    """Check the values of ``args``' pipeline options, and replace its --target path by the spec it names."""
+    """Check ``args``' pipeline options, give simulate its default --shots, and replace --target by the spec it names."""
     if args.shots is not None and args.shots < 0:
         raise SpecError("--shots must be non-negative")
     if args.shots is not None and args.shots > MAX_SHOTS:
@@ -785,7 +782,9 @@ def _read_options(args: argparse.Namespace) -> None:
             "simulate needs at least 1 shot per setting; omit --shots for the default of "
             f"{_SIMULATE_SHOTS}"
         )
-    args.target = _read_spec_file(args.target) if args.target else None
+    if args.command == "simulate" and args.shots is None:
+        args.shots = _SIMULATE_SHOTS
+    args.target = _read_spec_file(args.target) if args.target is not None else None
 
 
 def main(argv=None) -> int:
@@ -794,7 +793,7 @@ def main(argv=None) -> int:
     try:
         _read_options(args)
         spec = _read_spec_file(args.channel)
-        channel = parse_channel_spec(spec, require_tp=cmd.require_tp)
+        channel = parse_channel_spec(spec, require_tp=cmd.require_tp or bool(args.shots))
         start = time.perf_counter()
         results = _run(args.command, channel, args)
         elapsed = time.perf_counter() - start

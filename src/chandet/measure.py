@@ -168,8 +168,8 @@ def _codes_of(strings: list[str]) -> tuple[np.ndarray, int]:
     return digits @ 4 ** np.arange(n - 1, -1, -1), n
 
 
-def _expand(w: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending codes of the strings of Hermitian ``w`` with |coefficient| > ``tol``, and their coefficients.
+def _expand(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending codes of the strings of Hermitian ``w`` with |coefficient| > ZERO_CUTOFF, and their coefficients.
 
     A coefficient is :func:`_traces`' Tr[P W] / 2^n, so each is bitwise the dense one.
     """
@@ -178,22 +178,22 @@ def _expand(w: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     bad = np.flatnonzero(np.abs(coeffs.imag) > ZERO_CUTOFF)
     if bad.size:
         raise ValueError(f"coefficient of {_names(bad[:1], n)[0]} has imaginary part {coeffs[bad[0]].imag:.3e}")
-    kept = np.flatnonzero(np.abs(coeffs.real) > tol)
+    kept = np.flatnonzero(np.abs(coeffs.real) > ZERO_CUTOFF)
     return kept, coeffs.real[kept]
 
 
-def pauli_decompose(w: np.ndarray, tol: float = ZERO_CUTOFF) -> list[PauliTerm]:
+def pauli_decompose(w: np.ndarray) -> list[PauliTerm]:
     """Expand a Hermitian qubit operator as sum of real Pauli-string coefficients.
 
     Coefficients are Tr[P W] / 2^n for n <= ``MAX_QUBITS``, bitwise the dense
-    ones; strings with |coefficient| <= tol are dropped.
+    ones; as in :func:`estimate_witness`, strings with |coefficient| <= ZERO_CUTOFF are dropped.
     """
     w = np.asarray(w, dtype=complex)
     side = w.shape[0] if w.ndim == 2 and w.shape[0] == w.shape[1] else 0
     if side < 2 or side & (side - 1):
         raise ValueError(f"operator shape {w.shape} is not a square power of 2")
     n = _require_measurable((2,) * (side.bit_length() - 1), "the operator")
-    codes, coeffs = _expand(w, n, tol)
+    codes, coeffs = _expand(w, n)
     return [PauliTerm(s, c) for s, c in zip(_names(codes, n), coeffs.tolist())]
 
 
@@ -327,7 +327,7 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     state = _check_state(choi.matrix, n)
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots_per_setting must be >= 1 and at most {MAX_SHOTS}, got {shots}")
-    codes, coeffs = _expand(np.asarray(w.operator, dtype=complex), n, ZERO_CUTOFF)
+    codes, coeffs = _expand(np.asarray(w.operator, dtype=complex), n)
     bases, covered = _group(codes, n)
     value = float(coeffs[0]) if codes.size and codes[0] == 0 else 0.0  # the identity's coefficient
     variance = 0.0

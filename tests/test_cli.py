@@ -75,6 +75,8 @@ OPTION_DEFAULTS = {"seed": 0, "shots": None, "starts": 50, "witness": None, "tar
 OPTION_VALUES = {
     "--format": "text", "--shots": "7", "--seed": "3", "--starts": "9", "--target": "cnot.json", "--witness": "eb"
 }
+# Channel's refusal of a map that is not trace preserving, as main reports it
+NON_TP_REFUSAL = "validation error: Kraus operators are not trace preserving"
 # the refusal texts after the words that name what was run, given the dims
 TWO_PARTY_RULE = " needs dims [d_A, d_B] with d_A, d_B >= 2, got {}"
 EB_RULE = ": the eb witness needs prod(dims) >= 2, got dims {}"
@@ -453,10 +455,33 @@ class TestExitCodes:
         # alpha^2 Tr C - |<vec I|vec CNOT>|^2 Tr C / 16 = 0.81 / 2 - 0.81 / 4
         assert res["verdict"] == "undetected" and abs(res["expectation"] - 0.2025) <= 1e-12
 
+        # a sampled request builds its channel trace preserving, so Channel's one check refuses it
         monkeypatch.setattr(cli, "_witness", refuse_work)
         code, out, err = run(capsys, *argv, "--shots", "1000")
+        assert code == EXIT_NUMERICAL_ERROR and out == ""
+        assert err.startswith(NON_TP_REFUSAL)
+
+    @pytest.mark.parametrize(
+        "command, dims",
+        [
+            pytest.param(command, [2] if command == "detect-eb" else [2, 2], id=command)
+            for command in ("detect-eb", "detect-sru", "detect-sep", "detect-npt", "simulate")
+        ],
+    )
+    def test_every_sampling_command_refuses_a_non_tp_map(self, tmp_path, capsys, monkeypatch, command, dims):
+        d = int(np.prod(dims))
+        spec = {"dims": dims, "kind": "kraus", "kraus": [matrix_to_pairs(0.9 * np.eye(d))]}
+        monkeypatch.setattr(cli, "_witness", refuse_work)
+        code, out, err = run(capsys, command, "--channel", write_spec(tmp_path, "lossy.json", spec), "--shots", "1000")
+        assert code == EXIT_NUMERICAL_ERROR and out == ""
+        assert err.startswith(NON_TP_REFUSAL)
+
+    @pytest.mark.parametrize("argv", [["detect-sru"], ["simulate", "--witness", "sru"]], ids=" ".join)
+    def test_empty_target_path_is_an_unreadable_target(self, tmp_path, capsys, argv):
+        chan = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
+        code, out, err = run(capsys, *argv, "--channel", chan, "--target", "")
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert err.startswith("input error: detect-sep --shots needs a trace-preserving channel")
+        assert err == "input error: channel spec file not found: \n"
 
     @pytest.mark.parametrize(
         "argv", [*MEASURING, ["decompose-witness", "--witness", "eb"], ["simulate", "--witness", "eb"]], ids=" ".join
@@ -1149,8 +1174,11 @@ class TestEcho:
             "target": {**target, "params": {"matrix": named_by_digest(target["params"]["matrix"])}},
         }
         names = PIPELINE_OPTIONS[command]
+        defaults = {name: OPTION_DEFAULTS[name] for name in names}
+        if command == "simulate":
+            defaults["shots"] = 100_000  # simulate always samples, and echoes the count it took
         for argv, want in (
-            ([], {name: OPTION_DEFAULTS[name] for name in names}),
+            ([], defaults),
             ([arg for name in names for arg in (f"--{name}", given[name])], {name: echoed[name] for name in names}),
         ):
             options = run_json(capsys, command, "--channel", chan, *argv)["inputs"]["options"]
@@ -1165,6 +1193,29 @@ class TestEcho:
                 for name, val in want.items()
                 if val is not None
             ]
+
+    @pytest.mark.parametrize(
+        "argv, spec, shots",
+        [
+            pytest.param(["simulate"], CNOT_SPEC, 100_000, id="simulate"),
+            *(
+                pytest.param(
+                    [command, "--shots", "300"], dep_spec() if command == "detect-eb" else CNOT_SPEC, 300,
+                    id=f"{command} --shots",
+                )
+                for command in ("simulate", "detect-eb", "detect-sru", "detect-sep", "detect-npt")
+            ),
+        ],
+    )
+    def test_shots_echo_the_count_the_estimate_took(self, tmp_path, capsys, argv, spec, shots):
+        chan = write_spec(tmp_path, "chan.json", spec)
+        report = run_json(capsys, *argv, "--channel", chan)
+        assert report["inputs"]["options"]["shots"] == report["results"]["estimate"]["shots_per_setting"] == shots
+        code, out, err = run(capsys, *argv, "--channel", chan, "--format", "text")
+        assert code == EXIT_OK, err
+        lines = out.split("\n")
+        assert f"shots: {shots}" in lines[: lines.index("results:")]
+        assert f"    shots_per_setting: {shots}" in lines[lines.index("  estimate:") :]
 
     def test_text_channel_line_names_the_kraus_array(self, tmp_path, capsys):
         spec = kraus_spec(random_channel((2, 2), 14, kraus_count=2))

@@ -574,8 +574,7 @@ class TestMatchesDenseReference:
             if trial % 4 == 0:
                 a = np.round(a, 1)
             op = a + a.conj().T
-            for tol in (1e-12, 0.3):
-                assert pauli_decompose(op, tol) == dense_decompose(op, tol)
+            assert pauli_decompose(op) == dense_decompose(op, ZERO_CUTOFF)
 
     def test_pauli_decompose_of_witnesses(self):
         ws = [eb_witness(), stabilizer_witness()]

@@ -1,0 +1,40 @@
+"""Smoke tests of the report-identity tools, each run as a command from the repo root.
+
+``tools/report_digests.py`` and ``tools/report_moves.py`` are how a refactor
+shows that its reports are byte-identical to the parent's. Both build the
+benchmark's pools from ``bench/workloads.py`` and only read ``bench/``; the
+spec files they write go to temporary directories.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_tool(*argv):
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_report_digests_prints_the_help_and_every_request():
+    lines = run_tool("tools/report_digests.py", "--seeds", "1", "--workloads", "shots-qubit")
+    help_lines = [line for line in lines if line.startswith("help ")]
+    requests = [line.split() for line in lines if not line.startswith("help ")]
+    assert len(help_lines) == 8 and len(requests) == 50
+    # workload seed class exit sha256(stdout) sha256(stderr) sha256(results) sha256(text)
+    assert all(len(r) == 8 and r[:2] == ["shots-qubit", "1"] for r in requests)
+
+
+def test_report_moves_finds_no_move_between_two_runs_of_one_checkout():
+    # two fresh worker processes on the same checkout and seeds give byte-identical reports
+    lines = run_tool("tools/report_moves.py", ".", ".", "--seeds", "1", "--workloads", "shots-qubit")
+    assert lines
+    for line in lines:
+        workload, _, requests, count, changed, moved = line.split()
+        assert (workload, requests, changed, moved) == ("shots-qubit", "requests", "stdout_changed", "0")
+        assert int(count) >= 1
