@@ -30,6 +30,7 @@ ALPHA_ORDER_ATOL = 1e-9  # how far alpha_SRU^2 may exceed alpha_S^2 in a witness
 ZERO_CUTOFF = 1e-12
 SIGMA_RANK_CUTOFF = 1e-14  # an eigenvalue of sigma at or below it adds no Kraus operator
 SWEEP_TOL = 1e-12  # an optimizer start stops after a sweep that gains less
+TRAIL_TOL = 1e-6  # a start trailing the best stops after a sweep that gains less and under a tenth of its gap
 # an expectation must lie this far below a threshold for a verdict; rounding alone gives none
 VERDICT_MARGIN = 1e-12
 

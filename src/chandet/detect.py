@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
+from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, TRAIL_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
 from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary, _frozen
 from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
 
@@ -140,7 +140,10 @@ def _alternating_ascent(u, da, db, ub0, record=None):
     is |Tr[ua^dag F]| with F = Tr_B[(I kron ub^dag) u], maximized by the polar
     unitary of F at the value ||F||_1; likewise for ua with G = Tr_A[(ua^dag
     kron I) u]. Each start's objective is therefore non-decreasing sweep to
-    sweep, and a start stops after its first gain below ``SWEEP_TOL``.
+    sweep. A start stops after its first gain below clip(gap / 10, ``SWEEP_TOL``,
+    ``TRAIL_TOL``), its gap the best value of any start so far less its own:
+    the leader climbs to ``SWEEP_TOL``; a start trailing it stops once it gains
+    less than ``TRAIL_TOL`` and a tenth of its gap, too little to close it.
 
     Both partial traces are linear in the conjugated local unitary, so the gate
     is rearranged once into the matrices taking vec(conj ub) to vec F and
@@ -157,8 +160,8 @@ def _alternating_ascent(u, da, db, ub0, record=None):
     val = np.empty(n)
     ua = np.empty((n, da, da), dtype=complex)
     ub = np.empty((n, db, db), dtype=complex)
-    # the live starts: their indices, last values and current unitaries
-    live, prev, ub_live = np.arange(n), np.full(n, -1.0), np.array(ub0, dtype=complex)
+    # the live starts: their indices, last values and current unitaries; the best value of any start so far
+    live, prev, ub_live, best = np.arange(n), np.full(n, -1.0), np.array(ub0, dtype=complex), -1.0
     for _ in range(MAX_SWEEPS):
         w, _, vh = np.linalg.svd((ub_live.conj().reshape(-1, db * db) @ to_f).reshape(-1, da, da))
         ua_live = w @ vh
@@ -169,7 +172,8 @@ def _alternating_ascent(u, da, db, ub0, record=None):
             row = np.full(n, np.nan)
             row[live] = cur
             record.append(row)
-        going = cur - prev >= SWEEP_TOL
+        best = max(best, cur.max())
+        going = cur - prev >= np.clip((best - cur) / 10, SWEEP_TOL, TRAIL_TOL)
         if not going.all():
             stop = ~going
             val[live[stop]], ua[live[stop]], ub[live[stop]] = cur[stop], ua_live[stop], ub_live[stop]
@@ -188,7 +192,9 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     Climbs from ``starts`` Haar-random initial points, the first ``starts``
     d_B x d_B Haar unitaries of ``default_rng(seed)``, all in one batched
     ascent, and keeps the first best; a run's starts are the first of every
-    longer run's at that seed. Returns ``(alpha_sru, ua, ub)``; refuses
+    longer run's at that seed. The leading start climbs until a sweep gains
+    less than ``SWEEP_TOL``, and the trailing ones stop earlier (see
+    ``_alternating_ascent``). Returns ``(alpha_sru, ua, ub)``; refuses
     ``starts * (d_A^3 + d_B^3 + D^2) > MAX_START_WORK`` first.
     """
     dims = _require_bipartite(dims, "SRU detection")

@@ -6,7 +6,7 @@ from pathlib import Path
 import chandet
 
 SRC = Path(chandet.__file__).parent
-# a float literal below this magnitude is a tolerance
+# a float literal at or below this magnitude is a tolerance
 SMALL = 1e-6
 
 
@@ -16,7 +16,7 @@ def small_floats(tree):
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant)
         and isinstance(node.value, float)
-        and 0.0 < abs(node.value) < SMALL
+        and 0.0 < abs(node.value) <= SMALL
     ]
 
 

@@ -1,9 +1,10 @@
-"""Smoke tests of the report-identity tools, each run as a command from the repo root.
+"""Smoke tests of the report-identity and timing tools, each run as a command from the repo root.
 
 ``tools/report_digests.py`` and ``tools/report_moves.py`` are how a refactor
-shows that its reports are byte-identical to the parent's. Both build the
-benchmark's pools from ``bench/workloads.py`` and only read ``bench/``; the
-spec files they write go to temporary directories.
+shows that its reports are byte-identical to the parent's;
+``tools/class_times.py`` times each request class beside its optimizer work.
+All three build the benchmark's pools from ``bench/workloads.py`` and only
+read ``bench/``; the spec files they write go to temporary directories.
 """
 
 import subprocess
@@ -38,3 +39,11 @@ def test_report_moves_finds_no_move_between_two_runs_of_one_checkout():
         workload, _, requests, count, changed, moved = line.split()
         assert (workload, requests, changed, moved) == ("shots-qubit", "requests", "stdout_changed", "0")
         assert int(count) >= 1
+
+
+def test_class_times_prints_each_class_with_its_start_sweeps():
+    lines = run_tool("tools/class_times.py", "--workloads", "sep-qutrit", "--seeds", "1", "--repeats", "1")
+    rows = [line.split() for line in lines]
+    # workload class requests median_ms median_start_sweeps; every sep-qutrit class runs the optimizer
+    assert len(rows) == 5 and all(len(r) == 5 and r[0] == "sep-qutrit" for r in rows)
+    assert all(int(r[2]) >= 1 and float(r[3]) > 0 and float(r[4]) > 0 for r in rows)
