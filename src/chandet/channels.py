@@ -25,7 +25,7 @@ from .qmath import PAULI, dag, kron, _as_dims
 ATOL = 1e-10
 STATE_ATOL = 1e-9  # a state handed to the shot simulator: Hermitian, trace 1, PSD
 WITNESS_HERM_ATOL = 1e-12  # Hermiticity of a witness operator
-ALPHA_ORDER_ATOL = 1e-9  # how far alpha_SRU^2 may exceed alpha_S^2 in a witness
+ALPHA_ORDER_ATOL = 1e-9  # how far the CLI lets an optimizer's alpha_SRU^2 exceed the gate's sigma_1^2
 # a magnitude at or below it is zero: Schmidt rank and phase, Pauli coefficients, probabilities
 ZERO_CUTOFF = 1e-12
 SIGMA_RANK_CUTOFF = 1e-14  # an eigenvalue of sigma at or below it adds no Kraus operator
@@ -206,14 +206,15 @@ def depolarizing_channel(p: float, d: int = 2) -> Channel:
 
     For qubits the Kraus set is {sqrt(1-p) I, sqrt(p/3) X, sqrt(p/3) Y, sqrt(p/3) Z};
     for d > 2 the Pauli set is replaced by the d^2 - 1 Weyl operators. A
-    one-dimensional system has no error operator to carry p, so d < 2 is refused.
+    one-dimensional system has no error operator to carry p, so d < 2 is refused,
+    and so is a d that is no integer (2.9, 2.0, "3", True), which is not truncated.
     The operators are scaled as they are generated, so no list of them is held
     beside the Kraus array.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing weight p={p!r} outside [0, 1]")
-    d = int(d)
+    (d,) = _as_dims((d,))
     if d < 2:
         raise ValueError(f"the depolarizing channel needs dimension d >= 2, got {d}")
     errs = (PAULI[ch] for ch in "XYZ") if d == 2 else _weyl_operators(d)

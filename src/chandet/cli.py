@@ -73,6 +73,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 import numpy as np
 
 from .channels import (
+    ALPHA_ORDER_ATOL,
     ATOL,
     Channel,
     ChoiMatrix,
@@ -360,7 +361,7 @@ def _target_gate(channel: Channel, opts: argparse.Namespace, command: str) -> tu
         gate, what = parse_channel_spec(opts.target, require_tp=False), f"{command} target"
         if gate.dims != channel.dims:
             raise SpecError(
-                f"target dims {list(gate.dims)} do not match channel dims {list(channel.dims)}"
+                f"{what} dims {list(gate.dims)} do not match channel dims {list(channel.dims)}"
             )
     return gate, _check_unitary(_single_operator(gate, what), f"{what} operator")
 
@@ -368,7 +369,7 @@ def _target_gate(channel: Channel, opts: argparse.Namespace, command: str) -> tu
 def _witness(kind: str, channel: Channel, opts: argparse.Namespace, command: str, measured: bool) -> tuple:
     """The ``kind`` witness, the Choi state it is measured on, and the facts the report states.
 
-    The facts are ``(Schmidt data, alpha source)`` for sru, the ``NptReport``
+    The facts are ``(Schmidt data, alpha_S^2, alpha source)`` for sru, the ``NptReport``
     for ppt and None otherwise. The ppt witness is None on a PPT channel,
     which has none, and when the command is not ``measured``: the exact
     numbers come from the report's vector, and only the Pauli layer reads the
@@ -400,16 +401,20 @@ def _witness(kind: str, channel: Channel, opts: argparse.Namespace, command: str
     # Schmidt term a product unitary, so alpha_SRU = sigma_1 exactly; other dims
     # run the optimizer.
     sd = operator_schmidt(u, *channel.dims)
+    alpha_s_sq = float(sd.sigmas[0] ** 2)
     if sd.dims == (2, 2):
         # rounding can put sigma_1 of a product gate a few ulp above 1
-        alpha_sq, source = min(float(sd.sigmas[0] ** 2), 1.0), "sigma_1"
+        alpha_sq, source = min(alpha_s_sq, 1.0), "sigma_1"
     else:
         try:  # u and the dims passed their checks, so only the work bound on --starts can refuse
             val, _, _ = alpha_sru_optimize(u, sd.dims, starts=opts.starts, seed=opts.seed)
         except ValueError as exc:
             raise SpecError(f"{command}: {exc}") from exc
         alpha_sq, source = val**2, "optimizer"
-    return build_sru_witness(u, sd.dims, alpha_sq, schmidt=sd), channel.choi, (sd, source)
+        # product unitaries are single product Kraus operators, so alpha_SRU^2 <= alpha_S^2
+        if alpha_sq > alpha_s_sq + ALPHA_ORDER_ATOL:
+            raise ValidationError(f"{command}: alpha_SRU^2 = {alpha_sq!r} exceeds alpha_S^2 = {alpha_s_sq!r}")
+    return build_sru_witness(u, sd.dims, alpha_sq), channel.choi, (sd, alpha_s_sq, source)
 
 
 def _estimate(state: ChoiMatrix, w: Witness, shots: int, seed: int) -> tuple[dict, int]:
@@ -450,7 +455,7 @@ def _run_schmidt(channel: Channel, opts: argparse.Namespace) -> dict:
 def _witness_fields(w: Witness, facts) -> dict:
     """The fields that name simulate's or decompose-witness's witness."""
     if w.kind == "sru":
-        return {"witness": "sru", "alpha_sru_sq": w.alpha_sq, "alpha_s_sq": w.alpha_s_sq, "alpha_source": facts[1]}
+        return {"witness": "sru", "alpha_sru_sq": w.alpha_sq, "alpha_s_sq": facts[1], "alpha_source": facts[2]}
     if w.kind == "stabilizer":
         return {"witness": "stabilizer", "generators": list(CNOT_STABILIZER_GENERATORS)}
     return {"witness": w.kind}
@@ -471,7 +476,7 @@ def _decompose_results(w: Witness, state: ChoiMatrix, facts, opts: argparse.Name
 def _simulate_results(w: Witness | None, state: ChoiMatrix, facts, opts: argparse.Namespace) -> dict:
     if w is None:
         raise SpecError(
-            f"the ppt witness needs an NPT channel; this one has lambda_minus >= "
+            f"simulate --witness ppt needs an NPT channel; this one has lambda_minus >= "
             f"-{ATOL:g}, so no witness exists"
         )
     exact = evaluate_witness(w, state)
@@ -490,14 +495,22 @@ def _eb_results(w: Witness, state: ChoiMatrix, facts, opts: argparse.Namespace) 
 
 
 def _sru_results(w: Witness, state: ChoiMatrix, facts, opts: argparse.Namespace) -> dict:
+    """The SRU results of ``w`` on the Choi state ``state``, by the alpha_S^2 and alpha source in ``facts``.
+
+    A separable map has fidelity at most alpha_S^2 Tr C with the gate, so its
+    expectation is at least (alpha_SRU^2 - alpha_S^2) Tr C: the not_separable
+    threshold scales with the Choi trace, which is 1 for a channel.
+    """
+    _, alpha_s_sq, source = facts
     value = evaluate_witness(w, state)
-    thresholds = {"not_sru": 0.0, "not_separable": w.alpha_sq - w.alpha_s_sq}
+    trace = float(np.trace(state.matrix).real)
+    thresholds = {"not_sru": 0.0, "not_separable": (w.alpha_sq - alpha_s_sq) * trace}
     return {
         "alpha_sru": float(np.sqrt(w.alpha_sq)),
         "alpha_sru_sq": w.alpha_sq,
-        "alpha_s": float(np.sqrt(w.alpha_s_sq)),
-        "alpha_s_sq": w.alpha_s_sq,
-        "alpha_source": facts[1],
+        "alpha_s": float(np.sqrt(alpha_s_sq)),
+        "alpha_s_sq": alpha_s_sq,
+        "alpha_source": source,
         "expectation": value,
         "thresholds": thresholds,
         "verdict": decide(w.kind, value, thresholds),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ALPHA_ORDER_ATOL, ATOL, SWEEP_TOL, TRAIL_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
+from .channels import ATOL, SWEEP_TOL, TRAIL_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
 from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary, _frozen
 from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
 
@@ -66,16 +66,15 @@ class Witness:
 
     ``alpha_sq`` is the alpha^2 of a fidelity witness alpha^2 Id - P_U, its
     largest eigenvalue; for an SRU witness it is the squared overlap of the
-    target gate's Choi state with the product-unitary set. ``alpha_s_sq`` is
-    the squared overlap with the larger single-product-Kraus set; when both
-    are present the first never exceeds the second (product unitaries are a
-    subset). Every witness the package builds holds a read-only ``operator``.
+    target gate's Choi state with the product-unitary set. The witness holds
+    only what defines its operator; the gate's alpha_S^2 = sigma_1^2 is read
+    off its Schmidt data. Every witness the package builds holds a read-only
+    ``operator``.
     """
 
     operator: np.ndarray
     kind: str
     dims: tuple[int, ...]
-    alpha_s_sq: float | None = None
     alpha_sq: float | None = None
 
     def __post_init__(self):
@@ -84,9 +83,6 @@ class Witness:
         if op.shape != (side, side):
             raise ValueError(f"witness shape {op.shape} does not match dims {self.dims}")
         _check_hermitian(op, WITNESS_HERM_ATOL, "witness")
-        if self.alpha_sq is not None and self.alpha_s_sq is not None:
-            if self.alpha_sq > self.alpha_s_sq + ALPHA_ORDER_ATOL:
-                raise ValueError(f"alpha_sq={self.alpha_sq} exceeds alpha_s_sq={self.alpha_s_sq}")
 
 
 @dataclass(frozen=True)
@@ -211,32 +207,27 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     return min(float(val[best]), 1.0), ua[best], ub[best]
 
 
-def _fidelity_witness(u: np.ndarray, alpha_sq: float, kind: str, dims, alpha_s_sq=None) -> Witness:
+def _fidelity_witness(u: np.ndarray, alpha_sq: float, kind: str, dims) -> Witness:
     """alpha_sq * Id - P_U, P_U = outer(vec U, conj vec U) / D rounding each entry once."""
     alpha_sq = float(alpha_sq)
     if not 0.0 < alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq={alpha_sq!r} outside (0, 1]")
     vec = np.asarray(u, dtype=complex).reshape(-1)
     op = alpha_sq * np.eye(vec.size) - np.outer(vec, vec.conj()) / len(u)
-    return Witness(_frozen(op), kind, dims + dims, alpha_s_sq=alpha_s_sq, alpha_sq=alpha_sq)
+    return Witness(_frozen(op), kind, dims + dims, alpha_sq=alpha_sq)
 
 
-def build_sru_witness(
-    u: np.ndarray, dims, alpha_sq: float, schmidt: SchmidtDecomposition | None = None
-) -> Witness:
+def build_sru_witness(u: np.ndarray, dims, alpha_sq: float) -> Witness:
     """Detection operator alpha_sq * Id - |U><U| on the doubled subsystem space.
 
-    ``alpha_sq`` is the squared product-unitary overlap for the gate; the
-    squared single-product-Kraus overlap (the leading Schmidt coefficient
-    squared) is read from ``schmidt``, the gate's operator Schmidt
-    decomposition, which is computed here when not given.
+    ``alpha_sq`` is the squared product-unitary overlap for the gate. The
+    operator depends on the gate and ``alpha_sq`` alone; the separable-map
+    threshold also needs the gate's alpha_S^2, its leading operator Schmidt
+    coefficient squared (``operator_schmidt``).
     """
     dims = _require_bipartite(dims, "SRU detection")
     u = _check_unitary(u, "target unitary")
-    sd = operator_schmidt(u, *dims) if schmidt is None else schmidt
-    if sd.dims != dims:
-        raise ValueError(f"Schmidt data dims {sd.dims} do not match dims {dims}")
-    return _fidelity_witness(u, alpha_sq, "sru", dims, float(sd.sigmas[0] ** 2))
+    return _fidelity_witness(u, alpha_sq, "sru", dims)
 
 
 def eb_witness(dims=(2,)) -> Witness:

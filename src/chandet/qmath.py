@@ -6,6 +6,7 @@ All functions are pure and never mutate their inputs.
 """
 
 import math
+import operator
 from functools import reduce
 
 import numpy as np
@@ -40,7 +41,16 @@ def pauli_string(letters: str) -> np.ndarray:
 
 
 def _as_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    """``dims`` as a non-empty tuple of ints >= 1, else ValueError.
+
+    Each entry is taken by ``operator.index``, so 2.7, 2.0 and "3" are refused,
+    not truncated, and an integer of any type (``np.int64``) is taken; a bool is refused.
+    """
+    try:
+        # a bool becomes 0, which the check below refuses
+        out = tuple(0 if isinstance(d, (bool, np.bool_)) else operator.index(d) for d in dims)
+    except TypeError:
+        out = ()
     if not out or any(d < 1 for d in out):
         raise ValueError(f"invalid subsystem dimensions {dims!r}")
     return out

@@ -128,7 +128,7 @@ def test_criterion_06_z3_analysis():
     w = build_sru_witness(z3.kraus[0], (3, 3), alpha**2)
     value = evaluate_witness(w, z3.choi)
     assert abs(value - (alpha**2 - 1.0)) <= 1e-10
-    gap = w.alpha_sq - w.alpha_s_sq
+    gap = w.alpha_sq - float(sd.sigmas[0] ** 2)
     assert abs(gap + 0.111) < 5e-3
     assert value < gap
     assert decide("sru", value, {"not_sru": 0.0, "not_separable": gap}) == "not_separable"

@@ -16,8 +16,9 @@ from chandet.channels import (
     z3_channel,
 )
 from chandet.cli import SpecError, parse_channel_spec
+from chandet.detect import eb_witness
 from chandet.pptdetect import ppt_conjugate
-from chandet.qmath import PAULI, haar_unitary, kron, partial_trace, partial_transpose
+from chandet.qmath import PAULI, _as_dims, haar_unitary, kron, partial_trace, partial_transpose
 from support import CNOT, apply, choi_of_superoperator, is_unital, kraus_from_choi, kraus_to_choi_loop, max_entangled
 from support import permute_subsystems, random_channel, random_density_matrix, random_sru_channel, superoperator
 from support import weyl_operators_matrix_power
@@ -75,6 +76,20 @@ class TestNamedChannels:
             depolarizing_channel(1.5)
         with pytest.raises(ValueError):
             random_unitary_channel([0.4, 0.4], [I2, X])
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "3", True], ids=["float", "integral-float", "str", "bool"])
+    def test_dims_are_integers_not_truncated(self, bad):
+        # each dimension is taken by operator.index: int(2.7) would build a qubit, int("3") a qutrit
+        for make in (_as_dims, identity_channel, eb_witness, lambda dims: depolarizing_channel(0.1, dims[1])):
+            with pytest.raises(ValueError, match="invalid subsystem dimensions"):
+                make([2, bad])
+
+    def test_numpy_integer_dims_are_taken(self):
+        three = np.int64(3)
+        assert _as_dims([three, 2]) == (3, 2) and all(type(d) is int for d in _as_dims([three, 2]))
+        assert identity_channel([three]).dims == (3,)
+        assert eb_witness([three]).dims == (3, 3)
+        assert depolarizing_channel(0.1, three).dims == (3,)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):

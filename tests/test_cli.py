@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from chandet import cli
+from chandet.channels import z3_channel
 from chandet.cli import (
     COMMANDS,
     EXIT_INPUT_ERROR,
@@ -402,6 +403,41 @@ class TestExitCodes:
         assert err == f"input error: {command} needs a single-Kraus channel, got 2 operators\n"
 
     @pytest.mark.parametrize(
+        "argv, channel, target",
+        [
+            (["detect-sru"], Z3_SPEC, CNOT_SPEC),
+            (["detect-sep"], Z3_SPEC, CNOT_SPEC),
+            (["decompose-witness", "--witness", "sru"], CNOT_SPEC, Z3_SPEC),
+            (["simulate", "--witness", "stabilizer"], CNOT_SPEC, Z3_SPEC),
+        ],
+        ids=["detect-sru", "detect-sep", "decompose-witness", "simulate"],
+    )
+    def test_target_dims_refusal_names_the_command(self, tmp_path, capsys, argv, channel, target):
+        chan = write_spec(tmp_path, "chan.json", channel)
+        gate = write_spec(tmp_path, "gate.json", target)
+        code, out, err = run(capsys, *argv, "--channel", chan, "--target", gate)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        dims = (channel["dims"], target["dims"])
+        assert err == f"input error: {' '.join(argv)} target dims {dims[1]} do not match channel dims {dims[0]}\n"
+
+    @pytest.mark.parametrize("excess, code", [(1e-6, EXIT_NUMERICAL_ERROR), (1e-10, EXIT_OK)])
+    def test_optimizer_alpha_above_sigma_1_is_numerical(self, tmp_path, capsys, monkeypatch, excess, code):
+        # a product unitary is a single product Kraus operator, so alpha_SRU^2 <= sigma_1^2 up to ALPHA_ORDER_ATOL
+        sigma_sq = float(operator_schmidt(z3_channel().kraus[0], 3, 3).sigmas[0] ** 2)
+        alpha = float(np.sqrt(sigma_sq + excess))
+        monkeypatch.setattr(cli, "alpha_sru_optimize", lambda *args, **kwargs: (alpha, None, None))
+        path = write_spec(tmp_path, "z3.json", Z3_SPEC)
+        got, out, err = run(capsys, "detect-sep", "--channel", path)
+        assert got == code, err
+        if code == EXIT_OK:
+            assert json.loads(out)["results"]["alpha_sru_sq"] == alpha**2
+        else:
+            assert out == ""
+            assert err == (
+                f"validation error: detect-sep: alpha_SRU^2 = {alpha**2!r} exceeds alpha_S^2 = {sigma_sq!r}\n"
+            )
+
+    @pytest.mark.parametrize(
         "command, message",
         [
             ("simulate", "simulate --witness sru needs dims [d_A, d_B] with d_A, d_B >= 2, got [2]"),
@@ -644,13 +680,14 @@ class TestPipelines:
         path = write_spec(tmp_path, "gate.json", spec)
         sd = operator_schmidt(u, *dims)
         alpha, _, _ = alpha_sru_optimize(u, dims)
-        w = build_sru_witness(u, dims, alpha**2, schmidt=sd)
+        alpha_s_sq = float(sd.sigmas[0] ** 2)
+        w = build_sru_witness(u, dims, alpha**2)
         value = evaluate_witness(w, parse_channel_spec(spec).choi)
         for command in ("detect-sru", "detect-sep"):
             res = run_json(capsys, command, "--channel", path)["results"]
             assert res["alpha_source"] == "optimizer"
-            assert (res["alpha_sru_sq"], res["alpha_s_sq"]) == (w.alpha_sq, w.alpha_s_sq)
-            thresholds = {"not_sru": 0.0, "not_separable": w.alpha_sq - w.alpha_s_sq}
+            assert (res["alpha_sru_sq"], res["alpha_s_sq"]) == (w.alpha_sq, alpha_s_sq)
+            thresholds = {"not_sru": 0.0, "not_separable": w.alpha_sq - alpha_s_sq}
             assert (res["expectation"], res["verdict"]) == (value, decide("sru", value, thresholds))
         # detect-sep, run last, also reports the gate's Schmidt coefficients
         assert (res["sigmas"], res["rank"]) == (sd.sigmas.tolist(), sd.rank)
@@ -980,6 +1017,15 @@ class TestPipelines:
         code, out, err = run(capsys, "simulate", "--channel", path, "--witness", "ppt")
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "lambda_minus" in err
+
+    def test_ppt_refusal_names_the_command(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "id.json", IDENTITY22_SPEC)
+        code, out, err = run(capsys, "simulate", "--channel", path, "--witness", "ppt")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == (
+            "input error: simulate --witness ppt needs an NPT channel; "
+            "this one has lambda_minus >= -1e-10, so no witness exists\n"
+        )
 
     def test_ppt_refusal_is_stable_under_kraus_order(self, tmp_path, capsys):
         from support import random_sru_channel

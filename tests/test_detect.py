@@ -15,7 +15,6 @@ from chandet.detect import (
     MAX_SWEEPS,
     SWEEP_TOL,
     TRAIL_TOL,
-    Witness,
     _alternating_ascent,
     alpha_sru_optimize,
     build_sru_witness,
@@ -400,7 +399,7 @@ class TestSruWitness:
     def test_cnot_witness_detects_cnot(self):
         w = build_sru_witness(CNOT, (2, 2), 0.5)
         assert abs(evaluate_witness(w, cnot_channel().choi) + 0.5) < 1e-12
-        assert w.alpha_s_sq is not None and abs(w.alpha_s_sq - 0.5) < 1e-10
+        assert abs(operator_schmidt(CNOT, 2, 2).sigmas[0] ** 2 - 0.5) < 1e-10
 
     def test_identity_channel_value(self):
         # overlap oracle: <alpha|(CNOT kron I)|alpha> = Tr[CNOT]/4 = 1/2
@@ -429,18 +428,6 @@ class TestSruWitness:
         proj = w.alpha_sq * np.eye(81) - w.operator
         assert abs(np.trace(proj).real - 1.0) < 1e-12
         assert np.allclose(proj @ proj, proj, atol=1e-12)
-
-    def test_takes_the_callers_schmidt_data(self):
-        sd = operator_schmidt(Z3, 3, 3)
-        w = build_sru_witness(Z3, (3, 3), 0.6, schmidt=sd)
-        assert w.alpha_s_sq == float(sd.sigmas[0] ** 2)
-        assert np.array_equal(w.operator, build_sru_witness(Z3, (3, 3), 0.6).operator)
-        with pytest.raises(ValueError, match="Schmidt data dims"):
-            build_sru_witness(CNOT, (2, 2), 0.5, schmidt=sd)
-
-    def test_alpha_ordering_enforced(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            Witness(operator=np.eye(16), kind="sru", dims=(2, 2, 2, 2), alpha_sq=0.9, alpha_s_sq=0.5)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):

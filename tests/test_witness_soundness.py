@@ -7,6 +7,11 @@ witness is built from, the CLI must not report the mixture ``not_sru`` or
 channel is the product pair at which the optimizer's overlap peaks: the
 witness of its gate reads it on the threshold, 0, and flags nothing.
 
+A map with product Kraus operators is separable, whatever its Choi trace Tr C:
+its fidelity with a gate is at most alpha_S^2 Tr C, so ``detect-sep`` must not
+report it ``not_separable``, not even on the threshold, as the gate's leading
+Schmidt term scaled to any trace sits.
+
 An entanglement-breaking channel has a separable Choi state, whose fidelity
 with the maximally entangled state is at most 1/D, so ``detect-eb`` must not
 flag one in any dimension: fully depolarizing channels and measure-and-prepare
@@ -24,9 +29,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from chandet.channels import VERDICT_MARGIN  # noqa: E402
+from chandet.channels import VERDICT_MARGIN, z3_channel  # noqa: E402
 from chandet.cli import EXIT_OK, main  # noqa: E402
-from chandet.detect import alpha_sru_optimize  # noqa: E402
+from chandet.detect import alpha_sru_optimize, operator_schmidt  # noqa: E402
 from chandet.qmath import haar_unitary  # noqa: E402
 from support import matrix_to_pairs, random_density_matrix, random_ket, random_sru_channel  # noqa: E402
 
@@ -79,6 +84,45 @@ def test_best_product_unitary_sits_on_the_threshold(spec_dir, dims, seed):
     target = write_spec(spec_dir / "gate.json", dims, kind="named", name="unitary", params=gate)
     res = results(["detect-sru", "--channel", chan, "--target", target])
     assert res["verdict"] == "undetected" and abs(res["expectation"]) <= VERDICT_MARGIN
+
+
+def product_kraus_spec(ops, trace):
+    """A kraus spec of ``ops`` scaled so that its Choi trace, sum_k Tr[K_k^dag K_k] / D, is ``trace``."""
+    scale = np.sqrt(trace * len(ops[0]) / sum(np.vdot(k, k).real for k in ops))
+    return {"kind": "kraus", "kraus": [matrix_to_pairs(scale * k) for k in ops]}
+
+
+@pytest.mark.parametrize("trace", [0.25, 1.0, 2.25, 4.0])
+def test_leading_schmidt_term_is_never_not_separable(spec_dir, trace):
+    # the map of z3's leading Schmidt term kron(A_1, B_1) is separable; its fidelity with z3
+    # is sigma_1^2 Tr C, so it sits on the threshold (alpha_SRU^2 - alpha_S^2) Tr C
+    sd = operator_schmidt(z3_channel().kraus[0], 3, 3)
+    spec = product_kraus_spec([np.kron(sd.a_factors[0], sd.b_factors[0])], trace)
+    chan = write_spec(spec_dir / "lead.json", [3, 3], **spec)
+    target = write_spec(spec_dir / "z3.json", [3, 3], kind="named", name="z3")
+    res = results(["detect-sep", "--channel", chan, "--target", target])
+    assert res["verdict"] != "not_separable"
+    gap = res["alpha_sru_sq"] - res["alpha_s_sq"]
+    assert res["thresholds"]["not_separable"] == pytest.approx(gap * trace, rel=1e-12)
+
+
+def gaussian(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3]])
+@pytest.mark.parametrize("seed", range(4))
+def test_product_kraus_maps_are_never_not_separable(spec_dir, dims, seed):
+    # a gate's leading Schmidt term plus up to two random products, at a random Choi trace
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(dims[0] * dims[1], rng)
+    sd = operator_schmidt(u, *dims)
+    ops = [np.kron(sd.a_factors[0], sd.b_factors[0])]
+    ops += [0.3 * np.kron(gaussian(dims[0], rng), gaussian(dims[1], rng)) for _ in range(rng.integers(0, 3))]
+    chan = write_spec(spec_dir / "prod.json", dims, **product_kraus_spec(ops, rng.uniform(0.2, 4.0)))
+    gate = {"matrix": matrix_to_pairs(u)}
+    target = write_spec(spec_dir / "gate.json", dims, kind="named", name="unitary", params=gate)
+    assert verdict(["detect-sep", "--channel", chan, "--target", target]) != "not_separable"
 
 
 def measure_and_prepare_kraus(d, rng, boundary):
