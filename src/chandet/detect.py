@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ATOL, SWEEP_TOL, TRAIL_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
+from .channels import ATOL, DUPLICATE_TOL, SWEEP_TOL, TRAIL_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
 from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary, _frozen
-from .qmath import pauli_string, _as_dims, _haar_stack, _require_bipartite
+from .qmath import pauli_string, _as_dims, _as_int, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
 # Most starts * (d_A^3 + d_B^3 + D^2) (D = d_A d_B; a sweep's two SVDs and its product) of one optimizer
@@ -102,12 +102,15 @@ def operator_schmidt(o: np.ndarray, da: int, db: int) -> SchmidtDecomposition:
     indices, column index pairs the B indices) and decomposed by SVD. Phases
     are fixed so each A factor's first entry above ``ZERO_CUTOFF`` (row-major)
     is real and positive, with the compensating phase pushed onto the B
-    factor; a factor with no such entry keeps phase 1.
+    factor; a factor with no such entry keeps phase 1. Dims are taken as
+    ``qmath._as_dims`` takes them; a non-finite entry is refused before the SVD.
     """
     o = np.asarray(o, dtype=complex)
-    da, db = int(da), int(db)
+    da, db = _as_dims((da, db))
     if o.shape != (da * db, da * db):
         raise ValueError(f"operator shape {o.shape} does not match dims ({da}, {db})")
+    if not np.isfinite(o).all():
+        raise ValueError("operator has a non-finite entry")
     realigned = o.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, sv, vh = np.linalg.svd(realigned)
     sigmas = _frozen(sv / np.sqrt(da * db))
@@ -140,6 +143,11 @@ def _alternating_ascent(u, da, db, ub0, record=None):
     ``TRAIL_TOL``), its gap the best value of any start so far less its own:
     the leader climbs to ``SWEEP_TOL``; a start trailing it stops once it gains
     less than ``TRAIL_TOL`` and a tenth of its gap, too little to close it.
+    A start also stops as a duplicate once |Tr[ub^dag ub']| / d_B >= 1 -
+    ``DUPLICATE_TOL``, ub' the live start's just above it in value order (on a
+    tie the lower index is above): a sweep commutes with a global phase of ub,
+    so the two climb one hill, and only the upper one climbs on. The test is
+    one sort and one row-wise product over the live starts per sweep.
 
     Both partial traces are linear in the conjugated local unitary, so the gate
     is rearranged once into the matrices taking vec(conj ub) to vec F and
@@ -170,6 +178,10 @@ def _alternating_ascent(u, da, db, ub0, record=None):
             record.append(row)
         best = max(best, cur.max())
         going = cur - prev >= np.clip((best - cur) / 10, SWEEP_TOL, TRAIL_TOL)
+        # each start beside the live start just above it in value order, a tie's lower index above
+        order = np.argsort(-cur, kind="stable")
+        overlap = np.einsum("kij,kij->k", ub_live[order[1:]].conj(), ub_live[order[:-1]])
+        going[order[1:][np.abs(overlap) >= (1 - DUPLICATE_TOL) * db]] = False
         if not going.all():
             stop = ~going
             val[live[stop]], ua[live[stop]], ub[live[stop]] = cur[stop], ua_live[stop], ub_live[stop]
@@ -189,9 +201,12 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     d_B x d_B Haar unitaries of ``default_rng(seed)``, all in one batched
     ascent, and keeps the first best; a run's starts are the first of every
     longer run's at that seed. The leading start climbs until a sweep gains
-    less than ``SWEEP_TOL``, and the trailing ones stop earlier (see
+    less than ``SWEEP_TOL``; the trailing ones, and a start within
+    ``DUPLICATE_TOL`` of the start just above it, stop earlier (see
     ``_alternating_ascent``). Returns ``(alpha_sru, ua, ub)``; refuses
-    ``starts * (d_A^3 + d_B^3 + D^2) > MAX_START_WORK`` first.
+    ``starts * (d_A^3 + d_B^3 + D^2) > MAX_START_WORK`` first, and a
+    ``starts`` or ``seed`` that is no integer (a seed may be a whole float) with
+    TypeError.
     """
     dims = _require_bipartite(dims, "SRU detection")
     da, db = dims
@@ -199,9 +214,10 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     if u.shape[0] != da * db:
         raise ValueError(f"unitary side {u.shape[0]} does not match dims {dims}")
     limit = MAX_START_WORK // (da**3 + db**3 + (da * db) ** 2)
+    starts, seed = _as_int(starts, "starts"), _as_int(seed, "seed", whole_float=True)
     if not 1 <= starts <= limit:
         raise ValueError(f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {starts}")
-    val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, np.random.default_rng(int(seed)), int(starts)))
+    val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, np.random.default_rng(seed), starts))
     best = int(np.argmax(val))
     # an overlap of unit vectors is at most 1; product gates reach it up to rounding
     return min(float(val[best]), 1.0), ua[best], ub[best]
@@ -268,13 +284,16 @@ def decide(kind: str, value: float, thresholds: dict[str, float]) -> str:
     ``thresholds`` maps each of the kind's verdicts, and nothing else, to its
     threshold. The first verdict, strongest first, whose threshold ``value``
     lies below by :func:`~chandet.channels.below_threshold` is returned, else
-    the kind's default.
+    the kind's default. A non-finite value or threshold is refused: no verdict
+    rests on NaN.
     """
     if kind not in VERDICTS:
         raise ValueError(f"no verdicts for witness kind {kind!r}")
     tiers, default = VERDICTS[kind]
     if set(thresholds) != set(tiers):
         raise ValueError(f"the {kind} verdicts need thresholds for {list(tiers)}, got {list(thresholds)}")
+    if not all(map(math.isfinite, (value, *thresholds.values()))):
+        raise ValueError(f"a {kind} verdict needs finite numbers, got {value!r} and thresholds {thresholds}")
     return next((v for v in tiers if below_threshold(value, thresholds[v])), default)
 
 
@@ -283,8 +302,11 @@ def robustness_bounds(c: float, w: Witness) -> BoundReport:
 
     R >= |c| / w_max for c below zero by the verdict's test (else 0),
     and the minimal EB-mixing weight obeys mu_c >= 1 - 1/(1 + R); w_max is a fidelity witness's alpha^2.
+    A non-finite c is refused.
     """
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"robustness bounds need a finite expectation, got {c!r}")
     if w.alpha_sq is None:
         raise ValueError(f"the {w.kind} witness is not of the form alpha^2 Id - P_U; bounds undefined")
     w_max = w.alpha_sq

@@ -48,6 +48,7 @@ import numpy as np
 
 from .channels import ATOL, STATE_ATOL, ZERO_CUTOFF, ChoiMatrix, ValidationError, _check_hermitian
 from .detect import Witness
+from .qmath import _as_int
 
 # Most qubits of a measured operator: its tables, built once, take 131 200 bytes at n = 4.
 MAX_QUBITS = 4
@@ -320,8 +321,8 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     n = _require_measurable(choi.dims, "the Choi state")
     if w.dims != choi.dims:
         raise ValueError(f"witness dims {w.dims} do not match Choi dims {choi.dims}")
-    shots = int(shots_per_setting)
-    seed = int(seed)
+    shots = _as_int(shots_per_setting, "shots_per_setting")
+    seed = _as_int(seed, "seed", whole_float=True)
     if seed < 0:
         raise ValueError("seed must be non-negative")
     state = _check_state(choi.matrix, n)

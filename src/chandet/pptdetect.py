@@ -22,13 +22,12 @@ matrices are closed forms in M's Choi matrix, whose subsystems are ordered
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ATOL, Channel, ChoiMatrix, ValidationError, _frozen
-from .detect import Witness, decide
+from .detect import VERDICTS, Witness, decide
 from .qmath import partial_trace, partial_transpose, _require_bipartite
 
 
@@ -86,7 +85,7 @@ def ppt_conjugate(ch: Channel) -> ChoiMatrix:
 
 def spa_noise_weight(dims) -> float:
     """Least noise weight making T_A on [d_A, d_B] CP: d_A d_B^2/(d_A d_B^2+1), as lambda_min = -1/d_A."""
-    d_a, d_b = map(int, dims)
+    d_a, d_b = _require_bipartite(dims, "the SPA noise weight")
     return d_a * d_b**2 / (d_a * d_b**2 + 1.0)
 
 
@@ -209,8 +208,8 @@ def detect_npt(ch: Channel, vector: np.ndarray | None = None) -> NptReport:
     if vector is None:
         if lam >= -ATOL:
             note = f"transpose-conjugated Choi matrix is positive (min eigenvalue >= -{ATOL:g}); witness unavailable"
-            # nothing was measured, so no verdict fires
-            return NptReport(**facts, expectation=None, verdict=decide("ppt", math.inf, thresholds), note=note)
+            # nothing was measured, so no verdict fires: the kind's default
+            return NptReport(**facts, expectation=None, verdict=VERDICTS["ppt"][1], note=note)
         vector = _frozen(_negative_eigenvector(choi_mt.matrix, spectrum, k))
         if k > 1:
             note = (

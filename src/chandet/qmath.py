@@ -40,15 +40,27 @@ def pauli_string(letters: str) -> np.ndarray:
     return kron(*mats)
 
 
-def _as_dims(dims) -> tuple[int, ...]:
-    """``dims`` as a non-empty tuple of ints >= 1, else ValueError.
+def _as_int(n, what: str, whole_float: bool = False) -> int:
+    """``n`` taken by ``operator.index``, else TypeError naming ``what``.
 
-    Each entry is taken by ``operator.index``, so 2.7, 2.0 and "3" are refused,
-    not truncated, and an integer of any type (``np.int64``) is taken; a bool is refused.
+    So 2.7, 2.0 and "3" are refused, not truncated, and an integer of any type
+    (``np.int64``) is taken; a bool is refused. With ``whole_float`` (a seed's
+    rule) a float that ``is_integer()`` is taken too.
     """
+    if whole_float and isinstance(n, float) and n.is_integer():
+        return int(n)
+    if isinstance(n, (bool, np.bool_)):
+        raise TypeError(f"{what} must be an integer, got {n!r}")
     try:
-        # a bool becomes 0, which the check below refuses
-        out = tuple(0 if isinstance(d, (bool, np.bool_)) else operator.index(d) for d in dims)
+        return operator.index(n)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {n!r}") from None
+
+
+def _as_dims(dims) -> tuple[int, ...]:
+    """``dims`` as a non-empty tuple of ints >= 1, else ValueError; each entry is taken by :func:`_as_int`."""
+    try:
+        out = tuple(_as_int(d, "a dimension") for d in dims)
     except TypeError:
         out = ()
     if not out or any(d < 1 for d in out):
@@ -83,7 +95,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     _check_square(m, dims)
     n = len(dims)
-    keep = sorted({int(k) for k in (keep if np.iterable(keep) else [keep])})
+    keep = sorted({_as_int(k, "a subsystem index") for k in (keep if np.iterable(keep) else [keep])})
     if keep and (keep[0] < 0 or keep[-1] >= n):
         raise IndexError(f"keep indices {keep} out of range for {n} subsystems")
     t = m.reshape(dims + dims)
@@ -99,7 +111,7 @@ def partial_transpose(m: np.ndarray, dims, subsystems) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     _check_square(m, dims)
     n = len(dims)
-    subs = sorted({int(s) for s in (subsystems if np.iterable(subsystems) else [subsystems])})
+    subs = sorted({_as_int(s, "a subsystem index") for s in (subsystems if np.iterable(subsystems) else [subsystems])})
     if subs and (subs[0] < 0 or subs[-1] >= n):
         raise IndexError(f"subsystem indices {subs} out of range for {n} subsystems")
     t = m.reshape(dims + dims)
@@ -116,7 +128,7 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     not merely unitary. Deterministic for a fixed integer seed; a Generator
     ``seed`` is drawn from in place (``default_rng`` returns it as it is).
     """
-    d = int(d)
+    d = _as_int(d, "the dimension")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return _haar_stack(d, np.random.default_rng(seed), 1)[0]

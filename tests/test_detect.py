@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from chandet.channels import (
 )
 from chandet import detect
 from chandet.detect import (
+    DUPLICATE_TOL,
     MAX_SWEEPS,
     SWEEP_TOL,
     TRAIL_TOL,
@@ -52,7 +55,7 @@ def choi_ket(u):
 def reference_climb(u, da, db, ub0, record=None):
     """One start of the ascent as a plain loop: kron, partial_trace and polar steps.
 
-    ``record`` gets each sweep's value, the last one the sweep that stopped the climb.
+    ``record`` gets each sweep's value and ub, the last one the sweep that stopped the climb.
     """
 
     def polar(f):
@@ -67,7 +70,7 @@ def reference_climb(u, da, db, ub0, record=None):
         ub = polar(g)
         val = float(np.linalg.svd(g, compute_uv=False).sum()) / (da * db)
         if record is not None:
-            record.append(val)
+            record.append((val, ub))
         if val - prev < SWEEP_TOL:
             break
         prev = val
@@ -139,6 +142,18 @@ class TestOperatorSchmidt:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             operator_schmidt(np.eye(4), 2, 3)
+
+    def test_dims_are_not_truncated(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            operator_schmidt(np.eye(4), 2.9, 2.2)
+        assert operator_schmidt(Z3, np.int64(3), 3).dims == (3, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_operator_refused_before_the_svd(self, bad):
+        o = np.eye(4, dtype=complex)
+        o[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_schmidt(o, 2, 2)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2), (6, 6), (2, 18)])
     def test_matches_the_per_term_loop_bitwise(self, dims):
@@ -226,47 +241,63 @@ class TestAlphaSruOptimize:
     @pytest.mark.parametrize("cap", [2, 3])
     def test_starts_live_at_the_sweep_cap_return_their_last_state(self, monkeypatch, cap):
         u = HAAR9[0]
-        # three converged starts stop on their second sweep; five Haar starts are still climbing at the cap
+        # three ends of trailing climbs within 1e-3 of each other: the highest stops on its second sweep, the
+        # other two as its duplicates on their first; five Haar starts are still climbing at the cap
         ub0 = np.concatenate([_alternating_ascent(u, 3, 3, start_points(3, 3, 7))[2], start_points(3, 5, 8)])
+
+        def einsum_state(k, sweeps):  # start k's ua and ub after that many sweeps of the sharp-rule ascent
+            monkeypatch.setattr(detect, "MAX_SWEEPS", sweeps)
+            _, ref_ua, ref_ub = einsum_ascent(u, 3, 3, ub0[k : k + 1])
+            return ref_ua[0], ref_ub[0]
+
         monkeypatch.setattr(detect, "MAX_SWEEPS", cap)
-        history, ref_history = [], []
+        history = []
         val, ua, ub = _alternating_ascent(u, 3, 3, ub0, record=history)
-        _, ref_ua, ref_ub = einsum_ascent(u, 3, 3, ub0, record=ref_history)
         sweeps = np.array(history)
         assert sweeps.shape == (cap, 8)
-        np.testing.assert_array_equal(np.isnan(sweeps), np.isnan(ref_history))
-        live_at_cap = []
+        live_at_cap, stops = [], []
         for k, column in enumerate(sweeps.T):
             run = column[~np.isnan(column)]
             assert np.isnan(column[run.size :]).all()  # NaN only after the start stopped
             gains = np.diff(np.concatenate([[-1.0], run]))
             assert np.all(gains[:-1] >= SWEEP_TOL)  # it climbed on every sweep before its last
-            if run.size < cap:
-                assert gains[-1] < SWEEP_TOL
+            stops.append(run.size)
             live_at_cap.append(run.size == cap and gains[-1] >= SWEEP_TOL)
             assert val[k] == run[-1]
             assert abs(product_overlap(u, ua[k], ub[k]) - val[k]) <= 1e-14
+            ref_ua, ref_ub = einsum_state(k, run.size)
+            np.testing.assert_allclose(ua[k], ref_ua, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ub[k], ref_ub, rtol=0, atol=1e-12)
+            if run.size < cap and gains[-1] >= SWEEP_TOL:
+                # a duplicate: near the start just above it in value order at its last sweep
+                row = sweeps[run.size - 1]
+                order = [j for j in np.argsort(-row, kind="stable") if not np.isnan(row[j])]
+                assert order.index(k) > 0
+                above = order[order.index(k) - 1]
+                assert abs(np.vdot(einsum_state(above, run.size)[1], ub[k])) >= (1 - DUPLICATE_TOL) * 3
         assert live_at_cap == [False] * 3 + [True] * 5
-        np.testing.assert_allclose(ua, ref_ua, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ub, ref_ub, rtol=0, atol=1e-12)
+        assert sorted(stops[:3]) == [1, 1, 2]
 
     @pytest.mark.parametrize("dims, u", HAAR_PAIRS + [((3, 3), Z3)], ids=PAIR_IDS + ["z3"])
     def test_alpha_within_16_eps_of_the_einsum_ascent(self, dims, u):
         # the products round differently from einsum; a start may then stop one sweep apart, or a
         # near-tie change winners: over 1 000 Haar gates on [3, 3], [2, 3], [3, 2], [2, 4] and
-        # [4, 2] at 50 starts alpha moved by at most 2.2e-15, and by more than 4 ulp of alpha on 3%
+        # [4, 2] at 50 starts alpha moved by at most 2.2e-15, and by more than 4 ulp of alpha on 3%.
+        # Above the sharp rule by at most 16 eps; below it by more where the best climb's duplicate
+        # would have stopped higher in the same basin (at most 4.0e-14 here)
         da, db = dims
         for starts, seed in ((1, 0), (20, 3), (50, 1)):
             ref = min(float(einsum_ascent(u, da, db, start_points(db, starts, seed))[0].max()), 1.0)
             val = alpha_sru_optimize(u, dims, starts=starts, seed=seed)[0]
-            assert abs(val - ref) <= 16 * np.finfo(float).eps
+            assert -1e-12 <= val - ref <= 16 * np.finfo(float).eps
 
     @pytest.mark.parametrize("u", [Z3] + HAAR9, ids=["z3", "haar0", "haar1", "haar2"])
     def test_batch_matches_per_start_loop(self, u):
         for starts, seed in ((1, 0), (1, 4), (7, 3), (20, 0), (50, 1)):
             ub0 = start_points(3, starts, seed)
-            runs = [[] for _ in range(starts)]
-            climbs = [reference_climb(u, 3, 3, b, record=run) for b, run in zip(ub0, runs)]
+            states = [[] for _ in range(starts)]  # each sweep's (value, ub) of each start's reference climb
+            climbs = [reference_climb(u, 3, 3, b, record=state) for b, state in zip(ub0, states)]
+            runs = [[v for v, _ in state] for state in states]
             ref = max(climbs, key=lambda c: c[0])[0]
             history = []
             vals, _, _ = _alternating_ascent(u, 3, 3, ub0, record=history)
@@ -282,8 +313,15 @@ class TestAlphaSruOptimize:
                 gains = np.diff(np.concatenate([[-1.0], batch]))
                 if batch.size < len(run):
                     # the reference keeps the sharp rule; the batch stops a start that trails the best
-                    # once it gains less than TRAIL_TOL and a tenth of its gap at that sweep
-                    assert gains[-1] < np.clip((best[m - 1] - batch[-1]) / 10, SWEEP_TOL, TRAIL_TOL)
+                    # once it gains less than TRAIL_TOL and a tenth of its gap at that sweep, and a
+                    # duplicate: a start whose ub is within DUPLICATE_TOL of the live start's just above it
+                    trailing = gains[-1] < np.clip((best[m - 1] - batch[-1]) / 10, SWEEP_TOL, TRAIL_TOL)
+                    row = table[m - 1]
+                    order = [j for j in np.argsort(-row, kind="stable") if not np.isnan(row[j])]
+                    at = order.index(k)
+                    above = states[order[at - 1]]
+                    overlap = abs(np.vdot(above[min(m, len(above)) - 1][1], states[k][m - 1][1])) / 3
+                    assert trailing or (at > 0 and overlap >= 1 - DUPLICATE_TOL)
                 elif batch.size > len(run):
                     # the sums run in another order: a gain within rounding of SWEEP_TOL may stop the
                     # reference a sweep before the batch (no start here does so with OpenBLAS 0.3 on x86-64)
@@ -291,10 +329,12 @@ class TestAlphaSruOptimize:
                     assert stop_gain < SWEEP_TOL <= gains[m - 1]
                     assert max(SWEEP_TOL - stop_gain, gains[m - 1] - SWEEP_TOL) <= 1e-15
                     assert abs(batch[-1] - run[-1]) <= gains[m - 1]
-            # the best start still reaches the reference's best
-            assert abs(vals.max() - ref) <= 1e-14
+            # the best start still reaches the reference's best, up to where in its basin a duplicate of it
+            # would have stopped: 1.01e-12 short on haar0 at 7 starts, seed 3 (start 1 stops on sweep 7 as
+            # the leader's duplicate; alone it ends that much higher)
+            assert abs(vals.max() - ref) <= 2e-12
             val, ua, ub = alpha_sru_optimize(u, (3, 3), starts=starts, seed=seed)
-            assert abs(val - min(ref, 1.0)) <= 1e-14
+            assert abs(val - min(ref, 1.0)) <= 2e-12
             assert abs(product_overlap(u, ua, ub) - val) <= 1e-12
 
     def test_a_trailing_start_passing_a_saddle_climbs_on(self):
@@ -302,6 +342,36 @@ class TestAlphaSruOptimize:
         # by a tenth of its gap alone it would end 0.062 lower, and win nothing
         ref = einsum_ascent(HAAR9[1], 3, 3, start_points(3, 2, 5))[0].max()
         assert abs(alpha_sru_optimize(HAAR9[1], (3, 3), starts=2, seed=5)[0] - min(ref, 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("u", [Z3] + HAAR9, ids=["z3", "haar0", "haar1", "haar2"])
+    def test_a_phase_copy_of_a_start_stops_on_its_first_sweep(self, u):
+        # a sweep commutes with a global phase of ub, so the copy climbs the start's climb; the one of the
+        # two that rounds lower on sweep 1 (the copy on a tie) stops there and leaves no trace on the rest
+        a, c = start_points(3, 2, 1)
+        pair = (a, np.exp(0.7j) * a)
+        history = []
+        _alternating_ascent(u, 3, 3, np.stack([*pair, c]), record=history)
+        table = np.array(history)
+        assert not np.isnan(table[0]).any()
+        stopped = np.isnan(table[1:, :2]).all(axis=0)
+        assert stopped.sum() == 1
+        survivor = int(np.flatnonzero(~stopped)[0])
+        lone = []
+        _alternating_ascent(u, 3, 3, np.stack([pair[survivor], c]), record=lone)
+        assert table[:, [survivor, 2]].tobytes() == np.array(lone).tobytes()
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (2, 4)])
+    def test_duplicate_stops_never_lower_alpha(self, dims):
+        # a duplicate stops before SWEEP_TOL, so its basin's best is where the start above it stops: the
+        # loss is within the stop's own rounding, no basin is lost (1 200 runs on [3, 3], [2, 3], [2, 4]
+        # and [3, 4] fell by at most 1.4e-12, on [3, 4]; on these dims by at most 7.3e-13)
+        da, db = dims
+        for gate in range(16):
+            u = haar_unitary(da * db, 36_000 + 100 * da + 10 * db + gate)
+            for starts in (5, 50):
+                seed = gate + starts
+                ref = min(float(einsum_ascent(u, da, db, start_points(db, starts, seed))[0].max()), 1.0)
+                assert alpha_sru_optimize(u, dims, starts=starts, seed=seed)[0] >= ref - 1e-12
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (2, 4)])
     def test_trailing_stops_never_lower_alpha(self, dims):
@@ -325,6 +395,22 @@ class TestAlphaSruOptimize:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             alpha_sru_optimize(np.diag([1.0, 1.0, 1.0, 0.5]), (2, 2))
+
+    def test_traced_peak_at_the_start_limit_is_linear_in_the_starts(self):
+        # 8 246 starts on [3, 3] trace about 12.9 MB: arrays of starts x 9 entries and the batched SVDs'
+        # copies; one comparison of every pair of starts would take 1.09 GB
+        tracemalloc.start()
+        try:
+            alpha_sru_optimize(HAAR9[0], (3, 3), starts=8_246)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+    @pytest.mark.parametrize("starts", [2.5, 2.0, "2", True])
+    def test_starts_are_not_truncated(self, starts):
+        with pytest.raises(TypeError, match="starts must be an integer"):
+            alpha_sru_optimize(Z3, (3, 3), starts=starts)
 
     @pytest.mark.parametrize("dims, limit", [((3, 3), 8_246), ((6, 6), 644), ((2, 18), 156), ((2, 3), 15_679)])
     def test_starts_budget_refuses_before_any_start_is_drawn(self, monkeypatch, dims, limit):
@@ -380,6 +466,11 @@ class TestAlphaSruOptimize:
         for seed in (3, 3, 2**40, 2**40, 3):  # no run depends on the one before it
             assert_same(alpha_sru_optimize(u, dims, starts=12, seed=seed), ref[seed])
 
+    @pytest.mark.parametrize("seed", [3.5, True, "3"])
+    def test_a_seed_that_is_no_integer_is_refused(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            alpha_sru_optimize(Z3, (3, 3), starts=5, seed=seed)
+
     @pytest.mark.parametrize("seed", [3.0, np.int64(3)], ids=["float", "int64"])
     def test_seed_is_taken_as_an_int(self, seed):
         got, ref = alpha_sru_optimize(Z3, (3, 3), starts=5, seed=seed), alpha_sru_optimize(Z3, (3, 3), starts=5, seed=3)
@@ -389,10 +480,11 @@ class TestAlphaSruOptimize:
 
     @pytest.mark.parametrize("u", [Z3, HAAR9[0], HAAR9[1]], ids=["z3", "haar0", "haar1"])
     def test_alpha_never_falls_as_starts_grow(self, u):
-        # a run's starts are the first of every longer run's at its seed, so the best can only rise
+        # a run's starts are the first of every longer run's at its seed, so the best can only rise, up to
+        # where in its basin the best climb stops: a later start may stop it as a duplicate (at most 3.7e-13)
         for seed in (0, 5):
             alphas = [alpha_sru_optimize(u, (3, 3), starts=n, seed=seed)[0] for n in (1, 2, 5, 12, 30, 50)]
-            assert all(b >= a - 1e-14 for a, b in zip(alphas, alphas[1:]))
+            assert all(b >= a - 1e-12 for a, b in zip(alphas, alphas[1:]))
 
 
 class TestSruWitness:
@@ -568,6 +660,13 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide(kind, -1.0, thresholds)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_no_verdict_from_a_non_finite_number(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            decide("eb", bad, {"not_entanglement_breaking": 0.0})
+        with pytest.raises(ValueError, match="finite"):
+            decide("sru", -1.0, {"not_separable": bad, "not_sru": 0.0})
+
 
 class TestRobustnessBounds:
     def test_depolarizing_quarter(self):
@@ -601,6 +700,11 @@ class TestRobustnessBounds:
     def test_needs_a_fidelity_witness(self):
         with pytest.raises(ValueError, match="alpha"):
             robustness_bounds(-0.5, stabilizer_witness())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_no_bound_from_a_non_finite_expectation(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            robustness_bounds(bad, eb_witness())
 
 
 class TestEvaluateWitness:

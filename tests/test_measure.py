@@ -379,6 +379,18 @@ class TestEstimateWitness:
         e2 = estimate_witness(ch.choi, w, 5_000, seed=9)
         assert e1 == e2
 
+    @pytest.mark.parametrize("shots", [2.5, 100.0, True])
+    def test_shots_are_not_truncated(self, shots):
+        with pytest.raises(TypeError, match="shots_per_setting must be an integer"):
+            estimate_witness(depolarizing_channel(0.25).choi, eb_witness(), shots, seed=3)
+
+    def test_integer_types_and_whole_float_seeds_are_taken(self):
+        choi = depolarizing_channel(0.25).choi
+        ref = estimate_witness(choi, eb_witness(), 100, seed=3)
+        assert estimate_witness(choi, eb_witness(), np.int64(100), seed=3.0) == ref
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            estimate_witness(choi, eb_witness(), 100, seed=3.5)
+
     def test_shots_beyond_int64_refused(self):
         # the sampler draws each setting's counts as one int64 multinomial
         with pytest.raises(ValueError, match="at most 9223372036854775807, got 9223372036854775808"):

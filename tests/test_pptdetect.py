@@ -142,6 +142,12 @@ class TestSpaTranspose:
     def test_noise_weight_qubits(self):
         assert spa_noise_weight((2, 2)) == 8 / 9
 
+    def test_noise_weight_dims_are_not_truncated(self):
+        assert spa_noise_weight((np.int64(2), 2)) == 8 / 9
+        for dims in ([2.5, 2], [2, True], [1, 2]):
+            with pytest.raises(ValueError):
+                spa_noise_weight(dims)
+
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4), (4, 2)])
     def test_noise_weight_from_the_transpose_spectrum(self, dims):
         # (1-p) lambda_min + p/D^2 = 0 with lambda_min of the Choi matrix of T_A kron id_B

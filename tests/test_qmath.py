@@ -75,6 +75,11 @@ class TestPartialTrace:
         with pytest.raises(IndexError):
             partial_trace(np.eye(4), [2, 2], [2])
 
+    def test_index_is_not_truncated(self):
+        with pytest.raises(TypeError, match="subsystem index must be an integer"):
+            partial_trace(np.eye(4), [2, 2], [0.5])
+        np.testing.assert_array_equal(partial_trace(np.eye(4), [2, 2], [np.int64(1)]), 2 * np.eye(2))
+
 
 class TestPartialTranspose:
     def test_involution_exact(self):
@@ -109,6 +114,10 @@ class TestPartialTranspose:
     def test_subsystem_out_of_range(self):
         with pytest.raises(IndexError):
             partial_transpose(np.eye(4), [2, 2], 5)
+
+    def test_subsystem_is_not_truncated(self):
+        with pytest.raises(TypeError, match="subsystem index must be an integer"):
+            partial_transpose(np.eye(4), [2, 2], 0.7)
 
 
 class TestPermuteSubsystems:
@@ -229,3 +238,9 @@ class TestHaarUnitary:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             haar_unitary(0, 1)
+
+    @pytest.mark.parametrize("d", [2.7, 2.0, True])
+    def test_dimension_is_not_truncated(self, d):
+        with pytest.raises(TypeError, match="dimension must be an integer"):
+            haar_unitary(d, 0)
+        assert haar_unitary(np.int64(3), 0).tobytes() == haar_unitary(3, 0).tobytes()
