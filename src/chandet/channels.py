@@ -31,7 +31,7 @@ ZERO_CUTOFF = 1e-12
 SIGMA_RANK_CUTOFF = 1e-14  # an eigenvalue of sigma at or below it adds no Kraus operator
 SWEEP_TOL = 1e-12  # an optimizer start stops after a sweep that gains less
 TRAIL_TOL = 1e-6  # a start trailing the best stops after a sweep that gains less and under a tenth of its gap
-# a start stops when |Tr[ub^dag ub']| / d_B of its ub and the ub' of the live start just above it is at least 1 - this
+# a start stops when |Tr[ub^dag ub']| / d_B of its ub and the ub' of the live start ranked just above it is at least 1 - this
 DUPLICATE_TOL = 1e-3
 # an expectation must lie this far below a threshold for a verdict; rounding alone gives none
 VERDICT_MARGIN = 1e-12

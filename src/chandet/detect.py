@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import ATOL, DUPLICATE_TOL, SWEEP_TOL, TRAIL_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
 from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary, _frozen
-from .qmath import pauli_string, _as_dims, _as_int, _haar_stack, _require_bipartite
+from .qmath import pauli_string, _as_dims, _as_int, _as_seed, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
 # Most starts * (d_A^3 + d_B^3 + D^2) (D = d_A d_B; a sweep's two SVDs and its product) of one optimizer
@@ -144,9 +144,11 @@ def _alternating_ascent(u, da, db, ub0, record=None):
     the leader climbs to ``SWEEP_TOL``; a start trailing it stops once it gains
     less than ``TRAIL_TOL`` and a tenth of its gap, too little to close it.
     A start also stops as a duplicate once |Tr[ub^dag ub']| / d_B >= 1 -
-    ``DUPLICATE_TOL``, ub' the live start's just above it in value order (on a
-    tie the lower index is above): a sweep commutes with a global phase of ub,
-    so the two climb one hill, and only the upper one climbs on. The test is
+    ``DUPLICATE_TOL``, ub' the live start's just above it in the order of value
+    plus last gain (on a tie the lower index is above): a sweep commutes with a
+    global phase of ub, so the two climb one hill, and only the upper one climbs
+    on. The gain ranks a fast climb above a slow climb of the same hill that it
+    is about to pass, and a fast climb stops nearer the hill's top. The test is
     one sort and one row-wise product over the live starts per sweep.
 
     Both partial traces are linear in the conjugated local unitary, so the gate
@@ -177,9 +179,10 @@ def _alternating_ascent(u, da, db, ub0, record=None):
             row[live] = cur
             record.append(row)
         best = max(best, cur.max())
-        going = cur - prev >= np.clip((best - cur) / 10, SWEEP_TOL, TRAIL_TOL)
-        # each start beside the live start just above it in value order, a tie's lower index above
-        order = np.argsort(-cur, kind="stable")
+        gain = cur - prev
+        going = gain >= np.clip((best - cur) / 10, SWEEP_TOL, TRAIL_TOL)
+        # each start beside the live start just above it in the order of cur + gain, a tie's lower index above
+        order = np.argsort(-(cur + gain), kind="stable")
         overlap = np.einsum("kij,kij->k", ub_live[order[1:]].conj(), ub_live[order[:-1]])
         going[order[1:][np.abs(overlap) >= (1 - DUPLICATE_TOL) * db]] = False
         if not going.all():
@@ -202,7 +205,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     ascent, and keeps the first best; a run's starts are the first of every
     longer run's at that seed. The leading start climbs until a sweep gains
     less than ``SWEEP_TOL``; the trailing ones, and a start within
-    ``DUPLICATE_TOL`` of the start just above it, stop earlier (see
+    ``DUPLICATE_TOL`` of the start ranked just above it, stop earlier (see
     ``_alternating_ascent``). Returns ``(alpha_sru, ua, ub)``; refuses
     ``starts * (d_A^3 + d_B^3 + D^2) > MAX_START_WORK`` first, and a
     ``starts`` or ``seed`` that is no integer (a seed may be a whole float) with
@@ -214,7 +217,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
     if u.shape[0] != da * db:
         raise ValueError(f"unitary side {u.shape[0]} does not match dims {dims}")
     limit = MAX_START_WORK // (da**3 + db**3 + (da * db) ** 2)
-    starts, seed = _as_int(starts, "starts"), _as_int(seed, "seed", whole_float=True)
+    starts, seed = _as_int(starts, "starts"), _as_seed(seed)
     if not 1 <= starts <= limit:
         raise ValueError(f"starts must be >= 1 and at most {limit} on dims {list(dims)}, got {starts}")
     val, ua, ub = _alternating_ascent(u, da, db, _haar_stack(db, np.random.default_rng(seed), starts))

@@ -48,7 +48,7 @@ import numpy as np
 
 from .channels import ATOL, STATE_ATOL, ZERO_CUTOFF, ChoiMatrix, ValidationError, _check_hermitian
 from .detect import Witness
-from .qmath import _as_int
+from .qmath import _as_int, _as_seed
 
 # Most qubits of a measured operator: its tables, built once, take 131 200 bytes at n = 4.
 MAX_QUBITS = 4
@@ -322,7 +322,7 @@ def estimate_witness(choi: ChoiMatrix, w: Witness, shots_per_setting: int, seed:
     if w.dims != choi.dims:
         raise ValueError(f"witness dims {w.dims} do not match Choi dims {choi.dims}")
     shots = _as_int(shots_per_setting, "shots_per_setting")
-    seed = _as_int(seed, "seed", whole_float=True)
+    seed = _as_seed(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
     state = _check_state(choi.matrix, n)

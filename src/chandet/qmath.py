@@ -40,21 +40,25 @@ def pauli_string(letters: str) -> np.ndarray:
     return kron(*mats)
 
 
-def _as_int(n, what: str, whole_float: bool = False) -> int:
+def _as_int(n, what: str) -> int:
     """``n`` taken by ``operator.index``, else TypeError naming ``what``.
 
     So 2.7, 2.0 and "3" are refused, not truncated, and an integer of any type
-    (``np.int64``) is taken; a bool is refused. With ``whole_float`` (a seed's
-    rule) a float that ``is_integer()`` is taken too.
+    (``np.int64``) is taken; a bool is refused.
     """
-    if whole_float and isinstance(n, float) and n.is_integer():
-        return int(n)
     if isinstance(n, (bool, np.bool_)):
         raise TypeError(f"{what} must be an integer, got {n!r}")
     try:
         return operator.index(n)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {n!r}") from None
+
+
+def _as_seed(seed) -> int:
+    """A seed taken as :func:`_as_int` takes it, or a float that ``is_integer()``, as an int."""
+    if isinstance(seed, float) and seed.is_integer():
+        return int(seed)
+    return _as_int(seed, "seed")
 
 
 def _as_dims(dims) -> tuple[int, ...]:
