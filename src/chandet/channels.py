@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import PAULI, dag, kron, _as_dims
+from .qmath import PAULI, dag, kron, _as_dims, _as_real
 
 # Tolerance table: every tolerance of the package. No small float literal appears
 # outside it (tests/test_tolerances.py checks). Each verdict is a sign test
@@ -158,19 +158,22 @@ class Channel:
 
 
 def _check_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``u`` as a complex array: ValueError unless square, ValidationError unless unitary within ATOL (NaN fails)."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{name} is not square: shape {u.shape}")
     dev = float(np.max(np.abs(dag(u) @ u - np.eye(u.shape[0]))))
-    if dev > ATOL:
+    if not dev <= ATOL:
         raise ValidationError(f"{name} is not unitary: max|U^dag U - I| = {dev:.6g}")
     return u
 
 
 def _check_probabilities(probs, name: str = "probabilities") -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
+    """``probs`` as finite reals (``qmath._as_real``) summing to 1, none below -ZERO_CUTOFF, clipped at 0."""
+    if np.ndim(probs) != 1 or len(probs) == 0:
         raise ValueError(f"{name} must be a non-empty 1D sequence")
+    # entry by entry, first: a NaN would pass both tests below, and a bool or a string would be converted
+    p = np.array([_as_real(x, f"{name}[{i}]") for i, x in enumerate(probs)])
     if np.any(p < -ZERO_CUTOFF):
         raise ValueError(f"{name} contains a negative entry")
     if abs(float(p.sum()) - 1.0) > ATOL:
@@ -213,7 +216,7 @@ def depolarizing_channel(p: float, d: int = 2) -> Channel:
     The operators are scaled as they are generated, so no list of them is held
     beside the Kraus array.
     """
-    p = float(p)
+    p = _as_real(p, "depolarizing weight p")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing weight p={p!r} outside [0, 1]")
     (d,) = _as_dims((d,))

@@ -40,10 +40,10 @@ spec's ``kraus``, a param parsed by ``_complex_matrix`` or ``_matrix_list``) as
 its shape and the sha256 of its [re, im] nest's little-endian float64 bytes.
 Both formats write every value but a dict through one writer, ``_line``, as
 json's own encoder writes it on one line: a JSON report indents its dicts two
-spaces a level, a text report has one line per field. Every array of a report
-reaches it as a float64 ndarray, a complex one as [re, im] pairs; a square one
-whose upper triangle is the conjugate of its lower one, bit for bit, is
-written with one repr per conjugate pair.
+spaces a level, a text report has one line per field. A report's arrays reach
+it as the library holds them; it alone writes a complex one as [re, im] pairs,
+and a square one whose upper triangle is the conjugate of its lower one, bit
+for bit, with one repr per conjugate pair (``_hermitian_text``).
 
 Work that no request changes is done once per process, on first use, and
 nothing is built at import: ``main`` keeps one argument parser, the writer
@@ -102,7 +102,7 @@ from .detect import (
 )
 from .measure import MAX_SHOTS, estimate_witness, group_settings, pauli_decompose, _require_measurable
 from .pptdetect import detect_npt
-from .qmath import _require_bipartite
+from .qmath import _as_real, _require_bipartite
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -124,16 +124,11 @@ class SpecError(ValueError):
 
 
 def _number(obj, where: str) -> float:
-    """A finite JSON number; booleans and numeric strings are rejected."""
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise SpecError(f"{where} must be a number")
+    """A finite JSON number, taken as the library takes a real (``qmath._as_real``): no bool, no numeric string."""
     try:
-        value = float(obj)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise SpecError(f"{where} must be a finite number")
-    return value
+        return _as_real(obj, where)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def _number_list(obj, where: str) -> list:
@@ -435,20 +430,23 @@ def _run_choi(channel: Channel, opts: argparse.Namespace) -> dict:
         "choi_dims": list(choi.dims),
         "trace": float(np.trace(choi.matrix).real),
         "eigenvalues": np.linalg.eigvalsh(choi.matrix),
-        "matrix": _pairs(choi.matrix),
+        "matrix": choi.matrix,
     }
 
 
 def _run_schmidt(channel: Channel, opts: argparse.Namespace) -> dict:
     _require_bipartite(channel.dims, "schmidt", SpecError)
-    sd = operator_schmidt(_single_operator(channel, "schmidt"), *channel.dims)
+    try:  # the operator is finite and of the channel's dims, so only one with no Schmidt terms is refused
+        sd = operator_schmidt(_single_operator(channel, "schmidt"), *channel.dims)
+    except ValueError as exc:
+        raise SpecError(f"schmidt: {exc}") from exc
     return {
         "sigmas": sd.sigmas,
         "rank": sd.rank,
         "sum_sigma_sq": float(np.sum(sd.sigmas**2)),
         "alpha_s": float(sd.sigmas[0]),
-        "a_factors": _pairs(sd.a_factors),
-        "b_factors": _pairs(sd.b_factors),
+        "a_factors": sd.a_factors,
+        "b_factors": sd.b_factors,
     }
 
 
@@ -610,75 +608,67 @@ def _run(command: str, channel: Channel, opts: argparse.Namespace) -> dict:
 # rendering
 
 
-def _block(shape: tuple, strings: list) -> str:
-    """json's one-line text of a nested list of ``shape`` whose leaves, row-major, are ``strings``."""
-    # between two neighbouring leaves, as many lists end and start as trailing indices wrap around
-    seps = []
-    for r, n in enumerate(reversed(shape)):
-        seps = (seps + ["]" * r + ", " + "[" * r]) * n
-        del seps[-1]
-    parts = [""] * (2 * len(strings) - 1)
-    parts[::2] = strings
-    parts[1::2] = seps
-    return "[" * len(shape) + "".join(parts) + "]" * len(shape)
+def _listed(o) -> list:
+    """The encoder's ``default``: an ndarray's ``tolist()``, a complex one's as its [re, im] pairs; else TypeError."""
+    if isinstance(o, np.ndarray) and o.dtype.kind == "c":
+        o = _pairs(o)
+    return np.ndarray.tolist(o)
 
 
-# XOR of the bits of an [re, im] entry with its conjugate's
-_CONJUGATE_BITS = np.array([0, 1 << 63], dtype=np.uint64)
+def _hermitian_text(m: np.ndarray) -> str | None:
+    """json's text of the [re, im] pairs of ``m``, a finite square complex128 matrix that mirrors itself; else None.
 
-
-def _conjugate_pair_strings(a: np.ndarray) -> list | None:
-    """``float.__repr__`` of every leaf of an (n, n, 2) [re, im] block, or None unless it mirrors itself.
-
-    The block mirrors itself when its strict upper triangle is the conjugate of
-    its strict lower one, bit for bit, signed zeros included. Then repr runs on
-    the lower triangle and the diagonal only; an upper entry takes its mirror's
+    ``m`` mirrors itself when its strict upper triangle is the conjugate of its
+    strict lower one, bit for bit, signed zeros included. Then repr runs on the
+    lower triangle and the diagonal only; an upper entry takes its mirror's
     real string and, with the sign flipped, its imaginary one.
     """
-    if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 2:
+    if not (m.dtype == complex and m.ndim == 2 and len(m) == m.shape[1] > 0 and np.isfinite(m).all()):
         return None
-    upper = np.triu_indices(len(a), 1)
+    n = len(m)
+    upper = np.triu_indices(n, 1)
     mirror = upper[::-1]
-    bits = a.view(np.uint64)
-    if not np.array_equal(bits[upper], bits[mirror] ^ _CONJUGATE_BITS):
+    if not np.array_equal(m[upper].view(np.uint64), np.conjugate(m[mirror]).view(np.uint64)):
         return None
-    strings = np.empty(a.shape, dtype=object)
-    lower = np.tril_indices(len(a))
-    strings[lower] = np.array(list(map(float.__repr__, a[lower].ravel().tolist())), dtype=object).reshape(-1, 2)
+    strings = np.empty((n, n, 2), dtype=object)
+    lower = np.tril_indices(n)
+    strings[lower] = np.array(list(map(float.__repr__, m[lower].view(float).tolist())), dtype=object).reshape(-1, 2)
     strings[upper] = strings[mirror]
     strings[upper + (1,)] = [s[1:] if s[0] == "-" else "-" + s for s in strings[upper + (1,)]]
-    return strings.ravel().tolist()
+    # the separators of an (n, n, 2) nest: within a pair, between pairs, between rows
+    row = [", ", "], ["] * (n - 1) + [", ", "]], [["]
+    parts = [""] * (4 * n * n - 1)
+    parts[::2] = strings.ravel().tolist()
+    parts[1::2] = (row * n)[:-1]
+    return "[[[" + "".join(parts) + "]]]"
 
 
 @functools.cache
 def _encoder() -> Callable[[object], str]:
-    """json's one-line writer, ``allow_nan=False``, an ndarray as its ``tolist()``; built on first use and kept.
+    """json's one-line writer, ``allow_nan=False``, an ndarray by :func:`_listed`; built on first use and kept.
 
     Its C encoder where the interpreter has one, kept with no circular-reference
     memo, which a raised error would leave holding stale ids.
     """
     if c_make_encoder is None:
-        return json.JSONEncoder(allow_nan=False, default=np.ndarray.tolist).encode
-    encode = c_make_encoder(None, np.ndarray.tolist, encode_basestring_ascii, None, ": ", ", ", False, False, False)
+        return json.JSONEncoder(allow_nan=False, default=_listed).encode
+    encode = c_make_encoder(None, _listed, encode_basestring_ascii, None, ": ", ", ", False, False, False)
     return lambda o: "".join(encode(o, 0))
 
 
 def _line(o) -> str:
-    """The text of ``json.dumps(o, allow_nan=False)``, raising its errors.
+    """The text of ``json.dumps(o, allow_nan=False)``, an ndarray by :func:`_listed`, raising its errors.
 
-    A float64 ndarray whose upper triangle mirrors its lower one takes one repr
-    per conjugate pair. A non-finite float is refused by a ValueError that names
-    it, as json's Python encoder names it.
+    An ndarray goes first to :func:`_hermitian_text`. A non-finite float is
+    refused by a ValueError that names it, as json's Python encoder names it.
     """
-    if isinstance(o, np.ndarray) and o.size and o.dtype == np.float64 and np.isfinite(o).all():
-        strings = _conjugate_pair_strings(o)
-        if strings is not None:
-            return _block(o.shape, strings)
+    if isinstance(o, np.ndarray) and (text := _hermitian_text(o)) is not None:
+        return text
     try:
         return _encoder()(o)
     except ValueError:
         # the C encoder names no value; json's Python encoder raises again, naming the first non-finite float
-        "".join(json.JSONEncoder(allow_nan=False, default=np.ndarray.tolist).iterencode(o))
+        "".join(json.JSONEncoder(allow_nan=False, default=_listed).iterencode(o))
         raise
 
 

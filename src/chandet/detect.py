@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import ATOL, DUPLICATE_TOL, SWEEP_TOL, TRAIL_TOL, WITNESS_HERM_ATOL, ZERO_CUTOFF
 from .channels import ChoiMatrix, ValidationError, below_threshold, _check_hermitian, _check_unitary, _frozen
-from .qmath import pauli_string, _as_dims, _as_int, _as_seed, _haar_stack, _require_bipartite
+from .qmath import pauli_string, _as_dims, _as_int, _as_real, _as_seed, _haar_stack, _require_bipartite
 
 MAX_SWEEPS = 500
 # Most starts * (d_A^3 + d_B^3 + D^2) (D = d_A d_B; a sweep's two SVDs and its product) of one optimizer
@@ -103,7 +103,9 @@ def operator_schmidt(o: np.ndarray, da: int, db: int) -> SchmidtDecomposition:
     are fixed so each A factor's first entry above ``ZERO_CUTOFF`` (row-major)
     is real and positive, with the compensating phase pushed onto the B
     factor; a factor with no such entry keeps phase 1. Dims are taken as
-    ``qmath._as_dims`` takes them; a non-finite entry is refused before the SVD.
+    ``qmath._as_dims`` takes them; a non-finite entry is refused before the SVD,
+    and an operator with no coefficient above ``ZERO_CUTOFF``, which has no
+    Schmidt terms, after it.
     """
     o = np.asarray(o, dtype=complex)
     da, db = _as_dims((da, db))
@@ -115,7 +117,8 @@ def operator_schmidt(o: np.ndarray, da: int, db: int) -> SchmidtDecomposition:
     u, sv, vh = np.linalg.svd(realigned)
     sigmas = _frozen(sv / np.sqrt(da * db))
     rank = int(np.sum(sigmas > ZERO_CUTOFF))
-    rank = max(rank, 1)
+    if not rank:
+        raise ValueError(f"operator has no Schmidt coefficient above {ZERO_CUTOFF:g}")
     a = np.sqrt(da) * u[:, :rank].T.reshape(rank, da, da)
     b = np.sqrt(db) * vh[:rank].reshape(rank, db, db)
     flat = a.reshape(rank, -1)
@@ -228,7 +231,7 @@ def alpha_sru_optimize(u: np.ndarray, dims, starts: int = 50, seed: int = 0):
 
 def _fidelity_witness(u: np.ndarray, alpha_sq: float, kind: str, dims) -> Witness:
     """alpha_sq * Id - P_U, P_U = outer(vec U, conj vec U) / D rounding each entry once."""
-    alpha_sq = float(alpha_sq)
+    alpha_sq = _as_real(alpha_sq, "alpha_sq")
     if not 0.0 < alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq={alpha_sq!r} outside (0, 1]")
     vec = np.asarray(u, dtype=complex).reshape(-1)
@@ -287,7 +290,8 @@ def decide(kind: str, value: float, thresholds: dict[str, float]) -> str:
     ``thresholds`` maps each of the kind's verdicts, and nothing else, to its
     threshold. The first verdict, strongest first, whose threshold ``value``
     lies below by :func:`~chandet.channels.below_threshold` is returned, else
-    the kind's default. A non-finite value or threshold is refused: no verdict
+    the kind's default. A value or threshold that is no finite real
+    (``qmath._as_real``: NaN, ±inf, a bool, a string) is refused: no verdict
     rests on NaN.
     """
     if kind not in VERDICTS:
@@ -295,8 +299,8 @@ def decide(kind: str, value: float, thresholds: dict[str, float]) -> str:
     tiers, default = VERDICTS[kind]
     if set(thresholds) != set(tiers):
         raise ValueError(f"the {kind} verdicts need thresholds for {list(tiers)}, got {list(thresholds)}")
-    if not all(map(math.isfinite, (value, *thresholds.values()))):
-        raise ValueError(f"a {kind} verdict needs finite numbers, got {value!r} and thresholds {thresholds}")
+    for x in (value, *thresholds.values()):
+        _as_real(x, f"the {kind} verdict's value or threshold")
     return next((v for v in tiers if below_threshold(value, thresholds[v])), default)
 
 
@@ -305,11 +309,9 @@ def robustness_bounds(c: float, w: Witness) -> BoundReport:
 
     R >= |c| / w_max for c below zero by the verdict's test (else 0),
     and the minimal EB-mixing weight obeys mu_c >= 1 - 1/(1 + R); w_max is a fidelity witness's alpha^2.
-    A non-finite c is refused.
+    A c that is no finite real (``qmath._as_real``) is refused.
     """
-    c = float(c)
-    if not math.isfinite(c):
-        raise ValueError(f"robustness bounds need a finite expectation, got {c!r}")
+    c = _as_real(c, "a robustness bound's expectation")
     if w.alpha_sq is None:
         raise ValueError(f"the {w.kind} witness is not of the form alpha^2 Id - P_U; bounds undefined")
     w_max = w.alpha_sq

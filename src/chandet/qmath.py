@@ -6,6 +6,7 @@ All functions are pure and never mutate their inputs.
 """
 
 import math
+import numbers
 import operator
 from functools import reduce
 
@@ -52,6 +53,23 @@ def _as_int(n, what: str) -> int:
         return operator.index(n)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {n!r}") from None
+
+
+def _as_real(x, what: str) -> float:
+    """``x`` as a finite float: a real of any type (``np.float64``, ``np.int64``) is taken.
+
+    A bool, a string or any other non-real is refused with TypeError naming
+    ``what``, NaN and ±inf (an int past the float range too) with ValueError.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{what} must be a number")
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number")
+    return value
 
 
 def _as_seed(seed) -> int:

@@ -173,7 +173,9 @@ def operator_schmidt_loop(o, da: int, db: int) -> detect.SchmidtDecomposition:
     realigned = o.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, sv, vh = np.linalg.svd(realigned)
     sigmas = sv / np.sqrt(da * db)
-    rank = max(int(np.sum(sigmas > detect.ZERO_CUTOFF)), 1)
+    rank = int(np.sum(sigmas > detect.ZERO_CUTOFF))
+    if not rank:
+        raise ValueError(f"operator has no Schmidt coefficient above {detect.ZERO_CUTOFF:g}")
     a_factors, b_factors = [], []
     for i in range(rank):
         a = np.sqrt(da) * u[:, i].reshape(da, da)

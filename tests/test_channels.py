@@ -97,6 +97,15 @@ class TestNamedChannels:
         with pytest.raises(ValidationError):
             sru_channel([1.0], [np.array([[1, 0], [0, 0.5]])], [I2])
 
+    def test_nan_unitary_is_named_as_the_argument(self):
+        # not as "kraus[0]", a field the call does not have
+        with pytest.raises(ValidationError, match=r"^unitary is not unitary: max\|U\^dag U - I\| = nan$"):
+            unitary_channel(np.full((2, 2), np.nan))
+
+    def test_nan_probability_is_named_as_the_argument(self):
+        with pytest.raises(ValueError, match=r"^probabilities\[0\] must be a finite number$"):
+            random_unitary_channel([np.nan, 1.0], [I2, I2])
+
     def test_sru_needs_every_local_unitary_on_its_site(self):
         # kron(1 x 1, 4 x 4) is 4 x 4, but a global unitary is no local one on [2, 2]
         cnot = np.eye(4)[[0, 1, 3, 2]]

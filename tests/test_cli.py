@@ -705,6 +705,13 @@ class TestPipelines:
         assert res["sigmas"][1] == pytest.approx(np.sqrt((9 - s17) / 2) / 3, abs=1e-9)
         assert res["sum_sigma_sq"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_schmidt_of_a_zero_operator_is_an_input_error(self, tmp_path, capsys):
+        # it exited 0 with rank 1, sigma = [0.0] and arbitrary SVD factors
+        zero = {"dims": [2, 2], "kind": "kraus", "kraus": [matrix_to_pairs(np.zeros((4, 4)))]}
+        code, out, err = run(capsys, "schmidt", "--channel", write_spec(tmp_path, "zero.json", zero))
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "input error: schmidt: operator has no Schmidt coefficient above 1e-12\n"
+
     def test_detect_sru_cnot_uses_exact_alpha(self, tmp_path, capsys):
         path = write_spec(tmp_path, "cnot.json", CNOT_SPEC)
         res = run_json(capsys, "detect-sru", "--channel", path)["results"]

@@ -7,8 +7,9 @@ must be the value of ``json.dumps(value)`` (of an array's ``tolist()``),
 signed zeros included. A text report writes each field as
 ``json.dumps(allow_nan=False)`` does, byte for byte. Both raise a ValueError
 where json does, naming the first non-finite float as json's Python encoder
-names it. A square [re, im] block whose upper triangle mirrors its lower one
-bit for bit takes one repr per conjugate pair, in both formats.
+names it. An ndarray is written as its ``tolist()``, a complex one as its
+[re, im] pairs; a square complex matrix whose upper triangle mirrors its lower
+one bit for bit takes one repr per conjugate pair, in both formats.
 
 ``_complex_matrix`` accepts a well-formed matrix through one array check; it
 must return exactly the array of the per-entry walk below (the parser as it
@@ -217,7 +218,17 @@ def test_a_refused_report_leaves_its_lists_writable():
 
 
 # ---------------------------------------------------------------------------
-# ndarray blocks: a report hands the writer float64 [re, im] arrays
+# ndarray blocks: a report hands the writer its arrays as the library holds them
+
+
+def as_list(block):
+    """The nested list a report writes for ``block``: a complex array's [re, im] pairs, any other's ``tolist()``."""
+    return cli._pairs(block).tolist() if block.dtype.kind == "c" else block.tolist()
+
+
+def complex_matrix(pairs):
+    """The complex matrix of a nest of [re, im] pairs, signed zeros included."""
+    return np.array(pairs, dtype=float).view(complex)[..., 0]
 
 
 def both_formats(block):
@@ -233,8 +244,8 @@ def both_formats(block):
 
 
 def assert_renders_as_its_list(block):
-    assert both_formats(block) == both_formats(block.tolist())
-    assert_same_value(rendered_value(block), reference_value(block.tolist()))
+    assert both_formats(block) == both_formats(as_list(block))
+    assert_same_value(rendered_value(block), reference_value(as_list(block)))
 
 
 ARRAY_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7e308, 1 / 3, -2.0]
@@ -242,11 +253,12 @@ ARRAY_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7e30
 
 @st.composite
 def hermitian_blocks(draw, floats, min_n=1):
-    """An (n, n, 2) [re, im] block whose strict upper triangle is the conjugate of its strict lower one."""
+    """An n x n complex matrix whose strict upper triangle is the conjugate of its strict lower one, bit for bit."""
     n = draw(st.integers(min_n, 6))
-    block = np.array(draw(st.lists(floats, min_size=2 * n * n, max_size=2 * n * n))).reshape(n, n, 2)
+    block = np.array(draw(st.lists(floats, min_size=2 * n * n, max_size=2 * n * n)), dtype=float).view(complex)
+    block = block.reshape(n, n)
     upper = np.triu_indices(n, 1)
-    block[upper] = block[upper[::-1]] * [1.0, -1.0]  # a +0.0 imaginary part mirrors to -0.0
+    block[upper] = np.conjugate(block[upper[::-1]])  # a +0.0 imaginary part mirrors to -0.0
     return block
 
 
@@ -255,16 +267,16 @@ edge_or_plain = st.one_of(plain_floats, st.sampled_from(ARRAY_EDGE_FLOATS))
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(hermitian_blocks(edge_or_plain))
-@example(np.array([[[0.0, -0.0]]]))
-@example(np.array([[[1e308, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [5e-324, -0.0]]]))
+@example(complex_matrix([[[0.0, -0.0]]]))
+@example(complex_matrix([[[1e308, 0.0], [-0.0, 0.0]], [[-0.0, -0.0], [5e-324, -0.0]]]))
 def test_hermitian_block_writes_each_conjugate_pair_once(block):
-    assert cli._conjugate_pair_strings(block) is not None
+    assert cli._hermitian_text(block) is not None
     assert_renders_as_its_list(block)
 
 
 def test_choi_matrix_takes_the_conjugate_pair_path():
-    block = cli._pairs(random_channel([3, 3], 8, kraus_count=81).choi.matrix)
-    assert cli._conjugate_pair_strings(block) == list(map(float.__repr__, block.ravel().tolist()))
+    block = random_channel([3, 3], 8, kraus_count=81).choi.matrix
+    assert cli._hermitian_text(block) == json.dumps(cli._pairs(block).tolist())
     assert_renders_as_its_list(block)
 
 
@@ -276,16 +288,17 @@ def default_options(command):
 def test_text_choi_report_writes_each_conjugate_pair_once(monkeypatch):
     results = cli._run_choi(random_channel([3, 3], 9, kraus_count=81), default_options("choi"))
     payload = {"pipeline": "choi", "inputs": {"channel": {"dims": [3, 3]}, "options": {}}, "results": results}
-    real, found = cli._conjugate_pair_strings, []
+    real, found = cli._hermitian_text, []
 
-    def recording(a):
-        found.append((a.shape, real(a) is not None))
-        return real(a)
+    def recording(m):
+        text = real(m)
+        found.append((m.shape, text is not None))
+        return text
 
-    monkeypatch.setattr(cli, "_conjugate_pair_strings", recording)
+    monkeypatch.setattr(cli, "_hermitian_text", recording)
     lines = render_report(payload, "text").split("\n")
-    assert [shape for shape, mirrored in found if mirrored] == [(81, 81, 2)]
-    assert f"  matrix: {json.dumps(results['matrix'].tolist())}" in lines
+    assert [shape for shape, mirrored in found if mirrored] == [(81, 81)]
+    assert f"  matrix: {json.dumps(cli._pairs(results['matrix']).tolist())}" in lines
 
 
 @pytest.mark.parametrize("command", ["choi", "schmidt", "decompose-witness", "detect-sep"])
@@ -300,7 +313,7 @@ def test_json_report_writes_each_list_on_one_line(command):
     listed = [key for key, val in results.items() if isinstance(val, (list, tuple, np.ndarray))]
     assert listed
     for key in listed:
-        assert f'    "{key}": {json.dumps(results[key], default=np.ndarray.tolist)}' in lines
+        assert f'    "{key}": {json.dumps(results[key], default=as_list)}' in lines
 
 
 def test_writer_without_the_c_encoder_writes_the_same(monkeypatch):
@@ -322,20 +335,20 @@ def test_one_bit_of_asymmetry_falls_back(block, data):
     j = data.draw(st.integers(0, i - 1))
     part, bit = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 63))
     where = data.draw(st.sampled_from([(i, j, part), (j, i, part)]))
-    bits = block.view(np.uint64)
+    bits = cli._pairs(block).view(np.uint64)  # the [re, im] view of the matrix
     bits[where] ^= np.uint64(1 << bit)
     if not np.isfinite(block).all():
         return  # the bit made an exponent of all ones
-    assert cli._conjugate_pair_strings(block) is None
+    assert cli._hermitian_text(block) is None
     assert_renders_as_its_list(block)
 
 
 def test_zeros_of_one_sign_on_both_sides_fall_back():
-    block = np.zeros((2, 2, 2))  # +0.0 imaginary parts on both sides: a conjugate would hold -0.0
-    assert cli._conjugate_pair_strings(block) is None
+    block = np.zeros((2, 2), dtype=complex)  # +0.0 imaginary parts on both sides: a conjugate would hold -0.0
+    assert cli._hermitian_text(block) is None
     assert_renders_as_its_list(block)
-    block[0, 1, 1] = -0.0
-    assert cli._conjugate_pair_strings(block) is not None
+    cli._pairs(block)[0, 1, 1] = -0.0
+    assert cli._hermitian_text(block) is not None
     assert_renders_as_its_list(block)
 
 
@@ -345,7 +358,10 @@ def test_zeros_of_one_sign_on_both_sides_fall_back():
         np.arange(12.0).reshape(2, 3, 2),  # not square
         np.arange(18.0).reshape(3, 3, 2) * -0.5,  # square, not Hermitian
         np.arange(27.0).reshape(3, 3, 3),  # square, not [re, im]
-        np.arange(16.0).reshape(2, 2, 2, 2) - 7.5,  # a stack of Schmidt factors
+        np.arange(16.0).reshape(2, 2, 2, 2) - 7.5,  # a stack of Schmidt factors' pairs
+        complex_matrix(np.arange(12.0).reshape(2, 3, 2)),  # complex, not square
+        complex_matrix(np.arange(18.0).reshape(3, 3, 2) * -0.5),  # complex, square, not Hermitian
+        complex_matrix(np.arange(16.0).reshape(2, 2, 2, 2) - 7.5),  # a stack of Schmidt factors
         np.array([1e308, -0.0, 5e-324]),
         np.arange(4).reshape(2, 2),  # not float64
         np.array(2.5),

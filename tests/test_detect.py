@@ -94,6 +94,15 @@ def duplicate_order(table, i):
 
 
 class TestOperatorSchmidt:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_zero_operator_has_no_schmidt_terms(self, dims):
+        # it was reported as rank 1 with sigma = [0.0] and arbitrary SVD factors
+        d = dims[0] * dims[1]
+        with pytest.raises(ValueError, match="operator has no Schmidt coefficient above 1e-12"):
+            operator_schmidt(np.zeros((d, d)), *dims)
+        with pytest.raises(ValueError, match="operator has no Schmidt coefficient"):
+            operator_schmidt(np.full((d, d), 1e-14), *dims)
+
     def test_cnot_rank_and_coefficients(self):
         sd = operator_schmidt(CNOT, 2, 2)
         assert sd.rank == 2
@@ -179,6 +188,11 @@ class TestOperatorSchmidt:
         if dims == (3, 3):
             ops.append(Z3)
         for o in ops:
+            if not o.any():  # no Schmidt terms: both refuse it
+                for decompose in (operator_schmidt, operator_schmidt_loop):
+                    with pytest.raises(ValueError, match="no Schmidt coefficient above"):
+                        decompose(o, da, db)
+                continue
             got, ref = operator_schmidt(o, da, db), operator_schmidt_loop(o, da, db)
             assert (got.rank, got.dims) == (ref.rank, ref.dims)
             assert got.sigmas.tobytes() == ref.sigmas.tobytes()
@@ -194,6 +208,11 @@ class TestOperatorSchmidt:
 
 
 class TestAlphaSruOptimize:
+    def test_nan_gate_is_refused_before_the_ascent(self):
+        # numpy's SVD did not converge on it, a LinAlgError
+        with pytest.raises(ValidationError, match=r"^target unitary is not unitary: .* = nan$"):
+            alpha_sru_optimize(np.full((9, 9), np.nan), (3, 3), starts=3)
+
     def test_cnot_value_and_maximizer(self):
         val, ua, ub = alpha_sru_optimize(CNOT, (2, 2), starts=20, seed=0)
         assert abs(val - 1 / np.sqrt(2)) < 1e-6
@@ -495,6 +514,11 @@ class TestAlphaSruOptimize:
 
 
 class TestSruWitness:
+    def test_nan_gate_is_refused_as_the_target(self):
+        # not as a witness that is not Hermitian by a NaN deviation
+        with pytest.raises(ValidationError, match=r"^target unitary is not unitary: .* = nan$"):
+            build_sru_witness(np.full((4, 4), np.nan), (2, 2), 0.5)
+
     def test_cnot_witness_detects_cnot(self):
         w = build_sru_witness(CNOT, (2, 2), 0.5)
         assert abs(evaluate_witness(w, cnot_channel().choi) + 0.5) < 1e-12

@@ -1,6 +1,7 @@
-"""The names ``chandet`` exports, and that the CLI reaches every module of the package."""
+"""The names ``chandet`` exports, their one argument contract, and that the CLI reaches every module of the package."""
 
 import json
+import math
 import subprocess
 import sys
 import types
@@ -90,3 +91,138 @@ def test_array_records_hold_read_only_arrays(name):
     # a writable array would let a caller change a record that others, such as a kept witness, share
     arrays = dict(held_arrays(ARRAY_RECORDS[name]()))
     assert arrays and [key for key, a in arrays.items() if a.flags.writeable] == []
+
+
+# ---------------------------------------------------------------------------
+# the one argument contract of the public names' numeric parameters
+
+U2, CNOT_U = np.eye(2), CNOT().kraus[0]
+
+
+def with_entry(d, x):
+    """The d x d identity with ``x`` at [0, 1]."""
+    m = np.eye(d, dtype=complex)
+    m[0, 1] = x
+    return m
+
+
+def unit_vector_with(x):
+    """A unit vector of 16 entries, the CNOT's NPT witness size, whose last entry is ``x``."""
+    return np.r_[1.0, np.zeros(14), x]
+
+
+def eb_state():
+    return chandet.identity_channel([2]).choi
+
+
+# Each numeric parameter of the public names, by kind: a call that puts ``x`` there, a value the call takes,
+# and how its refusals begin, naming the argument. An int is a count, dimension, seed or subsystem index; a real
+# is a probability, weight, expectation or threshold; an entry is one entry of a matrix or vector argument.
+DIMS = "invalid subsystem dimensions"
+PARAMETERS = {
+    "int": {
+        "Channel dims": (lambda x: chandet.Channel([U2], [x]), 2, DIMS),
+        "identity_channel dims": (lambda x: chandet.identity_channel([x]), 2, DIMS),
+        "unitary_channel dims": (lambda x: chandet.unitary_channel(U2, [x]), 2, DIMS),
+        "depolarizing_channel d": (lambda x: chandet.depolarizing_channel(0.25, x), 2, DIMS),
+        "fully_depolarizing_channel dims": (lambda x: chandet.fully_depolarizing_channel([x]), 2, DIMS),
+        "random_unitary_channel dims": (lambda x: chandet.random_unitary_channel([1.0], [U2], [x]), 2, DIMS),
+        "sru_channel dims": (lambda x: chandet.sru_channel([1.0], [U2], [U2], [x, 2]), 2, DIMS),
+        "operator_schmidt da": (lambda x: chandet.operator_schmidt(CNOT_U, x, 2), 2, DIMS),
+        "operator_schmidt db": (lambda x: chandet.operator_schmidt(CNOT_U, 2, x), 2, DIMS),
+        "alpha_sru_optimize dims": (lambda x: chandet.alpha_sru_optimize(CNOT_U, (x, 2), starts=2), 2, DIMS),
+        "alpha_sru_optimize starts": (lambda x: chandet.alpha_sru_optimize(CNOT_U, (2, 2), starts=x), 2, "starts"),
+        "alpha_sru_optimize seed": (
+            lambda x: chandet.alpha_sru_optimize(CNOT_U, (2, 2), starts=2, seed=x), 2, "seed"
+        ),
+        "build_sru_witness dims": (lambda x: chandet.build_sru_witness(CNOT_U, (x, 2), 0.5), 2, DIMS),
+        "eb_witness dims": (lambda x: chandet.eb_witness([x]), 2, DIMS),
+        "estimate_witness shots": (
+            lambda x: chandet.estimate_witness(eb_state(), chandet.eb_witness(), x), 2, "shots_per_setting"
+        ),
+        "estimate_witness seed": (
+            lambda x: chandet.estimate_witness(eb_state(), chandet.eb_witness(), 9, x), 2, "seed"
+        ),
+        "spa_noise_weight dims": (lambda x: chandet.spa_noise_weight((x, 2)), 2, DIMS),
+    },
+    "real": {
+        "depolarizing_channel p": (lambda x: chandet.depolarizing_channel(x, 2), 1, "depolarizing weight p"),
+        "random_unitary_channel probs": (
+            lambda x: chandet.random_unitary_channel([x, 1.0], [U2, U2]), 0, "probabilities[0]"
+        ),
+        "sru_channel probs": (lambda x: chandet.sru_channel([x, 1.0], [U2, U2], [U2, U2]), 0, "probabilities[0]"),
+        "build_sru_witness alpha_sq": (lambda x: chandet.build_sru_witness(CNOT_U, (2, 2), x), 1, "alpha_sq"),
+        "decide value": (
+            lambda x: chandet.decide("eb", x, {"not_entanglement_breaking": 0.0}), 0, "the eb verdict's value"
+        ),
+        "decide threshold": (
+            lambda x: chandet.decide("eb", -1.0, {"not_entanglement_breaking": x}), 0, "the eb verdict's value"
+        ),
+        "robustness_bounds c": (
+            lambda x: chandet.robustness_bounds(x, chandet.eb_witness()), -1, "a robustness bound's expectation"
+        ),
+    },
+    "entry": {
+        "Channel kraus": (lambda x: chandet.Channel([with_entry(2, x)], [2], require_tp=False), 0, "kraus[0]"),
+        "unitary_channel u": (lambda x: chandet.unitary_channel(with_entry(2, x)), 0, "unitary "),
+        "fully_depolarizing_channel sigma": (
+            lambda x: chandet.fully_depolarizing_channel([2], with_entry(2, x) / 2), 0, "sigma "
+        ),
+        "random_unitary_channel unitaries": (
+            lambda x: chandet.random_unitary_channel([0.5, 0.5], [U2, with_entry(2, x)]), 0, "unitaries[1]"
+        ),
+        "sru_channel a_unitaries": (
+            lambda x: chandet.sru_channel([1.0], [with_entry(2, x)], [U2]), 0, "a_unitaries[0]"
+        ),
+        "sru_channel b_unitaries": (
+            lambda x: chandet.sru_channel([1.0], [U2], [with_entry(2, x)]), 0, "b_unitaries[0]"
+        ),
+        "operator_schmidt o": (lambda x: chandet.operator_schmidt(with_entry(4, x), 2, 2), 0, "operator "),
+        "alpha_sru_optimize u": (
+            lambda x: chandet.alpha_sru_optimize(with_entry(9, x), (3, 3), starts=3), 0, "target unitary "
+        ),
+        "build_sru_witness u": (
+            lambda x: chandet.build_sru_witness(with_entry(4, x), (2, 2), 0.5), 0, "target unitary "
+        ),
+        "pauli_decompose w": (lambda x: chandet.pauli_decompose(with_entry(4, x)), 0, "operator "),
+        "detect_npt vector": (lambda x: chandet.detect_npt(CNOT(), unit_vector_with(x)), 0, "witness vector "),
+        "estimate_witness choi": (
+            lambda x: chandet.estimate_witness(
+                chandet.ChoiMatrix(with_entry(4, x) / 4, (2, 2), (2,)), chandet.eb_witness(), 9
+            ),
+            0,
+            "state ",
+        ),
+    },
+}
+# what each kind refuses: a fractional float is no integer and would be truncated; a bool or a string is no number
+REFUSED = {
+    "int": [2.5, -0.5, True, False, "2", math.nan, math.inf, -math.inf],
+    "real": [True, False, "0.5", "1", math.nan, math.inf, -math.inf, 10**400],
+    "entry": [math.nan],
+}
+
+
+def fingerprint(value):
+    """Each array's bytes and each other value with its type, through channels, records and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, chandet.Channel):
+        return fingerprint((value.dims, value.kraus))
+    if is_dataclass(value):
+        return tuple(fingerprint(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(map(fingerprint, value))
+    return type(value), value
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind, table in PARAMETERS.items() for name in table])
+def test_numeric_parameters_take_only_numbers_of_their_kind(kind, name):
+    # no call truncates, converts a bool or a string, or returns a verdict, a bound or a record from NaN
+    call, good, named = PARAMETERS[kind][name]
+    for bad in REFUSED[kind]:
+        with pytest.raises((ValueError, TypeError)) as refused:
+            call(bad)
+        assert str(refused.value).startswith(named) and not isinstance(refused.value, np.linalg.LinAlgError)
+    # an integer of any type is taken as the int it is
+    assert fingerprint(call(np.int64(good))) == fingerprint(call(good))

@@ -44,6 +44,8 @@ def test_report_moves_finds_no_move_between_two_runs_of_one_checkout():
 def test_class_times_prints_each_class_with_its_start_sweeps():
     lines = run_tool("tools/class_times.py", "--workloads", "sep-qutrit", "--seeds", "1", "--repeats", "1")
     rows = [line.split() for line in lines]
-    # workload class requests median_ms median_start_sweeps; every sep-qutrit class runs the optimizer
-    assert len(rows) == 5 and all(len(r) == 5 and r[0] == "sep-qutrit" for r in rows)
+    # workload class requests median_ms median_start_sweeps median_sweeps; every sep-qutrit class runs the optimizer
+    assert len(rows) == 5 and all(len(r) == 6 and r[0] == "sep-qutrit" for r in rows)
     assert all(int(r[2]) >= 1 and float(r[3]) > 0 and float(r[4]) > 0 for r in rows)
+    # a batched sweep climbs at least one start, so no request has more sweeps than start-sweeps
+    assert all(float(r[4]) >= float(r[5]) >= 1 for r in rows)

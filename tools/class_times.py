@@ -8,20 +8,22 @@ in-process, BLAS at one thread, with the program imported from this
 checkout's ``src/``: one untimed pass, then ``--repeats`` timed passes.
 Prints one line per request class:
 
-    workload class requests median_ms median_start_sweeps
+    workload class requests median_ms median_start_sweeps median_sweeps
 
 As in ``bench/run.py``, the yardstick of ``bench/yardstick.py`` runs before
 every call, outside the timed region, and each timed call is scaled by its
 ``scales`` factor, so the times read as milliseconds at the yardstick's
 reference speed and a slow stretch of a shared host moves them less. The
 median runs over every timed call of every request of the class, across all
-seeds. The last column is the median, over the class's requests, of the
-start-sweeps of the optimizer (each start counted once for every sweep it
-climbs, from ``detect._alternating_ascent``'s ``record``), 0 for a class that
-does not run it; they are counted in the untimed pass, so the count costs the
-timed calls nothing. A timing change whose start-sweeps did not move is the
-code's, not the draw's. To compare two commits, run the script in a checkout
-of each. Nothing under ``bench/`` is changed.
+seeds. The last two columns are medians over the class's requests: of the
+optimizer's start-sweeps (each start counted once for every sweep it climbs,
+from ``detect._alternating_ascent``'s ``record``) and of its batched sweeps
+(the length of ``record``, each one sweep of every live start at once); both
+are 0 for a class that does not run it. An optimizer run costs about a fixed
+time per batched sweep plus a time per start-sweep. Both counts are taken in
+the untimed pass, so they cost the timed calls nothing. A timing change whose
+counts did not move is the code's, not the draw's. To compare two commits,
+run the script in a checkout of each. Nothing under ``bench/`` is changed.
 """
 
 import argparse
@@ -38,9 +40,10 @@ from chandet import detect
 
 
 def class_times(workload: str, seeds: list, repeats: int) -> tuple:
-    """Scaled seconds of every timed call and start-sweeps of every request, per class, in pool order."""
+    """Scaled seconds of every timed call, and start-sweeps and batched sweeps of every request, per class."""
     calls, yard = [], []  # (class, seconds) of each timed call, the yardstick's seconds before it
-    sweeps, rows = {}, []  # start-sweeps of each request per class; the sweeps recorded in the current one
+    sweeps, batches = {}, {}  # start-sweeps and batched sweeps of each request, per class
+    rows = []  # the sweeps recorded in the current request
     climb = detect._alternating_ascent
 
     def recorded(u, da, db, ub0):
@@ -64,10 +67,11 @@ def class_times(workload: str, seeds: list, repeats: int) -> tuple:
                         with mock.patch.object(detect, "_alternating_ascent", recorded):
                             run(req.argv)
                         sweeps.setdefault(req.cls, []).append(sum(int(np.count_nonzero(~np.isnan(r))) for r in rows))
+                        batches.setdefault(req.cls, []).append(len(rows))
     times = {}
     for (cls, seconds), factor in zip(calls, scales(yard)):
         times.setdefault(cls, []).append(seconds * factor)
-    return times, sweeps
+    return times, sweeps, batches
 
 
 def main(argv=None) -> int:
@@ -77,10 +81,11 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=3)
     args = p.parse_args(argv)
     for workload in args.workloads:
-        times, sweeps = class_times(workload, args.seeds, args.repeats)
+        times, sweeps, batches = class_times(workload, args.seeds, args.repeats)
         for cls, seconds in times.items():
             median_ms = 1e3 * statistics.median(seconds)
-            print(f"{workload} {cls} {len(sweeps[cls])} {median_ms:.2f} {statistics.median(sweeps[cls]):g}", flush=True)
+            counts = f"{statistics.median(sweeps[cls]):g} {statistics.median(batches[cls]):g}"
+            print(f"{workload} {cls} {len(sweeps[cls])} {median_ms:.2f} {counts}", flush=True)
     return 0
 
 
